@@ -224,24 +224,27 @@ ShardedEngine::ShardedEngine() : ShardedEngine(Options()) {}
 
 ShardedEngine::ShardedEngine(Options options)
     : options_(std::move(options)),
+      inline_(options_.num_shards == 1 && options_.num_replicas == 0),
       partition_map_(std::max(options_.num_buckets, options_.num_shards),
                      options_.num_shards == 0 ? 1 : options_.num_shards) {
   TCQ_CHECK(options_.num_shards > 0);
   options_.num_replicas = std::min<size_t>(options_.num_replicas, 1);
   bucket_routed_.resize(partition_map_.num_buckets());
-  MetricRegistry& r = MetricRegistry::Global();
-  migrations_ = r.GetCounter("tcq.rebalance.migrations");
-  moved_tuples_ = r.GetCounter("tcq.rebalance.moved_tuples");
-  moved_bytes_ = r.GetCounter("tcq.rebalance.moved_bytes");
-  buffered_tuples_ = r.GetCounter("tcq.rebalance.buffered_tuples");
-  pause_us_ = r.GetHistogram("tcq.rebalance.pause_us");
-  ha_checkpoints_ = r.GetCounter("tcq.ha.checkpoints");
-  ha_changelog_bytes_ = r.GetCounter("tcq.ha.changelog_bytes");
-  ha_failovers_ = r.GetCounter("tcq.ha.failovers");
-  ha_replayed_tuples_ = r.GetCounter("tcq.ha.replayed_tuples");
-  ha_suppressed_ = r.GetCounter("tcq.ha.suppressed_emissions");
-  ha_torn_ = r.GetCounter("tcq.ha.torn_snapshots");
-  ha_recovery_us_ = r.GetHistogram("tcq.ha.recovery_us");
+  if (!inline_) {
+    MetricRegistry& r = MetricRegistry::Global();
+    migrations_ = r.GetCounter("tcq.rebalance.migrations");
+    moved_tuples_ = r.GetCounter("tcq.rebalance.moved_tuples");
+    moved_bytes_ = r.GetCounter("tcq.rebalance.moved_bytes");
+    buffered_tuples_ = r.GetCounter("tcq.rebalance.buffered_tuples");
+    pause_us_ = r.GetHistogram("tcq.rebalance.pause_us");
+    ha_checkpoints_ = r.GetCounter("tcq.ha.checkpoints");
+    ha_changelog_bytes_ = r.GetCounter("tcq.ha.changelog_bytes");
+    ha_failovers_ = r.GetCounter("tcq.ha.failovers");
+    ha_replayed_tuples_ = r.GetCounter("tcq.ha.replayed_tuples");
+    ha_suppressed_ = r.GetCounter("tcq.ha.suppressed_emissions");
+    ha_torn_ = r.GetCounter("tcq.ha.torn_snapshots");
+    ha_recovery_us_ = r.GetHistogram("tcq.ha.recovery_us");
+  }
   shards_.reserve(options_.num_shards);
   for (size_t i = 0; i < options_.num_shards; ++i) {
     auto shard = std::make_unique<Shard>();
@@ -250,9 +253,11 @@ ShardedEngine::ShardedEngine(Options options)
     eo.seed = options_.seed + i;  // Decorrelated exploration per shard.
     eo.eddy = options_.eddy;
     if (options_.spool != nullptr) {
+      // Inline keys stay unqualified: the one shard owns the prefix.
       eo.spool = options_.spool;
-      eo.spool_prefix =
-          options_.spool_prefix + "shard." + std::to_string(i) + ".";
+      eo.spool_prefix = inline_ ? options_.spool_prefix
+                                : options_.spool_prefix + "shard." +
+                                      std::to_string(i) + ".";
     }
     shard->engine = std::make_unique<CacqEngine>(eo);
     if (options_.num_replicas > 0) {
@@ -264,16 +269,20 @@ ShardedEngine::ShardedEngine(Options options)
       eo.spool_prefix.clear();
       shard->standby = std::make_unique<CacqEngine>(eo);
     }
-    shard->output = std::make_unique<FjordQueue<EgressItem>>(
-        ShardEdgeOptions(options_.egress_capacity));
+    if (!inline_) {
+      shard->output = std::make_unique<FjordQueue<EgressItem>>(
+          ShardEdgeOptions(options_.egress_capacity));
+    }
     Shard* raw = shard.get();
     // Runs on the shard thread mid-InjectBatch; the worker flushes
-    // `pending` into the egress queue after every task.
+    // `pending` into the egress queue after every task (inline: PushBatch
+    // hands it to the sink).
     shard->engine->SetSink([raw](QueryId q, const Tuple& t) {
       raw->pending.emplace_back(q, t);
     });
     shards_.push_back(std::move(shard));
   }
+  if (inline_) return;
   input_ = std::make_unique<PartitionedQueue<ShardTask>>(
       options_.num_shards, ShardEdgeOptions(options_.input_capacity),
       "tcq.shard");
@@ -335,6 +344,7 @@ void ShardedEngine::Start() {
   TCQ_CHECK(!started_ && !stopped_) << "ShardedEngine starts exactly once";
   TCQ_CHECK(!sources_.empty()) << "declare streams before Start()";
   started_ = true;
+  if (inline_) return;
   shard_eos_.reserve(shards_.size());
   for (size_t i = 0; i < shards_.size(); ++i) {
     auto eo = std::make_unique<ExecutionObject>("shard-" + std::to_string(i));
@@ -360,6 +370,7 @@ void ShardedEngine::Stop() {
   // flight against closing queues would trip the control-enqueue checks.
   if (controller_ != nullptr) controller_->Stop();
   stopped_ = true;
+  if (inline_) return;  // No threads to join.
   // Close the exchange; each live worker drains its queue, flushes
   // emissions, closes its egress queue and reports done. Join() waits for
   // that before stopping the thread — nothing in flight is dropped.
@@ -428,7 +439,7 @@ Status ShardedEngine::WaitBarrier(
 }
 
 Status ShardedEngine::RunOnAllShards(const std::function<void(size_t)>& fn) {
-  if (!started_ || stopped_) {
+  if (inline_ || !started_ || stopped_) {
     for (size_t i = 0; i < shards_.size(); ++i) fn(i);
     return Status::OK();
   }
@@ -494,6 +505,9 @@ Status ShardedEngine::ValidatePartitioning(const CacqQuerySpec& spec) const {
 }
 
 Result<QueryId> ShardedEngine::AddQuery(const CacqQuerySpec& spec) {
+  // Inline: one shard holds every key, so no join can span shards, and
+  // with no standby there is no history to keep.
+  if (inline_) return shards_[0]->engine->AddQuery(spec);
   TCQ_RETURN_NOT_OK(ValidatePartitioning(spec));
   // Serialized with migrations AND failovers: a registration interleaved
   // with a standby promotion would leave the replica set divergent.
@@ -523,6 +537,7 @@ Result<QueryId> ShardedEngine::AddQuery(const CacqQuerySpec& spec) {
 }
 
 Status ShardedEngine::RemoveQuery(QueryId q) {
+  if (inline_) return shards_[0]->engine->RemoveQuery(q);
   // Removal scrubs the query's bit from every stored lineage; serialized
   // with migrations so extracted-but-not-yet-installed state can't skip
   // the scrub and resurrect the query's results on the recipient.
@@ -564,6 +579,19 @@ Status ShardedEngine::PushBatch(const std::string& stream,
   }
   if (batch.empty()) return Status::OK();
   const size_t source = it->second;
+  if (inline_) {
+    // No exchange: inject here and deliver before returning.
+    Shard& sh = *shards_[0];
+    sh.routed += batch.size();
+    const Status st = sh.engine->InjectBatch(source, batch, lane);
+    sh.processed += batch.size();
+    if (!sh.pending.empty()) {
+      // Delivered even after a failed inject: those rows were produced.
+      if (sink_) sink_(std::move(sh.pending));
+      sh.pending.clear();
+    }
+    return st;
+  }
   const size_t key_column = sources_[source].partition_column;
   // Scatter: group by bucket -> shard so each shard receives ONE exchange
   // task per producer batch (amortizing queue costs), in producer order —
@@ -613,7 +641,7 @@ Status ShardedEngine::Push(const std::string& stream, Tuple tuple,
 }
 
 Status ShardedEngine::Quiesce() {
-  if (!started_ || stopped_) return Status::OK();
+  if (inline_ || !started_ || stopped_) return Status::OK();
   // Serialize against migrations first: a migration in flight may hold
   // tuples in the pause buffer, which the barriers below cannot see. Once
   // migrate_mu_ is ours the buffer is empty and everything is in queues.
@@ -663,6 +691,10 @@ Status ShardedEngine::KillShard(size_t shard) {
   }
   if (stopped_) return Status::Unavailable("engine stopped");
   if (shard >= shards_.size()) return Status::OutOfRange("shard out of range");
+  if (inline_) {
+    return Status::FailedPrecondition(
+        "inline engine (one shard, no standby) has no worker to kill");
+  }
   shards_[shard]->kill.store(true, std::memory_order_release);
   return Status::OK();
 }
@@ -1042,6 +1074,7 @@ RebalanceController::Load ShardedEngine::ObserveLoad() const {
 
 ShardedEngine::RebalanceStats ShardedEngine::rebalance_stats() const {
   RebalanceStats s;
+  if (inline_) return s;
   s.migrations = migrations_->value();
   s.moved_tuples = moved_tuples_->value();
   s.moved_bytes = moved_bytes_->value();
@@ -1071,6 +1104,7 @@ std::vector<ShardedEngine::ReplicaStats> ShardedEngine::replica_stats() const {
 
 ShardedEngine::HaStats ShardedEngine::ha_stats() const {
   HaStats s;
+  if (inline_) return s;
   s.failovers = ha_failovers_->value();
   s.replayed_tuples = ha_replayed_tuples_->value();
   s.suppressed_emissions = ha_suppressed_->value();
@@ -1092,7 +1126,7 @@ std::vector<ShardedEngine::ShardStats> ShardedEngine::shard_stats() const {
     ShardStats s;
     s.routed = shards_[i]->routed;
     s.processed = shards_[i]->processed;
-    s.queue_depth = input_->partition(i).Size();
+    s.queue_depth = inline_ ? 0 : input_->partition(i).Size();
     // The engine pointer swaps during a failover promotion; the eddy
     // counters themselves are relaxed atomics.
     std::lock_guard<std::mutex> elock(shards_[i]->engine_mu);

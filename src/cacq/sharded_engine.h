@@ -48,9 +48,18 @@ namespace tcq {
 ///    auto-rebalance controller) moves a bucket's SteM state between
 ///    shards mid-stream with a pause/drain/move/resume protocol that
 ///    preserves per-key FIFO and the result multiset (DESIGN.md §12).
+///
+/// Inline mode: with one shard and no standby (num_shards == 1 and
+/// num_replicas == 0) there is nothing to exchange, so the engine starts
+/// no threads and builds no queues. PushBatch injects into shard 0 and
+/// hands its emissions to the sink before returning, on the caller's
+/// thread; AddQuery/RemoveQuery/EvictBefore call shard 0 directly;
+/// Quiesce is a no-op. Calls must then be serialized by the caller, as
+/// for a bare CacqEngine.
 class ShardedEngine {
  public:
   struct Options {
+    /// 1 (with num_replicas == 0) runs the engine inline; see above.
     size_t num_shards = 4;
     /// Routing policy + base seed for the per-shard eddies (shard i uses
     /// seed + i). Routing invariance makes results independent of this.
@@ -105,12 +114,14 @@ class ShardedEngine {
   /// One emission from one shard: (query, full-width result tuple).
   using Emission = std::pair<QueryId, Tuple>;
   /// Delivery callback, invoked on the egress thread with batches of
-  /// emissions in shard-output order. Must not call back into this
+  /// emissions in shard-output order (inline: on the pushing thread, once
+  /// per PushBatch, in emission order). Must not call back into this
   /// engine (Quiesce would self-deadlock) and must be set before Start().
   using Sink = std::function<void(std::vector<Emission>&&)>;
   void SetSink(Sink sink) { sink_ = std::move(sink); }
 
-  /// Launches shard + egress threads. Requires at least one stream.
+  /// Launches shard + egress threads (none inline). Requires at least one
+  /// stream.
   void Start();
 
   /// Closes the exchange, drains every shard and egress to completion,
@@ -132,7 +143,8 @@ class ShardedEngine {
   /// Asynchronous — the worker observes the flag at its next step; use
   /// shard_alive() or FailoverShard() to synchronize. Without standby
   /// replicas the shard's state and queued work are simply lost (barriers
-  /// then surface errors; see Quiesce).
+  /// then surface errors; see Quiesce). An inline engine has no worker to
+  /// kill: FailedPrecondition.
   Status KillShard(size_t shard);
 
   /// Detects the dead primary, promotes its standby and resumes routing:
@@ -233,6 +245,8 @@ class ShardedEngine {
   }
 
   size_t num_shards() const { return options_.num_shards; }
+  /// One shard, no standby: no threads, synchronous delivery.
+  bool is_inline() const { return inline_; }
   bool started() const { return started_; }
   size_t num_active_queries() const;
   const SourceLayout& layout() const { return layout_; }
@@ -361,6 +375,7 @@ class ShardedEngine {
   RebalanceController::Load ObserveLoad() const;
 
   Options options_;
+  const bool inline_;
   /// key -> bucket -> shard; buckets are the migration granule. BucketOf
   /// is immutable; ShardOf entries flip only inside MigrateBucket.
   PartitionMap partition_map_;
@@ -379,6 +394,8 @@ class ShardedEngine {
 
   std::vector<std::unique_ptr<Shard>> shards_;
   /// The exchange: per-shard bounded task queues + tcq.shard.* telemetry.
+  /// Null inline, as are every shard's egress queue and the tcq.rebalance.*
+  /// and tcq.ha.* metrics below.
   std::unique_ptr<PartitionedQueue<ShardTask>> input_;
   std::vector<std::unique_ptr<ExecutionObject>> shard_eos_;
   std::unique_ptr<ExecutionObject> egress_eo_;

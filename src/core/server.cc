@@ -136,27 +136,22 @@ Server::~Server() {
   // Stop shard/egress threads while queries_ and streams_ are still
   // alive: member destruction order would otherwise tear down queries_
   // under a still-delivering egress thread.
+  for (ShardedEngine* e : Engines()) e->Stop();
+}
+
+std::vector<ShardedEngine*> Server::Engines() {
+  std::lock_guard<std::mutex> lock(mu_);
   std::vector<ShardedEngine*> engines;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto& [name, ss] : streams_) {
-      if (ss.sharded != nullptr) engines.push_back(ss.sharded.get());
-    }
+  for (auto& [name, ss] : streams_) {
+    if (ss.engine != nullptr) engines.push_back(ss.engine.get());
   }
-  for (ShardedEngine* e : engines) e->Stop();
+  return engines;
 }
 
 void Server::Quiesce() {
   // Collect under mu_, wait unlocked: a quiesce must not stall ingest on
   // other streams, and the engines live until ~Server.
-  std::vector<ShardedEngine*> engines;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto& [name, ss] : streams_) {
-      if (ss.sharded != nullptr) engines.push_back(ss.sharded.get());
-    }
-  }
-  for (ShardedEngine* e : engines) {
+  for (ShardedEngine* e : Engines()) {
     const Status st = e->Quiesce();
     if (!st.ok()) {
       // A dead (un-failed-over) shard can't be barriered; the server-level
@@ -178,13 +173,13 @@ Status Server::Rebalance(const std::string& stream, size_t bucket,
     if (it == streams_.end()) {
       return Status::NotFound("unknown stream: " + stream);
     }
-    if (it->second.sharded == nullptr) {
+    engine = it->second.engine.get();
+    if (engine == nullptr || engine->num_shards() < 2) {
       return Status::FailedPrecondition(
           "stream is not running sharded (need cacq_shards > 1 and a "
           "standing query): " +
           stream);
     }
-    engine = it->second.sharded.get();
   }
   return engine->MigrateBucket(bucket, to_shard);
 }
@@ -258,93 +253,45 @@ Result<QueryId> Server::Submit(const std::string& sql,
   const AnalyzedQuery& aq = qs->analyzed;
   const bool speculative = opts.consistency == Consistency::kSpeculative;
 
-  if (aq.cacq_eligible && options_.cacq_shards > 1) {
-    // Standing single-stream filter, sharded mode: fold into the
-    // stream's shard fleet (created on first use, like the inline eddy).
+  if (aq.cacq_eligible) {
+    // Standing single-stream filter: fold into the stream's engine
+    // (created on first use; inline at one shard, a shard fleet above).
     const std::string& stream = aq.defs[0].name;
     StreamState& ss = streams_.at(stream);
-    if (ss.sharded == nullptr) {
+    if (ss.engine == nullptr) {
       ShardedEngine::Options sopts;
-      sopts.num_shards = options_.cacq_shards;
+      sopts.num_shards = std::max<size_t>(1, options_.cacq_shards);
       sopts.policy = options_.policy;
       sopts.seed = options_.seed;
       sopts.num_buckets = options_.cacq_buckets;
       sopts.auto_rebalance = options_.auto_rebalance;
       sopts.rebalance = options_.rebalance;
-      sopts.num_replicas = options_.cacq_replicas;
+      // Standbys need a fleet: one shard always runs inline.
+      sopts.num_replicas = sopts.num_shards > 1 ? options_.cacq_replicas : 0;
       if (spool_ != nullptr) {
         sopts.spool = spool_.get();
         sopts.spool_prefix = "cacq." + stream + ".";
       }
-      auto sharded = std::make_unique<ShardedEngine>(std::move(sopts));
+      auto engine = std::make_unique<ShardedEngine>(std::move(sopts));
       auto added =
-          sharded->AddStream(stream, ss.def.schema, ss.partition_column);
+          engine->AddStream(stream, ss.def.schema, ss.partition_column);
       TCQ_CHECK(added.ok()) << added.status();
-      // The sink runs on the egress thread; it captures the StreamState
-      // node (map nodes are address-stable) and takes results_mu_ only.
+      // The sink runs on the egress thread, or inside PushBatch inline; it
+      // captures the StreamState node (map nodes are address-stable) and
+      // takes results_mu_ only.
       StreamState* node = &ss;
-      sharded->SetSink(
+      engine->SetSink(
           [this, node](std::vector<ShardedEngine::Emission>&& batch) {
             DeliverShardEmissions(node, std::move(batch));
           });
-      sharded->Start();
-      ss.sharded = std::move(sharded);
+      engine->Start();
+      ss.engine = std::move(engine);
     }
     CacqQuerySpec spec;
     spec.sources = {stream};
     spec.where = StripQualifiers(aq.parsed.where);
     spec.speculative = speculative;
-    TCQ_ASSIGN_OR_RETURN(QueryId engine_q, ss.sharded->AddQuery(spec));
-    {
-      std::lock_guard<std::mutex> rlock(results_mu_);
-      ss.cacq_to_server[engine_q] = qid;
-    }
-    ++(speculative ? ss.cacq_speculative : ss.cacq_delayed);
-    qs->is_cacq = true;
-    qs->cacq_stream = stream;
-    qs->cacq_id = engine_q;
-  } else if (aq.cacq_eligible) {
-    // Standing single-stream filter: fold into the stream's shared eddy.
-    const std::string& stream = aq.defs[0].name;
-    StreamState& ss = streams_.at(stream);
-    if (ss.cacq == nullptr) {
-      CacqEngine::Options copts;
-      copts.policy = options_.policy;
-      copts.seed = options_.seed;
-      if (spool_ != nullptr) {
-        copts.spool = spool_.get();
-        copts.spool_prefix = "cacq." + stream + ".";
-      }
-      ss.cacq = std::make_unique<CacqEngine>(std::move(copts));
-      auto added = ss.cacq->AddStream(stream, ss.def.schema);
-      TCQ_CHECK(added.ok()) << added.status();
-      ss.cacq->SetSink([this, stream](QueryId engine_q, const Tuple& t) {
-        // mu_ is held by Push when this fires.
-        StreamState& s = streams_.at(stream);
-        auto it = s.cacq_to_server.find(engine_q);
-        if (it == s.cacq_to_server.end()) return;
-        QueryState* owner = queries_[it->second].get();
-        // Project per the query's select list.
-        std::vector<Value> cells;
-        cells.reserve(owner->analyzed.projections.size());
-        for (const ExprPtr& e : owner->analyzed.projections) {
-          cells.push_back(e->Eval(t));
-        }
-        ResultSet rs;
-        rs.t = t.timestamp();
-        Tuple row = Tuple::Make(std::move(cells), t.timestamp());
-        row.set_retraction(t.retraction());
-        rs.rows.push_back(std::move(row));
-        std::vector<ResultSet> sets;
-        sets.push_back(std::move(rs));
-        DeliverResults(owner, std::move(sets));
-      });
-    }
-    CacqQuerySpec spec;
-    spec.sources = {stream};
-    spec.where = StripQualifiers(aq.parsed.where);
-    spec.speculative = speculative;
-    TCQ_ASSIGN_OR_RETURN(QueryId engine_q, ss.cacq->AddQuery(spec));
+    TCQ_ASSIGN_OR_RETURN(QueryId engine_q, ss.engine->AddQuery(spec));
     {
       std::lock_guard<std::mutex> rlock(results_mu_);
       ss.cacq_to_server[engine_q] = qid;
@@ -443,32 +390,20 @@ Status Server::Cancel(QueryId q) {
   if (qs->consistency == Consistency::kSpeculative && num_speculative_ > 0) {
     --num_speculative_;
   }
-  if (qs->is_cacq) {
-    StreamState& ss = streams_.at(qs->cacq_stream);
-    size_t& lane = qs->consistency == Consistency::kSpeculative
-                       ? ss.cacq_speculative
-                       : ss.cacq_delayed;
-    if (lane > 0) --lane;
-    if (ss.sharded != nullptr) {
-      // Unmap first so the egress thread drops emissions still in flight,
-      // then barrier the removal through the shard control path.
-      {
-        std::lock_guard<std::mutex> rlock(results_mu_);
-        ss.cacq_to_server.erase(qs->cacq_id);
-      }
-      TCQ_RETURN_NOT_OK(ss.sharded->RemoveQuery(qs->cacq_id));
-    } else {
-      TCQ_RETURN_NOT_OK(ss.cacq->RemoveQuery(qs->cacq_id));
-      std::lock_guard<std::mutex> rlock(results_mu_);
-      ss.cacq_to_server.erase(qs->cacq_id);
-    }
-  }
-  qs->runner.reset();
+  StreamState* ss = qs->is_cacq ? &streams_.at(qs->cacq_stream) : nullptr;
   {
+    // Unmap first so delivery drops emissions still in flight.
     std::lock_guard<std::mutex> rlock(results_mu_);
+    if (ss != nullptr) ss->cacq_to_server.erase(qs->cacq_id);
     qs->results.clear();
   }
-  return Status::OK();
+  qs->runner.reset();
+  if (ss == nullptr) return Status::OK();
+  size_t& lane = qs->consistency == Consistency::kSpeculative
+                     ? ss->cacq_speculative
+                     : ss->cacq_delayed;
+  if (lane > 0) --lane;
+  return ss->engine->RemoveQuery(qs->cacq_id);
 }
 
 Result<SchemaPtr> Server::OutputSchema(QueryId q) const {
@@ -568,17 +503,9 @@ Status Server::ApplyReleasedLocked(const std::string& stream,
   }
   // Delayed-lane injection: standing delayed queries consume the released
   // (timestamp-ordered) feed, never raw arrivals.
-  if (ss.sharded != nullptr) {
-    if (ss.cacq_delayed > 0 && !ss.cacq_to_server.empty()) {
-      TCQ_RETURN_NOT_OK(ss.sharded->PushBatch(stream, std::move(released),
-                                              IngressLane::kDelayed));
-    }
-  } else if (ss.cacq != nullptr && ss.cacq->num_active_queries() > 0 &&
-             ss.cacq_delayed > 0) {
-    TCQ_RETURN_NOT_OK(
-        ss.cacq->InjectBatch(stream, released, IngressLane::kDelayed));
-  }
-  return Status::OK();
+  if (ss.cacq_delayed == 0) return Status::OK();
+  return ss.engine->PushBatch(stream, std::move(released),
+                              IngressLane::kDelayed);
 }
 
 Status Server::PushLocked(const std::string& stream, const Tuple& tuple) {
@@ -617,11 +544,7 @@ Status Server::IngestBatchLocked(const std::string& stream, StreamState* sp,
   // The raw (arrival-order) lane is only materialized when someone
   // listens to it: with no speculative CACQ queries the per-tuple copy
   // into `raw` is pure overhead on the hot ingest path.
-  const bool want_spec =
-      (ss.sharded != nullptr)
-          ? (ss.cacq_speculative > 0 && !ss.cacq_to_server.empty())
-          : (ss.cacq != nullptr && ss.cacq->num_active_queries() > 0 &&
-             ss.cacq_speculative > 0);
+  const bool want_spec = ss.cacq_speculative > 0;
   std::vector<Tuple> raw;
   if (want_spec) raw.reserve(batch.size());
   size_t accepted = 0;
@@ -722,13 +645,8 @@ Status Server::IngestBatchLocked(const std::string& stream, StreamState* sp,
     AdvanceQueriesLocked(stream);
     // Speculative-lane injection: raw arrivals, in arrival order.
     if (want_spec && !raw.empty()) {
-      if (ss.sharded != nullptr) {
-        TCQ_RETURN_NOT_OK(ss.sharded->PushBatch(
-            stream, std::move(raw), IngressLane::kSpeculative));
-      } else {
-        TCQ_RETURN_NOT_OK(
-            ss.cacq->InjectBatch(stream, raw, IngressLane::kSpeculative));
-      }
+      TCQ_RETURN_NOT_OK(ss.engine->PushBatch(stream, std::move(raw),
+                                             IngressLane::kSpeculative));
     }
   }
   if (revise_ts != kMaxTimestamp) ReviseQueriesLocked(stream, revise_ts);
@@ -849,13 +767,7 @@ Status Server::Retract(const std::string& stream, const Tuple& tuple) {
   TCQ_METRIC(ServerMetrics::Get().dis_retractions->Add(1));
   // Both CACQ lanes saw the assertion, so the signed tuple flows to all
   // standing queries (kAll); it cancels SteM state and emits signed rows.
-  if (ss.sharded != nullptr) {
-    if (!ss.cacq_to_server.empty()) {
-      TCQ_RETURN_NOT_OK(ss.sharded->Push(stream, r));
-    }
-  } else if (ss.cacq != nullptr && ss.cacq->num_active_queries() > 0) {
-    TCQ_RETURN_NOT_OK(ss.cacq->Inject(stream, r));
-  }
+  if (ss.standing() > 0) TCQ_RETURN_NOT_OK(ss.engine->Push(stream, r));
   // Fired speculative windows covering the timestamp must be revised;
   // delayed windows that already fired keep the stale row (documented).
   ReviseQueriesLocked(stream, r.timestamp());
@@ -934,14 +846,9 @@ Status Server::ReplayStream(const std::string& stream, Timestamp from_ts) {
     if (!chunk.empty()) {
       max_ts = std::max(max_ts, chunk.back().timestamp());
       replayed += chunk.size();
-      if (ss.sharded != nullptr) {
-        if (!ss.cacq_to_server.empty()) {
-          TCQ_RETURN_NOT_OK(ss.sharded->PushBatch(stream, std::move(chunk),
-                                                  IngressLane::kAll));
-        }
-      } else if (ss.cacq != nullptr && ss.cacq->num_active_queries() > 0) {
+      if (ss.standing() > 0) {
         TCQ_RETURN_NOT_OK(
-            ss.cacq->InjectBatch(stream, chunk, IngressLane::kAll));
+            ss.engine->PushBatch(stream, std::move(chunk), IngressLane::kAll));
       }
     }
     if (next == kMaxTimestamp) break;
@@ -978,8 +885,9 @@ void Server::DeliverResults(QueryState* qs, std::vector<ResultSet>&& sets) {
 
 void Server::DeliverShardEmissions(
     StreamState* ss, std::vector<ShardedEngine::Emission>&& batch) {
-  // Egress thread: results_mu_ only. mu_ may be held by a producer
+  // results_mu_ only: on the egress thread, mu_ may be held by a producer
   // blocked on a full exchange queue — taking it here would deadlock.
+  // Inline, the pushing thread already holds mu_.
   std::lock_guard<std::mutex> rlock(results_mu_);
   for (auto& [engine_q, t] : batch) {
     auto it = ss->cacq_to_server.find(engine_q);
@@ -1159,12 +1067,7 @@ std::string Server::SnapshotMetrics() const {
                               ? 0
                               : ss.reorder.raw_watermark()) +
            ",\"buffered\":" + std::to_string(ss.reorder.buffered()) +
-           ",\"cacq_queries\":" +
-           std::to_string(ss.sharded != nullptr
-                              ? ss.cacq_to_server.size()
-                              : (ss.cacq != nullptr
-                                     ? ss.cacq->num_active_queries()
-                                     : 0)) +
+           ",\"cacq_queries\":" + std::to_string(ss.standing()) +
            ",\"disorder\":{\"released\":" + std::to_string(ss.dis.released) +
            ",\"late_within_bound\":" +
            std::to_string(ss.dis.late_within_bound) +
@@ -1213,15 +1116,17 @@ std::string Server::SnapshotMetrics() const {
     }
   }
 
-  // Shared-eddy detail per stream that has one: routing counters, per-op
-  // stats (thin views over the telemetry counters) and SteM snapshots.
+  // Shared-eddy detail per inline engine: routing counters, per-op stats
+  // (thin views over the telemetry counters) and SteM snapshots. A shard
+  // fleet's eddies run on worker threads; the shards section covers them.
   out += "},\"eddies\":{";
   first = true;
   for (const auto& [name, ss] : streams_) {
-    if (ss.cacq == nullptr) continue;
+    if (ss.engine == nullptr || !ss.engine->is_inline()) continue;
     if (!first) out += ",";
     first = false;
-    const Eddy& eddy = ss.cacq->eddy();
+    const CacqEngine& cacq = ss.engine->engine(0);
+    const Eddy& eddy = cacq.eddy();
     AppendKey(name, &out);
     out += "{\"decisions\":" + std::to_string(eddy.decisions()) +
            ",\"visits\":" + std::to_string(eddy.visits()) +
@@ -1239,7 +1144,7 @@ std::string Server::SnapshotMetrics() const {
              "}";
     }
     out += "],\"stems\":[";
-    const auto stems = ss.cacq->stem_snapshots();
+    const auto stems = cacq.stem_snapshots();
     for (size_t i = 0; i < stems.size(); ++i) {
       if (i != 0) out += ",";
       out += "{\"name\":\"" + JsonEscape(stems[i].name) +
@@ -1255,13 +1160,13 @@ std::string Server::SnapshotMetrics() const {
   out += "},\"shards\":{";
   first = true;
   for (const auto& [name, ss] : streams_) {
-    if (ss.sharded == nullptr) continue;
+    if (ss.engine == nullptr || ss.engine->is_inline()) continue;
     if (!first) out += ",";
     first = false;
     AppendKey(name, &out);
     out += "[";
     const std::vector<ShardedEngine::ShardStats> stats =
-        ss.sharded->shard_stats();
+        ss.engine->shard_stats();
     for (size_t i = 0; i < stats.size(); ++i) {
       if (i != 0) out += ",";
       // Buckets owned comes from the live PartitionMap (atomic reads):
@@ -1273,7 +1178,7 @@ std::string Server::SnapshotMetrics() const {
              ",\"eddy_emitted\":" + std::to_string(stats[i].eddy_emitted) +
              ",\"buckets\":" +
              std::to_string(
-                 ss.sharded->partition_map().BucketsOwnedBy(i).size()) +
+                 ss.engine->partition_map().BucketsOwnedBy(i).size()) +
              "}";
     }
     out += "]";
@@ -1283,13 +1188,13 @@ std::string Server::SnapshotMetrics() const {
   out += "},\"replicas\":{";
   first = true;
   for (const auto& [name, ss] : streams_) {
-    if (ss.sharded == nullptr || !ss.sharded->replication_enabled()) continue;
+    if (ss.engine == nullptr || !ss.engine->replication_enabled()) continue;
     if (!first) out += ",";
     first = false;
     AppendKey(name, &out);
     out += "[";
     const std::vector<ShardedEngine::ReplicaStats> reps =
-        ss.sharded->replica_stats();
+        ss.engine->replica_stats();
     for (size_t i = 0; i < reps.size(); ++i) {
       if (i != 0) out += ",";
       out += std::string("{\"alive\":") + (reps[i].alive ? "true" : "false") +

@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "cacq/engine.h"
 #include "cacq/sharded_engine.h"
 #include "core/analyzer.h"
 #include "core/runner.h"
@@ -45,10 +44,10 @@ class Server {
     /// Archive retention span per stream (how much history windows and
     /// late-registered queries can reach back into).
     Timestamp retention_span = kMaxTimestamp;
-    /// Worker shards per stream's shared CACQ engine. 1 (default) keeps
-    /// the classic inline engine: injection runs synchronously inside
-    /// Push, results are visible the moment Push returns. With N > 1
-    /// each stream's standing filters/joins execute on N shard threads
+    /// Worker shards per stream's standing-query ShardedEngine. 1
+    /// (default) runs it inline: no threads, injection runs synchronously
+    /// inside Push and results are visible the moment Push returns. With
+    /// N > 1 each stream's standing filters execute on N shard threads
     /// behind a hash exchange (DESIGN.md §11): Push only scatters, CACQ
     /// results arrive asynchronously (callbacks fire on the egress
     /// thread; call Quiesce() for a delivery barrier). Windowed queries
@@ -291,10 +290,11 @@ class Server {
     ReorderBuffer reorder;
     LatePolicy late_policy = LatePolicy::kReject;
     int64_t last_arrival_ms = 0;  ///< Idle-heartbeat bookkeeping.
-    /// Standing CACQ queries per consistency lane (skip scattering a lane
-    /// with no listeners when sharded).
+    /// Standing CACQ queries per consistency lane (a lane with no
+    /// listeners is never pushed).
     size_t cacq_delayed = 0;
     size_t cacq_speculative = 0;
+    size_t standing() const { return cacq_delayed + cacq_speculative; }
     /// Per-stream disorder counters (PumpMetrics / SnapshotMetrics rows).
     struct Disorder {
       int64_t released = 0;
@@ -309,16 +309,17 @@ class Server {
     } dis;
     /// Exchange hash column when cacq_shards > 1 (resolved at definition).
     size_t partition_column = 0;
-    std::unique_ptr<CacqEngine> cacq;  ///< Lazy inline eddy (1 shard).
-    std::unique_ptr<ShardedEngine> sharded;  ///< Lazy shard fleet (N > 1).
+    /// Standing-query engine, created with the stream's first CACQ query.
+    std::unique_ptr<ShardedEngine> engine;
     /// Engine qid -> server qid. Guarded by results_mu_ (the egress
     /// thread resolves emissions through it); writers hold mu_ too.
     std::map<QueryId, QueryId> cacq_to_server;
   };
 
   void DeliverResults(QueryState* qs, std::vector<ResultSet>&& sets);
-  /// Egress-thread delivery for one sharded stream's emission batch.
-  /// Takes results_mu_ only — never mu_ (the producer may hold it).
+  /// Projects and delivers one emission batch of a stream's engine: on
+  /// the egress thread when sharded, inside PushBatch inline. Takes
+  /// results_mu_ once per batch — never mu_ (the producer may hold it).
   void DeliverShardEmissions(StreamState* ss,
                              std::vector<ShardedEngine::Emission>&& batch);
   Status PushLocked(const std::string& stream, const Tuple& tuple);
@@ -344,6 +345,8 @@ class Server {
   /// PushBatch body after the stream lookup; shared with PumpMetrics.
   Status IngestBatchLocked(const std::string& stream, StreamState* ss,
                            std::vector<Tuple> batch, size_t* rejected);
+  /// Every stream's engine, collected under mu_ (they live until ~Server).
+  std::vector<ShardedEngine*> Engines();
 
   /// Serializes catalog, ingest and query registration (as before).
   mutable std::mutex mu_;

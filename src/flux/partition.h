@@ -12,10 +12,8 @@
 namespace tcq {
 
 /// The Flux exchange's content-sensitive routing policy ([SHCF03] §2:
-/// "route each tuple by a hash of its partitioning attribute"), extracted
-/// so the simulated cluster (flux.cc) and the real-threads sharded CACQ
-/// exchange (cacq/sharded_engine.cc) partition identically: same key ->
-/// same partition, for any consumer count.
+/// "route each tuple by a hash of its partitioning attribute"): same key
+/// -> same partition, for any consumer count.
 ///
 /// Value::Hash() is consistent with Value::Compare across numeric types
 /// (1 and 1.0 hash together because they compare equal), so an equi-join
@@ -53,9 +51,8 @@ class HashPartitioner {
 /// keys never change *bucket*, so per-key FIFO survives any sequence of
 /// ownership flips that drains in between.
 ///
-/// Both exchanges route through this type: the simulated FluxCluster
-/// (partition == bucket, node == shard) and the real-threads ShardedEngine
-/// exchange. Concurrency: BucketOf/ShardOf are safe from any thread
+/// The ShardedEngine exchange (cacq/sharded_engine.cc) routes through
+/// this type. Concurrency: BucketOf/ShardOf are safe from any thread
 /// (owner entries are atomics); SetOwner publishes with release semantics
 /// so a reader that observes the flip also observes the state movement
 /// the caller sequenced before it. Coordinating *when* a flip is safe
@@ -69,15 +66,6 @@ class PartitionMap {
     for (size_t b = 0; b < num_buckets; ++b) {
       owner_[b].store(b % num_shards_, std::memory_order_relaxed);
     }
-  }
-
-  /// Explicit initial ownership (experiments start from deliberately bad
-  /// partitionings). `initial_owner.size()` must equal `num_buckets`.
-  PartitionMap(size_t num_buckets, size_t num_shards,
-               const std::vector<size_t>& initial_owner)
-      : PartitionMap(num_buckets, num_shards) {
-    TCQ_CHECK(initial_owner.size() == num_buckets);
-    for (size_t b = 0; b < num_buckets; ++b) SetOwner(b, initial_owner[b]);
   }
 
   PartitionMap(const PartitionMap&) = delete;

@@ -11,8 +11,7 @@ namespace tcq {
 
 /// Deterministic crash-recovery driver for the sharded CACQ engine's
 /// process-pair HA (DESIGN.md §13): scripts KillShard/FailoverShard pairs
-/// against feed-slice boundaries the way RunScriptedFaults scripts node
-/// kills against FluxCluster ticks. The schedule derives from a
+/// against feed-slice boundaries. The schedule derives from a
 /// FaultInjector seed, so one seed reproduces the entire crash pattern —
 /// and the failover-equivalence suite can assert byte-identical results
 /// across schedules.

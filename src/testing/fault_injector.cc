@@ -178,31 +178,4 @@ TupleVector FaultInjector::Perturb(const TupleVector& input,
   return out;
 }
 
-size_t RunScriptedFaults(FluxCluster* cluster,
-                         const std::vector<FaultInjector::NodeKill>& script,
-                         const std::function<TupleVector(uint64_t)>& feed,
-                         uint64_t horizon) {
-  size_t processed = 0;
-  size_t next_kill = 0;
-  for (uint64_t tick = 1; tick <= horizon; ++tick) {
-    while (next_kill < script.size() && script[next_kill].tick <= tick) {
-      const Status s = cluster->KillNode(script[next_kill].node);
-      TCQ_CHECK(s.ok()) << "scripted kill failed: " << s;
-      ++next_kill;
-    }
-    if (feed) {
-      const TupleVector batch = feed(tick);
-      if (!batch.empty()) cluster->Feed(batch);
-    }
-    processed += cluster->Tick();
-  }
-  // Late-scheduled kills (past the feed horizon) still fire, then drain.
-  for (; next_kill < script.size(); ++next_kill) {
-    const Status s = cluster->KillNode(script[next_kill].node);
-    TCQ_CHECK(s.ok()) << "scripted kill failed: " << s;
-  }
-  cluster->Run();
-  return processed;
-}
-
 }  // namespace tcq

@@ -10,14 +10,13 @@
 #include "common/clock.h"
 #include "common/rng.h"
 #include "fjords/queue.h"
-#include "flux/flux.h"
 #include "tuple/tuple.h"
 
 namespace tcq {
 
 /// Deterministic fault injection for the engine's "uncertain world" test
 /// targets (§3, §4.2 of the paper). One FaultInjector owns a seeded
-/// tcq::Rng; every fault source derived from it (queue hooks, Flux kill
+/// tcq::Rng; every fault source derived from it (queue hooks, shard kill
 /// schedules, stream perturbations) draws from child generators seeded by
 /// the parent, so a single seed reproduces the entire fault schedule —
 /// the property the stress suite's reproducibility assertions rely on.
@@ -52,9 +51,10 @@ class FaultInjector {
   std::shared_ptr<QueueFaultHooks> MakeQueueHooks(
       const QueueFaultProfile& enqueue, const QueueFaultProfile& dequeue);
 
-  // -- Flux clusters ------------------------------------------------------
+  // -- Kill schedules -----------------------------------------------------
 
-  /// One scripted machine fault: kill `node` at tick boundary `tick`.
+  /// One scripted machine fault: kill `node` at step `tick` (CrashInjector
+  /// reads them as a shard and a feed slice).
   struct NodeKill {
     uint64_t tick;
     size_t node;
@@ -103,17 +103,6 @@ class FaultInjector {
   /// copies through the std::function captures' shared_ptr).
   std::vector<std::shared_ptr<HookState>> hooks_;
 };
-
-/// Drives a FluxCluster deterministically through `horizon` ticks: before
-/// each tick the feeder's batch for that tick (possibly empty) is routed
-/// in, and every scripted kill whose tick has arrived fires at the tick
-/// boundary — machine faults land mid-stream, exactly the §2.4 recovery
-/// scenario. After the horizon the cluster runs until drained. Returns
-/// total tuples processed.
-size_t RunScriptedFaults(FluxCluster* cluster,
-                         const std::vector<FaultInjector::NodeKill>& script,
-                         const std::function<TupleVector(uint64_t)>& feed,
-                         uint64_t horizon);
 
 }  // namespace tcq
 

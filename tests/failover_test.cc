@@ -234,6 +234,52 @@ TEST(FailoverTest, QuiesceSurfacesDeadShardInsteadOfHanging) {
   engine.Stop();
 }
 
+TEST(FailoverTest, KillAndFailoverValidateTheirShard) {
+  ShardedEngine::Options opts;
+  opts.num_shards = 2;
+  opts.num_replicas = 1;
+  ShardedEngine engine(opts);
+  ASSERT_TRUE(engine.AddStream("S", KV(), 0).ok());
+  engine.SetSink([](std::vector<ShardedEngine::Emission>&&) {});
+  engine.Start();
+  EXPECT_EQ(engine.KillShard(2).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(engine.FailoverShard(99).code(), StatusCode::kOutOfRange);
+  // A live primary has nothing to fail over, replicas or not.
+  EXPECT_EQ(engine.FailoverShard(0).code(), StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(engine.shard_alive(0));
+  EXPECT_TRUE(engine.Quiesce().ok());
+  engine.Stop();
+}
+
+TEST(FailoverTest, InlineEngineRefusesFleetOperations) {
+  ShardedEngine::Options opts;
+  opts.num_shards = 1;  // No replicas: inline, no threads.
+  ShardedEngine engine(opts);
+  ASSERT_TRUE(engine.AddStream("S", KV(), 0).ok());
+  size_t delivered = 0;
+  engine.SetSink([&](std::vector<ShardedEngine::Emission>&& batch) {
+    delivered += batch.size();
+  });
+  engine.Start();
+  ASSERT_TRUE(engine.is_inline());
+  CacqQuerySpec see_all;
+  see_all.sources = {"S"};
+  ASSERT_TRUE(engine.AddQuery(see_all).ok());
+  std::vector<Tuple> batch;
+  for (int64_t i = 0; i < 8; ++i) batch.push_back(KVTuple(i, i, i + 1));
+  ASSERT_TRUE(engine.PushBatch("S", std::move(batch)).ok());
+  EXPECT_EQ(delivered, 8u);  // Synchronous: no Quiesce needed.
+
+  EXPECT_EQ(engine.KillShard(1).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(engine.KillShard(0).code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(engine.FailoverShard(0).code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(engine.MigrateBucket(0, 1).code(), StatusCode::kOutOfRange);
+  EXPECT_TRUE(engine.MigrateBucket(0, 0).ok());  // Already there: no-op.
+  EXPECT_TRUE(engine.Quiesce().ok());
+  EXPECT_EQ(engine.rebalance_stats().migrations, 0u);
+  engine.Stop();
+}
+
 TEST(FailoverTest, KillAndFailoverRecoversExactly) {
   ShardedEngine::Options opts;
   opts.num_shards = 2;

@@ -306,6 +306,15 @@ TEST_F(IntegrationTest, SnapshotMetricsJsonStructure) {
     EXPECT_NE(json.find(key), std::string::npos)
         << key << " missing from " << json;
   }
+  // The inline engine runs no exchange, standbys or migrations, so it
+  // registers none of their metric families (no test in this binary
+  // builds a shard fleet).
+  for (const char* family :
+       {"\"tcq.shard.", "\"tcq.ha.", "\"tcq.rebalance."}) {
+    EXPECT_EQ(json.find(family), std::string::npos)
+        << family << " registered by an inline server: " << json;
+  }
+  EXPECT_NE(json.find("\"shards\":{}"), std::string::npos) << json;
 }
 
 TEST_F(IntegrationTest, WindowVariableNameOtherThanT) {

@@ -131,8 +131,10 @@ TEST(PartitionMapTest, RoundRobinDefaultAndDynamicOwnership) {
   EXPECT_EQ(map.ShardOf(t, 1), moved_to);
 }
 
-TEST(PartitionMapTest, ExplicitInitialOwners) {
-  PartitionMap map(4, 2, {1, 1, 1, 0});
+TEST(PartitionMapTest, BucketsOwnedByFollowsSetOwner) {
+  PartitionMap map(4, 2);
+  for (size_t b = 0; b < 3; ++b) map.SetOwner(b, 1);
+  map.SetOwner(3, 0);
   EXPECT_EQ(map.BucketsOwnedBy(1).size(), 3u);
   EXPECT_EQ(map.ShardOf(3), 0u);
 }

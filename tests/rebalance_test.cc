@@ -510,6 +510,15 @@ TEST(RebalanceTest, ServerRebalanceApi) {
   size_t delivered = 0;
   for (const ResultSet& rs : server.PollAll(*q)) delivered += rs.rows.size();
   EXPECT_EQ(delivered, 60u);  // Nothing lost or duplicated by the move.
+
+  // A one-shard server has nothing to rebalance, standing query or not.
+  Server::Options one;
+  one.cacq_shards = 1;
+  Server inline_server(one);
+  ASSERT_TRUE(inline_server.DefineStream("S", KV(), -1, 0).ok());
+  ASSERT_TRUE(inline_server.Submit("SELECT v FROM S WHERE k >= 0").ok());
+  EXPECT_EQ(inline_server.Rebalance("S", 0, 0).code(),
+            StatusCode::kFailedPrecondition);
 }
 
 TEST(RebalanceTest, ServerAutoRebalanceLifecycle) {

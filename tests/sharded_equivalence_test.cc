@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <sstream>
@@ -347,15 +348,59 @@ Tuple Stock(int64_t day, const std::string& sym, double price) {
 }
 
 TEST(ShardedEquivalenceTest, ServerShardedMatchesInlineServer) {
-  // The full facade: standing CACQ filters + a windowed aggregate on a
-  // server with cacq_shards=4 must answer exactly like the default
-  // inline server. (The windowed path is shard-oblivious by design.)
-  auto build = [](size_t shards) {
+  // The full facade: standing CACQ filters (delayed and speculative), a
+  // windowed aggregate, a mid-stream Cancel, a Retract of an archived
+  // tuple and a ReplayStream of the whole history on a server with
+  // cacq_shards=4 must answer exactly like the one-shard server. (The
+  // windowed path is shard-oblivious by design.) The one-shard server is
+  // also held to its synchronous contract: every CACQ row is pollable the
+  // moment the call that produced it returns, in arrival order.
+  struct Standing {
+    const char* sql;
+    Consistency consistency;
+    std::function<bool(const Tuple&)> where;  ///< Row oracle (CACQ only).
+    size_t column;                            ///< Projected input column.
+  };
+  auto price = [](const Tuple& t) { return t.cell(2).AsDouble(); };
+  const std::vector<Standing> standing = {
+      {"SELECT closingPrice FROM ClosingStockPrices "
+       "WHERE stockSymbol = 'MSFT' AND closingPrice > 45",
+       Consistency::kDelayed,
+       [&](const Tuple& t) {
+         return t.cell(1).string_value() == "MSFT" && price(t) > 45;
+       },
+       2},
+      {"SELECT timestamp FROM ClosingStockPrices WHERE closingPrice < 44",
+       Consistency::kDelayed, [&](const Tuple& t) { return price(t) < 44; },
+       0},
+      {"SELECT AVG(closingPrice) FROM ClosingStockPrices "
+       "for (t = ST; true; t += 5) { "
+       "WindowIs(ClosingStockPrices, t - 4, t); }",
+       Consistency::kDelayed, nullptr, 0},
+      {"SELECT closingPrice FROM ClosingStockPrices WHERE closingPrice >= 47",
+       Consistency::kSpeculative,
+       [&](const Tuple& t) { return price(t) >= 47; }, 2},
+      // Canceled mid-stream (kCanceled below).
+      {"SELECT stockSymbol FROM ClosingStockPrices WHERE closingPrice > 42",
+       Consistency::kDelayed, [&](const Tuple& t) { return price(t) > 42; },
+       1},
+  };
+  constexpr size_t kCanceled = 4;
+  constexpr int64_t kCancelAfterDay = 15;
+  const char* symbols[] = {"MSFT", "IBM", "ORCL"};
+  auto day_batch = [&](int64_t d) {
+    std::vector<Tuple> batch;
+    for (const char* sym : symbols) {
+      batch.push_back(Stock(d, sym, 40.0 + ((d * 3 + sym[0]) % 10)));
+    }
+    return batch;
+  };
+  const Tuple retracted = day_batch(7)[0];  // MSFT at 48.
+
+  auto run = [&](size_t shards) {
     Server::Options o;
     o.cacq_shards = shards;
-    return o;
-  };
-  auto run = [&](Server& server) {
+    Server server(o);
     EXPECT_TRUE(server
                     .DefineStream("ClosingStockPrices",
                                   StockTickerSource::MakeSchema(),
@@ -363,49 +408,94 @@ TEST(ShardedEquivalenceTest, ServerShardedMatchesInlineServer) {
                                   /*partition_field=*/1)  // stockSymbol.
                     .ok());
     std::vector<QueryId> qs;
-    auto add = [&](const std::string& sql) {
-      auto q = server.Submit(sql);
+    for (const Standing& s : standing) {
+      Server::SubmitOptions so;
+      so.consistency = s.consistency;
+      auto q = server.Submit(s.sql, so);
       EXPECT_TRUE(q.ok()) << q.status();
       qs.push_back(*q);
-    };
-    add("SELECT closingPrice FROM ClosingStockPrices "
-        "WHERE stockSymbol = 'MSFT' AND closingPrice > 45");
-    add("SELECT timestamp FROM ClosingStockPrices WHERE closingPrice < 44");
-    add("SELECT AVG(closingPrice) FROM ClosingStockPrices "
-        "for (t = ST; true; t += 5) { "
-        "WindowIs(ClosingStockPrices, t - 4, t); }");
+    }
 
-    const char* symbols[] = {"MSFT", "IBM", "ORCL"};
+    // Rows polled so far, per query, in delivery order; and the oracle's
+    // expected arrival-order rows for the CACQ queries.
+    std::vector<std::vector<std::string>> got(standing.size());
+    std::vector<std::vector<std::string>> want(standing.size());
+    std::vector<bool> live(standing.size(), true);
+    auto expect_rows = [&](const Tuple& t) {
+      for (size_t i = 0; i < standing.size(); ++i) {
+        if (!live[i] || !standing[i].where || !standing[i].where(t)) continue;
+        Tuple row = Tuple::Make({t.cell(standing[i].column)}, t.timestamp());
+        row.set_retraction(t.retraction());
+        want[i].push_back(row.ToString());
+      }
+    };
+    auto poll = [&](const char* after) {
+      for (size_t i = 0; i < standing.size(); ++i) {
+        if (!live[i]) continue;
+        for (const ResultSet& rs : server.PollAll(qs[i])) {
+          for (const Tuple& row : rs.rows) got[i].push_back(row.ToString());
+        }
+        if (shards == 1 && standing[i].where) {
+          // Synchronous and in arrival order: no Quiesce needed, and the
+          // unsorted rows equal the oracle's sequence so far.
+          EXPECT_EQ(got[i], want[i]) << "query " << i << " after " << after;
+        }
+      }
+    };
+
+    std::vector<Tuple> fed;
     for (int64_t d = 1; d <= 30; ++d) {
-      std::vector<Tuple> batch;
-      for (const char* sym : symbols) {
-        batch.push_back(Stock(d, sym, 40.0 + ((d * 3 + sym[0]) % 10)));
+      std::vector<Tuple> batch = day_batch(d);
+      for (const Tuple& t : batch) {
+        expect_rows(t);
+        fed.push_back(t);
       }
       EXPECT_TRUE(
           server.PushBatch("ClosingStockPrices", std::move(batch)).ok());
+      poll("PushBatch");
+      if (d == kCancelAfterDay) {
+        // Deliver everything pushed so far, then cancel mid-stream.
+        server.Quiesce();
+        poll("Quiesce");
+        EXPECT_TRUE(server.Cancel(qs[kCanceled]).ok());
+        live[kCanceled] = false;
+      }
     }
+
+    // Retract an archived assertion: a signed row for each matching query.
+    EXPECT_TRUE(server.Retract("ClosingStockPrices", retracted).ok());
+    Tuple signed_copy = retracted;
+    signed_copy.set_retraction(true);
+    expect_rows(signed_copy);
+    poll("Retract");
+
+    // Replay the whole archive (the retracted tuple is gone from it).
+    EXPECT_TRUE(server.ReplayStream("ClosingStockPrices", kMinTimestamp).ok());
+    for (const Tuple& t : fed) {
+      if (!t.PayloadEquals(retracted)) expect_rows(t);
+    }
+    poll("ReplayStream");
     server.Quiesce();
+    poll("final Quiesce");
 
     // Per-query sorted multiset: sharded delivery order is not defined.
     std::ostringstream fp;
-    for (QueryId q : qs) {
-      std::vector<std::string> rows;
-      for (const ResultSet& rs : server.PollAll(q)) {
-        for (const Tuple& row : rs.rows) rows.push_back(row.ToString());
-      }
+    for (size_t i = 0; i < standing.size(); ++i) {
+      std::vector<std::string> rows = got[i];
       std::sort(rows.begin(), rows.end());
-      fp << "q" << q << ":";
+      fp << "q" << i << ":";
       for (const std::string& r : rows) fp << r << ";";
       fp << "\n";
     }
     return fp.str();
   };
 
-  Server inline_server(build(1));
-  Server sharded_server(build(4));
-  const std::string expected = run(inline_server);
-  EXPECT_NE(expected.find("q0:"), std::string::npos);
-  EXPECT_EQ(run(sharded_server), expected);
+  const std::string expected = run(1);
+  EXPECT_NE(expected.find("q1:["), std::string::npos);
+  // The retracted MSFT row sorts first in both queries it matched.
+  EXPECT_NE(expected.find("q0:-["), std::string::npos);
+  EXPECT_NE(expected.find("q3:-["), std::string::npos);
+  EXPECT_EQ(run(4), expected);
 }
 
 TEST(ShardedEquivalenceTest, ServerShardedCancelStopsDelivery) {
