@@ -139,50 +139,45 @@ Result<QueryId> CacqEngine::AddQuery(const CacqQuerySpec& spec) {
   // Classify each boolean factor of the WHERE clause.
   for (const ExprPtr& factor : ExtractConjuncts(spec.where)) {
     if (factor == nullptr) continue;
-    // Equi-join between two sources -> shared SteM machinery.
-    if (auto ej = MatchEquiJoin(factor)) {
-      TCQ_ASSIGN_OR_RETURN(size_t ca, schema->IndexOf(ej->left_column));
-      TCQ_ASSIGN_OR_RETURN(size_t cb, schema->IndexOf(ej->right_column));
-      const std::string qa = schema->field(ca).qualifier;
-      const std::string qb = schema->field(cb).qualifier;
-      const size_t sa = layout_.SourceIndexOf(qa);
-      const size_t sb = layout_.SourceIndexOf(qb);
-      if (sa == sb) {
-        // Same-source equality: treat as residual work below.
-      } else {
+    TCQ_ASSIGN_OR_RETURN(FactorPlan plan, ClassifyFactor(factor, *schema));
+    switch (plan.kind) {
+      case FactorPlan::Kind::kJoin: {
+        // Equi-join between two sources -> shared SteM machinery.
+        const size_t sa =
+            layout_.SourceIndexOf(schema->field(plan.column).qualifier);
+        const size_t sb =
+            layout_.SourceIndexOf(schema->field(plan.column_b).qualifier);
         if (!info.footprint.Test(sa) || !info.footprint.Test(sb)) {
           return Status::InvalidArgument(
               "join predicate references sources outside the footprint: " +
               factor->ToString());
         }
-        TCQ_RETURN_NOT_OK(EnsureJoin(sa, static_cast<int>(ca), sb,
-                                     static_cast<int>(cb)));
-        continue;
+        TCQ_RETURN_NOT_OK(EnsureJoin(sa, static_cast<int>(plan.column), sb,
+                                     static_cast<int>(plan.column_b)));
+        break;
       }
-    }
-    // Single-column comparison against a constant -> grouped filter.
-    if (auto sp = MatchSimplePredicate(factor)) {
-      auto idx = schema->IndexOf(sp->column);
-      if (idx.ok()) {
+      case FactorPlan::Kind::kGrouped:
         filter_registrations.push_back(
-            {*idx, sp->op, std::move(sp->constant)});
-        continue;
+            {plan.column, plan.op, std::move(plan.constant)});
+        break;
+      case FactorPlan::Kind::kResidual: {
+        // Per-query residual on the referenced sources.
+        std::vector<std::string> cols;
+        factor->CollectColumns(&cols);
+        SmallBitset req(layout_.num_sources());
+        for (const std::string& c : cols) {
+          TCQ_ASSIGN_OR_RETURN(size_t idx, schema->IndexOf(c));
+          const std::string qual = schema->field(idx).qualifier;
+          const size_t s = layout_.SourceIndexOf(qual);
+          TCQ_CHECK(s < layout_.num_sources());
+          req.Set(s);
+        }
+        if (req.None()) req = info.footprint;  // Constant predicate.
+        residual_registrations.emplace_back(ResidualOpFor(req),
+                                            std::move(plan.bound));
+        break;
       }
     }
-    // Everything else -> per-query residual on the referenced sources.
-    TCQ_ASSIGN_OR_RETURN(ExprPtr bound, factor->Bind(*schema));
-    std::vector<std::string> cols;
-    factor->CollectColumns(&cols);
-    SmallBitset req(layout_.num_sources());
-    for (const std::string& c : cols) {
-      TCQ_ASSIGN_OR_RETURN(size_t idx, schema->IndexOf(c));
-      const std::string qual = schema->field(idx).qualifier;
-      const size_t s = layout_.SourceIndexOf(qual);
-      TCQ_CHECK(s < layout_.num_sources());
-      req.Set(s);
-    }
-    if (req.None()) req = info.footprint;  // Constant predicate.
-    residual_registrations.emplace_back(ResidualOpFor(req), std::move(bound));
   }
 
   // All checks passed: commit the registration.

@@ -74,19 +74,21 @@ Result<AnalyzedQuery> Analyze(const ParsedQuery& parsed,
   // --- WHERE: classify boolean factors. ---------------------------------
   for (const ExprPtr& factor : ExtractConjuncts(parsed.where)) {
     if (factor == nullptr) continue;
-    if (auto ej = MatchEquiJoin(factor)) {
-      TCQ_ASSIGN_OR_RETURN(size_t ca, schema->IndexOf(ej->left_column));
-      TCQ_ASSIGN_OR_RETURN(size_t cb, schema->IndexOf(ej->right_column));
-      const size_t sa = source_of_column(ca);
-      const size_t sb = source_of_column(cb);
-      if (sa != sb) {
-        out.joins.push_back({sa, static_cast<int>(ca), sb,
-                             static_cast<int>(cb)});
-        continue;
-      }
+    TCQ_ASSIGN_OR_RETURN(FactorPlan plan, ClassifyFactor(factor, *schema));
+    if (plan.kind == FactorPlan::Kind::kJoin) {
+      out.joins.push_back({source_of_column(plan.column),
+                           static_cast<int>(plan.column),
+                           source_of_column(plan.column_b),
+                           static_cast<int>(plan.column_b)});
+      continue;
     }
     AnalyzedQuery::BoundFilter filter;
-    TCQ_ASSIGN_OR_RETURN(filter.expr, factor->Bind(*schema));
+    if (plan.kind == FactorPlan::Kind::kResidual) {
+      filter.expr = std::move(plan.bound);
+    } else {
+      TCQ_ASSIGN_OR_RETURN(filter.expr, factor->Bind(*schema));
+    }
+    filter.plan = std::move(plan);
     if (filter.expr->result_type() != ValueType::kBool) {
       return Status::TypeError("WHERE factor is not boolean: " +
                                factor->ToString());

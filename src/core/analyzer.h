@@ -8,6 +8,7 @@
 #include "common/bitset.h"
 #include "eddy/routed_tuple.h"
 #include "expr/ast.h"
+#include "expr/predicates.h"
 #include "modules/aggregate.h"
 #include "parser/parser.h"
 #include "tuple/catalog.h"
@@ -40,6 +41,10 @@ struct AnalyzedQuery {
   struct BoundFilter {
     SmallBitset required;
     ExprPtr expr;
+    /// The factor's shared-execution class (ClassifyFactor): kGrouped
+    /// carries column/op/constant for a GroupedFilter, kResidual is
+    /// evaluated through `expr` (plan.bound stays empty). Never kJoin.
+    FactorPlan plan;
   };
   std::vector<BoundFilter> filters;
 

@@ -4,6 +4,7 @@
 #include <map>
 
 #include "common/logging.h"
+#include "modules/grouped_filter.h"
 
 namespace tcq {
 
@@ -54,11 +55,16 @@ QueryRunner::QueryRunner(AnalyzedQuery analyzed,
           analyzed_.aggregates, analyzed_.group_by, /*retain_tuples=*/false);
     }
   }
+
+  shareable_ = !options_.speculative && !use_landmark_path_ &&
+               analyzed_.window.has_value() &&
+               analyzed_.layout->num_sources() == 1 &&
+               !analyzed_.defs[0].is_table;
 }
 
-size_t QueryRunner::Advance(Timestamp high_watermark,
-                            std::vector<ResultSet>* out) {
-  size_t fired = 0;
+size_t QueryRunner::TakeReady(Timestamp high_watermark,
+                              std::vector<WindowSequence::Step>* steps) {
+  size_t taken = 0;
   while (!done_) {
     if (!pending_step_.has_value()) {
       pending_step_ = sequence_.Next();
@@ -82,16 +88,26 @@ size_t QueryRunner::Advance(Timestamp high_watermark,
       }
     }
     if (!ready) break;
-    out->push_back(ExecuteWindow(*pending_step_));
+    steps->push_back(std::move(*pending_step_));
+    pending_step_.reset();
+    ++taken;
+  }
+  return taken;
+}
+
+size_t QueryRunner::Advance(Timestamp high_watermark,
+                            std::vector<ResultSet>* out) {
+  std::vector<WindowSequence::Step> steps;
+  TakeReady(high_watermark, &steps);
+  for (WindowSequence::Step& step : steps) {
+    out->push_back(ExecuteWindow(step));
     if (options_.speculative) {
       // Retain the fired window for revision; bounded history.
-      fired_.push_back(FiredWindow{*pending_step_, out->back().rows});
+      fired_.push_back(FiredWindow{std::move(step), out->back().rows});
       if (fired_.size() > kMaxFiredHistory) fired_.pop_front();
     }
-    pending_step_.reset();
-    ++fired;
   }
-  return fired;
+  return steps.size();
 }
 
 size_t QueryRunner::Revise(Timestamp late_ts, std::vector<ResultSet>* out) {
@@ -165,6 +181,7 @@ ResultSet QueryRunner::ExecuteWindow(const WindowSequence::Step& step) {
                              ? b.left
                              : landmark_fed_through_ + 1);
     archives_[0]->ScanApply(from, b.right, [&](const Tuple& narrow) {
+      ++tuples_scanned_;
       // Landmark filters still apply before aggregation.
       const Tuple wide = analyzed_.layout->Widen(0, narrow);
       for (const auto& f : analyzed_.filters) {
@@ -269,12 +286,181 @@ std::vector<Tuple> QueryRunner::RunDataflow(const WindowSequence::Step& step) {
     const int clause = analyzed_.window_clause_of_source[s];
     TCQ_CHECK(clause >= 0);
     const WindowBounds& b = step.bounds[static_cast<size_t>(clause)];
-    archives_[s]->ScanApply(
-        b.left, b.right, [&](const Tuple& t) { eddy.Inject(s, t); });
+    archives_[s]->ScanApply(b.left, b.right, [&](const Tuple& t) {
+      ++tuples_scanned_;
+      eddy.Inject(s, t);
+    });
   }
   eddy.Drain();
   total_visits_ += eddy.visits();
   return out;
+}
+
+size_t SharedWindowScan::Add(QueryRunner* runner, Timestamp high_watermark) {
+  TCQ_CHECK(runner->shareable());
+  TCQ_CHECK(archive_ == nullptr || archive_ == runner->archives_[0])
+      << "a shared scan reads one stream";
+  archive_ = runner->archives_[0];
+  Slot slot;
+  slot.runner = runner;
+  fired_ += runner->TakeReady(high_watermark, &slot.steps);
+  slots_.push_back(std::move(slot));
+  return slots_.size() - 1;
+}
+
+void SharedWindowScan::Run() {
+  if (fired_ == 0) return;
+  const size_t n = slots_.size();
+  // Per-slot window state: one aggregator (aggregate queries) or one row
+  // list (projections) per ready step, plus the open-window cursor. The
+  // scan runs in timestamp order, so a window opens once the scan reaches
+  // its left end and closes for good once it passes its right end.
+  struct Live {
+    std::vector<WindowAggregator> aggs;
+    std::vector<TupleVector> rows;
+    std::vector<uint32_t> by_left;  ///< Step indices ordered by left end.
+    size_t next_open = 0;
+    std::vector<uint32_t> open;  ///< Opened, not yet seen closed.
+  };
+  std::vector<Live> live(n);
+  std::vector<std::pair<Timestamp, Timestamp>> ranges;
+  SmallBitset with_steps(n);
+  // Per-column grouped filters over the ready slots' simple factors, each
+  // with the slots it constrains (a NULL cell fails all of them, as the
+  // factor's own evaluation would).
+  struct ColumnFilter {
+    size_t column;
+    GroupedFilter filter;
+    SmallBitset constrained;
+  };
+  std::vector<ColumnFilter> filters;
+
+  for (size_t q = 0; q < n; ++q) {
+    const Slot& slot = slots_[q];
+    if (slot.steps.empty()) continue;
+    with_steps.Set(q);
+    const AnalyzedQuery& aq = slot.runner->analyzed_;
+    const size_t clause =
+        static_cast<size_t>(aq.window_clause_of_source[0]);
+    Live& lv = live[q];
+    if (aq.has_aggregates) {
+      lv.aggs.reserve(slot.steps.size());
+      for (size_t i = 0; i < slot.steps.size(); ++i) {
+        lv.aggs.emplace_back(aq.aggregates, aq.group_by,
+                             /*retain_tuples=*/false);
+      }
+    } else {
+      lv.rows.resize(slot.steps.size());
+    }
+    lv.by_left.resize(slot.steps.size());
+    for (size_t i = 0; i < slot.steps.size(); ++i) {
+      lv.by_left[i] = static_cast<uint32_t>(i);
+      const WindowBounds& b = slot.steps[i].bounds[clause];
+      if (b.left <= b.right) ranges.emplace_back(b.left, b.right);
+    }
+    std::stable_sort(lv.by_left.begin(), lv.by_left.end(),
+                     [&](uint32_t a, uint32_t b) {
+                       return slot.steps[a].bounds[clause].left <
+                              slot.steps[b].bounds[clause].left;
+                     });
+    for (const AnalyzedQuery::BoundFilter& bf : aq.filters) {
+      const FactorPlan& f = bf.plan;
+      if (f.kind != FactorPlan::Kind::kGrouped) continue;
+      auto it = std::find_if(filters.begin(), filters.end(),
+                             [&](const ColumnFilter& cf) {
+                               return cf.column == f.column;
+                             });
+      if (it == filters.end()) {
+        filters.push_back(ColumnFilter{f.column, GroupedFilter(),
+                                       SmallBitset(n)});
+        it = filters.end() - 1;
+      }
+      it->filter.AddPredicate(static_cast<QueryId>(q), f.op, f.constant);
+      it->constrained.Set(q);
+    }
+  }
+  // The merged union of the ready windows: overlapping or adjacent ranges
+  // coalesce, so every tuple any window needs is read exactly once.
+  std::sort(ranges.begin(), ranges.end());
+  std::vector<std::pair<Timestamp, Timestamp>> merged;
+  for (const auto& r : ranges) {
+    if (!merged.empty() &&
+        (r.first <= merged.back().second ||
+         (merged.back().second < kMaxTimestamp &&
+          r.first == merged.back().second + 1))) {
+      merged.back().second = std::max(merged.back().second, r.second);
+    } else {
+      merged.push_back(r);
+    }
+  }
+
+  SmallBitset candidates(n);
+  uint64_t scanned = 0;
+  auto visit = [&](const Tuple& t) {
+    ++scanned;
+    const Timestamp ts = t.timestamp();
+    candidates = with_steps;
+    for (const ColumnFilter& cf : filters) {
+      const Value& v = t.cell(cf.column);
+      if (v.is_null()) {
+        candidates -= cf.constrained;
+      } else {
+        cf.filter.Apply(v, &candidates);
+      }
+    }
+    candidates.ForEachSet([&](size_t q) {
+      const Slot& slot = slots_[q];
+      const AnalyzedQuery& aq = slot.runner->analyzed_;
+      const size_t clause =
+          static_cast<size_t>(aq.window_clause_of_source[0]);
+      Live& lv = live[q];
+      while (lv.next_open < lv.by_left.size() &&
+             slot.steps[lv.by_left[lv.next_open]].bounds[clause].left <= ts) {
+        lv.open.push_back(lv.by_left[lv.next_open++]);
+      }
+      lv.open.erase(std::remove_if(lv.open.begin(), lv.open.end(),
+                                   [&](uint32_t w) {
+                                     return slot.steps[w].bounds[clause].right <
+                                            ts;
+                                   }),
+                    lv.open.end());
+      if (lv.open.empty()) return;
+      for (const AnalyzedQuery::BoundFilter& bf : aq.filters) {
+        if (bf.plan.kind != FactorPlan::Kind::kResidual) continue;
+        const Value keep = bf.expr->Eval(t);
+        if (keep.is_null() || !keep.bool_value()) return;
+      }
+      if (aq.has_aggregates) {
+        for (uint32_t w : lv.open) lv.aggs[w].Add(t);
+        return;
+      }
+      std::vector<Value> cells;
+      cells.reserve(aq.projections.size());
+      for (const ExprPtr& e : aq.projections) cells.push_back(e->Eval(t));
+      const Tuple row = Tuple::Make(std::move(cells), ts);
+      for (uint32_t w : lv.open) lv.rows[w].push_back(row);
+    });
+  };
+  for (const auto& [lo, hi] : merged) archive_->ScanApply(lo, hi, visit);
+  scanned_ += scanned;
+
+  for (size_t q = 0; q < n; ++q) {
+    Slot& slot = slots_[q];
+    Live& lv = live[q];
+    slot.results.reserve(slot.steps.size());
+    for (size_t i = 0; i < slot.steps.size(); ++i) {
+      ResultSet rs;
+      rs.t = slot.steps[i].t;
+      rs.rows = slot.runner->analyzed_.has_aggregates
+                    ? lv.aggs[i].Emit(rs.t)
+                    : std::move(lv.rows[i]);
+      slot.results.push_back(std::move(rs));
+    }
+  }
+}
+
+std::vector<ResultSet> SharedWindowScan::TakeResults(size_t slot) {
+  return std::move(slots_[slot].results);
 }
 
 }  // namespace tcq

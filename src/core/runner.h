@@ -73,6 +73,19 @@ class QueryRunner {
   /// ResultSet per fired window to `out`. Returns the number fired.
   size_t Advance(Timestamp high_watermark, std::vector<ResultSet>* out);
 
+  /// The readiness half of Advance: moves every window step ready at
+  /// `high_watermark` to `steps`, in firing order, without executing it.
+  /// The caller owns their execution (SharedWindowScan). Returns the
+  /// number taken.
+  size_t TakeReady(Timestamp high_watermark,
+                   std::vector<WindowSequence::Step>* steps);
+
+  /// True when the query's windows can fire through a SharedWindowScan:
+  /// it reads one stream and no table, is not speculative (its windows
+  /// are final when they fire, so none is ever re-executed), and is not
+  /// on the landmark-aggregate fast path. A property of the query.
+  bool shareable() const { return shareable_; }
+
   /// Speculative revision (DESIGN.md §15): a tuple with timestamp
   /// `late_ts` landed in (or left) the archives after windows covering it
   /// fired. Recomputes every retained fired window whose bounds contain
@@ -92,7 +105,13 @@ class QueryRunner {
   /// work measure for benches).
   uint64_t total_visits() const { return total_visits_; }
 
+  /// Cumulative archive tuples read by this runner's own window
+  /// executions (windows fired through a SharedWindowScan count there).
+  uint64_t tuples_scanned() const { return tuples_scanned_; }
+
  private:
+  friend class SharedWindowScan;
+
   /// Evaluates one window step and produces its result set.
   ResultSet ExecuteWindow(const WindowSequence::Step& step);
 
@@ -108,6 +127,8 @@ class QueryRunner {
   std::optional<WindowSequence::Step> pending_step_;
   bool done_ = false;
   uint64_t total_visits_ = 0;
+  uint64_t tuples_scanned_ = 0;
+  bool shareable_ = false;
 
   /// Incremental landmark-aggregate state (§4.1.2 fast path).
   std::unique_ptr<WindowAggregator> landmark_agg_;
@@ -122,6 +143,57 @@ class QueryRunner {
   };
   static constexpr size_t kMaxFiredHistory = 64;
   std::deque<FiredWindow> fired_;
+};
+
+/// Fires the ready windows of many shareable QueryRunners over one stream
+/// from ONE archive scan (DESIGN.md §17), instead of one scan and one
+/// Eddy per (query, window):
+///
+///  1. Add() takes each runner's ready steps (QueryRunner::TakeReady).
+///  2. Run() scans the archive once over the merged union of the steps'
+///     [left, right] ranges; tuples outside every ready window are never
+///     read.
+///  3. Per scanned tuple the pass-set is computed once: per-column
+///     GroupedFilters over the runners' `column op constant` factors, then
+///     residual factors only for the surviving candidates.
+///  4. The tuple joins every ready window of every passing runner that
+///     contains its timestamp; each window then emits through a
+///     WindowAggregator or the plain projection, exactly as the runner's
+///     own ExecuteWindow would.
+///
+/// A window sees its tuples in archive order — the order its own scan
+/// would read them — so every ResultSet, double SUM/AVG included, is
+/// byte-identical to QueryRunner::Advance. The grouped index is built per
+/// scan from the added runners only; nothing is kept between scans.
+class SharedWindowScan {
+ public:
+  /// Takes `runner`'s windows ready at `high_watermark`. The runner must
+  /// be shareable and read the same archive as every runner added
+  /// before. Returns the runner's slot for TakeResults.
+  size_t Add(QueryRunner* runner, Timestamp high_watermark);
+
+  /// Executes every added window from one archive scan. Call once.
+  void Run();
+
+  /// The slot's result sets, one per fired window in firing order.
+  std::vector<ResultSet> TakeResults(size_t slot);
+
+  /// Windows taken by Add (Run fires them all) and archive tuples read
+  /// by Run.
+  size_t fired() const { return fired_; }
+  uint64_t scanned() const { return scanned_; }
+
+ private:
+  struct Slot {
+    const QueryRunner* runner;
+    std::vector<WindowSequence::Step> steps;
+    std::vector<ResultSet> results;
+  };
+
+  const Archive* archive_ = nullptr;
+  std::vector<Slot> slots_;
+  size_t fired_ = 0;
+  uint64_t scanned_ = 0;
 };
 
 }  // namespace tcq

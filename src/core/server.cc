@@ -35,6 +35,8 @@ struct ServerMetrics {
   Counter* dis_retractions;
   Counter* dis_unmatched_retractions;
   Counter* spool_replayed;  ///< Records re-delivered by ReplayStream.
+  Counter* window_fired;    ///< Windows fired by windowed queries.
+  Counter* window_scanned;  ///< Archive tuples their executions read.
 
   static ServerMetrics& Get() {
     static ServerMetrics* m = [] {
@@ -57,6 +59,8 @@ struct ServerMetrics {
       agg->dis_unmatched_retractions =
           reg.GetCounter("tcq.disorder.unmatched_retractions");
       agg->spool_replayed = reg.GetCounter("tcq.spool.replayed");
+      agg->window_fired = reg.GetCounter("tcq.window.fired");
+      agg->window_scanned = reg.GetCounter("tcq.window.scanned");
       return agg;
     }();
     return *m;
@@ -338,19 +342,8 @@ Result<QueryId> Server::Submit(const std::string& sql,
                                                std::move(table_rows), ropts);
     // Table-only snapshots and past-window queries may already be
     // executable: fire them now.
-    Timestamp hwm = kMaxTimestamp;
-    for (const StreamDef& def : aq.defs) {
-      if (!def.is_table) {
-        const StreamState& src = streams_.at(def.name);
-        hwm = std::min(hwm, speculative
-                                ? std::max(src.watermark,
-                                           src.reorder.raw_watermark())
-                                : src.watermark);
-      }
-    }
-    std::vector<ResultSet> sets;
-    qs->runner->Advance(hwm == kMaxTimestamp ? 0 : hwm, &sets);
-    DeliverResults(qs.get(), std::move(sets));
+    const Timestamp hwm = RunnerWatermarkLocked(*qs);
+    AdvanceRunnersLocked({{qs.get(), hwm == kMaxTimestamp ? 0 : hwm}});
   }
 
   qs->active = true;
@@ -439,31 +432,73 @@ Status Server::StampLocked(StreamState* ss, Tuple* tuple) {
   return Status::OK();
 }
 
-void Server::AdvanceQueriesLocked(const std::string& stream) {
-  // Advance every windowed query whose footprint includes this stream —
-  // delayed queries to the min safe watermark of their footprint,
+Timestamp Server::RunnerWatermarkLocked(const QueryState& qs) const {
+  // Delayed queries advance to the min safe watermark of their footprint,
   // speculative ones to the min raw watermark (floored at safe: a raw
-  // mark never trails what has already been released).
+  // mark never trails what has already been released). kMaxTimestamp for
+  // a table-only query.
+  const bool speculative = qs.consistency == Consistency::kSpeculative;
+  Timestamp hwm = kMaxTimestamp;
+  for (const StreamDef& def : qs.analyzed.defs) {
+    if (def.is_table) continue;
+    const StreamState& src = streams_.at(def.name);
+    hwm = std::min(hwm, speculative ? std::max(src.watermark,
+                                               src.reorder.raw_watermark())
+                                    : src.watermark);
+  }
+  return hwm;
+}
+
+void Server::AdvanceQueriesLocked(const std::string& stream) {
+  // Advance every windowed query whose footprint includes this stream.
+  std::vector<std::pair<QueryState*, Timestamp>> due;
   for (auto& qptr : queries_) {
     QueryState* qs = qptr.get();
     if (!qs->active || qs->runner == nullptr || qs->runner->done()) continue;
-    const bool speculative = qs->consistency == Consistency::kSpeculative;
     bool touches = false;
-    Timestamp hwm = kMaxTimestamp;
     for (const StreamDef& def : qs->analyzed.defs) {
-      if (def.is_table) continue;
-      if (def.name == stream) touches = true;
-      const StreamState& src = streams_.at(def.name);
-      hwm = std::min(hwm, speculative
-                              ? std::max(src.watermark,
-                                         src.reorder.raw_watermark())
-                              : src.watermark);
+      if (!def.is_table && def.name == stream) touches = true;
     }
-    if (!touches || hwm == kMaxTimestamp) continue;
+    if (!touches) continue;
+    due.emplace_back(qs, RunnerWatermarkLocked(*qs));
+  }
+  AdvanceRunnersLocked(due);
+}
+
+void Server::AdvanceRunnersLocked(
+    const std::vector<std::pair<QueryState*, Timestamp>>& due) {
+  // Shareable runners read one stream, and every caller advances queries
+  // of one stream (or one query): their ready windows fire together from
+  // one archive scan. The rest execute their own windows.
+  SharedWindowScan scan;
+  constexpr size_t kOwnPath = static_cast<size_t>(-1);
+  std::vector<size_t> slots(due.size(), kOwnPath);
+  for (size_t i = 0; i < due.size(); ++i) {
+    QueryRunner* runner = due[i].first->runner.get();
+    if (runner->shareable()) slots[i] = scan.Add(runner, due[i].second);
+  }
+  scan.Run();
+  uint64_t fired = scan.fired();
+  uint64_t scanned = scan.scanned();
+  // Delivery in query order, as if each query had advanced on its own.
+  for (size_t i = 0; i < due.size(); ++i) {
+    QueryState* qs = due[i].first;
     std::vector<ResultSet> sets;
-    qs->runner->Advance(hwm, &sets);
+    if (slots[i] != kOwnPath) {
+      sets = scan.TakeResults(slots[i]);
+    } else {
+      const uint64_t before = qs->runner->tuples_scanned();
+      fired += qs->runner->Advance(due[i].second, &sets);
+      scanned += qs->runner->tuples_scanned() - before;
+    }
     if (!sets.empty()) DeliverResults(qs, std::move(sets));
   }
+  if (fired == 0 && scanned == 0) return;
+  windows_fired_ += fired;
+  windows_scanned_ += scanned;
+  if (scan.fired() > 0) ++shared_scans_;
+  TCQ_METRIC(ServerMetrics::Get().window_fired->Add(fired));
+  TCQ_METRIC(ServerMetrics::Get().window_scanned->Add(scanned));
 }
 
 void Server::ReviseQueriesLocked(const std::string& stream,
@@ -1099,6 +1134,12 @@ std::string Server::SnapshotMetrics() const {
            ",\"evictions\":" + std::to_string(cs.evictions) +
            ",\"readahead\":" + std::to_string(cs.readahead) + "}";
   }
+
+  // Windowed execution totals: fired/scanned is the archive reads per
+  // fired window, scanned over stream arrivals the rescans per tuple.
+  out += "},\"windows\":{\"fired\":" + std::to_string(windows_fired_) +
+         ",\"scanned\":" + std::to_string(windows_scanned_) +
+         ",\"shared_scans\":" + std::to_string(shared_scans_);
 
   out += "},\"queries\":{";
   first = true;

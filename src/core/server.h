@@ -331,6 +331,13 @@ class Server {
   /// delayed queries to the min safe watermark over their footprint,
   /// speculative ones to the min raw watermark.
   void AdvanceQueriesLocked(const std::string& stream);
+  /// The watermark `qs`'s runner advances to (kMaxTimestamp: tables only).
+  Timestamp RunnerWatermarkLocked(const QueryState& qs) const;
+  /// Fires each (query, watermark)'s ready windows and delivers them in
+  /// query order: shareable runners through one SharedWindowScan, the
+  /// rest through QueryRunner::Advance. Feeds tcq.window.{fired,scanned}.
+  void AdvanceRunnersLocked(
+      const std::vector<std::pair<QueryState*, Timestamp>>& due);
   /// Revision pass: tells every speculative windowed query watching
   /// `stream` that data at or after `late_ts` changed under fired windows.
   void ReviseQueriesLocked(const std::string& stream, Timestamp late_ts);
@@ -369,6 +376,12 @@ class Server {
   /// and sweeps `queries_`, which grows with lifetime submits — the sweep
   /// must be skippable in the common no-speculative-queries case.
   size_t num_speculative_ = 0;
+  /// Windowed-execution totals (SnapshotMetrics "windows"; live in every
+  /// build): windows fired, archive tuples their executions read, and
+  /// advances that fired through a SharedWindowScan.
+  uint64_t windows_fired_ = 0;
+  uint64_t windows_scanned_ = 0;
+  uint64_t shared_scans_ = 0;
   /// Millisecond clock for idle-heartbeat detection (injectable).
   std::function<int64_t()> clock_ms_;
 };

@@ -1,5 +1,6 @@
 #include "expr/ast.h"
 
+#include <cstdint>
 #include <sstream>
 
 #include "common/logging.h"
@@ -234,7 +235,10 @@ Value Expr::EvalInternal(const Tuple* tuple, const VarEnv* env) const {
       const Value v = left_->EvalInternal(tuple, env);
       if (v.is_null()) return Value::Null();
       if (unary_op_ == UnaryOp::kNot) return Value::Bool(!v.bool_value());
-      if (v.type() == ValueType::kInt64) return Value::Int64(-v.int64_value());
+      if (v.type() == ValueType::kInt64) {
+        if (v.int64_value() == INT64_MIN) return Value::Null();  // Overflow.
+        return Value::Int64(-v.int64_value());
+      }
       return Value::Double(-v.double_value());
     }
     case ExprKind::kBinary: {
@@ -267,29 +271,46 @@ Value Expr::EvalInternal(const Tuple* tuple, const VarEnv* env) const {
             return Value::Bool(c >= 0);
         }
       }
-      // Arithmetic.
+      // Arithmetic. Integer overflow yields NULL (never wraps: signed
+      // overflow is undefined behavior).
       if (l.is_null() || r.is_null()) return Value::Null();
       const bool int_math =
           l.type() == ValueType::kInt64 && r.type() == ValueType::kInt64;
+      int64_t out = 0;
       switch (binary_op_) {
         case BinaryOp::kAdd:
-          return int_math ? Value::Int64(l.int64_value() + r.int64_value())
-                          : Value::Double(l.AsDouble() + r.AsDouble());
+          if (!int_math) return Value::Double(l.AsDouble() + r.AsDouble());
+          if (__builtin_add_overflow(l.int64_value(), r.int64_value(), &out)) {
+            return Value::Null();
+          }
+          return Value::Int64(out);
         case BinaryOp::kSub:
-          return int_math ? Value::Int64(l.int64_value() - r.int64_value())
-                          : Value::Double(l.AsDouble() - r.AsDouble());
+          if (!int_math) return Value::Double(l.AsDouble() - r.AsDouble());
+          if (__builtin_sub_overflow(l.int64_value(), r.int64_value(), &out)) {
+            return Value::Null();
+          }
+          return Value::Int64(out);
         case BinaryOp::kMul:
-          return int_math ? Value::Int64(l.int64_value() * r.int64_value())
-                          : Value::Double(l.AsDouble() * r.AsDouble());
+          if (!int_math) return Value::Double(l.AsDouble() * r.AsDouble());
+          if (__builtin_mul_overflow(l.int64_value(), r.int64_value(), &out)) {
+            return Value::Null();
+          }
+          return Value::Int64(out);
         case BinaryOp::kDiv:
           if (int_math) {
             if (r.int64_value() == 0) return Value::Null();
+            if (l.int64_value() == INT64_MIN && r.int64_value() == -1) {
+              return Value::Null();
+            }
             return Value::Int64(l.int64_value() / r.int64_value());
           }
           if (r.AsDouble() == 0.0) return Value::Null();
           return Value::Double(l.AsDouble() / r.AsDouble());
         case BinaryOp::kMod:
-          if (r.int64_value() == 0) return Value::Null();
+          if (r.int64_value() == 0 || r.int64_value() == -1) {
+            // x % -1 is 0, but INT64_MIN % -1 traps: answer it directly.
+            return r.int64_value() == 0 ? Value::Null() : Value::Int64(0);
+          }
           return Value::Int64(l.int64_value() % r.int64_value());
         default:
           break;

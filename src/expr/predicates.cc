@@ -55,6 +55,32 @@ std::optional<EquiJoinPredicate> MatchEquiJoin(const ExprPtr& expr) {
   return std::nullopt;
 }
 
+Result<FactorPlan> ClassifyFactor(const ExprPtr& factor,
+                                  const Schema& schema) {
+  FactorPlan plan;
+  if (auto ej = MatchEquiJoin(factor)) {
+    TCQ_ASSIGN_OR_RETURN(size_t ca, schema.IndexOf(ej->left_column));
+    TCQ_ASSIGN_OR_RETURN(size_t cb, schema.IndexOf(ej->right_column));
+    if (schema.field(ca).qualifier != schema.field(cb).qualifier) {
+      plan.kind = FactorPlan::Kind::kJoin;
+      plan.column = ca;
+      plan.column_b = cb;
+      return plan;
+    }
+  }
+  if (auto sp = MatchSimplePredicate(factor)) {
+    if (auto idx = schema.IndexOf(sp->column); idx.ok()) {
+      plan.kind = FactorPlan::Kind::kGrouped;
+      plan.column = *idx;
+      plan.op = sp->op;
+      plan.constant = std::move(sp->constant);
+      return plan;
+    }
+  }
+  TCQ_ASSIGN_OR_RETURN(plan.bound, factor->Bind(schema));
+  return plan;
+}
+
 std::string QualifierOf(const std::string& column_name) {
   const size_t dot = column_name.find('.');
   return dot == std::string::npos ? "" : column_name.substr(0, dot);

@@ -33,6 +33,30 @@ std::optional<SimplePredicate> MatchSimplePredicate(const ExprPtr& expr);
 /// Matches `colA = colB` (equality only, both sides bare columns).
 std::optional<EquiJoinPredicate> MatchEquiJoin(const ExprPtr& expr);
 
+/// How shared execution evaluates one boolean factor of a conjunctive
+/// WHERE clause: the split CACQ makes (§3.1). The standing-query engine
+/// classifies with it, and so does the analyzer, whose result the shared
+/// window scan reads.
+struct FactorPlan {
+  enum class Kind : uint8_t {
+    kJoin,      ///< `a.x = b.y` across two sources: SteM machinery.
+    kGrouped,   ///< `column op constant`: a per-column GroupedFilter.
+    kResidual,  ///< Anything else: evaluated per query.
+  };
+  Kind kind = Kind::kResidual;
+  size_t column = 0;    ///< kGrouped: the indexed column; kJoin: left side.
+  size_t column_b = 0;  ///< kJoin: right side.
+  BinaryOp op = BinaryOp::kEq;  ///< kGrouped.
+  Value constant;               ///< kGrouped.
+  ExprPtr bound;                ///< kResidual: the factor bound to `schema`.
+};
+
+/// Classifies `factor` against the full-width `schema`. An equality of two
+/// columns is a join only when their qualifiers (sources) differ; a
+/// same-source equality is residual. Fails when a referenced column does
+/// not resolve (or a residual does not bind).
+Result<FactorPlan> ClassifyFactor(const ExprPtr& factor, const Schema& schema);
+
 /// Mirrors a comparison across `=` (applies when operands are swapped):
 /// < becomes >, <= becomes >=, =/!= unchanged.
 BinaryOp FlipComparison(BinaryOp op);

@@ -96,9 +96,22 @@ std::optional<WindowSequence::Step> WindowSequence::Next() {
   } else if (spec_->step != nullptr) {
     // A malformed step still yields the current (well-formed) window; the
     // sequence just cannot advance past it.
+    const Timestamp prev = t_;
     if (!EvalTimestamp(spec_->step, "for-loop step", &t_)) return step;
+    if (t_ == prev) {
+      // The condition sees only t and ST, so a step that keeps t would
+      // fire this same window forever.
+      done_ = true;
+      status_ = Status::InvalidArgument(
+          "for-loop step does not change " + spec_->var + " (stays at " +
+          std::to_string(prev) + "): " + spec_->step->ToString());
+    }
+  } else if (t_ == kMaxTimestamp) {
+    done_ = true;
+    status_ = Status::OutOfRange("for-loop variable " + spec_->var +
+                                 " overflows past " + std::to_string(t_));
   } else {
-    t_ = t_ + 1;
+    ++t_;
   }
   return step;
 }

@@ -96,6 +96,38 @@ TEST(ExprTest, DivisionByZeroYieldsNull) {
   EXPECT_TRUE(e->Eval(Tuple()).is_null());
 }
 
+TEST(ExprTest, IntegerOverflowYieldsNull) {
+  auto lit = [](int64_t v) { return Expr::Literal(Value::Int64(v)); };
+  const int64_t max = INT64_MAX;
+  const int64_t min = INT64_MIN;
+  EXPECT_TRUE(Expr::Binary(BinaryOp::kAdd, lit(max), lit(1))
+                  ->Eval(Tuple())
+                  .is_null());
+  EXPECT_TRUE(Expr::Binary(BinaryOp::kSub, lit(min), lit(1))
+                  ->Eval(Tuple())
+                  .is_null());
+  EXPECT_TRUE(Expr::Binary(BinaryOp::kMul, lit(max), lit(2))
+                  ->Eval(Tuple())
+                  .is_null());
+  EXPECT_TRUE(Expr::Binary(BinaryOp::kDiv, lit(min), lit(-1))
+                  ->Eval(Tuple())
+                  .is_null());
+  EXPECT_TRUE(Expr::Unary(UnaryOp::kNeg, lit(min))->Eval(Tuple()).is_null());
+  EXPECT_EQ(Expr::Binary(BinaryOp::kMod, lit(min), lit(-1))
+                ->Eval(Tuple())
+                .int64_value(),
+            0);
+  // In-range arithmetic is unchanged.
+  EXPECT_EQ(Expr::Binary(BinaryOp::kAdd, lit(max - 1), lit(1))
+                ->Eval(Tuple())
+                .int64_value(),
+            max);
+  EXPECT_EQ(Expr::Binary(BinaryOp::kMod, lit(-7), lit(3))
+                ->Eval(Tuple())
+                .int64_value(),
+            -1);
+}
+
 TEST(ExprTest, ModRequiresIntegers) {
   auto bad = Expr::Binary(BinaryOp::kMod, Expr::Column("closingPrice"),
                           Expr::Literal(Value::Int64(2)))

@@ -96,5 +96,81 @@ TEST(PredicatesTest, CollectQualifiers) {
   EXPECT_TRUE(quals.count(""));
 }
 
+SchemaPtr TwoSourceSchema() {
+  return Schema::Make({{"sym", ValueType::kString, "a"},
+                       {"price", ValueType::kDouble, "a"},
+                       {"qty", ValueType::kInt64, "a"},
+                       {"sym", ValueType::kString, "b"}});
+}
+
+TEST(PredicatesTest, ClassifyFactorGroupsColumnConstantComparisons) {
+  const SchemaPtr schema = TwoSourceSchema();
+  // 2.5 < a.qty flips to qty > 2.5; the INT column keeps its DOUBLE
+  // constant (the grouped index compares across numeric types).
+  auto plan = ClassifyFactor(
+      Expr::Binary(BinaryOp::kLt, Expr::Literal(Value::Double(2.5)),
+                   Expr::Column("a.qty")),
+      *schema);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  EXPECT_EQ(plan->kind, FactorPlan::Kind::kGrouped);
+  EXPECT_EQ(plan->column, 2u);
+  EXPECT_EQ(plan->op, BinaryOp::kGt);
+  EXPECT_DOUBLE_EQ(plan->constant.double_value(), 2.5);
+
+  auto ne = ClassifyFactor(Expr::Binary(BinaryOp::kNe, Expr::Column("price"),
+                                        Expr::Literal(Value::Int64(3))),
+                           *schema);
+  ASSERT_TRUE(ne.ok());
+  EXPECT_EQ(ne->kind, FactorPlan::Kind::kGrouped);
+  EXPECT_EQ(ne->column, 1u);
+  EXPECT_EQ(ne->op, BinaryOp::kNe);
+}
+
+TEST(PredicatesTest, ClassifyFactorResiduals) {
+  const SchemaPtr schema = TwoSourceSchema();
+  // Arithmetic over a column: bound residual.
+  auto arith = ClassifyFactor(
+      Expr::Binary(BinaryOp::kGt,
+                   Expr::Binary(BinaryOp::kAdd, Expr::Column("price"),
+                                Expr::Literal(Value::Int64(1))),
+                   Expr::Literal(Value::Int64(5))),
+      *schema);
+  ASSERT_TRUE(arith.ok());
+  EXPECT_EQ(arith->kind, FactorPlan::Kind::kResidual);
+  ASSERT_NE(arith->bound, nullptr);
+  EXPECT_TRUE(arith->bound
+                  ->Eval(Tuple::Make({Value::String("x"), Value::Double(4.5),
+                                      Value::Int64(0), Value::String("y")}))
+                  .bool_value());
+  // Same-source column equality is residual, not a join.
+  auto same = ClassifyFactor(
+      Expr::Binary(BinaryOp::kEq, Expr::Column("a.price"),
+                   Expr::Column("a.qty")),
+      *schema);
+  ASSERT_TRUE(same.ok());
+  EXPECT_EQ(same->kind, FactorPlan::Kind::kResidual);
+}
+
+TEST(PredicatesTest, ClassifyFactorJoinsAndUnknownColumns) {
+  const SchemaPtr schema = TwoSourceSchema();
+  auto join = ClassifyFactor(Expr::Binary(BinaryOp::kEq, Expr::Column("a.sym"),
+                                          Expr::Column("b.sym")),
+                             *schema);
+  ASSERT_TRUE(join.ok());
+  EXPECT_EQ(join->kind, FactorPlan::Kind::kJoin);
+  EXPECT_EQ(join->column, 0u);
+  EXPECT_EQ(join->column_b, 3u);
+  EXPECT_FALSE(ClassifyFactor(Expr::Binary(BinaryOp::kEq,
+                                           Expr::Column("a.nope"),
+                                           Expr::Column("b.sym")),
+                              *schema)
+                   .ok());
+  EXPECT_FALSE(ClassifyFactor(Expr::Binary(BinaryOp::kGt,
+                                           Expr::Column("nope"),
+                                           Expr::Literal(Value::Int64(1))),
+                              *schema)
+                   .ok());
+}
+
 }  // namespace
 }  // namespace tcq

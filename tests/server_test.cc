@@ -326,5 +326,40 @@ TEST_F(ServerTest, OutputSchemaReflectsSelectList) {
   EXPECT_EQ((*schema)->field(0).type, ValueType::kDouble);
 }
 
+TEST_F(ServerTest, NonAdvancingLoopStopsInsteadOfExhaustingMemory) {
+  // for (; t == 0; t = ST - 1) with ST = 1 maps t = 0 to itself: the
+  // window fires once and the query finishes, where it used to fire the
+  // same window until the allocator gave up.
+  auto q = server_.Submit(
+      "SELECT COUNT(*) FROM ClosingStockPrices "
+      "for (; t == 0; t = ST - 1) { WindowIs(ClosingStockPrices, 1, 5); }");
+  ASSERT_TRUE(q.ok()) << q.status();
+  FeedMsft(&server_, 10);
+  auto sets = server_.PollAll(*q);
+  ASSERT_EQ(sets.size(), 1u);
+  EXPECT_EQ(sets[0].t, 0);
+  EXPECT_EQ(sets[0].rows[0].cell(0).int64_value(), 5);
+  FeedMsft(&server_, 0);
+  EXPECT_TRUE(server_.PollAll(*q).empty());
+}
+
+TEST_F(ServerTest, LoopAtInt64MaxStopsInsteadOfOverflowing) {
+  // Windows near the top of the timestamp range: the loop variable cannot
+  // step past INT64_MAX, so the sequence ends there (no signed overflow).
+  auto q = server_.Submit(
+      "SELECT COUNT(*) FROM ClosingStockPrices "
+      "for (t = 9223372036854775806; true; t++) "
+      "{ WindowIs(ClosingStockPrices, 1, 5); }");
+  ASSERT_TRUE(q.ok()) << q.status();
+  FeedMsft(&server_, 10);
+  // The two windows' right ends (5) are final: both fire, then t would
+  // have to pass INT64_MAX and the query ends.
+  auto sets = server_.PollAll(*q);
+  ASSERT_EQ(sets.size(), 2u);
+  EXPECT_EQ(sets[1].t, INT64_MAX);
+  FeedMsft(&server_, 0);
+  EXPECT_TRUE(server_.PollAll(*q).empty());
+}
+
 }  // namespace
 }  // namespace tcq

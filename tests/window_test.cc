@@ -333,5 +333,64 @@ TEST(WindowMalformedTest, ClassifyWindowReportsMalformedBounds) {
   EXPECT_EQ(shape.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(WindowMalformedTest, StepThatKeepsTEndsWithStatus) {
+  // for (; t == 0; t = ST - 1) with ST = 1: the step maps 0 to 0, so the
+  // condition holds forever. The window in flight fires once, then the
+  // sequence ends instead of repeating it until memory runs out.
+  ForLoopSpec spec;
+  spec.condition = Expr::Binary(BinaryOp::kEq, Expr::Variable("t"),
+                                Expr::Literal(Value::Int64(0)));
+  spec.step = Expr::Binary(BinaryOp::kSub, Expr::Variable("ST"),
+                           Expr::Literal(Value::Int64(1)));
+  spec.windows.push_back(
+      {"S", Expr::Literal(Value::Int64(1)), Expr::Literal(Value::Int64(5))});
+  WindowSequence seq(&spec, /*st=*/1);
+  auto step = seq.Next();
+  ASSERT_TRUE(step.has_value());
+  EXPECT_EQ(step->t, 0);
+  EXPECT_FALSE(seq.Next().has_value());
+  EXPECT_TRUE(seq.done());
+  EXPECT_EQ(seq.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(seq.status().message().find("does not change"),
+            std::string::npos);
+  // Classification probes the same sequence and reports the same error.
+  EXPECT_EQ(ClassifyWindow(spec, 0, 1).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(WindowMalformedTest, ImplicitIncrementStopsAtInt64Max) {
+  // No step means t + 1; at INT64_MAX that would overflow (UB).
+  ForLoopSpec spec;
+  spec.init = Expr::Literal(Value::Int64(kMaxTimestamp - 1));
+  spec.condition = Expr::Literal(Value::Bool(true));
+  spec.windows.push_back({"S", Expr::Variable("t"), Expr::Variable("t")});
+  WindowSequence seq(&spec, 0);
+  auto a = seq.Next();
+  auto b = seq.Next();
+  ASSERT_TRUE(a.has_value());
+  ASSERT_TRUE(b.has_value());
+  EXPECT_EQ(a->t, kMaxTimestamp - 1);
+  EXPECT_EQ(b->t, kMaxTimestamp);
+  EXPECT_TRUE(seq.done());
+  EXPECT_FALSE(seq.Next().has_value());
+  EXPECT_EQ(seq.status().code(), StatusCode::kOutOfRange);
+}
+
+TEST(WindowMalformedTest, OverflowingStepExpressionEndsWithStatus) {
+  // An explicit t + 1 overflows inside expression arithmetic, which yields
+  // NULL rather than wrapping: the sequence ends like any malformed step.
+  ForLoopSpec spec;
+  spec.init = Expr::Literal(Value::Int64(kMaxTimestamp));
+  spec.condition = Expr::Literal(Value::Bool(true));
+  spec.step = Expr::Binary(BinaryOp::kAdd, Expr::Variable("t"),
+                           Expr::Literal(Value::Int64(1)));
+  spec.windows.push_back({"S", Expr::Variable("t"), Expr::Variable("t")});
+  WindowSequence seq(&spec, 0);
+  ASSERT_TRUE(seq.Next().has_value());
+  EXPECT_FALSE(seq.Next().has_value());
+  EXPECT_EQ(seq.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(seq.status().message().find("NULL"), std::string::npos);
+}
+
 }  // namespace
 }  // namespace tcq
