@@ -38,11 +38,13 @@ class Latch {
 };
 
 /// Exchange edge flavors: producers block for space (backpressure toward
-/// the pushing client), consumers never block (the ExecutionObject polls
-/// and idles, and shutdown never has to interrupt a blocked thread).
-QueueOptions ShardEdgeOptions(size_t capacity) {
+/// the pushing client), consumers never block in the queue: the consuming
+/// ExecutionObject parks on `waker`, which every enqueue and Close wakes
+/// (the timed park bound is the fallback), and shutdown never has to
+/// interrupt a thread blocked inside a queue.
+QueueOptions ShardEdgeOptions(size_t capacity, std::shared_ptr<Waker> waker) {
   return QueueOptions{capacity, QueueEnd::kBlocking, QueueEnd::kNonBlocking,
-                      false, nullptr};
+                      false, nullptr, std::move(waker)};
 }
 
 }  // namespace
@@ -89,10 +91,14 @@ class ShardedEngine::ShardBarrier {
 };
 
 /// Drains one shard's exchange queue: data tasks are injected into the
-/// shard engine (emissions buffered by the engine sink, flushed to the
-/// egress queue after every task), control tasks run inline. kDone once
-/// the exchange is closed and drained; the shard then closes its egress
-/// queue, propagating end-of-stream downstream.
+/// shard engine (emissions buffered by the engine sink), control tasks run
+/// inline. The emissions of a step's data tasks reach the egress queue in
+/// few items: at the end of the step, before a control task, and whenever
+/// kFlushEmissions have piled up. A backlogged worker thus pays a few
+/// egress wakes per step instead of one per task (a wake costs a syscall
+/// whenever the egress thread is parked), while the emissions it holds
+/// stay bounded. kDone once the exchange is closed and drained; the shard
+/// then closes its egress queue, propagating end-of-stream downstream.
 ///
 /// Crash model (DESIGN.md §13): a KillShard request is observed at task
 /// boundaries only, so the worker dies with every prior batch fully
@@ -114,7 +120,6 @@ class ShardedEngine::WorkerModule : public FjordModule {
                                     &scratch_);
     if (n == 0) {
       if (in.Exhausted()) {
-        FlushEmissions(sh);
         sh.output->Close();
         return StepResult::kDone;
       }
@@ -124,7 +129,7 @@ class ShardedEngine::WorkerModule : public FjordModule {
       if (task.control) {
         // Emissions from earlier tasks must reach the egress queue before
         // the control runs: Quiesce's phase-2 barrier rides behind them.
-        FlushEmissions(sh);
+        Flush(sh);
         task.control();
         continue;
       }
@@ -139,15 +144,10 @@ class ShardedEngine::WorkerModule : public FjordModule {
       TCQ_CHECK(st.ok()) << "shard " << shard_
                          << " inject failed: " << st.ToString();
       sh.processed += task.tuples.size();
-      FlushEmissions(sh);
-      if (task.lsn != 0) {
-        // The floor advances only after the flush: everything at or under
-        // it is IN the egress queue and will reach the sink, so replay can
-        // suppress those records' emissions without losing results.
-        sh.applied_lsn.store(task.lsn, std::memory_order_release);
-        MaybeCheckpoint(sh);
-      }
+      if (task.lsn != 0) unflushed_lsn_ = task.lsn;
+      if (sh.pending.size() >= kFlushEmissions) Flush(sh);
     }
+    Flush(sh);
     return StepResult::kDidWork;
   }
 
@@ -157,9 +157,29 @@ class ShardedEngine::WorkerModule : public FjordModule {
   /// shards nobody recovers. `alive` flips last — barrier waiters and the
   /// failover poll it.
   StepResult Die(Shard& sh) {
-    FlushEmissions(sh);
+    Flush(sh);
     sh.alive.store(false, std::memory_order_release);
     return StepResult::kDone;
+  }
+
+  /// Hands the emissions of every task applied since the last flush to the
+  /// egress queue, then advances the applied floor to the last of those
+  /// tasks. The floor advances only after the flush: everything at or
+  /// under it is IN the egress queue and will reach the sink, so replay
+  /// can suppress those records' emissions without losing results.
+  void Flush(Shard& sh) {
+    if (!sh.pending.empty()) {
+      EgressItem item;
+      item.results = std::move(sh.pending);
+      sh.pending.clear();
+      // Blocking enqueue: egress backpressure stalls this shard, not the
+      // process (the egress thread always drains).
+      sh.output->Enqueue(std::move(item));
+    }
+    if (unflushed_lsn_ == 0) return;
+    sh.applied_lsn.store(unflushed_lsn_, std::memory_order_release);
+    unflushed_lsn_ = 0;
+    MaybeCheckpoint(sh);
   }
 
   void MaybeCheckpoint(Shard& sh) {
@@ -170,19 +190,16 @@ class ShardedEngine::WorkerModule : public FjordModule {
     parent_->CheckpointShard(shard_, floor);
   }
 
-  void FlushEmissions(Shard& sh) {
-    if (sh.pending.empty()) return;
-    EgressItem item;
-    item.results = std::move(sh.pending);
-    sh.pending.clear();
-    // Blocking enqueue: egress backpressure stalls this shard, not the
-    // process (the egress thread always drains).
-    sh.output->Enqueue(std::move(item));
-  }
+  /// Emissions held before a mid-step flush: a task typically emits a few
+  /// hundred, so this bounds what a backlogged step buffers to a few
+  /// tasks' worth.
+  static constexpr size_t kFlushEmissions = 1024;
 
   ShardedEngine* parent_;
   const size_t shard_;
   std::vector<ShardTask> scratch_;
+  /// LSN of the last data task applied but not yet flushed (0 = none).
+  uint64_t unflushed_lsn_ = 0;
 };
 
 /// The merge/union half of the exchange: round-robins over every shard's
@@ -244,6 +261,8 @@ ShardedEngine::ShardedEngine(Options options)
     ha_suppressed_ = r.GetCounter("tcq.ha.suppressed_emissions");
     ha_torn_ = r.GetCounter("tcq.ha.torn_snapshots");
     ha_recovery_us_ = r.GetHistogram("tcq.ha.recovery_us");
+    egress_waker_->MirrorTo(r.GetCounter("tcq.shard.egress.parks"),
+                            r.GetCounter("tcq.shard.egress.woken_parks"));
   }
   shards_.reserve(options_.num_shards);
   for (size_t i = 0; i < options_.num_shards; ++i) {
@@ -271,11 +290,14 @@ ShardedEngine::ShardedEngine(Options options)
     }
     if (!inline_) {
       shard->output = std::make_unique<FjordQueue<EgressItem>>(
-          ShardEdgeOptions(options_.egress_capacity));
+          ShardEdgeOptions(options_.egress_capacity, egress_waker_));
+      MetricRegistry& r = MetricRegistry::Global();
+      shard->waker->MirrorTo(r.GetCounter("tcq.shard", i, "parks"),
+                             r.GetCounter("tcq.shard", i, "woken_parks"));
     }
     Shard* raw = shard.get();
     // Runs on the shard thread mid-InjectBatch; the worker flushes
-    // `pending` into the egress queue after every task (inline: PushBatch
+    // `pending` into the egress queue once per step (inline: PushBatch
     // hands it to the sink).
     shard->engine->SetSink([raw](QueryId q, const Tuple& t) {
       raw->pending.emplace_back(q, t);
@@ -283,9 +305,13 @@ ShardedEngine::ShardedEngine(Options options)
     shards_.push_back(std::move(shard));
   }
   if (inline_) return;
-  input_ = std::make_unique<PartitionedQueue<ShardTask>>(
-      options_.num_shards, ShardEdgeOptions(options_.input_capacity),
-      "tcq.shard");
+  std::vector<QueueOptions> partitions;
+  for (const auto& shard : shards_) {
+    partitions.push_back(ShardEdgeOptions(options_.input_capacity,
+                                          shard->waker));
+  }
+  input_ = std::make_unique<PartitionedQueue<ShardTask>>(partitions,
+                                                         "tcq.shard");
   if (options_.num_replicas > 0) {
     ReplicationController<EngineCheckpoint>::Options ro;
     ro.checkpoint_interval = options_.checkpoint_interval;
@@ -347,12 +373,15 @@ void ShardedEngine::Start() {
   if (inline_) return;
   shard_eos_.reserve(shards_.size());
   for (size_t i = 0; i < shards_.size(); ++i) {
-    auto eo = std::make_unique<ExecutionObject>("shard-" + std::to_string(i));
+    auto eo = std::make_unique<ExecutionObject>(
+        "shard-" + std::to_string(i), ExecutionObject::Options(),
+        shards_[i]->waker);
     eo->AddModule(std::make_shared<WorkerModule>(this, i));
     eo->Start();
     shard_eos_.push_back(std::move(eo));
   }
-  egress_eo_ = std::make_unique<ExecutionObject>("shard-egress");
+  egress_eo_ = std::make_unique<ExecutionObject>(
+      "shard-egress", ExecutionObject::Options(), egress_waker_);
   egress_eo_->AddModule(std::make_shared<EgressModule>(this));
   egress_eo_->Start();
   if (options_.auto_rebalance) {
@@ -696,6 +725,7 @@ Status ShardedEngine::KillShard(size_t shard) {
         "inline engine (one shard, no standby) has no worker to kill");
   }
   shards_[shard]->kill.store(true, std::memory_order_release);
+  shards_[shard]->waker->Wake();  // A parked worker notices at once.
   return Status::OK();
 }
 
@@ -850,7 +880,10 @@ Status ShardedEngine::FailoverShard(size_t shard) {
   // unblock as soon as the route lock releases.
   sh.kill.store(false, std::memory_order_release);
   sh.alive.store(true, std::memory_order_release);
-  auto eo = std::make_unique<ExecutionObject>("shard-" + std::to_string(shard));
+  // The fresh EO parks on the shard's waker — the one the input partition
+  // has woken all along.
+  auto eo = std::make_unique<ExecutionObject>(
+      "shard-" + std::to_string(shard), ExecutionObject::Options(), sh.waker);
   eo->AddModule(std::make_shared<WorkerModule>(this, shard));
   eo->Start();
   shard_eos_[shard] = std::move(eo);
@@ -1127,6 +1160,8 @@ std::vector<ShardedEngine::ShardStats> ShardedEngine::shard_stats() const {
     s.routed = shards_[i]->routed;
     s.processed = shards_[i]->processed;
     s.queue_depth = inline_ ? 0 : input_->partition(i).Size();
+    s.parks = shards_[i]->waker->parks();
+    s.woken_parks = shards_[i]->waker->woken_parks();
     // The engine pointer swaps during a failover promotion; the eddy
     // counters themselves are relaxed atomics.
     std::lock_guard<std::mutex> elock(shards_[i]->engine_mu);

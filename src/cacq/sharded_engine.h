@@ -67,7 +67,8 @@ class ShardedEngine {
     uint64_t seed = 7;
     /// Bounded exchange queues, in tasks (one task = one same-stream
     /// scatter group, up to a whole producer batch). Blocking producer
-    /// ends give backpressure; consumers never block (the EO polls).
+    /// ends give backpressure; consumers never block in the queue (the EO
+    /// parks on its waker, which every enqueue wakes).
     size_t input_capacity = 256;
     size_t egress_capacity = 1024;
     /// Hash buckets in the PartitionMap (the migration granule). More
@@ -258,6 +259,8 @@ class ShardedEngine {
     size_t queue_depth = 0;  ///< Input backlog, in exchange tasks.
     uint64_t eddy_decisions = 0;
     uint64_t eddy_emitted = 0;
+    uint64_t parks = 0;        ///< Idle parks of the shard's worker.
+    uint64_t woken_parks = 0;  ///< Of which ended by a wake, not the bound.
   };
   std::vector<ShardStats> shard_stats() const;
 
@@ -298,6 +301,10 @@ class ShardedEngine {
     /// never by the shard thread.
     std::unique_ptr<CacqEngine> standby;
     std::unique_ptr<FjordQueue<EgressItem>> output;
+    /// What the shard's worker EO parks on; every enqueue onto the input
+    /// partition wakes it. Owned here, not by the EO, so it survives the
+    /// EO replacement in FailoverShard while producers keep enqueuing.
+    std::shared_ptr<Waker> waker = std::make_shared<Waker>();
     /// Emissions collected by the engine sink since the last flush into
     /// `output`. Only the shard thread touches it while running.
     std::vector<Emission> pending;
@@ -399,6 +406,8 @@ class ShardedEngine {
   std::unique_ptr<PartitionedQueue<ShardTask>> input_;
   std::vector<std::unique_ptr<ExecutionObject>> shard_eos_;
   std::unique_ptr<ExecutionObject> egress_eo_;
+  /// The egress EO's waker: every shard's egress queue wakes it.
+  std::shared_ptr<Waker> egress_waker_ = std::make_shared<Waker>();
   bool started_ = false;
   bool stopped_ = false;
 

@@ -325,13 +325,12 @@ void SharedWindowScan::Run() {
   std::vector<Live> live(n);
   std::vector<std::pair<Timestamp, Timestamp>> ranges;
   SmallBitset with_steps(n);
-  // Per-column grouped filters over the ready slots' simple factors, each
-  // with the slots it constrains (a NULL cell fails all of them, as the
-  // factor's own evaluation would).
+  // Per-column grouped filters over the ready slots' simple factors (a
+  // NULL cell fails every slot a filter constrains, as the factor's own
+  // evaluation would).
   struct ColumnFilter {
     size_t column;
     GroupedFilter filter;
-    SmallBitset constrained;
   };
   std::vector<ColumnFilter> filters;
 
@@ -371,12 +370,10 @@ void SharedWindowScan::Run() {
                                return cf.column == f.column;
                              });
       if (it == filters.end()) {
-        filters.push_back(ColumnFilter{f.column, GroupedFilter(),
-                                       SmallBitset(n)});
+        filters.push_back(ColumnFilter{f.column, GroupedFilter()});
         it = filters.end() - 1;
       }
       it->filter.AddPredicate(static_cast<QueryId>(q), f.op, f.constant);
-      it->constrained.Set(q);
     }
   }
   // The merged union of the ready windows: overlapping or adjacent ranges
@@ -401,12 +398,7 @@ void SharedWindowScan::Run() {
     const Timestamp ts = t.timestamp();
     candidates = with_steps;
     for (const ColumnFilter& cf : filters) {
-      const Value& v = t.cell(cf.column);
-      if (v.is_null()) {
-        candidates -= cf.constrained;
-      } else {
-        cf.filter.Apply(v, &candidates);
-      }
+      cf.filter.Apply(t.cell(cf.column), &candidates);
     }
     candidates.ForEachSet([&](size_t q) {
       const Slot& slot = slots_[q];

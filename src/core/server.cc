@@ -1217,6 +1217,8 @@ std::string Server::SnapshotMetrics() const {
              ",\"queue_depth\":" + std::to_string(stats[i].queue_depth) +
              ",\"eddy_decisions\":" + std::to_string(stats[i].eddy_decisions) +
              ",\"eddy_emitted\":" + std::to_string(stats[i].eddy_emitted) +
+             ",\"parks\":" + std::to_string(stats[i].parks) +
+             ",\"woken_parks\":" + std::to_string(stats[i].woken_parks) +
              ",\"buckets\":" +
              std::to_string(
                  ss.engine->partition_map().BucketsOwnedBy(i).size()) +

@@ -33,11 +33,20 @@ class PartitionedQueue {
  public:
   PartitionedQueue(size_t num_partitions, QueueOptions per_partition,
                    std::string metric_family = "tcq.shard")
+      : PartitionedQueue(
+            std::vector<QueueOptions>(num_partitions, per_partition),
+            std::move(metric_family)) {}
+
+  /// One partition per entry of `partitions`, each with its own options
+  /// (e.g. the waker of the Execution Object that drains it).
+  explicit PartitionedQueue(const std::vector<QueueOptions>& partitions,
+                            std::string metric_family = "tcq.shard")
       : family_(std::move(metric_family)) {
+    const size_t num_partitions = partitions.size();
     TCQ_CHECK(num_partitions > 0);
     queues_.reserve(num_partitions);
-    for (size_t i = 0; i < num_partitions; ++i) {
-      queues_.push_back(std::make_unique<FjordQueue<T>>(per_partition));
+    for (const QueueOptions& options : partitions) {
+      queues_.push_back(std::make_unique<FjordQueue<T>>(options));
     }
 #ifndef TCQ_METRICS_DISABLED
     MetricRegistry& r = MetricRegistry::Global();

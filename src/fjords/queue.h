@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "fjords/waker.h"
 #include "telemetry/metrics.h"
 
 namespace tcq {
@@ -96,6 +97,10 @@ struct QueueOptions {
   bool drop_oldest_when_full = false;
   /// Optional fault injection (testing only; see QueueFaultHooks).
   std::shared_ptr<QueueFaultHooks> faults;
+  /// Optional consumer waker: woken whenever an enqueue makes elements
+  /// visible and on Close, so an Execution Object parked on it resumes at
+  /// once (the wake lives at the queue edge, so no producer can forget it).
+  std::shared_ptr<Waker> waker;
 };
 
 /// A bounded MPMC queue connecting a producer module to a consumer module.
@@ -305,6 +310,7 @@ class FjordQueue {
     }
     not_empty_.notify_all();
     not_full_.notify_all();
+    if (options_.waker != nullptr) options_.waker->Wake();
   }
 
   bool closed() const {
@@ -389,6 +395,7 @@ class FjordQueue {
         // only consumer is blocked on not_empty_.
         if (*added > 0) {
           not_empty_.notify_all();
+          if (options_.waker != nullptr) options_.waker->Wake();
           *added = 0;
         }
         not_full_.wait(*lock, [&] {
@@ -483,6 +490,7 @@ class FjordQueue {
     } else if (added == 1) {
       not_empty_.notify_one();
     }
+    if (added > 0 && options_.waker != nullptr) options_.waker->Wake();
   }
 
   void NotifyDequeued(size_t removed) {
@@ -507,15 +515,15 @@ class FjordQueue {
 /// Convenience constructors for the paper's three queue flavors.
 inline QueueOptions PullQueueOptions(size_t capacity = 1024) {
   return QueueOptions{capacity, QueueEnd::kBlocking, QueueEnd::kBlocking,
-                      false, nullptr};
+                      false, nullptr, nullptr};
 }
 inline QueueOptions PushQueueOptions(size_t capacity = 1024) {
   return QueueOptions{capacity, QueueEnd::kNonBlocking,
-                      QueueEnd::kNonBlocking, false, nullptr};
+                      QueueEnd::kNonBlocking, false, nullptr, nullptr};
 }
 inline QueueOptions ExchangeQueueOptions(size_t capacity = 1024) {
   return QueueOptions{capacity, QueueEnd::kNonBlocking, QueueEnd::kBlocking,
-                      false, nullptr};
+                      false, nullptr, nullptr};
 }
 
 }  // namespace tcq

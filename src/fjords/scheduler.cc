@@ -9,8 +9,12 @@ namespace tcq {
 ExecutionObject::ExecutionObject(std::string name)
     : ExecutionObject(std::move(name), Options()) {}
 
-ExecutionObject::ExecutionObject(std::string name, Options options)
-    : name_(std::move(name)), options_(options) {}
+ExecutionObject::ExecutionObject(std::string name, Options options,
+                                 std::shared_ptr<Waker> waker)
+    : name_(std::move(name)),
+      options_(options),
+      waker_(waker != nullptr ? std::move(waker)
+                              : std::make_shared<Waker>()) {}
 
 ExecutionObject::~ExecutionObject() { Stop(); }
 
@@ -23,6 +27,7 @@ void ExecutionObject::AddModule(FjordModulePtr module) {
   total_added_.fetch_add(1, std::memory_order_release);
   all_done_.store(false, std::memory_order_release);
   pending_.push_back(std::move(module));
+  waker_->Wake();
 }
 
 void ExecutionObject::DrainPending() {
@@ -61,17 +66,23 @@ bool ExecutionObject::RunRound(bool* all_done) {
   return any_work;
 }
 
+void ExecutionObject::Park(uint64_t seen) {
+  waker_->Park(seen, std::chrono::microseconds(options_.idle_sleep_micros));
+}
+
 void ExecutionObject::ThreadMain() {
-  while (!stop_requested_.load(std::memory_order_acquire)) {
+  for (;;) {
+    // Snapshot first, then check for stop and work: a Stop, AddModule or
+    // enqueue that lands after this line moves the sequence, so the park
+    // below returns at once instead of missing it.
+    const uint64_t seen = waker_->Snapshot();
+    if (stop_requested_.load(std::memory_order_acquire)) break;
     bool all_done = false;
     const bool any_work = RunRound(&all_done);
     all_done_.store(all_done, std::memory_order_release);
     // Stay alive even when all modules are done: new queries may still be
-    // folded in dynamically. Sleep politely whenever idle.
-    if (!any_work) {
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(options_.idle_sleep_micros));
-    }
+    // folded in dynamically. Park whenever idle.
+    if (!any_work) Park(seen);
   }
   running_.store(false, std::memory_order_release);
 }
@@ -91,6 +102,7 @@ void ExecutionObject::Stop() {
   // this Stop() then joins forever (it never sees the request).
   std::lock_guard<std::mutex> lock(lifecycle_mu_);
   stop_requested_.store(true, std::memory_order_release);
+  waker_->Wake();
   if (thread_.joinable()) thread_.join();
   thread_ = std::thread();
   running_.store(false, std::memory_order_release);
@@ -111,15 +123,13 @@ void ExecutionObject::Join() {
 void ExecutionObject::RunToCompletion() {
   TCQ_CHECK(!running_.load()) << "EO " << name_ << " is running on a thread";
   while (true) {
+    const uint64_t seen = waker_->Snapshot();
     bool all_done = false;
     const bool any_work = RunRound(&all_done);
     if (all_done) return;
-    if (!any_work) {
-      // Single-threaded mode: idle with no thread to produce more work
-      // means sources are non-blocking and temporarily dry; spin politely.
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(options_.idle_sleep_micros));
-    }
+    // Single-threaded mode: idle means sources are non-blocking and
+    // temporarily dry; park until one wakes us or the bound elapses.
+    if (!any_work) Park(seen);
   }
 }
 

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "fjords/module.h"
+#include "fjords/waker.h"
 
 namespace tcq {
 
@@ -16,18 +17,29 @@ namespace tcq {
 /// context for a set of non-preemptive Dispatch Units (FjordModules),
 /// scheduled round-robin. Modules can be added while the EO runs (dynamic
 /// fold-in of fresh query plans).
+///
+/// Idling: when a full round finds no work, the EO parks on its Waker
+/// until a producer wakes it or idle_sleep_micros elapses. Producers wake
+/// it through the queues they feed (QueueOptions::waker) or by calling
+/// waker().Wake(); AddModule and Stop wake it themselves. A queue with no
+/// waker still gets polled at the idle_sleep_micros bound.
 class ExecutionObject {
  public:
   struct Options {
     /// Tuples each module may process per quantum (the batching knob of
     /// §4.3 at the scheduler level).
     size_t quantum = 64;
-    /// Microseconds to sleep when a full round finds no work.
+    /// Longest park, in microseconds, when a full round finds no work. A
+    /// wake ends the park early; this bound only matters without one.
     size_t idle_sleep_micros = 50;
   };
 
   explicit ExecutionObject(std::string name);
-  ExecutionObject(std::string name, Options options);
+  /// `waker` is the one this EO parks on; null makes a private one. Pass a
+  /// shared waker when the EO may be replaced while producers keep waking
+  /// it (a failed-over shard's fresh EO inherits the dead one's waker).
+  ExecutionObject(std::string name, Options options,
+                  std::shared_ptr<Waker> waker = nullptr);
   ~ExecutionObject();
 
   ExecutionObject(const ExecutionObject&) = delete;
@@ -57,6 +69,9 @@ class ExecutionObject {
 
   bool running() const { return running_.load(std::memory_order_acquire); }
 
+  /// What this EO parks on while idle; wake it after making work visible.
+  Waker& waker() { return *waker_; }
+
   /// Total Step() calls that returned kDidWork (scheduling statistic).
   uint64_t work_quanta() const {
     return work_quanta_.load(std::memory_order_relaxed);
@@ -69,8 +84,13 @@ class ExecutionObject {
   void ThreadMain();
   void DrainPending();
 
+  /// Parks until woken or the idle bound elapses (`seen` is the waker
+  /// sequence read before the round that found no work).
+  void Park(uint64_t seen);
+
   const std::string name_;
   const Options options_;
+  const std::shared_ptr<Waker> waker_;
 
   std::mutex pending_mu_;
   std::vector<FjordModulePtr> pending_;

@@ -224,6 +224,12 @@ void GroupedFilter::Apply(const Value& v, SmallBitset* candidates) const {
   if (num_predicates_ == 0) return;
   TCQ_METRIC(AppliesCounter()->Add(1));
   TCQ_DCHECK(candidates->size_bits() >= totals_.size());
+  if (v.is_null()) {
+    // SQL semantics: a comparison with NULL is never true, so NULL fails
+    // every query with a factor on this attribute, whatever the operator.
+    candidates->SubtractPrefix(has_pred_);
+    return;
+  }
   if (dirty_) RebuildIndex();
 
   // pass = region_pass[seg] & (no_eq | eq_full(v)) & ~ne_hit(v).

@@ -56,8 +56,10 @@ class GroupedFilter {
   void RemoveQuery(QueryId q);
 
   /// Narrows `candidates` (bit per query) to those whose factors on this
-  /// attribute all accept `v`. Queries with no factors here are untouched,
-  /// as are candidate bits past num_queries() (mixed-width is fine).
+  /// attribute all accept `v`. A NULL `v` accepts no factor (SQL), so it
+  /// drops every query with a factor here. Queries with no factors here
+  /// are untouched, as are candidate bits past num_queries() (mixed-width
+  /// is fine).
   /// `candidates` must be sized to at least num_queries() bits.
   void Apply(const Value& v, SmallBitset* candidates) const;
 

@@ -330,6 +330,47 @@ TEST(FailoverTest, KillAndFailoverRecoversExactly) {
   engine.Stop();
 }
 
+TEST(FailoverTest, FailedOverWorkerParksOnTheShardWaker) {
+  // The waker belongs to the shard, not to its EO: the fresh worker that
+  // FailoverShard starts parks on the waker the input partition wakes, so
+  // registrations and removals after a failover end its parks by a wake
+  // (and stay prompt) instead of waiting out the fallback timer.
+  ShardedEngine::Options opts;
+  opts.num_shards = 2;
+  opts.num_replicas = 1;
+  ShardedEngine engine(opts);
+  ASSERT_TRUE(engine.AddStream("S", KV(), 0).ok());
+  engine.SetSink([](std::vector<ShardedEngine::Emission>&&) {});
+  engine.Start();
+  CacqQuerySpec see_all;
+  see_all.sources = {"S"};
+  ASSERT_TRUE(engine.AddQuery(see_all).ok());
+  std::vector<Tuple> batch;
+  for (int64_t i = 0; i < 16; ++i) batch.push_back(KVTuple(i, i, i + 1));
+  ASSERT_TRUE(engine.PushBatch("S", std::move(batch)).ok());
+  CrashInjector::CrashAndRecover(&engine, 0);
+
+  const ShardedEngine::ShardStats before = engine.shard_stats()[0];
+  CacqQuerySpec filter;
+  filter.sources = {"S"};
+  filter.where = Expr::Binary(BinaryOp::kGt, Expr::Column("S.v"),
+                              Expr::Literal(Value::Int64(5)));
+  for (int round = 0; round < 20; ++round) {
+    // Idle long enough for the worker to be parked when the barrier lands.
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    const auto t0 = std::chrono::steady_clock::now();
+    auto q = engine.AddQuery(filter);
+    ASSERT_TRUE(q.ok()) << q.status();
+    ASSERT_TRUE(engine.RemoveQuery(*q).ok());
+    EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1));
+  }
+  const ShardedEngine::ShardStats after = engine.shard_stats()[0];
+  EXPECT_GT(after.parks, before.parks);
+  EXPECT_GT(after.woken_parks, before.woken_parks);
+  EXPECT_TRUE(engine.Quiesce().ok());
+  engine.Stop();
+}
+
 TEST(FailoverTest, TornCheckpointsFallBackToChangelogReplay) {
   // Every cadence checkpoint is torn by fault injection, so the failover
   // must recover from the previous (absent) snapshot plus the FULL

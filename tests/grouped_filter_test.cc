@@ -173,18 +173,24 @@ TEST(GroupedFilterTest, IndexRebuildsOncePerMutationBurst) {
   EXPECT_EQ(gf.rebuilds(), 2u);
 }
 
-TEST(GroupedFilterTest, NullValueSortsBelowAllBounds) {
-  // NULL orders before every constant (Value::Compare), so it satisfies
-  // < / <= factors and fails > / >= — the old sorted-walk behaviour the
-  // region index must reproduce (NULL stabs the leftmost region).
+TEST(GroupedFilterTest, NullValueFailsEveryFactor) {
+  // SQL semantics: a comparison with NULL is never true, whatever the
+  // operator — even though NULL orders before every constant in
+  // Value::Compare. Queries with no factor on the attribute keep their bit.
   GroupedFilter gf;
   gf.AddPredicate(0, BinaryOp::kLt, Value::Int64(5));
   gf.AddPredicate(1, BinaryOp::kGt, Value::Int64(5));
   gf.AddPredicate(2, BinaryOp::kEq, Value::Int64(5));
+  gf.AddPredicate(3, BinaryOp::kNe, Value::Int64(5));
+  gf.AddPredicate(4, BinaryOp::kLe, Value::Int64(5));
+  gf.AddPredicate(5, BinaryOp::kGe, Value::Int64(5));
   SmallBitset m = gf.Matching(Value());
-  EXPECT_TRUE(m.Test(0));
-  EXPECT_FALSE(m.Test(1));
-  EXPECT_FALSE(m.Test(2));
+  EXPECT_TRUE(m.None());
+  SmallBitset wider = AllOf(8);
+  gf.Apply(Value(), &wider);
+  EXPECT_EQ(wider.Count(), 2u);
+  EXPECT_TRUE(wider.Test(6));
+  EXPECT_TRUE(wider.Test(7));
 }
 
 // Property: grouped filter == naive per-query evaluation on random

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -318,6 +319,49 @@ TEST(FjordQueueTest, SizeTracksContents) {
   EXPECT_EQ(q.Size(), 1u);
   q.Dequeue();
   EXPECT_TRUE(q.Empty());
+}
+
+TEST(FjordQueueTest, EveryVisibleEnqueueAndCloseWakesTheConsumer) {
+  // The wake lives at the queue edge: each enqueue flavour that makes an
+  // element visible moves the consumer's waker sequence, as does Close;
+  // a rejected enqueue makes nothing visible and does not.
+  auto waker = std::make_shared<Waker>();
+  QueueOptions options = PushQueueOptions(3);
+  options.waker = waker;
+  FjordQueue<int> q(options);
+  uint64_t seq = waker->Snapshot();
+  auto woke = [&] {
+    const uint64_t now = waker->Snapshot();
+    const bool moved = now != seq;
+    seq = now;
+    return moved;
+  };
+  EXPECT_TRUE(q.Enqueue(1));
+  EXPECT_TRUE(woke());
+  EXPECT_EQ(q.EnqueueBatch(std::vector<int>{2}), 1u);
+  EXPECT_TRUE(woke());
+  int three = 3;
+  EXPECT_EQ(q.TryEnqueue(three), FjordQueue<int>::TryResult::kAccepted);
+  EXPECT_TRUE(woke());
+  EXPECT_FALSE(q.Enqueue(4));  // Full, non-blocking: rejected.
+  EXPECT_FALSE(woke());
+  q.Close();
+  EXPECT_TRUE(woke());
+  // Nobody was parked, so no wake cost a park.
+  EXPECT_EQ(waker->parks(), 0u);
+}
+
+TEST(FjordQueueTest, ParkReturnsAtOnceForAWakeBeforeIt) {
+  // A wake between the snapshot and the park (the "found no work, about
+  // to sleep" window) must not be lost: the park returns woken at once.
+  Waker waker;
+  const uint64_t seen = waker.Snapshot();
+  waker.Wake();
+  EXPECT_TRUE(waker.Park(seen, std::chrono::seconds(10)));
+  // Without a wake, the bound ends the park.
+  EXPECT_FALSE(waker.Park(waker.Snapshot(), std::chrono::microseconds(100)));
+  EXPECT_EQ(waker.parks(), 2u);
+  EXPECT_EQ(waker.woken_parks(), 1u);
 }
 
 }  // namespace

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <memory>
+#include <thread>
 
 #include "fjords/module.h"
 
@@ -119,6 +122,71 @@ TEST(SchedulerTest, WorkQuantaCounted) {
   eo.AddModule(std::make_shared<SummerModule>("sum", q, &sum));
   eo.RunToCompletion();
   EXPECT_GT(eo.work_quanta(), 0u);
+}
+
+/// Polls `done` every 100 us for up to `limit`; true once it holds.
+template <typename Pred>
+bool WaitFor(Pred done, std::chrono::milliseconds limit) {
+  const auto deadline = std::chrono::steady_clock::now() + limit;
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  return true;
+}
+
+TEST(SchedulerTest, EnqueueWakesParkedEoLongBeforeTheFallback) {
+  // A 10 s fallback park: an item processed within 1 s of its enqueue was
+  // picked up by the queue edge's wake, not by the timer.
+  ExecutionObject::Options opts;
+  opts.idle_sleep_micros = 10'000'000;
+  auto waker = std::make_shared<Waker>();
+  QueueOptions qo = PushQueueOptions(16);
+  qo.waker = waker;
+  auto q = std::make_shared<TupleQueue>(qo);
+  std::atomic<int64_t> sum{0};
+  ExecutionObject eo("wake-eo", opts, waker);
+  eo.AddModule(std::make_shared<SummerModule>("sum", q, &sum));
+  eo.Start();
+  for (int64_t item = 1; item <= 3; ++item) {
+    ASSERT_TRUE(WaitFor([&] { return waker->parked(); },
+                        std::chrono::milliseconds(5000)));
+    const auto t0 = std::chrono::steady_clock::now();
+    const int64_t want = sum.load() + item;
+    ASSERT_TRUE(q->Enqueue(Tuple::Make({Value::Int64(item)}, item)));
+    ASSERT_TRUE(WaitFor([&] { return sum.load() == want; },
+                        std::chrono::milliseconds(5000)));
+    EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1))
+        << "item " << item;
+  }
+  EXPECT_GE(waker->woken_parks(), 3u);
+  // Stop wakes the park as well: it returns long before the fallback.
+  ASSERT_TRUE(WaitFor([&] { return waker->parked(); },
+                      std::chrono::milliseconds(5000)));
+  const auto t0 = std::chrono::steady_clock::now();
+  eo.Stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1));
+}
+
+TEST(SchedulerTest, AddModuleWakesParkedEo) {
+  ExecutionObject::Options opts;
+  opts.idle_sleep_micros = 10'000'000;
+  ExecutionObject eo("fold-in-eo", opts);
+  auto idle_q = std::make_shared<TupleQueue>(PushQueueOptions(4));
+  std::atomic<int64_t> idle_sum{0};
+  eo.AddModule(std::make_shared<SummerModule>("idle", idle_q, &idle_sum));
+  eo.Start();
+  ASSERT_TRUE(WaitFor([&] { return eo.waker().parked(); },
+                      std::chrono::milliseconds(5000)));
+  auto q = std::make_shared<TupleQueue>(PushQueueOptions(16));
+  std::atomic<int64_t> sum{0};
+  const auto t0 = std::chrono::steady_clock::now();
+  eo.AddModule(std::make_shared<ProducerModule>("prod", q, 10));
+  eo.AddModule(std::make_shared<SummerModule>("sum", q, &sum));
+  ASSERT_TRUE(WaitFor([&] { return sum.load() == 45; },
+                      std::chrono::milliseconds(5000)));
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1));
+  eo.Stop();
 }
 
 TEST(SchedulerTest, StopIsIdempotent) {

@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <functional>
+#include <string>
+#include <thread>
+#include <utility>
+#include <vector>
+
 #include "ingress/sources.h"
 
 namespace tcq {
@@ -359,6 +367,113 @@ TEST_F(ServerTest, LoopAtInt64MaxStopsInsteadOfOverflowing) {
   EXPECT_EQ(sets[1].t, INT64_MAX);
   FeedMsft(&server_, 0);
   EXPECT_TRUE(server_.PollAll(*q).empty());
+}
+
+TEST(ServerShardedTest, SnapshotCountsShardParks) {
+  // A shard fleet's idle workers park; the shards rows and the tcq.shard
+  // family report how many parks there were and how many a wake ended.
+  Server::Options options;
+  options.cacq_shards = 2;
+  Server server(options);
+  ASSERT_TRUE(server.DefineStream("ClosingStockPrices", StockSchema(), 0).ok());
+  auto q = server.Submit(
+      "SELECT closingPrice FROM ClosingStockPrices WHERE closingPrice > 45");
+  ASSERT_TRUE(q.ok()) << q.status();
+  FeedMsft(&server, 10);
+  for (int round = 0; round < 20; ++round) {
+    // Idle long enough for the workers to be parked when the barrier lands.
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    server.Quiesce();
+  }
+  EXPECT_EQ(server.PollAll(*q).size(), 5u);
+  const std::string json = server.SnapshotMetrics();
+  for (const char* key : {"\"tcq.shard.0.parks\"", "\"tcq.shard.1.woken_parks\"",
+                          "\"tcq.shard.egress.parks\""}) {
+    EXPECT_NE(json.find(key), std::string::npos) << key << " missing: " << json;
+  }
+  // Sums one field over the "shards" rows: this fleet's own ShardStats,
+  // unlike the process-wide registry counters.
+  auto sum_field = [&json](const std::string& field) {
+    const std::string key = "\"" + field + "\":";
+    uint64_t total = 0;
+    for (size_t at = json.find(key, json.find("\"shards\":{"));
+         at != std::string::npos; at = json.find(key, at + 1)) {
+      total += std::stoull(json.substr(at + key.size()));
+    }
+    return total;
+  };
+  EXPECT_GT(sum_field("parks"), 0u);
+  EXPECT_GT(sum_field("woken_parks"), 0u);
+}
+
+TEST(ServerNullTest, NullCellsFailEveryComparisonOnBothPaths) {
+  // SQL semantics over a feed where every third cell is NULL: a NULL
+  // comparison is never true, so for each operator the standing CACQ
+  // filter (GroupedFilter) and a windowed query over the same rows (the
+  // shared window scan) deliver exactly the rows an oracle computes from
+  // the non-NULL cells. Checked inline and on a two-shard fleet.
+  const std::vector<std::pair<std::string, std::function<bool(int64_t)>>>
+      ops = {{"<", [](int64_t x) { return x < 5; }},
+             {"<=", [](int64_t x) { return x <= 5; }},
+             {">", [](int64_t x) { return x > 5; }},
+             {">=", [](int64_t x) { return x >= 5; }},
+             {"=", [](int64_t x) { return x == 5; }},
+             {"!=", [](int64_t x) { return x != 5; }}};
+  constexpr int64_t kTuples = 60;
+  auto cell = [](int64_t ts) {
+    return ts % 3 == 0 ? Value() : Value::Int64(ts % 11);
+  };
+  for (const size_t shards : {size_t{1}, size_t{2}}) {
+    Server::Options options;
+    options.cacq_shards = shards;
+    Server server(options);
+    ASSERT_TRUE(server
+                    .DefineStream("Feed",
+                                  Schema::Make({{"ts", ValueType::kInt64, ""},
+                                                {"x", ValueType::kInt64, ""}}),
+                                  /*timestamp_field=*/0)
+                    .ok());
+    std::vector<std::pair<QueryId, QueryId>> queries;  // (cacq, windowed)
+    for (const auto& [op, pred] : ops) {
+      const std::string where = "SELECT ts FROM Feed WHERE x " + op + " 5";
+      auto standing = server.Submit(where);
+      auto windowed = server.Submit(
+          where + " for (t = 1; t <= " + std::to_string(kTuples) +
+          "; t += 10) { WindowIs(Feed, t, t + 9); }");
+      ASSERT_TRUE(standing.ok()) << standing.status();
+      ASSERT_TRUE(windowed.ok()) << windowed.status();
+      queries.emplace_back(*standing, *windowed);
+    }
+    for (int64_t ts = 1; ts <= kTuples; ++ts) {
+      ASSERT_TRUE(
+          server.Push("Feed", Tuple::Make({Value::Int64(ts), cell(ts)}, ts))
+              .ok());
+    }
+    ASSERT_TRUE(server.Heartbeat("Feed", kTuples + 1).ok());
+    server.Quiesce();
+    auto timestamps = [&server](QueryId q) {
+      std::vector<int64_t> out;
+      for (const ResultSet& rs : server.PollAll(q)) {
+        for (const Tuple& row : rs.rows) out.push_back(row.cell(0).int64_value());
+      }
+      std::sort(out.begin(), out.end());
+      return out;
+    };
+    for (size_t i = 0; i < ops.size(); ++i) {
+      std::vector<int64_t> expected;
+      for (int64_t ts = 1; ts <= kTuples; ++ts) {
+        const Value v = cell(ts);
+        if (!v.is_null() && ops[i].second(v.int64_value())) {
+          expected.push_back(ts);
+        }
+      }
+      ASSERT_FALSE(expected.empty()) << ops[i].first;
+      EXPECT_EQ(timestamps(queries[i].first), expected)
+          << "standing x " << ops[i].first << " 5, shards " << shards;
+      EXPECT_EQ(timestamps(queries[i].second), expected)
+          << "windowed x " << ops[i].first << " 5, shards " << shards;
+    }
+  }
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -117,6 +118,26 @@ class SummerModule : public FjordModule {
   TupleQueuePtr in_;
   std::atomic<int64_t>* sum_;
   std::atomic<int64_t>* count_;
+};
+
+/// Delegates to `inner` but lingers 50 us before reporting kIdle: a slow
+/// idle check widens the window between "this round found no work" and
+/// the park, which is exactly where a wake read too late would be lost.
+class LingeringModule : public FjordModule {
+ public:
+  explicit LingeringModule(FjordModulePtr inner)
+      : FjordModule(inner->name() + "-lingering"), inner_(std::move(inner)) {}
+
+  StepResult Step(size_t max_tuples) override {
+    const StepResult r = inner_->Step(max_tuples);
+    if (r == StepResult::kIdle) {
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+    return r;
+  }
+
+ private:
+  FjordModulePtr inner_;
 };
 
 // -- Result invariance across schedules (§4.2.2) --------------------------
@@ -318,6 +339,65 @@ TEST(StressSchedulerTest, StartStopCyclesWithTraffic) {
   eo.Start();
   eo.Join();  // Let it finish for a final, exact answer.
   EXPECT_EQ(count.load(), 200000);
+}
+
+// -- Park/wake: no lost wakeups -------------------------------------------
+
+TEST(StressSchedulerTest, NoWakeIsLostBetweenIdleRoundAndPark) {
+  // Several producers feed one EO through a small queue whose edge wakes
+  // it, pausing at random so the EO keeps alternating between working and
+  // parking. The fallback park is 10 s: a single lost wake would stall the
+  // run that long, so draining everything far inside that bound shows
+  // every wake landed. Producers retry a full queue until a deadline
+  // instead of blocking, so a lost wake fails the test rather than
+  // hanging it.
+  constexpr size_t kProducers = 4;
+  constexpr int64_t kPerProducer = 3000;
+  constexpr int64_t kTotal = static_cast<int64_t>(kProducers) * kPerProducer;
+  ExecutionObject::Options opts;
+  opts.idle_sleep_micros = 10'000'000;
+  auto waker = std::make_shared<Waker>();
+  auto q = std::make_shared<TupleQueue>(QueueOptions{
+      16, QueueEnd::kNonBlocking, QueueEnd::kNonBlocking, false, nullptr,
+      waker});
+  std::atomic<int64_t> sum{0}, count{0};
+  ExecutionObject eo("wake-eo", opts, waker);
+  eo.AddModule(std::make_shared<LingeringModule>(
+      std::make_shared<SummerModule>("sum", q, &sum, &count)));
+  eo.Start();
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto deadline = t0 + std::chrono::seconds(15);
+  StressRunner runner({kProducers, std::chrono::milliseconds(0), 29});
+  runner.RunOnce([&](size_t thread, Rng& rng) {
+    for (int64_t i = 0; i < kPerProducer; ++i) {
+      const int64_t v = static_cast<int64_t>(thread) * kPerProducer + i;
+      const Tuple t = Tuple::Make({Value::Int64(v)}, v);
+      while (!q->Enqueue(t)) {
+        if (std::chrono::steady_clock::now() >= deadline) return;
+        std::this_thread::yield();
+      }
+      switch (rng.NextBounded(8)) {
+        case 0:  // Long enough for the EO to go idle and park.
+          std::this_thread::sleep_for(
+              std::chrono::microseconds(rng.NextBounded(200)));
+          break;
+        case 1:
+          std::this_thread::yield();
+          break;
+        default:
+          break;
+      }
+    }
+  });
+  while (count.load() < kTotal && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  EXPECT_EQ(count.load(), kTotal);
+  EXPECT_EQ(sum.load(), kTotal * (kTotal - 1) / 2);
+  EXPECT_LT(elapsed, std::chrono::seconds(5));
+  EXPECT_GT(waker->woken_parks(), 0u);  // The EO really did park.
+  eo.Stop();
 }
 
 }  // namespace
