@@ -44,7 +44,7 @@ class Latch {
 /// interrupt a thread blocked inside a queue.
 QueueOptions ShardEdgeOptions(size_t capacity, std::shared_ptr<Waker> waker) {
   return QueueOptions{capacity, QueueEnd::kBlocking, QueueEnd::kNonBlocking,
-                      false, nullptr, std::move(waker)};
+                      nullptr, std::move(waker)};
 }
 
 }  // namespace

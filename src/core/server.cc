@@ -14,6 +14,10 @@ namespace tcq {
 
 namespace {
 
+/// Result rows a query's Poll buffer holds before it sheds its oldest
+/// sets: a client that never polls cannot grow server memory forever.
+constexpr size_t kMaxBufferedRows = 65536;
+
 #ifndef TCQ_METRICS_DISABLED
 /// Process-wide ingest/egress aggregates (DESIGN.md §10); the per-stream
 /// and per-query detail lives on Server state and is composed by
@@ -37,6 +41,7 @@ struct ServerMetrics {
   Counter* spool_replayed;  ///< Records re-delivered by ReplayStream.
   Counter* window_fired;    ///< Windows fired by windowed queries.
   Counter* window_scanned;  ///< Archive tuples their executions read.
+  Counter* egress_shed_rows;  ///< Buffered rows shed past the Poll bound.
 
   static ServerMetrics& Get() {
     static ServerMetrics* m = [] {
@@ -61,6 +66,7 @@ struct ServerMetrics {
       agg->spool_replayed = reg.GetCounter("tcq.spool.replayed");
       agg->window_fired = reg.GetCounter("tcq.window.fired");
       agg->window_scanned = reg.GetCounter("tcq.window.scanned");
+      agg->egress_shed_rows = reg.GetCounter("tcq.egress.shed_rows");
       return agg;
     }();
     return *m;
@@ -365,11 +371,11 @@ Status Server::SetCallback(QueryId q, Callback cb) {
   QueryState* qs = queries_[q].get();
   std::lock_guard<std::mutex> rlock(results_mu_);
   qs->callback = std::move(cb);
-  // Flush anything already queued.
-  while (!qs->results.empty()) {
-    qs->callback(qs->results.front());
-    qs->results.pop_front();
-  }
+  if (!qs->callback) return Status::OK();  // Disconnect: buffer for Poll.
+  // Connect: flush the backlog in order, then stream live.
+  for (const ResultSet& rs : qs->results) qs->callback(rs);
+  qs->results.clear();
+  qs->buffered_rows = 0;
   return Status::OK();
 }
 
@@ -389,6 +395,7 @@ Status Server::Cancel(QueryId q) {
     std::lock_guard<std::mutex> rlock(results_mu_);
     if (ss != nullptr) ss->cacq_to_server.erase(qs->cacq_id);
     qs->results.clear();
+    qs->buffered_rows = 0;
   }
   qs->runner.reset();
   if (ss == nullptr) return Status::OK();
@@ -905,17 +912,33 @@ Status Server::ReplayStream(const std::string& stream, Timestamp from_ts) {
   return Status::OK();
 }
 
+void Server::AppendResultLocked(QueryState* qs, ResultSet&& rs) {
+  const size_t rows = rs.rows.size();
+  qs->rows_delivered += rows;
+  TCQ_METRIC(ServerMetrics::Get().delivered_rows->Add(rows));
+  if (qs->callback) {
+    qs->callback(rs);
+    return;
+  }
+  qs->buffered_rows += rows;
+  qs->results.push_back(std::move(rs));
+  // Shed-oldest: the freshest results win, and a set is never split.
+  size_t shed = 0;
+  while (qs->buffered_rows > kMaxBufferedRows && qs->results.size() > 1) {
+    const size_t n = qs->results.front().rows.size();
+    qs->results.pop_front();
+    qs->buffered_rows -= n;
+    shed += n;
+  }
+  if (shed > 0) {
+    qs->shed_rows += shed;
+    TCQ_METRIC(ServerMetrics::Get().egress_shed_rows->Add(shed));
+  }
+}
+
 void Server::DeliverResults(QueryState* qs, std::vector<ResultSet>&& sets) {
   std::lock_guard<std::mutex> rlock(results_mu_);
-  for (ResultSet& rs : sets) {
-    qs->rows_delivered += rs.rows.size();
-    TCQ_METRIC(ServerMetrics::Get().delivered_rows->Add(rs.rows.size()));
-    if (qs->callback) {
-      qs->callback(rs);
-    } else {
-      qs->results.push_back(std::move(rs));
-    }
-  }
+  for (ResultSet& rs : sets) AppendResultLocked(qs, std::move(rs));
 }
 
 void Server::DeliverShardEmissions(
@@ -939,13 +962,7 @@ void Server::DeliverShardEmissions(
     Tuple row = Tuple::Make(std::move(cells), t.timestamp());
     row.set_retraction(t.retraction());
     rs.rows.push_back(std::move(row));
-    owner->rows_delivered += 1;
-    TCQ_METRIC(ServerMetrics::Get().delivered_rows->Add(1));
-    if (owner->callback) {
-      owner->callback(rs);
-    } else {
-      owner->results.push_back(std::move(rs));
-    }
+    AppendResultLocked(owner, std::move(rs));
   }
 }
 
@@ -955,8 +972,10 @@ std::optional<ResultSet> Server::Poll(QueryId q) {
   if (q >= queries_.size() || queries_[q]->results.empty()) {
     return std::nullopt;
   }
-  ResultSet rs = std::move(queries_[q]->results.front());
-  queries_[q]->results.pop_front();
+  QueryState* qs = queries_[q].get();
+  ResultSet rs = std::move(qs->results.front());
+  qs->results.pop_front();
+  qs->buffered_rows -= rs.rows.size();
   return rs;
 }
 
@@ -965,10 +984,11 @@ std::vector<ResultSet> Server::PollAll(QueryId q) {
   std::lock_guard<std::mutex> rlock(results_mu_);
   std::vector<ResultSet> out;
   if (q >= queries_.size()) return out;
-  auto& dq = queries_[q]->results;
-  out.assign(std::make_move_iterator(dq.begin()),
-             std::make_move_iterator(dq.end()));
-  dq.clear();
+  QueryState* qs = queries_[q].get();
+  out.assign(std::make_move_iterator(qs->results.begin()),
+             std::make_move_iterator(qs->results.end()));
+  qs->results.clear();
+  qs->buffered_rows = 0;
   return out;
 }
 
@@ -1153,7 +1173,9 @@ std::string Server::SnapshotMetrics() const {
       out += std::string("{\"active\":") + (qs.active ? "true" : "false") +
              ",\"kind\":\"" + (qs.is_cacq ? "cacq" : "windowed") +
              "\",\"delivered_rows\":" + std::to_string(qs.rows_delivered) +
-             ",\"pending_sets\":" + std::to_string(qs.results.size()) + "}";
+             ",\"pending_sets\":" + std::to_string(qs.results.size()) +
+             ",\"buffered_rows\":" + std::to_string(qs.buffered_rows) +
+             ",\"shed_rows\":" + std::to_string(qs.shed_rows) + "}";
     }
   }
 

@@ -31,7 +31,9 @@ namespace tcq {
 ///    CACQ engine;
 ///  * results accumulate in per-query output queues, pulled with Poll —
 ///    the PSoup-style separation of computation from delivery — or pushed
-///    through a callback.
+///    through a callback. A queue nobody drains is bounded: past 65,536
+///    buffered rows its oldest result sets are shed and counted (the
+///    §4.3 QoS decision of what to drop).
 ///
 /// Thread-safety: Push/Submit/Poll are serialized by one mutex; the
 /// heavy lifting stays single-threaded per call (wrap the server in
@@ -138,8 +140,10 @@ class Server {
   Result<QueryId> Submit(const std::string& sql);
   Result<QueryId> Submit(const std::string& sql, const SubmitOptions& opts);
 
-  /// Push-mode delivery for one query (egress operator): set before data
-  /// flows; results still accumulate for Poll when no callback is set.
+  /// Push-mode delivery for one query (the §4.3 egress operator for an
+  /// intermittently connected client). Setting a callback first flushes
+  /// the buffered backlog to it in order, then streams live results;
+  /// a null callback disconnects, and results buffer for Poll again.
   using Callback = std::function<void(const ResultSet&)>;
   Status SetCallback(QueryId q, Callback cb);
 
@@ -268,7 +272,9 @@ class Server {
     std::unique_ptr<QueryRunner> runner;     ///< Windowed path.
     std::string cacq_stream;                 ///< CACQ path.
     QueryId cacq_id = 0;
-    std::deque<ResultSet> results;
+    std::deque<ResultSet> results;  ///< Buffered for Poll, bounded in rows.
+    size_t buffered_rows = 0;       ///< Rows in `results`.
+    uint64_t shed_rows = 0;         ///< Rows shed to honor the bound.
     Callback callback;
     uint64_t rows_delivered = 0;  ///< Egress rows (queued or called back).
   };
@@ -316,6 +322,10 @@ class Server {
     std::map<QueryId, QueryId> cacq_to_server;
   };
 
+  /// The one egress append, under results_mu_: calls `qs` back, or
+  /// buffers `rs` for Poll and sheds whole oldest sets past the row bound
+  /// (the newest set always stays).
+  void AppendResultLocked(QueryState* qs, ResultSet&& rs);
   void DeliverResults(QueryState* qs, std::vector<ResultSet>&& sets);
   /// Projects and delivers one emission batch of a stream's engine: on
   /// the egress thread when sharded, inside PushBatch inline. Takes
@@ -357,9 +367,10 @@ class Server {
 
   /// Serializes catalog, ingest and query registration (as before).
   mutable std::mutex mu_;
-  /// Guards query result state (QueryState::results/callback/
-  /// rows_delivered), the queries_ vector storage, and every
-  /// cacq_to_server map — the state the sharded egress thread touches.
+  /// Guards query result state (QueryState::results/buffered_rows/
+  /// shed_rows/callback/rows_delivered), the queries_ vector storage,
+  /// and every cacq_to_server map — the state the sharded egress thread
+  /// touches.
   /// Lock order: mu_ before results_mu_; the egress thread takes
   /// results_mu_ alone, so it can never deadlock with a producer
   /// blocked on a full exchange while holding mu_.

@@ -24,7 +24,6 @@ struct EdgeMetrics {
   Counter* enqueued;         ///< Elements accepted (any mode).
   Counter* dequeued;         ///< Elements handed to consumers.
   Counter* rejected;         ///< Non-blocking enqueues refused (full/closed).
-  Counter* shed;             ///< Oldest elements dropped by load shedding.
   Counter* producer_blocks;  ///< Times a producer slept for space.
   Counter* consumer_blocks;  ///< Times a consumer slept for data.
   Counter* closes;           ///< Queues closed (end-of-stream markers).
@@ -36,7 +35,6 @@ struct EdgeMetrics {
       return EdgeMetrics{r.GetCounter("tcq.queue.enqueued"),
                          r.GetCounter("tcq.queue.dequeued"),
                          r.GetCounter("tcq.queue.rejected"),
-                         r.GetCounter("tcq.queue.shed"),
                          r.GetCounter("tcq.queue.producer_blocks"),
                          r.GetCounter("tcq.queue.consumer_blocks"),
                          r.GetCounter("tcq.queue.closes"),
@@ -91,10 +89,6 @@ struct QueueOptions {
   size_t capacity = 1024;
   QueueEnd enqueue = QueueEnd::kBlocking;
   QueueEnd dequeue = QueueEnd::kBlocking;
-  /// When true, a non-blocking enqueue on a full queue drops the oldest
-  /// element instead of failing — a simple load-shedding knob for QoS
-  /// experiments (§4.3 "deciding what work to drop").
-  bool drop_oldest_when_full = false;
   /// Optional fault injection (testing only; see QueueFaultHooks).
   std::shared_ptr<QueueFaultHooks> faults;
   /// Optional consumer waker: woken whenever an enqueue makes elements
@@ -123,7 +117,7 @@ class FjordQueue {
 
   /// Inserts an element according to the configured enqueue mode.
   /// Returns false only when the element was not inserted: the queue is
-  /// closed, or it is full in non-blocking mode (without drop_oldest).
+  /// closed, or it is full in non-blocking mode.
   ///
   /// Racing Close(): the two calls serialize on the queue mutex. An
   /// Enqueue that wins the race inserts normally (consumers drain it);
@@ -157,9 +151,9 @@ class FjordQueue {
   ///
   /// Returns the number of elements accepted — always a prefix of
   /// `items`, in order. Accepted elements are erased from `items`; a
-  /// non-accepted suffix (queue closed, or full in non-blocking mode
-  /// without drop_oldest) REMAINS in `items`, each element intact (never
-  /// moved-from — rejection happens before any move), so the producer
+  /// non-accepted suffix (queue closed, or full in non-blocking mode)
+  /// REMAINS in `items`, each element intact (never moved-from —
+  /// rejection happens before any move), so the producer
   /// can retry or account for it. Blocking mode waits for space per
   /// element and accepts everything unless the queue closes mid-batch.
   size_t EnqueueBatch(std::vector<T>&& items) {
@@ -277,12 +271,6 @@ class FjordQueue {
     return items_.size();
   }
 
-  /// Elements discarded by the drop_oldest_when_full policy.
-  size_t DroppedCount() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return dropped_;
-  }
-
   /// Elements discarded by injected kDrop faults (either end).
   size_t FaultDrops() const {
     std::lock_guard<std::mutex> lock(mu_);
@@ -380,29 +368,22 @@ class FjordQueue {
     // re-test, since delayed releases — its own aging above, or another
     // producer's while it waited — may have re-filled the queue.
     while (items_.size() >= options_.capacity) {
-      if (options_.enqueue == QueueEnd::kNonBlocking) {
-        if (!options_.drop_oldest_when_full) return false;
-        items_.pop_front();
-        ++dropped_;
-        TCQ_METRIC(queue_internal::EdgeMetrics::Get().shed->Add(1));
-      } else {
-        TCQ_METRIC(
-            queue_internal::EdgeMetrics::Get().producer_blocks->Add(1));
-        // About to sleep: wake consumers for anything already made
-        // visible (delayed releases, earlier batch elements) — they are
-        // what will free up space. Holding the notifications until the
-        // post-unlock NotifyEnqueued would deadlock a full queue whose
-        // only consumer is blocked on not_empty_.
-        if (*added > 0) {
-          not_empty_.notify_all();
-          if (options_.waker != nullptr) options_.waker->Wake();
-          *added = 0;
-        }
-        not_full_.wait(*lock, [&] {
-          return items_.size() < options_.capacity || closed_;
-        });
-        if (closed_) return false;
+      if (options_.enqueue == QueueEnd::kNonBlocking) return false;
+      TCQ_METRIC(queue_internal::EdgeMetrics::Get().producer_blocks->Add(1));
+      // About to sleep: wake consumers for anything already made
+      // visible (delayed releases, earlier batch elements) — they are
+      // what will free up space. Holding the notifications until the
+      // post-unlock NotifyEnqueued would deadlock a full queue whose
+      // only consumer is blocked on not_empty_.
+      if (*added > 0) {
+        not_empty_.notify_all();
+        if (options_.waker != nullptr) options_.waker->Wake();
+        *added = 0;
       }
+      not_full_.wait(*lock, [&] {
+        return items_.size() < options_.capacity || closed_;
+      });
+      if (closed_) return false;
     }
     QueueFaultDecision fault;
     if (options_.faults != nullptr && options_.faults->on_enqueue) {
@@ -507,7 +488,6 @@ class FjordQueue {
   std::condition_variable not_full_;
   std::deque<T> items_;
   std::deque<Delayed> delayed_;
-  size_t dropped_ = 0;
   size_t fault_drops_ = 0;
   bool closed_ = false;
 };
@@ -515,15 +495,15 @@ class FjordQueue {
 /// Convenience constructors for the paper's three queue flavors.
 inline QueueOptions PullQueueOptions(size_t capacity = 1024) {
   return QueueOptions{capacity, QueueEnd::kBlocking, QueueEnd::kBlocking,
-                      false, nullptr, nullptr};
+                      nullptr, nullptr};
 }
 inline QueueOptions PushQueueOptions(size_t capacity = 1024) {
   return QueueOptions{capacity, QueueEnd::kNonBlocking,
-                      QueueEnd::kNonBlocking, false, nullptr, nullptr};
+                      QueueEnd::kNonBlocking, nullptr, nullptr};
 }
 inline QueueOptions ExchangeQueueOptions(size_t capacity = 1024) {
   return QueueOptions{capacity, QueueEnd::kNonBlocking, QueueEnd::kBlocking,
-                      false, nullptr, nullptr};
+                      nullptr, nullptr};
 }
 
 }  // namespace tcq

@@ -7,7 +7,6 @@
 #include <map>
 
 #include "common/rng.h"
-#include "core/egress.h"
 #include "core/server.h"
 #include "ingress/sources.h"
 #include "window/window.h"
@@ -241,17 +240,24 @@ TEST_F(IntegrationTest, EgressOverJoinQuery) {
       "for (u = 1; u <= 3; u = u + 1) { "
       "  WindowIs(t, u, u); WindowIs(qt, u, u); }");
   ASSERT_TRUE(q.ok()) << q.status();
-  auto egress = EgressOperator::Attach(&server_, *q);
-  ASSERT_TRUE(egress.ok());
-
   for (int64_t ts = 1; ts <= 4; ++ts) {
     ASSERT_TRUE(server_.Push("Trades", Trade(ts, "MSFT", 1)).ok());
     ASSERT_TRUE(server_.Push("Quotes", Quote(ts, "MSFT", 2.0)).ok());
   }
-  // Disconnected client reconnects: three windows spooled.
-  auto sets = (*egress)->Fetch();
+  // Disconnected client reconnects: three windows buffered, flushed to
+  // the new callback in order.
+  std::vector<ResultSet> sets;
+  ASSERT_TRUE(server_
+                  .SetCallback(*q, [&](const ResultSet& rs) {
+                    sets.push_back(rs);
+                  })
+                  .ok());
   ASSERT_EQ(sets.size(), 3u);
-  for (const auto& rs : sets) EXPECT_EQ(rs.rows.size(), 1u);
+  for (size_t i = 0; i < sets.size(); ++i) {
+    EXPECT_EQ(sets[i].rows.size(), 1u);
+    EXPECT_EQ(sets[i].t, static_cast<Timestamp>(i + 1));
+  }
+  EXPECT_FALSE(server_.Poll(*q).has_value());
 }
 
 TEST_F(IntegrationTest, ContinuousQueryOverMetricsStream) {
@@ -302,7 +308,9 @@ TEST_F(IntegrationTest, SnapshotMetricsJsonStructure) {
   for (const char* key :
        {"\"metrics\":{", "\"streams\":{", "\"queries\":{", "\"eddies\":{",
         "\"Trades\"", "\"arrivals\":4", "\"kind\":\"cacq\"",
-        "\"delivered_rows\":4", "\"ops\":["}) {
+        "\"delivered_rows\":4",
+        "\"pending_sets\":4,\"buffered_rows\":4,\"shed_rows\":0",
+        "\"ops\":["}) {
     EXPECT_NE(json.find(key), std::string::npos)
         << key << " missing from " << json;
   }
@@ -315,6 +323,9 @@ TEST_F(IntegrationTest, SnapshotMetricsJsonStructure) {
         << family << " registered by an inline server: " << json;
   }
   EXPECT_NE(json.find("\"shards\":{}"), std::string::npos) << json;
+#ifndef TCQ_METRICS_DISABLED
+  EXPECT_NE(json.find("\"tcq.egress.shed_rows\""), std::string::npos) << json;
+#endif
 }
 
 TEST_F(IntegrationTest, WindowVariableNameOtherThanT) {

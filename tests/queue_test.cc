@@ -37,18 +37,6 @@ TEST(FjordQueueTest, PushQueueNonBlockingEnqueueOnFull) {
   EXPECT_EQ(q.Size(), 2u);
 }
 
-TEST(FjordQueueTest, DropOldestPolicy) {
-  QueueOptions opts = PushQueueOptions(2);
-  opts.drop_oldest_when_full = true;
-  FjordQueue<int> q(opts);
-  EXPECT_TRUE(q.Enqueue(1));
-  EXPECT_TRUE(q.Enqueue(2));
-  EXPECT_TRUE(q.Enqueue(3));  // Drops 1.
-  EXPECT_EQ(q.DroppedCount(), 1u);
-  EXPECT_EQ(*q.Dequeue(), 2);
-  EXPECT_EQ(*q.Dequeue(), 3);
-}
-
 TEST(FjordQueueTest, CloseWakesBlockedConsumer) {
   FjordQueue<int> q(PullQueueOptions(4));
   std::atomic<bool> returned{false};

@@ -174,6 +174,23 @@ TEST_F(ServerTest, CallbackDelivery) {
   EXPECT_FALSE(server_.Poll(*q).has_value());  // Callback consumed them.
 }
 
+TEST_F(ServerTest, NullCallbackDisconnectsWithResultsQueued) {
+  // A null callback means "disconnect": with results already queued it
+  // must not flush them into an empty std::function (bad_function_call).
+  auto q = server_.Submit(
+      "SELECT closingPrice FROM ClosingStockPrices "
+      "WHERE stockSymbol = 'MSFT'");
+  ASSERT_TRUE(q.ok());
+  FeedMsft(&server_, 1);
+  EXPECT_TRUE(server_.SetCallback(*q, nullptr).ok());
+  ASSERT_TRUE(
+      server_.Push("ClosingStockPrices", Stock(2, "MSFT", 42.0)).ok());
+  auto sets = server_.PollAll(*q);
+  ASSERT_EQ(sets.size(), 2u);  // Both stayed buffered for Poll.
+  EXPECT_EQ(sets[0].t, 1);
+  EXPECT_EQ(sets[1].t, 2);
+}
+
 TEST_F(ServerTest, CancelStopsDelivery) {
   auto q = server_.Submit(
       "SELECT closingPrice FROM ClosingStockPrices "

@@ -27,8 +27,7 @@ void DrainRemaining(FjordQueue<int>* q, QueueAccounting* acct) {
 }
 
 void CheckConservation(const FjordQueue<int>& q, const QueueAccounting& a) {
-  EXPECT_EQ(a.accepted.load(),
-            a.dequeued.load() + q.DroppedCount() + q.FaultDrops())
+  EXPECT_EQ(a.accepted.load(), a.dequeued.load() + q.FaultDrops())
       << "accepted elements vanished without an accounting entry";
 }
 
@@ -300,7 +299,7 @@ TEST(StressQueueTest, RandomizedMixedOpsInterleavings) {
         break;
       default:
         q.Exhausted();
-        q.DroppedCount();
+        q.FaultDrops();
         break;
     }
   });

@@ -358,8 +358,7 @@ TEST(StressSchedulerTest, NoWakeIsLostBetweenIdleRoundAndPark) {
   opts.idle_sleep_micros = 10'000'000;
   auto waker = std::make_shared<Waker>();
   auto q = std::make_shared<TupleQueue>(QueueOptions{
-      16, QueueEnd::kNonBlocking, QueueEnd::kNonBlocking, false, nullptr,
-      waker});
+      16, QueueEnd::kNonBlocking, QueueEnd::kNonBlocking, nullptr, waker});
   std::atomic<int64_t> sum{0}, count{0};
   ExecutionObject eo("wake-eo", opts, waker);
   eo.AddModule(std::make_shared<LingeringModule>(
