@@ -544,6 +544,13 @@ Result<QueryId> ShardedEngine::AddQuery(const CacqQuerySpec& spec) {
   std::vector<std::optional<Result<QueryId>>> results(shards_.size());
   TCQ_RETURN_NOT_OK(RunOnAllShards([this, &spec, &results](size_t i) {
     results[i] = shards_[i]->engine->AddQuery(spec);
+    // Logged records seed the lineage of every query registered when they
+    // replay: re-snapshot so a failover can't replay pre-registration
+    // records into the new query.
+    if (results[i]->ok() && replication_ != nullptr) {
+      CheckpointShard(i,
+                      shards_[i]->applied_lsn.load(std::memory_order_relaxed));
+    }
   }));
   TCQ_CHECK(results[0].has_value());
   if (!results[0]->ok()) return results[0]->status();

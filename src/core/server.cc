@@ -41,6 +41,8 @@ struct ServerMetrics {
   Counter* spool_replayed;  ///< Records re-delivered by ReplayStream.
   Counter* window_fired;    ///< Windows fired by windowed queries.
   Counter* window_scanned;  ///< Archive tuples their executions read.
+  /// Queries ended by QueryRunner::kMaxStepsPerAdvance.
+  Counter* window_budget_exceeded;
   Counter* egress_shed_rows;  ///< Buffered rows shed past the Poll bound.
 
   static ServerMetrics& Get() {
@@ -66,6 +68,8 @@ struct ServerMetrics {
       agg->spool_replayed = reg.GetCounter("tcq.spool.replayed");
       agg->window_fired = reg.GetCounter("tcq.window.fired");
       agg->window_scanned = reg.GetCounter("tcq.window.scanned");
+      agg->window_budget_exceeded =
+          reg.GetCounter("tcq.window.budget_exceeded");
       agg->egress_shed_rows = reg.GetCounter("tcq.egress.shed_rows");
       return agg;
     }();
@@ -499,6 +503,11 @@ void Server::AdvanceRunnersLocked(
       scanned += qs->runner->tuples_scanned() - before;
     }
     if (!sets.empty()) DeliverResults(qs, std::move(sets));
+    // Only live runners are due, so a budget stop counts once.
+    if (qs->runner->status().code() == StatusCode::kResourceExhausted) {
+      ++windows_budget_exceeded_;
+      TCQ_METRIC(ServerMetrics::Get().window_budget_exceeded->Add(1));
+    }
   }
   if (fired == 0 && scanned == 0) return;
   windows_fired_ += fired;
@@ -683,6 +692,9 @@ Status Server::IngestBatchLocked(const std::string& stream, StreamState* sp,
   TCQ_RETURN_NOT_OK(ApplyReleasedLocked(stream, &ss, std::move(released)));
   for (const Tuple& t : late_inserts) ss.archive->InsertOrdered(t);
 
+  // Revise before advancing: the windows an advance fires would otherwise
+  // push the ones this batch changed out of the revision horizon.
+  if (revise_ts != kMaxTimestamp) ReviseQueriesLocked(stream, revise_ts);
   if (accepted > 0) {
     AdvanceQueriesLocked(stream);
     // Speculative-lane injection: raw arrivals, in arrival order.
@@ -691,7 +703,6 @@ Status Server::IngestBatchLocked(const std::string& stream, StreamState* sp,
                                              IngressLane::kSpeculative));
     }
   }
-  if (revise_ts != kMaxTimestamp) ReviseQueriesLocked(stream, revise_ts);
   return first_error;
 }
 
@@ -729,10 +740,10 @@ Status Server::SetDisorderBound(const std::string& stream,
     const Timestamp min_released =
         released.empty() ? kMaxTimestamp : released.front().timestamp();
     TCQ_RETURN_NOT_OK(ApplyReleasedLocked(stream, &ss, std::move(released)));
-    AdvanceQueriesLocked(stream);
     if (min_released != kMaxTimestamp) {
       ReviseQueriesLocked(stream, min_released);
     }
+    AdvanceQueriesLocked(stream);
   }
   return Status::OK();
 }
@@ -766,10 +777,10 @@ Status Server::HeartbeatLocked(const std::string& stream, StreamState* sp,
       released.empty() ? kMaxTimestamp : released.front().timestamp();
   TCQ_RETURN_NOT_OK(ApplyReleasedLocked(stream, &ss, std::move(released)));
   if (ts > ss.watermark) ss.watermark = ts;
-  AdvanceQueriesLocked(stream);
   if (min_released != kMaxTimestamp) {
     ReviseQueriesLocked(stream, min_released);
   }
+  AdvanceQueriesLocked(stream);
   return Status::OK();
 }
 
@@ -1159,7 +1170,8 @@ std::string Server::SnapshotMetrics() const {
   // fired window, scanned over stream arrivals the rescans per tuple.
   out += "},\"windows\":{\"fired\":" + std::to_string(windows_fired_) +
          ",\"scanned\":" + std::to_string(windows_scanned_) +
-         ",\"shared_scans\":" + std::to_string(shared_scans_);
+         ",\"shared_scans\":" + std::to_string(shared_scans_) +
+         ",\"budget_exceeded\":" + std::to_string(windows_budget_exceeded_);
 
   out += "},\"queries\":{";
   first = true;

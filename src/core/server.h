@@ -388,11 +388,13 @@ class Server {
   /// must be skippable in the common no-speculative-queries case.
   size_t num_speculative_ = 0;
   /// Windowed-execution totals (SnapshotMetrics "windows"; live in every
-  /// build): windows fired, archive tuples their executions read, and
-  /// advances that fired through a SharedWindowScan.
+  /// build): windows fired, archive tuples their executions read,
+  /// advances that fired through a SharedWindowScan, and queries ended by
+  /// the per-advance window budget.
   uint64_t windows_fired_ = 0;
   uint64_t windows_scanned_ = 0;
   uint64_t shared_scans_ = 0;
+  uint64_t windows_budget_exceeded_ = 0;  ///< Queries ended by the budget.
   /// Millisecond clock for idle-heartbeat detection (injectable).
   std::function<int64_t()> clock_ms_;
 };

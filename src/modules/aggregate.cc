@@ -1,10 +1,21 @@
 #include "modules/aggregate.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/logging.h"
 
 namespace tcq {
+
+namespace {
+/// SUM over an INT64 argument is exact and INT64-typed (NULL once the sum
+/// leaves the INT64 range, like integer expression overflow); every other
+/// SUM, and every AVG, accumulates in double.
+bool IntegerSum(const AggregateSpec& spec) {
+  return spec.kind == AggKind::kSum && spec.arg != nullptr &&
+         spec.arg->result_type() == ValueType::kInt64;
+}
+}  // namespace
 
 void Accumulator::Add(const std::vector<AggregateSpec>& specs,
                       const Tuple& t) {
@@ -23,7 +34,11 @@ void Accumulator::Add(const std::vector<AggregateSpec>& specs,
         break;
       case AggKind::kSum:
       case AggKind::kAvg:
-        s.sum += v.AsDouble();
+        if (IntegerSum(specs[i])) {
+          s.int_sum += v.int64_value();
+        } else {
+          s.sum += v.AsDouble();
+        }
         break;
       case AggKind::kMin:
         if (!s.has_extreme || v < s.extreme) {
@@ -54,7 +69,10 @@ void Accumulator::Remove(const std::vector<AggregateSpec>& specs,
     const Value v = specs[i].arg->Eval(t);
     if (v.is_null()) continue;
     --s.count;
-    if (specs[i].kind == AggKind::kSum || specs[i].kind == AggKind::kAvg) {
+    if (IntegerSum(specs[i])) {
+      s.int_sum -= v.int64_value();
+    } else if (specs[i].kind == AggKind::kSum ||
+               specs[i].kind == AggKind::kAvg) {
       s.sum -= v.AsDouble();
     }
   }
@@ -74,8 +92,12 @@ Value Accumulator::Final(const AggregateSpec& spec, size_t i) const {
       return Value::Int64(s.count);
     case AggKind::kSum:
       if (s.count == 0) return Value::Null();
-      if (spec.arg != nullptr && spec.arg->result_type() == ValueType::kInt64) {
-        return Value::Int64(static_cast<int64_t>(s.sum));
+      if (IntegerSum(spec)) {
+        if (s.int_sum > std::numeric_limits<int64_t>::max() ||
+            s.int_sum < std::numeric_limits<int64_t>::min()) {
+          return Value::Null();
+        }
+        return Value::Int64(static_cast<int64_t>(s.int_sum));
       }
       return Value::Double(s.sum);
     case AggKind::kAvg:

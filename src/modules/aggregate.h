@@ -40,7 +40,10 @@ class Accumulator {
  private:
   struct State {
     int64_t count = 0;     ///< Non-null inputs.
-    double sum = 0.0;
+    double sum = 0.0;      ///< DOUBLE SUM and every AVG.
+    /// INT64 SUM, exact: 128 bits cannot overflow on 2^64 int64 inputs,
+    /// so Remove can retire past a transient excursion out of range.
+    __int128 int_sum = 0;
     bool has_extreme = false;
     Value extreme;         ///< Running MIN or MAX.
   };

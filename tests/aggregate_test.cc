@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/rng.h"
 
 namespace tcq {
@@ -142,6 +144,30 @@ TEST(AggregateTest, NullsAreIgnored) {
   TupleVector rows = agg.Emit(2);
   EXPECT_EQ(rows[0].cell(0).int64_value(), 2);          // COUNT(*) counts rows.
   EXPECT_DOUBLE_EQ(rows[0].cell(1).double_value(), 10);  // AVG skips NULL.
+}
+
+TEST(AggregateTest, IntegerSumIsExactAndNullOnOverflow) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  auto sum_of = [](std::initializer_list<int64_t> vs) {
+    WindowAggregator agg(Specs({AggKind::kSum}), {}, false);
+    Timestamp ts = 0;
+    for (int64_t v : vs) agg.Add(Row("a", v, ++ts));
+    return agg.Emit(ts)[0].cell(0);
+  };
+  // A double accumulator rounds 2^53 + 1 down to 2^53.
+  EXPECT_EQ(sum_of({int64_t{1} << 53, 1}).int64_value(),
+            (int64_t{1} << 53) + 1);
+  EXPECT_EQ(sum_of({kMax}).int64_value(), kMax);
+  EXPECT_TRUE(sum_of({kMax, 1}).is_null());
+  EXPECT_EQ(sum_of({kMax, 1, -1}).int64_value(), kMax);
+
+  // Retiring the tuple that pushed the sum out of range brings it back.
+  WindowAggregator sliding(Specs({AggKind::kSum}), {}, true);
+  sliding.Add(Row("a", kMax, 1));
+  sliding.Add(Row("a", 5, 2));
+  EXPECT_TRUE(sliding.Emit(2)[0].cell(0).is_null());
+  sliding.SetWindow(1, 1);
+  EXPECT_EQ(sliding.Emit(2)[0].cell(0).int64_value(), kMax);
 }
 
 TEST(AggregateTest, ResetClearsEverything) {

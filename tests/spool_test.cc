@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "core/server.h"
 #include "ingress/wrapper.h"
 #include "spool/buffer_manager.h"
 #include "spool/index.h"
@@ -590,6 +591,165 @@ TEST(SpoolIndex, SeekMainProbesAndMaskCounts) {
   idx.DropSegment(1);
   EXPECT_EQ(idx.records(), 2u);  // Segment 2: one main + one late.
   EXPECT_EQ(idx.min_ts(), 15);
+}
+
+// ---- Server over a spool ---------------------------------------------------
+
+SchemaPtr TsV() {
+  return Schema::Make(
+      {{"ts", ValueType::kInt64, ""}, {"v", ValueType::kInt64, ""}});
+}
+
+Tuple TsVRow(int64_t ts, int64_t v) {
+  return Tuple::Make({Value::Int64(ts), Value::Int64(v)}, ts);
+}
+
+/// Every delivered row of `q`, labelled with its result set's t.
+std::string Delivered(Server* server, QueryId q) {
+  std::string got;
+  for (const ResultSet& rs : server->PollAll(q)) {
+    for (const Tuple& row : rs.rows) {
+      got += "t" + std::to_string(rs.t) + "|" + row.ToString() + ";";
+    }
+  }
+  return got;
+}
+
+/// Spool knobs deliberately hostile: a 1-tuple resident tail and an
+/// 8-page cache force nearly every window scan through disk.
+Server::Options ServerSpoolOptions(const std::string& dir) {
+  Server::Options o;
+  o.spool_dir = dir;
+  o.spool_cache_pages = 8;
+  o.spool_resident_tuples = 1;
+  o.spool_segment_bytes = 8 * 1024;  // Frequent rotation.
+  return o;
+}
+
+TEST(SpoolServer, IngestLateBackfillReadsThroughSpool) {
+  // A beyond-bound straggler under LatePolicy::kIngestLate lands in the
+  // spool's late run (everything below the watermark is on disk with a
+  // 1-tuple resident tail); windows that have not fired yet must see it
+  // exactly as the unbounded-RAM archive would.
+  auto run = [&](Server::Options o) {
+    o.late_policy = LatePolicy::kIngestLate;
+    Server server(std::move(o));
+    EXPECT_TRUE(server.DefineStream("S", TsV(), 0, 1).ok());
+    auto q = server.Submit(
+        "SELECT SUM(v) FROM S "
+        "for (t = 10; t <= 40; t += 10) { WindowIs(S, 1, t); }");
+    EXPECT_TRUE(q.ok()) << q.status();
+    // In-order prefix 1..20, then a straggler at 7 (below the released
+    // frontier -> kIngestLate backfill), then the 21..40 tail.
+    for (int64_t ts = 1; ts <= 20; ++ts) {
+      EXPECT_TRUE(server.Push("S", TsVRow(ts, ts)).ok());
+    }
+    EXPECT_TRUE(server.Push("S", TsVRow(7, 100)).ok());
+    for (int64_t ts = 21; ts <= 40; ++ts) {
+      EXPECT_TRUE(server.Push("S", TsVRow(ts, ts)).ok());
+    }
+    EXPECT_TRUE(server.Heartbeat("S", 41).ok());
+    return Delivered(&server, *q);
+  };
+  const std::string expected = run(Server::Options());
+  // Window t=30 fires after the backfill: SUM(1..30) + 100 must appear.
+  EXPECT_NE(expected.find("t30|"), std::string::npos);
+
+  TempDir dir;
+  EXPECT_EQ(run(ServerSpoolOptions(dir.path())), expected);
+}
+
+TEST(SpoolServer, LandmarkQueryOverTenTimesRamHistory) {
+  // The headline acceptance: resident RAM bounded at 100 tuples and a
+  // 64-page cache, history 2000 tuples (20x the resident tail, with a
+  // 200-byte payload per tuple the spool region dwarfs the page cache
+  // too), and a landmark window [1, t] re-scanning ALL of it at every
+  // fire. Results must be byte-identical to the unbounded-RAM server.
+  SchemaPtr schema = Schema::Make({{"ts", ValueType::kInt64, ""},
+                                   {"v", ValueType::kInt64, ""},
+                                   {"pad", ValueType::kString, ""}});
+  const std::string pad(200, 'x');
+  std::vector<Tuple> feed;
+  for (int64_t ts = 1; ts <= 2000; ++ts) {
+    feed.push_back(Tuple::Make(
+        {Value::Int64(ts), Value::Int64((ts * 13) % 97), Value::String(pad)},
+        ts));
+  }
+  auto run = [&](Server::Options o) {
+    Server server(std::move(o));
+    EXPECT_TRUE(server.DefineStream("S", schema, 0, 1).ok());
+    auto q = server.Submit(
+        "SELECT COUNT(v), SUM(v) FROM S "
+        "for (t = 200; t <= 2000; t += 200) { WindowIs(S, 1, t); }");
+    EXPECT_TRUE(q.ok()) << q.status();
+    for (size_t at = 0; at < feed.size(); at += 100) {
+      std::vector<Tuple> slice(
+          feed.begin() + static_cast<ptrdiff_t>(at),
+          feed.begin() + static_cast<ptrdiff_t>(at + 100));
+      EXPECT_TRUE(server.PushBatch("S", std::move(slice)).ok());
+    }
+    EXPECT_TRUE(server.Heartbeat("S", 2001).ok());
+    return Delivered(&server, *q);
+  };
+  const std::string expected = run(Server::Options());
+  EXPECT_NE(expected.find("t2000|"), std::string::npos);
+
+  TempDir dir;
+  Server::Options spooled;
+  spooled.spool_dir = dir.path();
+  spooled.spool_cache_pages = 64;
+  spooled.spool_resident_tuples = 100;
+  spooled.spool_segment_bytes = 64 * 1024;
+  EXPECT_EQ(run(std::move(spooled)), expected);
+}
+
+TEST(SpoolServer, ReopenReplaysSpooledHistoryToFreshQueries) {
+  // Incarnation one ingests with a 1-tuple resident tail (everything but
+  // the newest record is durable on disk), then dies. Incarnation two on
+  // the same directory adopts the spooled history, registers fresh
+  // queries, replays, and re-pushes the lost volatile tail — ending with
+  // exactly the rows a never-restarted server would have delivered.
+  constexpr char kFilterSql[] = "SELECT v FROM S WHERE v > 8";
+  constexpr char kWindowSql[] =
+      "SELECT SUM(v) FROM S "
+      "for (t = 4; t <= 48; t += 4) { WindowIs(S, t - 3, t); }";
+  std::vector<Tuple> feed;
+  for (int64_t ts = 1; ts <= 48; ++ts) {
+    feed.push_back(TsVRow(ts, (ts * 7) % 26));
+  }
+  TempDir dir;
+  const Server::Options o = ServerSpoolOptions(dir.path());
+  {
+    Server first(o);
+    EXPECT_TRUE(first.DefineStream("S", TsV(), 0, 1).ok());
+    std::vector<Tuple> batch(feed.begin(), feed.end() - 1);
+    EXPECT_TRUE(first.PushBatch("S", std::move(batch)).ok());
+  }  // ts 1..46 spooled; ts 47 was resident-only and is lost with RAM.
+
+  Server second(o);
+  EXPECT_TRUE(second.DefineStream("S", TsV(), 0, 1).ok());
+  auto filter = second.Submit(kFilterSql);
+  ASSERT_TRUE(filter.ok()) << filter.status();
+  auto window = second.Submit(kWindowSql);
+  ASSERT_TRUE(window.ok()) << window.status();
+
+  // Replay everything spooled, then re-push the lost tail and close.
+  ASSERT_TRUE(second.ReplayStream("S", kMinTimestamp).ok());
+  EXPECT_TRUE(second.Push("S", feed[46]).ok());
+  EXPECT_TRUE(second.Push("S", feed[47]).ok());
+  EXPECT_TRUE(second.Heartbeat("S", 50).ok());
+
+  Server plain;
+  EXPECT_TRUE(plain.DefineStream("S", TsV(), 0, 1).ok());
+  auto want_filter = plain.Submit(kFilterSql);
+  auto want_window = plain.Submit(kWindowSql);
+  EXPECT_TRUE(plain.PushBatch("S", feed).ok());
+  EXPECT_TRUE(plain.Heartbeat("S", 50).ok());
+  EXPECT_EQ(Delivered(&second, *filter), Delivered(&plain, *want_filter));
+  EXPECT_EQ(Delivered(&second, *window), Delivered(&plain, *want_window));
+
+  // Replay preconditions: unknown streams fail.
+  EXPECT_FALSE(second.ReplayStream("nope", kMinTimestamp).ok());
 }
 
 }  // namespace
