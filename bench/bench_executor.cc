@@ -22,11 +22,13 @@
 //
 //  5. sharded_failover — the process-pair HA tax and recovery speed
 //     (DESIGN.md §13): replication off (Arg 0) vs changelog+checkpoints
-//     on (Arg 1) vs on with kill/promote cycles mid-run (Arg 2).
+//     on (Arg 1) vs on with kill/promote cycles mid-run (Arg 2) vs on
+//     under query churn (Arg 3).
 
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <deque>
 #include <thread>
 
 #include "cacq/sharded_engine.h"
@@ -289,7 +291,10 @@ BENCHMARK(BM_ShardedSkewedThroughput)
 // failure costs when it does. Arg(0) is the bare 4-shard exchange,
 // Arg(1) adds the standby path (every batch tees into the changelog;
 // cadence checkpoints copy SteM state), Arg(2) additionally kills and
-// promotes a rotating shard every 256 batches. Uses the ShardedEngine
+// promotes a rotating shard every 256 batches, Arg(3) is Arg(1) under
+// query churn: every 16 batches the oldest filter leaves and a new one
+// joins (each re-snapshots every shard for its standby; churn_us_mean is
+// one remove-plus-add pair). Uses the ShardedEngine
 // directly — kill/promote is not a Server API. tuples_per_sec keeps the
 // producer-rate convention; wall_tuples_per_sec includes the final drain
 // and (for Arg 2) every recovery stall; recovery_ms_mean is the
@@ -310,20 +315,26 @@ void BM_ShardedFailover(benchmark::State& state) {
   });
   engine.Start();
   constexpr size_t kQueries = 48;
-  for (size_t i = 0; i < kQueries; ++i) {
+  std::deque<QueryId> live;
+  auto add_filter = [&](size_t i) {
     CacqQuerySpec spec;
     spec.sources = {"S"};
     spec.where = Expr::Binary(BinaryOp::kEq, Expr::Column("v"),
                               Expr::Literal(Value::Int64(static_cast<int64_t>(i))));
-    benchmark::DoNotOptimize(engine.AddQuery(spec));
-  }
+    auto q = engine.AddQuery(spec);
+    if (q.ok()) live.push_back(*q);
+  };
+  for (size_t i = 0; i < kQueries; ++i) add_filter(i);
   constexpr size_t kIngestBatch = 64;
   constexpr size_t kKillEvery = 256;  // Batches between kill/promote cycles.
+  constexpr size_t kChurnEvery = 16;  // Batches between churn pairs.
   Rng rng(1234);
   std::vector<Tuple> batch;
   size_t batches = 0;
   size_t failovers = 0;
   double recovery_secs = 0;
+  size_t churns = 0;
+  double churn_secs = 0;
   const auto wall_start = std::chrono::steady_clock::now();
   while (state.KeepRunningBatch(kIngestBatch)) {
     batch.reserve(kIngestBatch);
@@ -335,7 +346,17 @@ void BM_ShardedFailover(benchmark::State& state) {
     }
     benchmark::DoNotOptimize(engine.PushBatch("S", std::move(batch)));
     batch.clear();
-    if (mode == 2 && ++batches % kKillEvery == 0) {
+    ++batches;
+    if (mode == 3 && batches % kChurnEvery == 0) {
+      const auto t0 = std::chrono::steady_clock::now();
+      benchmark::DoNotOptimize(engine.RemoveQuery(live.front()));
+      live.pop_front();
+      add_filter(kQueries + churns++);
+      churn_secs +=
+          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+              .count();
+    }
+    if (mode == 2 && batches % kKillEvery == 0) {
       const size_t victim = failovers % opts.num_shards;
       const auto t0 = std::chrono::steady_clock::now();
       benchmark::DoNotOptimize(engine.KillShard(victim));
@@ -363,11 +384,14 @@ void BM_ShardedFailover(benchmark::State& state) {
   state.counters["recovery_ms_mean"] =
       failovers == 0 ? 0.0
                      : 1e3 * recovery_secs / static_cast<double>(failovers);
+  state.counters["churn_us_mean"] =
+      churns == 0 ? 0.0 : 1e6 * churn_secs / static_cast<double>(churns);
 }
 BENCHMARK(BM_ShardedFailover)
     ->Arg(0)
     ->Arg(1)
     ->Arg(2)
+    ->Arg(3)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_SubmitAndCancelLatency(benchmark::State& state) {

@@ -5,18 +5,10 @@
 #include "common/rng.h"
 #include "eddy/eddy.h"
 #include "eddy/operators.h"
+#include "kv.h"
 
 namespace tcq {
 namespace {
-
-SchemaPtr KV() {
-  return Schema::Make(
-      {{"k", ValueType::kInt64, ""}, {"v", ValueType::kInt64, ""}});
-}
-
-Tuple KVTuple(int64_t k, int64_t v, Timestamp ts = 0) {
-  return Tuple::Make({Value::Int64(k), Value::Int64(v)}, ts);
-}
 
 /// Two-source fixture wiring a symmetric hash join: S.k = T.k through two
 /// SteMs, exactly as Figure 2 of the paper.

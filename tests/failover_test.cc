@@ -14,19 +14,11 @@
 
 #include "cacq/sharded_engine.h"
 #include "conservation.h"
+#include "kv.h"
 #include "testing/crash_injector.h"
 
 namespace tcq {
 namespace {
-
-SchemaPtr KV() {
-  return Schema::Make(
-      {{"k", ValueType::kInt64, ""}, {"v", ValueType::kInt64, ""}});
-}
-
-Tuple KVTuple(int64_t k, int64_t v, Timestamp ts) {
-  return Tuple::Make({Value::Int64(k), Value::Int64(v)}, ts);
-}
 
 /// A join workload engine: streams A, B joined on k, plus a grouped
 /// filter, so checkpoints carry live SteM state.

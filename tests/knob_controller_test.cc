@@ -3,14 +3,10 @@
 #include <gtest/gtest.h>
 
 #include "eddy/operators.h"
+#include "kv.h"
 
 namespace tcq {
 namespace {
-
-SchemaPtr KV() {
-  return Schema::Make(
-      {{"k", ValueType::kInt64, ""}, {"v", ValueType::kInt64, ""}});
-}
 
 struct Fixture {
   SourceLayout layout;

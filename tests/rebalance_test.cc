@@ -18,20 +18,12 @@
 #include "common/rng.h"
 #include "core/server.h"
 #include "flux/rebalance.h"
+#include "kv.h"
 #include "telemetry/metrics.h"
 #include "testing/schedule_explorer.h"
 
 namespace tcq {
 namespace {
-
-SchemaPtr KV() {
-  return Schema::Make(
-      {{"k", ValueType::kInt64, ""}, {"v", ValueType::kInt64, ""}});
-}
-
-Tuple KVTuple(int64_t k, int64_t v, Timestamp ts) {
-  return Tuple::Make({Value::Int64(k), Value::Int64(v)}, ts);
-}
 
 // --- PlanMove: pure policy, no threads ------------------------------------
 

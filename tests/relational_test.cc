@@ -3,15 +3,11 @@
 #include <gtest/gtest.h>
 
 #include "fjords/scheduler.h"
+#include "kv.h"
 #include "modules/juggle.h"
 
 namespace tcq {
 namespace {
-
-SchemaPtr KV() {
-  return Schema::Make(
-      {{"k", ValueType::kInt64, ""}, {"v", ValueType::kInt64, ""}});
-}
 
 Tuple Row(int64_t k, int64_t v, Timestamp ts = 0) {
   return Tuple::Make({Value::Int64(k), Value::Int64(v)}, ts);

@@ -2,13 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "kv.h"
+
 namespace tcq {
 namespace {
-
-SchemaPtr KV() {
-  return Schema::Make(
-      {{"k", ValueType::kInt64, ""}, {"v", ValueType::kInt64, ""}});
-}
 
 RemoteIndex MakeIndex(uint64_t latency = 100) {
   TupleVector rows;

@@ -4,13 +4,10 @@
 
 #include <map>
 
+#include "kv.h"
+
 namespace tcq {
 namespace {
-
-SchemaPtr KV() {
-  return Schema::Make(
-      {{"k", ValueType::kInt64, ""}, {"v", ValueType::kInt64, ""}});
-}
 
 Tuple Row(int64_t k, int64_t v, Timestamp ts) {
   return Tuple::Make({Value::Int64(k), Value::Int64(v)}, ts);

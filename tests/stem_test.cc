@@ -3,18 +3,10 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "kv.h"
 
 namespace tcq {
 namespace {
-
-SchemaPtr KV() {
-  return Schema::Make(
-      {{"k", ValueType::kInt64, ""}, {"v", ValueType::kInt64, ""}});
-}
-
-Tuple KVTuple(int64_t k, int64_t v, Timestamp ts) {
-  return Tuple::Make({Value::Int64(k), Value::Int64(v)}, ts);
-}
 
 SteM::Options Indexed() {
   SteM::Options o;

@@ -17,19 +17,11 @@
 #include "cacq/sharded_engine.h"
 #include "conservation.h"
 #include "core/server.h"
+#include "kv.h"
 #include "testing/crash_injector.h"
 
 namespace tcq {
 namespace {
-
-SchemaPtr KV() {
-  return Schema::Make(
-      {{"k", ValueType::kInt64, ""}, {"v", ValueType::kInt64, ""}});
-}
-
-Tuple KVTuple(int64_t k, int64_t v, Timestamp ts) {
-  return Tuple::Make({Value::Int64(k), Value::Int64(v)}, ts);
-}
 
 TEST(StressFailoverTest, FailoversAgainstProducersAndMigrations) {
   constexpr size_t kShards = 4;

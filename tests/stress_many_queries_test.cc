@@ -18,14 +18,10 @@
 #include "cacq/sharded_engine.h"
 #include "common/object_pool.h"
 #include "conservation.h"
+#include "kv.h"
 
 namespace tcq {
 namespace {
-
-SchemaPtr KV() {
-  return Schema::Make(
-      {{"k", ValueType::kInt64, ""}, {"v", ValueType::kInt64, ""}});
-}
 
 TEST(StressManyQueriesTest, ThousandQueriesRacingChurnAndIngest) {
   constexpr size_t kShards = 4;

@@ -16,18 +16,10 @@
 #include "cacq/sharded_engine.h"
 #include "conservation.h"
 #include "core/server.h"
+#include "kv.h"
 
 namespace tcq {
 namespace {
-
-SchemaPtr KV() {
-  return Schema::Make(
-      {{"k", ValueType::kInt64, ""}, {"v", ValueType::kInt64, ""}});
-}
-
-Tuple KVTuple(int64_t k, int64_t v, Timestamp ts) {
-  return Tuple::Make({Value::Int64(k), Value::Int64(v)}, ts);
-}
 
 TEST(StressRebalanceTest, MigrationsUnderConcurrentProducers) {
   constexpr size_t kShards = 4;

@@ -11,6 +11,7 @@
 #include "common/logging.h"
 #include "eddy/eddy.h"
 #include "eddy/operators.h"
+#include "kv.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 
@@ -154,15 +155,6 @@ TEST_F(TracerTest, RingEvictsOldestAtCapacity) {
   EXPECT_EQ(events[0].trace_id, 4u);
   EXPECT_EQ(events[1].trace_id, 5u);
   EXPECT_EQ(tr.evicted(), 3u);
-}
-
-SchemaPtr KV() {
-  return Schema::Make(
-      {{"k", ValueType::kInt64, ""}, {"v", ValueType::kInt64, ""}});
-}
-
-Tuple KVTuple(int64_t k, int64_t v, Timestamp ts = 0) {
-  return Tuple::Make({Value::Int64(k), Value::Int64(v)}, ts);
 }
 
 /// Runs 8 tuples through a one-filter eddy at 1-in-4 sampling and returns
