@@ -623,8 +623,12 @@ Status ShardedEngine::PushBatch(const std::string& stream,
     sh.processed += batch.size();
     if (!sh.pending.empty()) {
       // Delivered even after a failed inject: those rows were produced.
+      // The sink may keep the storage; the next batch then starts at the
+      // size this one reached instead of growing again.
+      const size_t n = sh.pending.size();
       if (sink_) sink_(std::move(sh.pending));
       sh.pending.clear();
+      sh.pending.reserve(n);
     }
     return st;
   }
@@ -681,7 +685,7 @@ Status ShardedEngine::Quiesce() {
   // Serialize against migrations first: a migration in flight may hold
   // tuples in the pause buffer, which the barriers below cannot see. Once
   // migrate_mu_ is ours the buffer is empty and everything is in queues.
-  std::lock_guard<std::mutex> mig(migrate_mu_);
+  std::unique_lock<std::mutex> mig(migrate_mu_);
   // Phase 1: a control barrier behind all data on every shard queue —
   // when it fires, every prior tuple has been executed and its emissions
   // flushed into the egress queues. Surfaces Unavailable instead of
@@ -689,7 +693,8 @@ Status ShardedEngine::Quiesce() {
   TCQ_RETURN_NOT_OK(RunOnAllShards([](size_t) {}));
   // Phase 2: a barrier behind those emissions on every egress queue —
   // when it fires, the sink has seen everything. The egress thread cannot
-  // die, so the plain latch is safe here.
+  // die, so the plain latch is safe here. The wait drops migrate_mu_: a
+  // sink may run callbacks that add or remove queries, which take it.
   Latch latch(shards_.size());
   for (auto& shard : shards_) {
     EgressItem item;
@@ -697,6 +702,7 @@ Status ShardedEngine::Quiesce() {
     const bool ok = shard->output->Enqueue(std::move(item));
     TCQ_CHECK(ok) << "egress barrier on a stopped engine";
   }
+  mig.unlock();
   latch.Wait();
   return Status::OK();
 }

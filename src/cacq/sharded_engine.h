@@ -116,8 +116,10 @@ class ShardedEngine {
   using Emission = std::pair<QueryId, Tuple>;
   /// Delivery callback, invoked on the egress thread with batches of
   /// emissions in shard-output order (inline: on the pushing thread, once
-  /// per PushBatch, in emission order). Must not call back into this
-  /// engine (Quiesce would self-deadlock) and must be set before Start().
+  /// per PushBatch, in emission order). Must be set before Start(). It
+  /// must not Quiesce or migrate (both wait for the egress thread); an
+  /// AddQuery or RemoveQuery from it waits for every shard, so it must not
+  /// run while a shard is blocked on a full egress queue.
   using Sink = std::function<void(std::vector<Emission>&&)>;
   void SetSink(Sink sink) { sink_ = std::move(sink); }
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
+#include <span>
 
 #include "common/logging.h"
 #include "fjords/queue.h"
@@ -13,6 +15,10 @@
 namespace tcq {
 
 namespace {
+
+/// Sets this thread has queued into any server's delivery FIFO: tells a
+/// DrainOnExit whether its call queued anything.
+thread_local uint64_t t_queued_sets = 0;
 
 /// Result rows a query's Poll buffer holds before it sheds its oldest
 /// sets: a client that never polls cannot grow server memory forever.
@@ -44,6 +50,7 @@ struct ServerMetrics {
   /// Queries ended by QueryRunner::kMaxStepsPerAdvance.
   Counter* window_budget_exceeded;
   Counter* egress_shed_rows;  ///< Buffered rows shed past the Poll bound.
+  Counter* egress_result_sets;  ///< Result sets delivered (or buffered).
 
   static ServerMetrics& Get() {
     static ServerMetrics* m = [] {
@@ -71,6 +78,7 @@ struct ServerMetrics {
       agg->window_budget_exceeded =
           reg.GetCounter("tcq.window.budget_exceeded");
       agg->egress_shed_rows = reg.GetCounter("tcq.egress.shed_rows");
+      agg->egress_result_sets = reg.GetCounter("tcq.egress.result_sets");
       return agg;
     }();
     return *m;
@@ -173,6 +181,9 @@ void Server::Quiesce() {
       TCQ_LOG(Warn) << "Quiesce skipped a dead shard: " << st.ToString();
     }
   }
+  // Every sink call is done; the sets it queued may still be waiting
+  // behind a drain on another thread.
+  DrainDeliveries(/*wait=*/true);
 }
 
 Status Server::Rebalance(const std::string& stream, size_t bucket,
@@ -292,14 +303,30 @@ Result<QueryId> Server::Submit(const std::string& sql,
       TCQ_CHECK(added.ok()) << added.status();
       // The sink runs on the egress thread, or inside PushBatch inline; it
       // captures the StreamState node (map nodes are address-stable) and
-      // takes results_mu_ only.
+      // takes results_mu_ only. Inline, the pushing call drains the
+      // delivery FIFO once it has released mu_; sharded, the egress
+      // thread drains what it queued here.
       StreamState* node = &ss;
+      const bool sharded = !engine->is_inline();
       engine->SetSink(
-          [this, node](std::vector<ShardedEngine::Emission>&& batch) {
+          [this, node, sharded](std::vector<ShardedEngine::Emission>&& batch) {
+            const uint64_t queued = t_queued_sets;
             DeliverShardEmissions(node, std::move(batch));
+            if (sharded && t_queued_sets != queued) {
+              DrainDeliveries(/*wait=*/false);
+            }
           });
       engine->Start();
       ss.engine = std::move(engine);
+    }
+    // Set before the engine knows the query: from AddQuery on, the
+    // egress thread may project its rows.
+    for (const ExprPtr& e : aq.projections) {
+      if (e->kind() != ExprKind::kColumn || e->column_index() < 0) {
+        qs->column_projection.clear();
+        break;
+      }
+      qs->column_projection.push_back(static_cast<size_t>(e->column_index()));
     }
     CacqQuerySpec spec;
     spec.sources = {stream};
@@ -308,7 +335,10 @@ Result<QueryId> Server::Submit(const std::string& sql,
     TCQ_ASSIGN_OR_RETURN(QueryId engine_q, ss.engine->AddQuery(spec));
     {
       std::lock_guard<std::mutex> rlock(results_mu_);
-      ss.cacq_to_server[engine_q] = qid;
+      if (ss.cacq_owner.size() <= engine_q) {
+        ss.cacq_owner.resize(engine_q + 1, nullptr);
+      }
+      ss.cacq_owner[engine_q] = qs.get();
     }
     ++(speculative ? ss.cacq_speculative : ss.cacq_delayed);
     qs->is_cacq = true;
@@ -356,58 +386,87 @@ Result<QueryId> Server::Submit(const std::string& sql,
     AdvanceRunnersLocked({{qs.get(), hwm == kMaxTimestamp ? 0 : hwm}});
   }
 
-  qs->active = true;
   if (qs->consistency == Consistency::kSpeculative) ++num_speculative_;
   {
     // The egress thread indexes queries_ under results_mu_; push_back may
     // reallocate the vector's storage.
     std::lock_guard<std::mutex> rlock(results_mu_);
+    qs->active = true;
     queries_.push_back(std::move(qs));
   }
   return qid;
 }
 
 Status Server::SetCallback(QueryId q, Callback cb) {
+  DrainOnExit drain{this};
   std::lock_guard<std::mutex> lock(mu_);
   if (q >= queries_.size() || !queries_[q]->active) {
     return Status::NotFound("no such active query");
   }
   QueryState* qs = queries_[q].get();
   std::lock_guard<std::mutex> rlock(results_mu_);
-  qs->callback = std::move(cb);
-  if (!qs->callback) return Status::OK();  // Disconnect: buffer for Poll.
-  // Connect: flush the backlog in order, then stream live.
-  for (const ResultSet& rs : qs->results) qs->callback(rs);
+  qs->callback = cb ? std::make_shared<const Callback>(std::move(cb)) : nullptr;
+  // Disconnect: sets buffer for Poll (queued ones too, when drained).
+  if (qs->callback == nullptr || qs->results.empty()) return Status::OK();
+  // Connect: the backlog is older than any set of this query still in
+  // the FIFO, so it goes in ahead of the first of them, in order.
+  const auto pos = std::find_if(deliveries_.begin(), deliveries_.end(),
+                                [qs](const Delivery& d) { return d.qs == qs; });
+  std::vector<Delivery> backlog(qs->results.size());
+  for (size_t i = 0; i < backlog.size(); ++i) {
+    backlog[i].qs = qs;
+    backlog[i].seq = ++enqueued_;
+    backlog[i].set = std::move(qs->results[i]);
+  }
+  deliveries_.insert(pos, std::make_move_iterator(backlog.begin()),
+                     std::make_move_iterator(backlog.end()));
+  qs->queued += backlog.size();
+  t_queued_sets += backlog.size();
   qs->results.clear();
   qs->buffered_rows = 0;
   return Status::OK();
 }
 
 Status Server::Cancel(QueryId q) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (q >= queries_.size() || !queries_[q]->active) {
-    return Status::NotFound("no such active query");
-  }
-  QueryState* qs = queries_[q].get();
-  qs->active = false;
-  if (qs->consistency == Consistency::kSpeculative && num_speculative_ > 0) {
-    --num_speculative_;
-  }
-  StreamState* ss = qs->is_cacq ? &streams_.at(qs->cacq_stream) : nullptr;
+  bool wait = false;
+  QueryState* qs = nullptr;
+  Status st;
   {
-    // Unmap first so delivery drops emissions still in flight.
-    std::lock_guard<std::mutex> rlock(results_mu_);
-    if (ss != nullptr) ss->cacq_to_server.erase(qs->cacq_id);
-    qs->results.clear();
-    qs->buffered_rows = 0;
+    std::lock_guard<std::mutex> lock(mu_);
+    if (q >= queries_.size() || !queries_[q]->active) {
+      return Status::NotFound("no such active query");
+    }
+    qs = queries_[q].get();
+    if (qs->consistency == Consistency::kSpeculative && num_speculative_ > 0) {
+      --num_speculative_;
+    }
+    StreamState* ss = qs->is_cacq ? &streams_.at(qs->cacq_stream) : nullptr;
+    {
+      // Unmap first so delivery drops emissions still in flight; the
+      // drain starts no callback of an inactive query.
+      std::lock_guard<std::mutex> rlock(results_mu_);
+      qs->active = false;
+      if (ss != nullptr) ss->cacq_owner[qs->cacq_id] = nullptr;
+      qs->results.clear();
+      qs->buffered_rows = 0;
+      // A callback running on this thread is on our own stack.
+      wait = qs->in_flight && drainer_ != std::this_thread::get_id();
+    }
+    qs->runner.reset();
+    if (ss != nullptr) {
+      size_t& lane = qs->consistency == Consistency::kSpeculative
+                         ? ss->cacq_speculative
+                         : ss->cacq_delayed;
+      if (lane > 0) --lane;
+      st = ss->engine->RemoveQuery(qs->cacq_id);
+    }
   }
-  qs->runner.reset();
-  if (ss == nullptr) return Status::OK();
-  size_t& lane = qs->consistency == Consistency::kSpeculative
-                     ? ss->cacq_speculative
-                     : ss->cacq_delayed;
-  if (lane > 0) --lane;
-  return ss->engine->RemoveQuery(qs->cacq_id);
+  if (wait) {
+    // The in-flight callback may itself be waiting for mu_.
+    std::unique_lock<std::mutex> rlock(results_mu_);
+    delivered_cv_.wait(rlock, [qs] { return !qs->in_flight; });
+  }
+  return st;
 }
 
 Result<SchemaPtr> Server::OutputSchema(QueryId q) const {
@@ -417,6 +476,7 @@ Result<SchemaPtr> Server::OutputSchema(QueryId q) const {
 }
 
 Status Server::Push(const std::string& stream, const Tuple& tuple) {
+  DrainOnExit drain{this};
   std::lock_guard<std::mutex> lock(mu_);
   return PushLocked(stream, tuple);
 }
@@ -571,6 +631,7 @@ Status Server::PushLocked(const std::string& stream, const Tuple& tuple) {
 
 Status Server::PushBatch(const std::string& stream, std::vector<Tuple> batch,
                          size_t* rejected) {
+  DrainOnExit drain{this};
   std::lock_guard<std::mutex> lock(mu_);
   if (rejected != nullptr) *rejected = 0;
   auto it = streams_.find(stream);
@@ -707,6 +768,7 @@ Status Server::IngestBatchLocked(const std::string& stream, StreamState* sp,
 }
 
 Status Server::PushAll(const std::string& stream, TupleSource* source) {
+  DrainOnExit drain{this};
   std::lock_guard<std::mutex> lock(mu_);
   while (auto t = source->Next()) {
     TCQ_RETURN_NOT_OK(PushLocked(stream, *t));
@@ -716,6 +778,7 @@ Status Server::PushAll(const std::string& stream, TupleSource* source) {
 
 Status Server::SetDisorderBound(const std::string& stream,
                                 Timestamp max_disorder, LatePolicy policy) {
+  DrainOnExit drain{this};
   std::lock_guard<std::mutex> lock(mu_);
   auto it = streams_.find(stream);
   if (it == streams_.end()) {
@@ -749,6 +812,7 @@ Status Server::SetDisorderBound(const std::string& stream,
 }
 
 Status Server::Heartbeat(const std::string& stream, Timestamp ts) {
+  DrainOnExit drain{this};
   std::lock_guard<std::mutex> lock(mu_);
   auto it = streams_.find(stream);
   if (it == streams_.end()) {
@@ -785,6 +849,7 @@ Status Server::HeartbeatLocked(const std::string& stream, StreamState* sp,
 }
 
 Status Server::Retract(const std::string& stream, const Tuple& tuple) {
+  DrainOnExit drain{this};
   std::lock_guard<std::mutex> lock(mu_);
   auto it = streams_.find(stream);
   if (it == streams_.end()) {
@@ -828,6 +893,7 @@ Status Server::Retract(const std::string& stream, const Tuple& tuple) {
 }
 
 size_t Server::PumpHeartbeats() {
+  DrainOnExit drain{this};
   std::lock_guard<std::mutex> lock(mu_);
   if (options_.idle_heartbeat_ms <= 0) return 0;
   const int64_t now = clock_ms_();
@@ -872,6 +938,7 @@ void Server::SetClockForTesting(std::function<int64_t()> now_ms) {
 }
 
 Status Server::ReplayStream(const std::string& stream, Timestamp from_ts) {
+  DrainOnExit drain{this};
   std::lock_guard<std::mutex> lock(mu_);
   auto it = streams_.find(stream);
   if (it == streams_.end()) {
@@ -923,15 +990,15 @@ Status Server::ReplayStream(const std::string& stream, Timestamp from_ts) {
   return Status::OK();
 }
 
-void Server::AppendResultLocked(QueryState* qs, ResultSet&& rs) {
-  const size_t rows = rs.rows.size();
+void Server::CountSetLocked(QueryState* qs, size_t rows) {
   qs->rows_delivered += rows;
+  ++qs->result_sets;
   TCQ_METRIC(ServerMetrics::Get().delivered_rows->Add(rows));
-  if (qs->callback) {
-    qs->callback(rs);
-    return;
-  }
-  qs->buffered_rows += rows;
+  TCQ_METRIC(ServerMetrics::Get().egress_result_sets->Add(1));
+}
+
+void Server::BufferLocked(QueryState* qs, ResultSet&& rs) {
+  qs->buffered_rows += rs.rows.size();
   qs->results.push_back(std::move(rs));
   // Shed-oldest: the freshest results win, and a set is never split.
   size_t shed = 0;
@@ -947,10 +1014,70 @@ void Server::AppendResultLocked(QueryState* qs, ResultSet&& rs) {
   }
 }
 
+Server::DrainOnExit::DrainOnExit(Server* s)
+    : server(s),
+      unwinding(std::uncaught_exceptions()),
+      queued(t_queued_sets) {}
+
+Server::DrainOnExit::~DrainOnExit() noexcept(false) {
+  if (t_queued_sets != queued && std::uncaught_exceptions() == unwinding) {
+    server->DrainDeliveries(/*wait=*/true);
+  }
+}
+
+void Server::EnqueueLocked(Delivery&& d) {
+  ++t_queued_sets;
+  ++d.qs->queued;
+  d.seq = ++enqueued_;
+  deliveries_.push_back(std::move(d));
+}
+
+void Server::AppendResultLocked(QueryState* qs, ResultSet&& rs) {
+  CountSetLocked(qs, rs.rows.size());
+  if (qs->callback == nullptr && qs->queued == 0) {
+    BufferLocked(qs, std::move(rs));
+    return;
+  }
+  Delivery d;
+  d.qs = qs;
+  d.set = std::move(rs);
+  EnqueueLocked(std::move(d));
+}
+
 void Server::DeliverResults(QueryState* qs, std::vector<ResultSet>&& sets) {
   std::lock_guard<std::mutex> rlock(results_mu_);
   for (ResultSet& rs : sets) AppendResultLocked(qs, std::move(rs));
 }
+
+Tuple Server::ProjectRow(const QueryState& qs, const Tuple& t) {
+  if (!qs.column_projection.empty()) {
+    Tuple row = t.Project(qs.column_projection);
+    row.set_seq(0);  // Egress rows carry no engine arrival sequence.
+    return row;
+  }
+  std::vector<Value> cells;
+  cells.reserve(qs.analyzed.projections.size());
+  for (const ExprPtr& e : qs.analyzed.projections) cells.push_back(e->Eval(t));
+  Tuple row = Tuple::Make(std::move(cells), t.timestamp());
+  row.set_retraction(t.retraction());
+  return row;
+}
+
+namespace {
+
+/// One query's set out of an emission batch: the emissions at `rows`, in
+/// arrival order, `t` the last row's timestamp.
+template <typename ProjectFn>
+ResultSet BuildSet(const std::vector<ShardedEngine::Emission>& batch,
+                   std::span<const uint32_t> rows, ProjectFn&& project) {
+  ResultSet rs;
+  rs.rows.reserve(rows.size());
+  for (const uint32_t i : rows) rs.rows.push_back(project(batch[i].second));
+  rs.t = rs.rows.back().timestamp();
+  return rs;
+}
+
+}  // namespace
 
 void Server::DeliverShardEmissions(
     StreamState* ss, std::vector<ShardedEngine::Emission>&& batch) {
@@ -958,23 +1085,108 @@ void Server::DeliverShardEmissions(
   // blocked on a full exchange queue — taking it here would deadlock.
   // Inline, the pushing thread already holds mu_.
   std::lock_guard<std::mutex> rlock(results_mu_);
-  for (auto& [engine_q, t] : batch) {
-    auto it = ss->cacq_to_server.find(engine_q);
-    if (it == ss->cacq_to_server.end()) continue;  // Canceled mid-flight.
-    QueryState* owner = queries_[it->second].get();
-    // Project per the query's select list (immutable after Submit).
-    std::vector<Value> cells;
-    cells.reserve(owner->analyzed.projections.size());
-    for (const ExprPtr& e : owner->analyzed.projections) {
-      cells.push_back(e->Eval(t));
-    }
-    ResultSet rs;
-    rs.t = t.timestamp();
-    Tuple row = Tuple::Make(std::move(cells), t.timestamp());
-    row.set_retraction(t.retraction());
-    rs.rows.push_back(std::move(row));
-    AppendResultLocked(owner, std::move(rs));
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const QueryId engine_q = batch[i].first;
+    QueryState* owner =
+        engine_q < ss->cacq_owner.size() ? ss->cacq_owner[engine_q] : nullptr;
+    if (owner == nullptr) continue;  // Canceled mid-flight.
+    if (owner->gather.empty()) touched_.push_back(owner);
+    owner->gather.push_back(static_cast<uint32_t>(i));
   }
+  // Sets bound for a callback keep only indexes into the shared batch:
+  // each is projected just before its callback and freed after it, so at
+  // most one set's rows are alive at a time.
+  std::shared_ptr<EmissionBatch> shared;
+  for (QueryState* qs : touched_) {
+    CountSetLocked(qs, qs->gather.size());
+    if (qs->callback == nullptr && qs->queued == 0) {
+      BufferLocked(qs, BuildSet(shared ? shared->emissions : batch,
+                                qs->gather, [qs](const Tuple& t) {
+                                  return ProjectRow(*qs, t);
+                                }));
+      qs->gather.clear();
+      continue;
+    }
+    if (shared == nullptr) {
+      shared = std::make_shared<EmissionBatch>();
+      shared->emissions = std::move(batch);
+    }
+    Delivery d;
+    d.qs = qs;
+    d.batch = shared;
+    d.begin = static_cast<uint32_t>(shared->order.size());
+    d.count = static_cast<uint32_t>(qs->gather.size());
+    shared->order.insert(shared->order.end(), qs->gather.begin(),
+                         qs->gather.end());
+    qs->gather.clear();
+    EnqueueLocked(std::move(d));
+  }
+  touched_.clear();
+}
+
+void Server::DrainDeliveries(bool wait) {
+  std::unique_lock<std::mutex> lock(results_mu_);
+  const std::thread::id self = std::this_thread::get_id();
+  if (draining_) {
+    // From a callback, the outer drain delivers what this call queued.
+    if (!wait || drainer_ == self) return;
+    // Wait for every set queued so far. A backlog a SetCallback flushed
+    // may sit ahead of older sets, so look at what is left, not a count.
+    const uint64_t target = enqueued_;
+    const auto delivered = [&] {
+      if (in_flight_seq_ != 0 && in_flight_seq_ <= target) return false;
+      return std::none_of(
+          deliveries_.begin(), deliveries_.end(),
+          [target](const Delivery& d) { return d.seq <= target; });
+    };
+    delivered_cv_.wait(lock, [&] { return !draining_ || delivered(); });
+    if (delivered()) return;
+    // The drainer stopped early (a callback threw): drain the rest here.
+  }
+  draining_ = true;
+  drainer_ = self;
+  while (!deliveries_.empty()) {
+    Delivery d = std::move(deliveries_.front());
+    deliveries_.pop_front();
+    QueryState* qs = d.qs;
+    --qs->queued;
+    std::shared_ptr<const Callback> cb = qs->active ? qs->callback : nullptr;
+    const auto take = [qs, &d] {
+      if (d.batch == nullptr) return std::move(d.set);
+      return BuildSet(
+          d.batch->emissions,
+          std::span<const uint32_t>(d.batch->order).subspan(d.begin, d.count),
+          [qs](const Tuple& t) { return ProjectRow(*qs, t); });
+    };
+    std::exception_ptr thrown;
+    if (cb == nullptr) {
+      // Canceled (dropped), or disconnected while queued (buffered, in
+      // order: the query's later sets are queued behind this one).
+      if (qs->active) BufferLocked(qs, take());
+    } else {
+      qs->in_flight = true;
+      in_flight_seq_ = d.seq;
+      lock.unlock();
+      try {
+        (*cb)(take());
+      } catch (...) {
+        thrown = std::current_exception();
+      }
+      d = Delivery();  // Free the rows before the next set is built.
+      cb.reset();
+      lock.lock();
+      qs->in_flight = false;
+      in_flight_seq_ = 0;
+    }
+    delivered_cv_.notify_all();
+    if (thrown != nullptr) {
+      // The set counts as delivered; the rest wait for the next drain,
+      // and the exception reaches the call that ran this one.
+      draining_ = false;
+      std::rethrow_exception(thrown);
+    }
+  }
+  draining_ = false;
 }
 
 std::optional<ResultSet> Server::Poll(QueryId q) {
@@ -1014,6 +1226,7 @@ size_t Server::num_active_queries() const {
 
 size_t Server::PumpMetrics() {
   PublishPoolMetrics();  // Pull allocator-pool totals into the registry.
+  DrainOnExit drain{this};
   std::lock_guard<std::mutex> lock(mu_);
   auto it = streams_.find(kMetricsStream);
   TCQ_CHECK(it != streams_.end()) << "introspection stream missing";
@@ -1185,6 +1398,7 @@ std::string Server::SnapshotMetrics() const {
       out += std::string("{\"active\":") + (qs.active ? "true" : "false") +
              ",\"kind\":\"" + (qs.is_cacq ? "cacq" : "windowed") +
              "\",\"delivered_rows\":" + std::to_string(qs.rows_delivered) +
+             ",\"result_sets\":" + std::to_string(qs.result_sets) +
              ",\"pending_sets\":" + std::to_string(qs.results.size()) +
              ",\"buffered_rows\":" + std::to_string(qs.buffered_rows) +
              ",\"shed_rows\":" + std::to_string(qs.shed_rows) + "}";

@@ -19,6 +19,7 @@
 #include "core/server.h"
 #include "ingress/wrapper.h"
 #include "psoup/psoup.h"
+#include "result_rows.h"
 #include "stem/stem.h"
 #include "telemetry/metrics.h"
 #include "testing/crash_injector.h"
@@ -40,16 +41,6 @@ std::vector<Timestamp> Stamps(const std::vector<Tuple>& ts) {
   std::vector<Timestamp> out;
   for (const Tuple& t : ts) out.push_back(t.timestamp());
   return out;
-}
-
-// CACQ deliveries arrive grouped into result sets by batch; tests care
-// about the rows.
-std::vector<Tuple> FlattenRows(std::vector<ResultSet> sets) {
-  std::vector<Tuple> rows;
-  for (ResultSet& s : sets) {
-    for (Tuple& r : s.rows) rows.push_back(std::move(r));
-  }
-  return rows;
 }
 
 // --- ReorderBuffer unit --------------------------------------------------
@@ -392,17 +383,16 @@ TEST(DisorderServerTest, RetractionFlowsThroughInlineCacq) {
   ASSERT_TRUE(q.ok());
   ASSERT_TRUE(server.Push("S", KVTuple(1, 50)).ok());
   ASSERT_TRUE(server.Push("S", KVTuple(2, 5)).ok());
-  auto sets = server.PollAll(*q);
-  ASSERT_EQ(sets.size(), 1u);  // Only v=50 passed the filter.
+  auto rows = FlattenRows(server.PollAll(*q));
+  ASSERT_EQ(rows.size(), 1u);  // Only v=50 passed the filter.
 
   // Retract the v=50 assertion: the signed tuple flows the same filter
   // and the client receives a retraction-signed result row.
   ASSERT_TRUE(server.Retract("S", KVTuple(1, 50)).ok());
-  sets = server.PollAll(*q);
-  ASSERT_EQ(sets.size(), 1u);
-  ASSERT_EQ(sets[0].rows.size(), 1u);
-  EXPECT_TRUE(sets[0].rows[0].retraction());
-  EXPECT_EQ(sets[0].rows[0].cell(0).int64_value(), 50);
+  rows = FlattenRows(server.PollAll(*q));
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_TRUE(rows[0].retraction());
+  EXPECT_EQ(rows[0].cell(0).int64_value(), 50);
 
   // Unmatched retraction: dropped, counted, no delivery.
   ASSERT_TRUE(server.Retract("S", KVTuple(1, 999)).ok());

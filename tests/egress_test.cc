@@ -16,6 +16,7 @@
 #include "fjords/scheduler.h"
 #include "ingress/sources.h"
 #include "ingress/wrapper.h"
+#include "result_rows.h"
 
 namespace tcq {
 namespace {
@@ -53,13 +54,15 @@ class EgressTest : public ::testing::Test {
     query_ = *q;
   }
 
-  /// Pushes one MSFT row per day in [from, to] as one batch.
+  /// Pushes one MSFT row per day in [from, to], one Push per day: the
+  /// standing query gets one single-row result set per day.
   void Feed(int64_t from, int64_t to) {
-    std::vector<Tuple> batch;
     for (int64_t d = from; d <= to; ++d) {
-      batch.push_back(Stock(d, "MSFT", 40.0 + static_cast<double>(d)));
+      ASSERT_TRUE(server_
+                      .Push("ClosingStockPrices",
+                            Stock(d, "MSFT", 40.0 + static_cast<double>(d)))
+                      .ok());
     }
-    ASSERT_TRUE(server_.PushBatch("ClosingStockPrices", std::move(batch)).ok());
   }
 
   /// Pulls up to `max_sets` buffered sets through repeated Poll.
@@ -203,7 +206,7 @@ TEST_F(EgressTest, StreamPumpDrainsQueueIntoServer) {
   }
   EXPECT_EQ(pump.pumped(), 20u);
   EXPECT_EQ(pump.rejected(), 0u);
-  EXPECT_EQ(server_.PollAll(query_).size(), 20u);
+  EXPECT_EQ(FlattenRows(server_.PollAll(query_)).size(), 20u);
 }
 
 TEST_F(EgressTest, StreamPumpCountsRejects) {
@@ -235,7 +238,8 @@ TEST_F(EgressTest, EndToEndWrapperPipelineUnderScheduler) {
   eo.Start();
   eo.Join();
 
-  EXPECT_EQ(server_.PollAll(query_).size(), 50u);  // One MSFT row per day.
+  // One MSFT row per day.
+  EXPECT_EQ(FlattenRows(server_.PollAll(query_)).size(), 50u);
 }
 
 }  // namespace

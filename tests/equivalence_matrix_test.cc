@@ -21,6 +21,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -294,21 +295,32 @@ std::string RenderRow(const Tuple& row, bool with_sign) {
 enum class Compare { kOrdered, kSortedRows, kSorted, kNet };
 
 /// One line per delivered set; kNet: one per net row, with its count.
+/// `per_row` renders every row as its own set at the row's timestamp: a
+/// standing query delivers one set per engine batch, and the oracle one
+/// per row.
 template <typename SetT>
-std::vector<std::string> Render(Compare mode, const std::vector<SetT>& sets) {
+std::vector<std::string> Render(Compare mode, const std::vector<SetT>& sets,
+                                bool per_row) {
   std::vector<std::string> lines;
   std::map<std::string, int> net;
-  for (const SetT& set : sets) {
+  const auto render = [&](Timestamp t, std::span<const Tuple> set_rows) {
     std::vector<std::string> rows;
-    for (const Tuple& row : set.rows) {
+    for (const Tuple& row : set_rows) {
       rows.push_back(RenderRow(row, mode != Compare::kNet));
-      net["t=" + std::to_string(set.t) + " " + rows.back()] +=
+      net["t=" + std::to_string(t) + " " + rows.back()] +=
           row.retraction() ? -1 : 1;
     }
     if (mode == Compare::kSortedRows) std::sort(rows.begin(), rows.end());
-    std::string line = "t=" + std::to_string(set.t) + "{";
+    std::string line = "t=" + std::to_string(t) + "{";
     for (const std::string& r : rows) line += r;
     lines.push_back(line + "}");
+  };
+  for (const SetT& set : sets) {
+    if (!per_row) {
+      render(set.t, set.rows);
+      continue;
+    }
+    for (const Tuple& row : set.rows) render(row.timestamp(), {&row, 1});
   }
   if (mode == Compare::kSorted) std::sort(lines.begin(), lines.end());
   if (mode != Compare::kNet) return lines;
@@ -615,8 +627,9 @@ std::string RunConfig(uint64_t seed, const Config& config, size_t* rows) {
     const std::vector<Oracle::Set> want_sets = oracle.Results(label);
     for (const Oracle::Set& set : want_sets) *rows += set.rows.size();
     std::lock_guard<std::mutex> lock(mu);
-    const std::vector<std::string> have = Render(mode, got[label]);
-    const std::vector<std::string> want = Render(mode, want_sets);
+    const bool standing = !windowed && !join;
+    const std::vector<std::string> have = Render(mode, got[label], standing);
+    const std::vector<std::string> want = Render(mode, want_sets, standing);
     size_t i = 0;
     while (i < have.size() && i < want.size() && have[i] == want[i]) ++i;
     if (i < have.size() || i < want.size()) {

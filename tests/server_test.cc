@@ -3,9 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
+#include <cstdlib>
 #include <functional>
+#include <memory>
+#include <mutex>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -13,6 +20,7 @@
 
 #include "common/rng.h"
 #include "ingress/sources.h"
+#include "result_rows.h"
 
 namespace tcq {
 namespace {
@@ -454,7 +462,7 @@ TEST(ServerShardedTest, SnapshotCountsShardParks) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
     server.Quiesce();
   }
-  EXPECT_EQ(server.PollAll(*q).size(), 5u);
+  EXPECT_EQ(FlattenRows(server.PollAll(*q)).size(), 5u);
   const std::string json = server.SnapshotMetrics();
   for (const char* key : {"\"tcq.shard.0.parks\"", "\"tcq.shard.1.woken_parks\"",
                           "\"tcq.shard.egress.parks\""}) {
@@ -504,10 +512,8 @@ TEST_F(ServerTest, PushBatchSkipsAndCountsInvalidTuples) {
 
   // Every accepted day (5,6,8,9,11) reached the CACQ filter exactly once.
   std::string days;
-  for (const ResultSet& rs : server_.PollAll(*q)) {
-    for (size_t i = 0; i < rs.rows.size(); ++i) {
-      days += std::to_string(rs.t) + ",";
-    }
+  for (const Tuple& row : FlattenRows(server_.PollAll(*q))) {
+    days += std::to_string(row.timestamp()) + ",";
   }
   EXPECT_EQ(days, "5,6,8,9,11,");
 }
@@ -651,6 +657,353 @@ TEST(ServerNullTest, NullCellsFailEveryComparisonOnBothPaths) {
     }
   }
 }
+
+// ---- Batched egress --------------------------------------------------------
+
+TEST_F(ServerTest, OneSetPerQueryPerBatchInArrivalOrder) {
+  // One 256-tuple PushBatch into 8 standing filters: each query with
+  // matches is called back exactly once, with the rows Push-per-tuple
+  // delivers, in the same order.
+  const std::vector<std::string> wheres = {
+      "stockSymbol = 'MSFT'", "stockSymbol = 'IBM'",
+      "closingPrice > 60",    "closingPrice < 45",
+      "stockSymbol = 'ORCL' AND closingPrice > 50",
+      "closingPrice > 1000",  // No matches: no callback.
+      "closingPrice >= 40",   "stockSymbol != 'MSFT'"};
+  const char* const kSymbols[] = {"MSFT", "IBM", "ORCL", "SUNW"};
+  std::vector<Tuple> feed;
+  for (int64_t day = 1; day <= 256; ++day) {
+    feed.push_back(Stock(day, kSymbols[day % 4],
+                         40.0 + static_cast<double>((day * 37) % 29)));
+  }
+  struct Run {
+    Server* server;
+    std::vector<QueryId> queries;
+    std::vector<size_t> callbacks;
+    std::vector<std::string> rows;
+  };
+  auto setup = [&wheres](Run* run) {
+    run->callbacks.assign(wheres.size(), 0);
+    run->rows.assign(wheres.size(), "");
+    for (size_t i = 0; i < wheres.size(); ++i) {
+      auto q = run->server->Submit(
+          "SELECT closingPrice, stockSymbol FROM ClosingStockPrices WHERE " +
+          wheres[i]);
+      ASSERT_TRUE(q.ok()) << q.status();
+      run->queries.push_back(*q);
+      auto on_set = [run, i](const ResultSet& rs) {
+        ++run->callbacks[i];
+        EXPECT_EQ(rs.t, rs.rows.back().timestamp());
+        for (const Tuple& row : rs.rows) run->rows[i] += row.ToString();
+      };
+      ASSERT_TRUE(run->server->SetCallback(*q, on_set).ok());
+    }
+  };
+  Server per_tuple;
+  ASSERT_TRUE(
+      per_tuple.DefineStream("ClosingStockPrices", StockSchema(), 0).ok());
+  Run batched{&server_};
+  Run single{&per_tuple};
+  setup(&batched);
+  setup(&single);
+  ASSERT_TRUE(server_.PushBatch("ClosingStockPrices", feed).ok());
+  for (const Tuple& t : feed) {
+    ASSERT_TRUE(per_tuple.Push("ClosingStockPrices", t).ok());
+  }
+  const std::string snap = server_.SnapshotMetrics();
+  for (size_t i = 0; i < wheres.size(); ++i) {
+    const bool matched = !single.rows[i].empty();
+    EXPECT_EQ(batched.callbacks[i], matched ? 1u : 0u) << wheres[i];
+    EXPECT_EQ(batched.rows[i], single.rows[i]) << wheres[i];
+    // The "queries" row counts sets beside rows.
+    const size_t at = snap.find(
+        "\"" + std::to_string(batched.queries[i]) + "\":{\"active\"",
+        snap.find("\"queries\":{"));
+    ASSERT_NE(at, std::string::npos) << snap;
+    const size_t sets = snap.find("\"result_sets\":", at);
+    ASSERT_NE(sets, std::string::npos) << snap;
+    EXPECT_EQ(std::strtoull(snap.c_str() + sets + 14, nullptr, 10),
+              batched.callbacks[i])
+        << wheres[i];
+  }
+  EXPECT_EQ(single.callbacks[5], 0u);
+#ifndef TCQ_METRICS_DISABLED
+  EXPECT_NE(snap.find("\"tcq.egress.result_sets\""), std::string::npos);
+#endif
+}
+
+TEST_F(ServerTest, CallbackExceptionReachesThePushAndDeliveryGoesOn) {
+  auto q = server_.Submit(
+      "SELECT closingPrice FROM ClosingStockPrices WHERE closingPrice > 45");
+  ASSERT_TRUE(q.ok());
+  std::vector<Timestamp> seen;
+  auto on_set = [&](const ResultSet& rs) {
+    seen.push_back(rs.t);
+    if (seen.size() == 1) throw std::runtime_error("client failed");
+  };
+  ASSERT_TRUE(server_.SetCallback(*q, on_set).ok());
+  EXPECT_THROW(
+      (void)server_.Push("ClosingStockPrices", Stock(6, "MSFT", 46.0)),
+      std::runtime_error);
+  // The drain state survived: later sets are delivered, and Cancel does
+  // not wait for a callback that is no longer running.
+  ASSERT_TRUE(server_.Push("ClosingStockPrices", Stock(7, "MSFT", 47.0)).ok());
+  EXPECT_EQ(seen, (std::vector<Timestamp>{6, 7}));
+  EXPECT_TRUE(server_.Cancel(*q).ok());
+}
+
+// ---- Callbacks that call back into the server -------------------------------
+//
+// Every case runs inline and on a two-shard fleet (where CACQ callbacks
+// run on the egress thread), under a watchdog: a deadlock fails the test
+// binary instead of hanging it. ctest also runs these under the `stress`
+// label (server_reentrancy_test), so the sanitizer job covers them.
+
+/// Ends the process with a failure if still alive after `limit`.
+class Watchdog {
+ public:
+  explicit Watchdog(std::chrono::seconds limit = std::chrono::seconds(60))
+      : thread_([this, limit] {
+          std::unique_lock<std::mutex> lock(mu_);
+          if (!cv_.wait_for(lock, limit, [this] { return done_; })) {
+            std::fprintf(stderr, "watchdog: %s deadlocked\n",
+                         ::testing::UnitTest::GetInstance()
+                             ->current_test_info()
+                             ->name());
+            std::_Exit(1);
+          }
+        }) {}
+  ~Watchdog() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      done_ = true;
+    }
+    cv_.notify_all();
+    thread_.join();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool done_ = false;
+  std::thread thread_;
+};
+
+class ServerReentrancyTest : public ::testing::TestWithParam<size_t> {
+ protected:
+  void SetUp() override {
+    Server::Options options;
+    options.cacq_shards = GetParam();
+    server_ = std::make_unique<Server>(options);
+    ASSERT_TRUE(
+        server_->DefineStream("ClosingStockPrices", StockSchema(), 0).ok());
+    ASSERT_TRUE(server_->DefineStream("Other", StockSchema(), 0).ok());
+  }
+
+  QueryId Standing(const std::string& stream = "ClosingStockPrices") {
+    auto q = server_->Submit("SELECT closingPrice FROM " + stream +
+                             " WHERE closingPrice > 45");
+    EXPECT_TRUE(q.ok()) << q.status();
+    return q.ok() ? *q : 0;
+  }
+
+  /// Pushes MSFT days [from, to] as one batch (prices 40 + day), then
+  /// waits for delivery.
+  void Feed(int64_t from, int64_t to,
+            const std::string& stream = "ClosingStockPrices") {
+    std::vector<Tuple> batch;
+    for (int64_t d = from; d <= to; ++d) {
+      batch.push_back(Stock(d, "MSFT", 40.0 + static_cast<double>(d)));
+    }
+    ASSERT_TRUE(server_->PushBatch(stream, std::move(batch)).ok());
+    server_->Quiesce();
+  }
+
+  Watchdog watchdog_;
+  std::unique_ptr<Server> server_;
+};
+
+TEST_P(ServerReentrancyTest, CallbackCancelsItsOwnQuery) {
+  const QueryId q = Standing();
+  std::atomic<int> calls{0};
+  Status cancel = Status::Internal("not called");
+  auto on_set = [&](const ResultSet&) {
+    if (calls.fetch_add(1) == 0) cancel = server_->Cancel(q);
+  };
+  ASSERT_TRUE(server_->SetCallback(q, on_set).ok());
+  Feed(1, 20);
+  EXPECT_EQ(calls.load(), 1);
+  EXPECT_TRUE(cancel.ok()) << cancel;
+  Feed(21, 30);
+  EXPECT_EQ(calls.load(), 1);
+  EXPECT_EQ(server_->num_active_queries(), 0u);
+}
+
+TEST_P(ServerReentrancyTest, CallbackSubmitsAndConnectsANewQuery) {
+  const QueryId q = Standing();
+  std::optional<QueryId> added;
+  std::atomic<size_t> added_rows{0};
+  auto on_added = [&](const ResultSet& rs) { added_rows += rs.rows.size(); };
+  auto on_set = [&](const ResultSet&) {
+    if (added.has_value()) return;
+    auto nq = server_->Submit(
+        "SELECT closingPrice FROM ClosingStockPrices WHERE closingPrice > 60");
+    ASSERT_TRUE(nq.ok()) << nq.status();
+    added = *nq;
+    EXPECT_TRUE(server_->SetCallback(*nq, on_added).ok());
+  };
+  ASSERT_TRUE(server_->SetCallback(q, on_set).ok());
+  Feed(1, 10);
+  ASSERT_TRUE(added.has_value());
+  Feed(11, 30);  // Prices 51..70: 10 above 60.
+  EXPECT_EQ(added_rows.load(), 10u);
+}
+
+TEST_P(ServerReentrancyTest, CallbackPollsAnotherQuery) {
+  const QueryId q = Standing();
+  const QueryId buffered = Standing();  // No callback: buffers for Poll.
+  size_t polled = 0;
+  auto on_set = [&](const ResultSet&) {
+    // Its own queue stays empty: its sets are called back.
+    EXPECT_FALSE(server_->Poll(q).has_value());
+    if (auto rs = server_->Poll(buffered)) polled += rs->rows.size();
+    polled += FlattenRows(server_->PollAll(buffered)).size();
+  };
+  ASSERT_TRUE(server_->SetCallback(q, on_set).ok());
+  Feed(1, 20);  // 15 rows above 45, for each query.
+  polled += FlattenRows(server_->PollAll(buffered)).size();
+  EXPECT_EQ(polled, 15u);
+}
+
+TEST_P(ServerReentrancyTest, CallbackDisconnectsItself) {
+  const QueryId q = Standing();
+  std::vector<Timestamp> seen;
+  auto on_set = [&](const ResultSet& rs) {
+    for (const Tuple& row : rs.rows) seen.push_back(row.timestamp());
+    EXPECT_TRUE(server_->SetCallback(q, nullptr).ok());
+  };
+  ASSERT_TRUE(server_->SetCallback(q, on_set).ok());
+  Feed(1, 10);
+  Feed(11, 20);
+  const size_t called_back = seen.size();
+  EXPECT_GT(called_back, 0u);
+  for (const Tuple& row : FlattenRows(server_->PollAll(q))) {
+    seen.push_back(row.timestamp());
+  }
+  // Every row once, in arrival order: called back up to the disconnect,
+  // buffered for Poll after it. (Sharded, one shard owns every MSFT row.)
+  std::vector<Timestamp> want;
+  for (Timestamp d = 6; d <= 20; ++d) want.push_back(d);
+  EXPECT_EQ(seen, want) << called_back << " called back";
+}
+
+TEST_P(ServerReentrancyTest, CallbackPushesIntoASecondStream) {
+  const QueryId q = Standing();
+  const QueryId other = Standing("Other");
+  std::atomic<bool> in_outer{false};
+  std::atomic<bool> overlapped{false};
+  std::atomic<size_t> other_rows{0};
+  bool pushed = false;
+  auto ten_days = [] {
+    std::vector<Tuple> batch;
+    for (int64_t d = 1; d <= 10; ++d) batch.push_back(Stock(d, "MSFT", 50.0));
+    return batch;
+  };
+  auto on_other = [&](const ResultSet& rs) {
+    if (in_outer) overlapped = true;
+    other_rows += rs.rows.size();
+  };
+  auto on_set = [&](const ResultSet&) {
+    if (pushed) return;
+    pushed = true;
+    in_outer = true;
+    EXPECT_TRUE(server_->PushBatch("Other", ten_days()).ok());
+    in_outer = false;
+  };
+  ASSERT_TRUE(server_->SetCallback(other, on_other).ok());
+  ASSERT_TRUE(server_->SetCallback(q, on_set).ok());
+  ASSERT_TRUE(server_->PushBatch("ClosingStockPrices", ten_days()).ok());
+  // Inline, the outer PushBatch returns after the nested push's sets
+  // have been delivered too; sharded, they follow the barriers.
+  if (GetParam() > 1) {
+    server_->Quiesce();
+    server_->Quiesce();
+  }
+  EXPECT_TRUE(pushed);
+  EXPECT_EQ(other_rows.load(), 10u);
+  EXPECT_FALSE(overlapped.load()) << "callbacks overlapped";
+}
+
+TEST_P(ServerReentrancyTest, CancelWaitsForTheInFlightCallback) {
+  // Another thread's Cancel returns only after the query's running
+  // callback has returned, and no callback of it starts afterwards.
+  const QueryId q = Standing();
+  std::atomic<bool> started{false};
+  std::atomic<bool> running{false};
+  std::atomic<int> calls{0};
+  auto on_set = [&](const ResultSet&) {
+    running = true;
+    started = true;
+    ++calls;
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    running = false;
+  };
+  ASSERT_TRUE(server_->SetCallback(q, on_set).ok());
+  std::atomic<bool> stop{false};
+  std::thread producer([&] {
+    for (int64_t day = 1; !stop; ++day) {
+      ASSERT_TRUE(
+          server_->Push("ClosingStockPrices", Stock(day, "MSFT", 50.0)).ok());
+    }
+  });
+  while (!started) std::this_thread::yield();
+  ASSERT_TRUE(server_->Cancel(q).ok());
+  EXPECT_FALSE(running.load()) << "Cancel returned mid-callback";
+  const int at_cancel = calls.load();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  stop = true;
+  producer.join();
+  server_->Quiesce();
+  EXPECT_EQ(calls.load(), at_cancel);
+}
+
+TEST_P(ServerReentrancyTest, ConnectFlushesBacklogBeforeLiveSets) {
+  // The backlog goes through the delivery FIFO ahead of every live set,
+  // even with a producer pushing while the callback connects.
+  const QueryId q = Standing();
+  Feed(1, 50);  // Days 6..50 buffered.
+  std::atomic<bool> connected{false};
+  std::thread producer([&] {
+    for (int64_t day = 51; day <= 400; ++day) {
+      if (day == 60) {
+        while (!connected) std::this_thread::yield();
+      }
+      const Tuple t = Stock(day, "MSFT", 40.0 + static_cast<double>(day));
+      ASSERT_TRUE(server_->Push("ClosingStockPrices", t).ok());
+    }
+  });
+  std::mutex seen_mu;
+  std::vector<Timestamp> seen;
+  auto on_set = [&](const ResultSet& rs) {
+    std::lock_guard<std::mutex> lock(seen_mu);
+    for (const Tuple& row : rs.rows) seen.push_back(row.timestamp());
+  };
+  ASSERT_TRUE(server_->SetCallback(q, on_set).ok());
+  connected = true;
+  producer.join();
+  server_->Quiesce();
+  std::vector<Timestamp> want;
+  for (Timestamp d = 6; d <= 400; ++d) want.push_back(d);
+  std::lock_guard<std::mutex> lock(seen_mu);
+  EXPECT_EQ(seen, want);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, ServerReentrancyTest,
+                         ::testing::Values(size_t{1}, size_t{2}),
+                         [](const ::testing::TestParamInfo<size_t>& info) {
+                           return info.param == 1 ? std::string("Inline")
+                                                  : std::string("TwoShards");
+                         });
 
 }  // namespace
 }  // namespace tcq
