@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 
 #include "common/logging.h"
 #include "modules/grouped_filter.h"
@@ -38,23 +39,24 @@ QueryRunner::QueryRunner(AnalyzedQuery analyzed,
     sequence_ = WindowSequence(kOnce, options.start_time);
   }
 
+  if (analyzed_.window.has_value() &&
+      analyzed_.window->windows.size() == 1 &&
+      analyzed_.layout->num_sources() == 1) {
+    auto shape = ClassifyWindow(sequence_, 0);
+    if (shape.ok()) shape_ = *shape;
+  }
   // Landmark fast path (§4.1.2): single windowed stream + aggregates over
   // a landmark window never retire tuples — keep running accumulators.
   // Disabled for speculative queries: Revise() re-executes fired windows,
   // which the incremental accumulators cannot rewind.
-  if (!options_.speculative && analyzed_.has_aggregates &&
-      analyzed_.window.has_value() &&
-      analyzed_.window->windows.size() == 1 &&
-      analyzed_.layout->num_sources() == 1) {
-    auto shape = ClassifyWindow(*analyzed_.window, 0, options_.start_time);
-    if (shape.ok() && (shape->window_class == WindowClass::kLandmark ||
-                       shape->window_class == WindowClass::kSnapshot)) {
-      use_landmark_path_ = true;
-      landmark_clause_ = 0;
-      landmark_agg_ = std::make_unique<WindowAggregator>(
-          analyzed_.aggregates, analyzed_.group_by, /*retain_tuples=*/false);
-      landmark_rewrite_mark_ = archives_[0]->WatchRewrites();
-    }
+  if (!options_.speculative && analyzed_.has_aggregates && shape_ &&
+      (shape_->window_class == WindowClass::kLandmark ||
+       shape_->window_class == WindowClass::kSnapshot)) {
+    use_landmark_path_ = true;
+    landmark_clause_ = 0;
+    landmark_agg_ = std::make_unique<WindowAggregator>(
+        analyzed_.aggregates, analyzed_.group_by, /*retain_tuples=*/false);
+    landmark_rewrite_mark_ = archives_[0]->WatchRewrites();
   }
 
   shareable_ = !options_.speculative && !use_landmark_path_ &&
@@ -238,10 +240,11 @@ ResultSet QueryRunner::ExecuteWindow(const WindowSequence::Step& step) {
   std::vector<Tuple> wide = RunDataflow(step);
 
   if (analyzed_.has_aggregates) {
-    WindowAggregator agg(analyzed_.aggregates, analyzed_.group_by,
-                         /*retain_tuples=*/false);
-    for (const Tuple& t : wide) agg.Add(t);
-    result.rows = agg.Emit(step.t);
+    const auto& specs = analyzed_.aggregates;
+    const auto& keys = analyzed_.group_by;
+    AggregateState agg(specs, keys);
+    for (const Tuple& t : wide) agg.Add(specs, keys, t);
+    result.rows = agg.Emit(specs, keys, step.t);
     return result;
   }
 
@@ -336,90 +339,405 @@ std::vector<Tuple> QueryRunner::RunDataflow(const WindowSequence::Step& step) {
   return out;
 }
 
-size_t SharedWindowScan::Add(QueryRunner* runner, Timestamp high_watermark) {
-  TCQ_CHECK(runner->shareable());
-  TCQ_CHECK(archive_ == nullptr || archive_ == runner->archives_[0])
-      << "a shared scan reads one stream";
-  archive_ = runner->archives_[0];
-  Slot slot;
-  slot.runner = runner;
-  fired_ += runner->TakeReady(high_watermark, &slot.steps);
-  slots_.push_back(std::move(slot));
-  return slots_.size() - 1;
-}
+struct SharedWindowScan::ColumnFilter {
+  size_t column;
+  GroupedFilter filter;
+};
 
-void SharedWindowScan::Run() {
-  if (fired_ == 0) return;
-  const size_t n = slots_.size();
-  // Per-slot window state: one aggregator (aggregate queries) or one row
-  // list (projections) per ready step, plus the open-window cursor. The
-  // scan runs in timestamp order, so a window opens once the scan reaches
-  // its left end and closes for good once it passes its right end.
-  struct Live {
-    std::vector<WindowAggregator> aggs;
-    std::vector<TupleVector> rows;
-    std::vector<uint32_t> by_left;  ///< Step indices ordered by left end.
-    size_t next_open = 0;
-    std::vector<uint32_t> open;  ///< Opened, not yet seen closed.
-  };
-  std::vector<Live> live(n);
-  std::vector<std::pair<Timestamp, Timestamp>> ranges;
-  SmallBitset with_steps(n);
-  // Per-column grouped filters over the ready slots' simple factors (a
-  // NULL cell fails every slot a filter constrains, as the factor's own
-  // evaluation would).
-  struct ColumnFilter {
-    size_t column;
-    GroupedFilter filter;
-  };
-  std::vector<ColumnFilter> filters;
-
-  for (size_t q = 0; q < n; ++q) {
-    const Slot& slot = slots_[q];
-    if (slot.steps.empty()) continue;
-    with_steps.Set(q);
-    const AnalyzedQuery& aq = slot.runner->analyzed_;
-    const size_t clause =
-        static_cast<size_t>(aq.window_clause_of_source[0]);
-    Live& lv = live[q];
-    if (aq.has_aggregates) {
-      lv.aggs.reserve(slot.steps.size());
-      for (size_t i = 0; i < slot.steps.size(); ++i) {
-        lv.aggs.emplace_back(aq.aggregates, aq.group_by,
-                             /*retain_tuples=*/false);
-      }
-    } else {
-      lv.rows.resize(slot.steps.size());
-    }
-    lv.by_left.resize(slot.steps.size());
-    for (size_t i = 0; i < slot.steps.size(); ++i) {
-      lv.by_left[i] = static_cast<uint32_t>(i);
-      const WindowBounds& b = slot.steps[i].bounds[clause];
-      if (b.left <= b.right) ranges.emplace_back(b.left, b.right);
-    }
-    std::stable_sort(lv.by_left.begin(), lv.by_left.end(),
-                     [&](uint32_t a, uint32_t b) {
-                       return slot.steps[a].bounds[clause].left <
-                              slot.steps[b].bounds[clause].left;
-                     });
+class SharedWindowScan::Query {
+ public:
+  Query(QueryRunner* r, size_t slot)
+      : runner(r),
+        slot(slot),
+        aq(r->analyzed_),
+        clause(static_cast<size_t>(aq.window_clause_of_source[0])) {
     for (const AnalyzedQuery::BoundFilter& bf : aq.filters) {
-      const FactorPlan& f = bf.plan;
-      if (f.kind != FactorPlan::Kind::kGrouped) continue;
-      auto it = std::find_if(filters.begin(), filters.end(),
-                             [&](const ColumnFilter& cf) {
-                               return cf.column == f.column;
-                             });
-      if (it == filters.end()) {
-        filters.push_back(ColumnFilter{f.column, GroupedFilter()});
-        it = filters.end() - 1;
+      if (bf.plan.kind == FactorPlan::Kind::kResidual) {
+        residuals.push_back(bf.expr);
       }
-      it->filter.AddPredicate(static_cast<QueryId>(q), f.op, f.constant);
+    }
+    const std::optional<WindowShape>& shape = r->window_shape();
+    const bool forward =
+        shape.has_value() && shape->width > 0 && shape->hop > 0 &&
+        (shape->window_class == WindowClass::kSliding ||
+         shape->window_class == WindowClass::kHopping);
+    // Group keys compare as a total order unless they are doubles (NaN).
+    const bool merges =
+        !aq.has_aggregates ||
+        (Accumulator::Mergeable(aq.aggregates) &&
+         std::none_of(aq.group_by.begin(), aq.group_by.end(),
+                      [](const ExprPtr& e) {
+                        return e->result_type() == ValueType::kDouble;
+                      }));
+    if (forward && merges) {
+      width = shape->width;
+      hop = shape->hop;
+      pane = std::gcd(width, hop);
     }
   }
-  // The merged union of the ready windows: overlapping or adjacent ranges
-  // coalesce, so every tuple any window needs is read exactly once.
+
+  /// First pane of window k of the grid, and its left end.
+  uint64_t FirstPane(uint64_t k) const {
+    return k * static_cast<uint64_t>(hop / pane);
+  }
+  Timestamp WindowLeft(uint64_t k) const {
+    return static_cast<Timestamp>(static_cast<uint64_t>(anchor) +
+                                  k * static_cast<uint64_t>(hop));
+  }
+  uint64_t PaneOf(Timestamp ts) const {
+    return (static_cast<uint64_t>(ts) - static_cast<uint64_t>(anchor)) /
+           static_cast<uint64_t>(pane);
+  }
+  Timestamp PaneStart(uint64_t index) const {
+    return static_cast<Timestamp>(static_cast<uint64_t>(anchor) +
+                                  index * static_cast<uint64_t>(pane));
+  }
+  /// Whether `b` is window k >= min_k of the grid, with its panes still
+  /// kept; sets k and its pane range [first, last].
+  bool OnGrid(const WindowBounds& b, uint64_t* k, uint64_t* first,
+              uint64_t* last) const {
+    if (pane == 0 || b.left < anchor || b.right < b.left ||
+        static_cast<uint64_t>(b.right) - static_cast<uint64_t>(b.left) !=
+            static_cast<uint64_t>(width - 1)) {
+      return false;
+    }
+    const uint64_t d =
+        static_cast<uint64_t>(b.left) - static_cast<uint64_t>(anchor);
+    if (d % static_cast<uint64_t>(hop) != 0) return false;
+    *k = d / static_cast<uint64_t>(hop);
+    *first = FirstPane(*k);
+    *last = *first + static_cast<uint64_t>(width / pane) - 1;
+    return *k >= min_k && *first >= base;
+  }
+
+  struct Pane {
+    uint64_t index;
+    AggregateState agg;
+    TupleVector rows;
+  };
+  /// Drops the panes below `index`, for good; returns how many.
+  uint64_t DropBelow(uint64_t index) {
+    const auto end = std::lower_bound(
+        panes.begin(), panes.end(), index,
+        [](const Pane& p, uint64_t i) { return p.index < i; });
+    const uint64_t dropped = static_cast<uint64_t>(end - panes.begin());
+    Recycle(panes.begin(), end);
+    base = std::max(base, index);
+    return dropped;
+  }
+  /// Drops the panes from `index` on; returns how many.
+  uint64_t DropFrom(uint64_t index) {
+    const auto begin = std::lower_bound(
+        panes.begin(), panes.end(), index,
+        [](const Pane& p, uint64_t i) { return p.index < i; });
+    const uint64_t dropped = static_cast<uint64_t>(panes.end() - begin);
+    Recycle(begin, panes.end());
+    return dropped;
+  }
+  /// Moves dropped panes to `spare`, so a pane's storage is reused
+  /// rather than freed and allocated again for every pane.
+  void Recycle(std::vector<Pane>::iterator begin,
+               std::vector<Pane>::iterator end) {
+    spare.insert(spare.end(), std::make_move_iterator(begin),
+                 std::make_move_iterator(end));
+    panes.erase(begin, end);
+  }
+  /// The result set of fired step `s`: a grid window is the in-order
+  /// merge of its panes (projections: their rows concatenated), any
+  /// other window its own unit.
+  ResultSet Emit(size_t s) {
+    const Fire& f = fires[s];
+    ResultSet rs;
+    rs.t = steps[s].t;
+    if (!f.paned) {
+      rs.rows = aq.has_aggregates
+                    ? unit_aggs[f.unit].Emit(aq.aggregates, aq.group_by, rs.t)
+                    : std::move(unit_rows[f.unit]);
+      return rs;
+    }
+    auto it = std::lower_bound(
+        panes.begin(), panes.end(), f.first,
+        [](const Pane& p, uint64_t index) { return p.index < index; });
+    auto end = it;
+    while (end != panes.end() && end->index <= f.last) ++end;
+    if (!aq.has_aggregates) {
+      for (; it != end; ++it) {
+        rs.rows.insert(rs.rows.end(), it->rows.begin(), it->rows.end());
+      }
+    } else if (it == end) {
+      rs.rows = AggregateState(aq.aggregates, aq.group_by)
+                    .Emit(aq.aggregates, aq.group_by, rs.t);
+    } else if (std::next(it) == end) {
+      rs.rows = it->agg.Emit(aq.aggregates, aq.group_by, rs.t);
+    } else {
+      merged = it->agg;
+      for (++it; it != end; ++it) {
+        merged.Merge(aq.aggregates, aq.group_by, it->agg);
+      }
+      rs.rows = merged.Emit(aq.aggregates, aq.group_by, rs.t);
+    }
+    return rs;
+  }
+  /// Schedules the tuples in [filled, through] that windows from k on
+  /// cover (all of them unless the hop exceeds the width) for their
+  /// panes.
+  void FillPanes(uint64_t k, Timestamp through) {
+    for (;; ++k) {
+      const Timestamp left = WindowLeft(k);
+      if (left > through) break;
+      const Timestamp lo = std::max(filled, left);
+      const Timestamp hi =
+          hop <= width || static_cast<uint64_t>(through) -
+                                  static_cast<uint64_t>(left) <
+                              static_cast<uint64_t>(width - 1)
+              ? through
+              : left + (width - 1);
+      if (lo <= hi) {
+        if (!builds.empty() && builds.back().unit < 0 &&
+            builds.back().hi + 1 == lo) {
+          builds.back().hi = hi;
+        } else {
+          builds.push_back({lo, hi, -1});
+        }
+      }
+      if (hop <= width) break;
+    }
+    filled = std::max(filled, through + 1);
+  }
+  /// The pane `ts` falls in, made when the scan first reaches it: panes
+  /// fill in index order, each past every pane already kept but the
+  /// last.
+  Pane& PaneAt(Timestamp ts, uint64_t* built) {
+    const uint64_t index = PaneOf(ts);
+    if (panes.empty() || panes.back().index != index) {
+      if (spare.empty()) {
+        panes.push_back(Pane{
+            index, AggregateState(aq.aggregates, aq.group_by), {}});
+      } else {
+        panes.push_back(std::move(spare.back()));
+        spare.pop_back();
+        panes.back().index = index;
+        panes.back().agg.Clear();
+        panes.back().rows.clear();
+      }
+      ++*built;
+    }
+    return panes.back();
+  }
+
+  QueryRunner* runner;
+  const size_t slot;  ///< Its bit in the grouped filters.
+  const AnalyzedQuery& aq;
+  const size_t clause;
+  std::vector<ExprPtr> residuals;
+
+  /// The pane grid; pane == 0 when every window is its own unit.
+  int64_t width = 0;
+  int64_t hop = 0;
+  int64_t pane = 0;
+  bool anchored = false;
+  Timestamp anchor = 0;  ///< The first window's left end.
+  uint64_t min_k = 0;    ///< A window before the last paned one is not.
+  uint64_t base = 0;     ///< Panes below it are gone.
+  /// Every tuple below it that a later window covers is in its pane;
+  /// the last pane may still be filling.
+  Timestamp filled = kMinTimestamp;
+  std::vector<Pane> panes;  ///< The non-empty ones, by index.
+  std::vector<Pane> spare;  ///< Dropped panes, for reuse.
+  AggregateState merged{{}, {}};  ///< A window's merge (reused).
+
+  // --- One Advance.
+  std::vector<WindowSequence::Step> steps;
+  /// Per step: its pane range, or its own unit.
+  struct Fire {
+    bool paned;
+    uint64_t first;
+    uint64_t last;
+    uint32_t unit;
+  };
+  std::vector<Fire> fires;
+  std::vector<AggregateState> unit_aggs;
+  std::vector<TupleVector> unit_rows;
+  /// A range the scan builds: panes (unit < 0) or one unit.
+  struct Build {
+    Timestamp lo;
+    Timestamp hi;
+    int64_t unit;
+  };
+  std::vector<Build> builds;  ///< By left end.
+  size_t next_open = 0;
+  std::vector<uint32_t> open;  ///< Builds opened, not yet seen closed.
+  std::vector<ResultSet> results;
+};
+
+SharedWindowScan::SharedWindowScan(const Archive* archive)
+    : archive_(archive), rewrite_mark_(archive->WatchRewrites()) {}
+
+SharedWindowScan::~SharedWindowScan() = default;
+
+SharedWindowScan::Query* SharedWindowScan::Add(QueryRunner* runner) {
+  TCQ_CHECK(runner->shareable());
+  TCQ_CHECK(runner->archives_[0] == archive_) << "a plan reads one stream";
+  size_t slot = queries_.size();
+  if (free_.empty()) {
+    queries_.emplace_back();
+  } else {
+    slot = free_.back();
+    free_.pop_back();
+  }
+  queries_[slot] = std::make_unique<Query>(runner, slot);
+  unregistered_.push_back(slot);
+  return queries_[slot].get();
+}
+
+void SharedWindowScan::Remove(Query* query) { removed_.push_back(query->slot); }
+
+void SharedWindowScan::ReleaseRemoved() {
+  for (const size_t slot : removed_) {
+    if (std::erase(unregistered_, slot) == 0) {
+      for (ColumnFilter& cf : filters_) {
+        cf.filter.RemoveQuery(static_cast<QueryId>(slot));
+      }
+    }
+    queries_[slot].reset();
+    free_.push_back(slot);
+  }
+  removed_.clear();
+}
+
+void SharedWindowScan::Register() {
+  for (const size_t slot : unregistered_) {
+    for (const AnalyzedQuery::BoundFilter& bf : queries_[slot]->aq.filters) {
+      const FactorPlan& f = bf.plan;
+      if (f.kind != FactorPlan::Kind::kGrouped) continue;
+      auto it = std::find_if(
+          filters_.begin(), filters_.end(),
+          [&](const ColumnFilter& cf) { return cf.column == f.column; });
+      if (it == filters_.end()) {
+        filters_.push_back(ColumnFilter{f.column, GroupedFilter()});
+        it = filters_.end() - 1;
+      }
+      it->filter.AddPredicate(static_cast<QueryId>(slot), f.op, f.constant);
+    }
+  }
+  unregistered_.clear();
+}
+
+uint64_t SharedWindowScan::DropStalePanes() {
+  uint64_t dropped = 0;
+  const Timestamp mark = *rewrite_mark_;
+  *rewrite_mark_ = kMaxTimestamp;
+  const Timestamp floor = archive_->floor();
+  const bool evicted = floor > floor_seen_;
+  floor_seen_ = std::max(floor_seen_, floor);
+  if (mark == kMaxTimestamp && !evicted) return 0;
+  for (const std::unique_ptr<Query>& q : queries_) {
+    if (q == nullptr || !q->anchored) continue;
+    if (mark != kMaxTimestamp) {
+      // Every pane from the rewritten one on is rebuilt when needed.
+      const uint64_t from = mark <= q->anchor ? 0 : q->PaneOf(mark);
+      dropped += q->DropFrom(from);
+      q->filled = std::min(q->filled, q->PaneStart(from));
+    }
+    if (evicted && floor > q->anchor) {
+      // Panes starting below the floor lost tuples: windows over them
+      // are their own units from now on.
+      const uint64_t d =
+          static_cast<uint64_t>(floor) - static_cast<uint64_t>(q->anchor);
+      const uint64_t whole = d / static_cast<uint64_t>(q->pane) +
+                             (d % static_cast<uint64_t>(q->pane) != 0);
+      dropped += q->DropBelow(whole);
+    }
+  }
+  return dropped;
+}
+
+SharedWindowScan::Stats SharedWindowScan::Advance(Timestamp high_watermark,
+                                                  const Query* only) {
+  Stats stats;
+  ReleaseRemoved();
+  stats.pane_rewrites = DropStalePanes();
+  const size_t n = queries_.size();
+  SmallBitset with_builds(n);
+  std::vector<std::pair<Timestamp, Timestamp>>& ranges = ranges_;
+  std::vector<Query*>& busy = busy_;  ///< Windows to emit, or builds.
+  ranges.clear();
+  busy.clear();
+
+  // 1. Each query's ready steps, and what the scan must build: the panes
+  // of its grid windows not built yet, every other window whole, and the
+  // panes of its next window the watermark has completed.
+  for (size_t i = only == nullptr ? 0 : only->slot; i < n; ++i) {
+    if (queries_[i] == nullptr) continue;
+    Query& q = *queries_[i];
+    if (only != nullptr && &q != only) break;
+    QueryRunner* runner = q.runner;
+    if (runner->done()) continue;
+    runner->TakeReady(high_watermark, &q.steps);
+    if (runner->status().code() == StatusCode::kResourceExhausted) {
+      ++stats.budget_exceeded;
+    }
+    if (q.steps.empty() && runner->done()) {
+      q.panes.clear();
+      q.spare.clear();
+      continue;
+    }
+    stats.fired += q.steps.size();
+    const std::optional<WindowSequence::Step>& next = runner->pending_step_;
+    if (q.pane > 0 && !q.anchored && (!q.steps.empty() || next)) {
+      q.anchor = (q.steps.empty() ? *next : q.steps.front())
+                     .bounds[q.clause]
+                     .left;
+      q.filled = q.anchor;
+      q.anchored = true;
+    }
+    // Panes are filled as the watermark passes their tuples: through the
+    // ready windows, and in a full advance through everything the
+    // watermark completed for the next one, so each tuple is read once.
+    // (A query's first advance, at Submit, reads only what it fires.)
+    uint64_t k = 0, first = 0, last = 0;
+    std::optional<uint64_t> first_k;
+    Timestamp through = kMinTimestamp;
+    for (const WindowSequence::Step& step : q.steps) {
+      const WindowBounds& b = step.bounds[q.clause];
+      if (q.OnGrid(b, &k, &first, &last)) {
+        q.fires.push_back({true, first, last, 0});
+        q.min_k = k;
+        if (!first_k) first_k = k;
+        through = b.right;
+        continue;
+      }
+      uint32_t unit = 0;
+      if (q.aq.has_aggregates) {
+        unit = static_cast<uint32_t>(q.unit_aggs.size());
+        q.unit_aggs.emplace_back(q.aq.aggregates, q.aq.group_by);
+      } else {
+        unit = static_cast<uint32_t>(q.unit_rows.size());
+        q.unit_rows.emplace_back();
+      }
+      q.fires.push_back({false, 0, 0, unit});
+      if (b.left <= b.right) q.builds.push_back({b.left, b.right, unit});
+    }
+    if (only == nullptr && next.has_value() && high_watermark > q.anchor &&
+        q.OnGrid(next->bounds[q.clause], &k, &first, &last)) {
+      if (!first_k) first_k = k;
+      through = high_watermark - 1;
+    }
+    if (first_k) q.FillPanes(*first_k, through);
+    if (!q.steps.empty() || !q.builds.empty()) busy.push_back(&q);
+    if (q.builds.empty()) continue;
+    std::stable_sort(
+        q.builds.begin(), q.builds.end(),
+        [](const Query::Build& a, const Query::Build& b) { return a.lo < b.lo; });
+    for (const Query::Build& b : q.builds) ranges.emplace_back(b.lo, b.hi);
+    with_builds.Set(i);
+  }
+
+  // 2. One scan over the merged union of the ranges: overlapping or
+  // adjacent ranges coalesce, so each tuple is read once.
   std::sort(ranges.begin(), ranges.end());
-  std::vector<std::pair<Timestamp, Timestamp>> merged;
+  std::vector<std::pair<Timestamp, Timestamp>>& merged = merged_;
+  merged.clear();
   for (const auto& r : ranges) {
     if (!merged.empty() &&
         (r.first <= merged.back().second ||
@@ -430,69 +748,83 @@ void SharedWindowScan::Run() {
       merged.push_back(r);
     }
   }
-
+  if (!merged.empty()) Register();
   SmallBitset candidates(n);
-  uint64_t scanned = 0;
   auto visit = [&](const Tuple& t) {
-    ++scanned;
+    ++stats.scanned;
     const Timestamp ts = t.timestamp();
-    candidates = with_steps;
-    for (const ColumnFilter& cf : filters) {
+    candidates = with_builds;
+    for (const ColumnFilter& cf : filters_) {
       cf.filter.Apply(t.cell(cf.column), &candidates);
     }
-    candidates.ForEachSet([&](size_t q) {
-      const Slot& slot = slots_[q];
-      const AnalyzedQuery& aq = slot.runner->analyzed_;
-      const size_t clause =
-          static_cast<size_t>(aq.window_clause_of_source[0]);
-      Live& lv = live[q];
-      while (lv.next_open < lv.by_left.size() &&
-             slot.steps[lv.by_left[lv.next_open]].bounds[clause].left <= ts) {
-        lv.open.push_back(lv.by_left[lv.next_open++]);
+    candidates.ForEachSet([&](size_t i) {
+      Query& q = *queries_[i];
+      while (q.next_open < q.builds.size() &&
+             q.builds[q.next_open].lo <= ts) {
+        q.open.push_back(static_cast<uint32_t>(q.next_open++));
       }
-      lv.open.erase(std::remove_if(lv.open.begin(), lv.open.end(),
-                                   [&](uint32_t w) {
-                                     return slot.steps[w].bounds[clause].right <
-                                            ts;
-                                   }),
-                    lv.open.end());
-      if (lv.open.empty()) return;
-      for (const AnalyzedQuery::BoundFilter& bf : aq.filters) {
-        if (bf.plan.kind != FactorPlan::Kind::kResidual) continue;
-        const Value keep = bf.expr->Eval(t);
+      std::erase_if(q.open, [&](uint32_t b) { return q.builds[b].hi < ts; });
+      if (q.open.empty()) return;
+      for (const ExprPtr& e : q.residuals) {
+        const Value keep = e->Eval(t);
         if (keep.is_null() || !keep.bool_value()) return;
       }
-      if (aq.has_aggregates) {
-        for (uint32_t w : lv.open) lv.aggs[w].Add(t);
+      if (q.aq.has_aggregates) {
+        for (const uint32_t b : q.open) {
+          const int64_t unit = q.builds[b].unit;
+          (unit < 0 ? q.PaneAt(ts, &stats.panes).agg : q.unit_aggs[unit])
+              .Add(q.aq.aggregates, q.aq.group_by, t);
+        }
         return;
       }
       std::vector<Value> cells;
-      cells.reserve(aq.projections.size());
-      for (const ExprPtr& e : aq.projections) cells.push_back(e->Eval(t));
+      cells.reserve(q.aq.projections.size());
+      for (const ExprPtr& e : q.aq.projections) cells.push_back(e->Eval(t));
       const Tuple row = Tuple::Make(std::move(cells), ts);
-      for (uint32_t w : lv.open) lv.rows[w].push_back(row);
+      for (const uint32_t b : q.open) {
+        const int64_t unit = q.builds[b].unit;
+        (unit < 0 ? q.PaneAt(ts, &stats.panes).rows : q.unit_rows[unit])
+            .push_back(row);
+      }
     });
   };
   for (const auto& [lo, hi] : merged) archive_->ScanApply(lo, hi, visit);
-  scanned_ += scanned;
 
-  for (size_t q = 0; q < n; ++q) {
-    Slot& slot = slots_[q];
-    Live& lv = live[q];
-    slot.results.reserve(slot.steps.size());
-    for (size_t i = 0; i < slot.steps.size(); ++i) {
-      ResultSet rs;
-      rs.t = slot.steps[i].t;
-      rs.rows = slot.runner->analyzed_.has_aggregates
-                    ? lv.aggs[i].Emit(rs.t)
-                    : std::move(lv.rows[i]);
-      slot.results.push_back(std::move(rs));
+  // 3. Emit every fired window, then drop the panes no later window
+  // covers: the next one is the runner's pending step, and every window
+  // after it starts no earlier on the grid.
+  for (Query* qp : busy) {
+    Query& q = *qp;
+    for (size_t s = 0; s < q.steps.size(); ++s) {
+      q.results.push_back(q.Emit(s));
     }
+    if (q.pane > 0 && !q.steps.empty()) {
+      const std::optional<WindowSequence::Step>& next =
+          q.runner->pending_step_;
+      uint64_t k = 0, first = 0, last = 0;
+      if (q.runner->done()) {
+        q.panes.clear();
+        q.spare.clear();
+      } else if (next.has_value() &&
+                 q.OnGrid(next->bounds[q.clause], &k, &first, &last)) {
+        q.DropBelow(first);
+      } else {
+        q.DropBelow(q.FirstPane(q.min_k));
+      }
+    }
+    q.steps.clear();
+    q.fires.clear();
+    q.unit_aggs.clear();
+    q.unit_rows.clear();
+    q.builds.clear();
+    q.next_open = 0;
+    q.open.clear();
   }
+  return stats;
 }
 
-std::vector<ResultSet> SharedWindowScan::TakeResults(size_t slot) {
-  return std::move(slots_[slot].results);
+std::vector<ResultSet> SharedWindowScan::TakeResults(Query* query) {
+  return std::move(query->results);
 }
 
 }  // namespace tcq

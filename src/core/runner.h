@@ -4,6 +4,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -96,6 +97,10 @@ class QueryRunner {
   /// on the landmark-aggregate fast path. A property of the query.
   bool shareable() const { return shareable_; }
 
+  /// ClassifyWindow's probe of the query's one window clause (absent for
+  /// joins, tables-only snapshots and malformed loops).
+  const std::optional<WindowShape>& window_shape() const { return shape_; }
+
   /// Speculative revision (DESIGN.md §15): a tuple with timestamp
   /// `late_ts` landed in (or left) the archives after windows covering it
   /// fired. Recomputes every retained fired window whose bounds contain
@@ -146,6 +151,7 @@ class QueryRunner {
   uint64_t total_visits_ = 0;
   uint64_t tuples_scanned_ = 0;
   bool shareable_ = false;
+  std::optional<WindowShape> shape_;
 
   /// Incremental landmark-aggregate state (§4.1.2 fast path).
   std::unique_ptr<WindowAggregator> landmark_agg_;
@@ -176,55 +182,89 @@ class QueryRunner {
   std::deque<FiredWindow> fired_;
 };
 
-/// Fires the ready windows of many shareable QueryRunners over one stream
-/// from ONE archive scan (DESIGN.md §17), instead of one scan and one
-/// Eddy per (query, window):
+/// The standing window plan of one stream (DESIGN.md §17): fires the
+/// ready windows of every shareable QueryRunner over the stream from ONE
+/// archive scan per advance, instead of one scan and one Eddy per (query,
+/// window). Kept up to date by Add and Remove, never rebuilt per advance:
 ///
-///  1. Add() takes each runner's ready steps (QueryRunner::TakeReady).
-///  2. Run() scans the archive once over the merged union of the steps'
-///     [left, right] ranges; tuples outside every ready window are never
-///     read.
-///  3. Per scanned tuple the pass-set is computed once: per-column
-///     GroupedFilters over the runners' `column op constant` factors, then
-///     residual factors only for the surviving candidates.
-///  4. The tuple joins every ready window of every passing runner that
-///     contains its timestamp; each window then emits through a
-///     WindowAggregator or the plain projection, exactly as the runner's
-///     own ExecuteWindow would.
+///  * per-column GroupedFilters over the queries' `column op constant`
+///    factors (compiled lazily on the first scan after a change), and
+///    each query's residual factors;
+///  * for a query whose windows move forward with width w and hop h
+///    (ClassifyWindow) and whose select list merges exactly — COUNT, MIN,
+///    MAX and INT64 SUM (Accumulator::Mergeable), or plain projections —
+///    partials on a grid of panes of gcd(w, h) ticks, anchored at its
+///    first window's left end. Each tuple is added to one pane; a window
+///    on the grid is the in-order merge of its panes (for projections,
+///    their rows concatenated). Every other query and step is its own
+///    unit, scanned when it fires.
 ///
-/// A window sees its tuples in archive order — the order its own scan
-/// would read them — so every ResultSet, double SUM/AVG included, is
-/// byte-identical to QueryRunner::Advance. The grouped index is built per
-/// scan from the added runners only; nothing is kept between scans.
+/// The archive stays the source of truth: a kIngestLate insert or a
+/// matched retraction (Archive::WatchRewrites) drops every pane from the
+/// rewritten timestamp on, history evicted below Archive::floor() drops
+/// every pane reaching into it, and the next advance rescans what it
+/// needs. Every window sees its tuples in archive order, so every
+/// ResultSet is byte-identical to QueryRunner::Advance's.
 class SharedWindowScan {
  public:
-  /// Takes `runner`'s windows ready at `high_watermark`. The runner must
-  /// be shareable and read the same archive as every runner added
-  /// before. Returns the runner's slot for TakeResults.
-  size_t Add(QueryRunner* runner, Timestamp high_watermark);
+  /// One registered runner's standing state.
+  class Query;
 
-  /// Executes every added window from one archive scan. Call once.
-  void Run();
-
-  /// The slot's result sets, one per fired window in firing order.
-  std::vector<ResultSet> TakeResults(size_t slot);
-
-  /// Windows taken by Add (Run fires them all) and archive tuples read
-  /// by Run.
-  size_t fired() const { return fired_; }
-  uint64_t scanned() const { return scanned_; }
-
- private:
-  struct Slot {
-    const QueryRunner* runner;
-    std::vector<WindowSequence::Step> steps;
-    std::vector<ResultSet> results;
+  /// Totals of one Advance.
+  struct Stats {
+    uint64_t fired = 0;    ///< Windows fired.
+    uint64_t scanned = 0;  ///< Archive tuples read.
+    uint64_t panes = 0;    ///< Panes built (non-empty partials made).
+    uint64_t pane_rewrites = 0;  ///< Panes dropped by a rewrite or eviction.
+    uint64_t budget_exceeded = 0;  ///< Runners ended by the step budget.
   };
 
-  const Archive* archive_ = nullptr;
-  std::vector<Slot> slots_;
-  size_t fired_ = 0;
-  uint64_t scanned_ = 0;
+  explicit SharedWindowScan(const Archive* archive);
+  ~SharedWindowScan();
+  SharedWindowScan(const SharedWindowScan&) = delete;
+  SharedWindowScan& operator=(const SharedWindowScan&) = delete;
+
+  /// Registers a shareable runner over this plan's archive. The handle
+  /// stays valid until Remove.
+  Query* Add(QueryRunner* runner);
+
+  /// O(1): the query stops firing now and leaves the plan, with every
+  /// other removed query, at the start of the next Advance; its slot is
+  /// reused. The runner may be destroyed once Remove returns.
+  void Remove(Query* query);
+
+  /// Fires the windows of every registered runner — or of `only` —
+  /// ready at `high_watermark`. Results wait in TakeResults.
+  Stats Advance(Timestamp high_watermark, const Query* only = nullptr);
+
+  /// The query's result sets from the last Advance, one per fired
+  /// window, in firing order.
+  std::vector<ResultSet> TakeResults(Query* query);
+
+ private:
+  struct ColumnFilter;
+
+  /// Adds the factors of the queries added since the last call to the
+  /// grouped filters (the index recompiles on its next Apply).
+  void Register();
+  /// Drops the removed queries' factors and frees their slots for reuse.
+  void ReleaseRemoved();
+  /// Drops panes the archive rewrote or evicted since the last Advance.
+  uint64_t DropStalePanes();
+
+  const Archive* archive_;
+  std::shared_ptr<Timestamp> rewrite_mark_;  ///< Archive::WatchRewrites.
+  Timestamp floor_seen_ = kMinTimestamp;     ///< Archive::floor() applied.
+  /// By slot, a query's bit in the grouped filters; null when free.
+  std::vector<std::unique_ptr<Query>> queries_;
+  std::vector<size_t> unregistered_;  ///< Slots not in filters_ yet.
+  std::vector<size_t> removed_;  ///< Slots removed since the last Advance.
+  std::vector<size_t> free_;     ///< Slots to reuse.
+  std::vector<ColumnFilter> filters_;
+  /// One Advance's scan ranges, before and after merging, and the queries
+  /// it touched (kept for their storage).
+  std::vector<std::pair<Timestamp, Timestamp>> ranges_, merged_;
+  std::vector<Query*> busy_;
 };
 
 }  // namespace tcq

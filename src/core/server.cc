@@ -47,6 +47,8 @@ struct ServerMetrics {
   Counter* spool_replayed;  ///< Records re-delivered by ReplayStream.
   Counter* window_fired;    ///< Windows fired by windowed queries.
   Counter* window_scanned;  ///< Archive tuples their executions read.
+  Counter* window_panes;    ///< Panes the window plans built.
+  Counter* window_pane_rewrites;  ///< Panes a rewrite or eviction dropped.
   /// Queries ended by QueryRunner::kMaxStepsPerAdvance.
   Counter* window_budget_exceeded;
   Counter* egress_shed_rows;  ///< Buffered rows shed past the Poll bound.
@@ -75,6 +77,9 @@ struct ServerMetrics {
       agg->spool_replayed = reg.GetCounter("tcq.spool.replayed");
       agg->window_fired = reg.GetCounter("tcq.window.fired");
       agg->window_scanned = reg.GetCounter("tcq.window.scanned");
+      agg->window_panes = reg.GetCounter("tcq.window.panes");
+      agg->window_pane_rewrites =
+          reg.GetCounter("tcq.window.pane_rewrites");
       agg->window_budget_exceeded =
           reg.GetCounter("tcq.window.budget_exceeded");
       agg->egress_shed_rows = reg.GetCounter("tcq.egress.shed_rows");
@@ -380,10 +385,28 @@ Result<QueryId> Server::Submit(const std::string& sql,
     ropts.speculative = speculative;
     qs->runner = std::make_unique<QueryRunner>(aq, std::move(archives),
                                                std::move(table_rows), ropts);
+    StreamState* plan = nullptr;
+    if (qs->runner->shareable()) {
+      plan = &streams_.at(aq.defs[0].name);
+      if (plan->windows == nullptr) {
+        plan->windows =
+            std::make_unique<SharedWindowScan>(plan->archive.get());
+      }
+      qs->window_query = plan->windows->Add(qs->runner.get());
+      qs->window_stream = plan;
+    }
+    for (const StreamDef& def : aq.defs) {
+      if (def.is_table) continue;
+      std::vector<QueryState*>& windowed = streams_.at(def.name).windowed;
+      if (windowed.empty() || windowed.back() != qs.get()) {
+        windowed.push_back(qs.get());  // Once per stream, self-joins too.
+      }
+    }
     // Table-only snapshots and past-window queries may already be
     // executable: fire them now.
-    const Timestamp hwm = RunnerWatermarkLocked(*qs);
-    AdvanceRunnersLocked({{qs.get(), hwm == kMaxTimestamp ? 0 : hwm}});
+    QueryState* const self = qs.get();
+    AdvanceRunnersLocked(plan, std::span<QueryState* const>(&self, 1),
+                         qs->window_query);
   }
 
   if (qs->consistency == Consistency::kSpeculative) ++num_speculative_;
@@ -399,13 +422,19 @@ Result<QueryId> Server::Submit(const std::string& sql,
 
 Status Server::SetCallback(QueryId q, Callback cb) {
   DrainOnExit drain{this};
+  std::unique_ptr<const Callback> replaced;  // Freed with no lock held.
   std::lock_guard<std::mutex> lock(mu_);
   if (q >= queries_.size() || !queries_[q]->active) {
     return Status::NotFound("no such active query");
   }
   QueryState* qs = queries_[q].get();
   std::lock_guard<std::mutex> rlock(results_mu_);
-  qs->callback = cb ? std::make_shared<const Callback>(std::move(cb)) : nullptr;
+  replaced = std::move(qs->callback);
+  if (cb) qs->callback = std::make_unique<const Callback>(std::move(cb));
+  // A running drain may be calling the replaced callback right now.
+  if (draining_ && replaced != nullptr) {
+    retired_callbacks_.push_back(std::move(replaced));
+  }
   // Disconnect: sets buffer for Poll (queued ones too, when drained).
   if (qs->callback == nullptr || qs->results.empty()) return Status::OK();
   // Connect: the backlog is older than any set of this query still in
@@ -452,6 +481,15 @@ Status Server::Cancel(QueryId q) {
       // A callback running on this thread is on our own stack.
       wait = qs->in_flight && drainer_ != std::this_thread::get_id();
     }
+    if (qs->window_query != nullptr) {
+      qs->window_stream->windows->Remove(qs->window_query);
+      qs->window_stream->windowed_cancelled = true;
+      qs->window_query = nullptr;
+    } else if (qs->runner != nullptr) {
+      for (const StreamDef& def : qs->analyzed.defs) {
+        if (!def.is_table) streams_.at(def.name).windowed_cancelled = true;
+      }
+    }
     qs->runner.reset();
     if (ss != nullptr) {
       size_t& lane = qs->consistency == Consistency::kSpeculative
@@ -464,7 +502,9 @@ Status Server::Cancel(QueryId q) {
   if (wait) {
     // The in-flight callback may itself be waiting for mu_.
     std::unique_lock<std::mutex> rlock(results_mu_);
+    ++delivery_waiters_;
     delivered_cv_.wait(rlock, [qs] { return !qs->in_flight; });
+    --delivery_waiters_;
   }
   return st;
 }
@@ -520,82 +560,73 @@ Timestamp Server::RunnerWatermarkLocked(const QueryState& qs) const {
   return hwm;
 }
 
-void Server::AdvanceQueriesLocked(const std::string& stream) {
-  // Advance every windowed query whose footprint includes this stream.
-  std::vector<std::pair<QueryState*, Timestamp>> due;
-  for (auto& qptr : queries_) {
-    QueryState* qs = qptr.get();
-    if (!qs->active || qs->runner == nullptr || qs->runner->done()) continue;
-    bool touches = false;
-    for (const StreamDef& def : qs->analyzed.defs) {
-      if (!def.is_table && def.name == stream) touches = true;
-    }
-    if (!touches) continue;
-    due.emplace_back(qs, RunnerWatermarkLocked(*qs));
+void Server::AdvanceQueriesLocked(StreamState* ss) {
+  if (ss->windowed_cancelled) {
+    std::erase_if(ss->windowed,
+                  [](const QueryState* qs) { return !qs->active; });
+    ss->windowed_cancelled = false;
   }
-  AdvanceRunnersLocked(due);
+  AdvanceRunnersLocked(ss, ss->windowed);
 }
 
-void Server::AdvanceRunnersLocked(
-    const std::vector<std::pair<QueryState*, Timestamp>>& due) {
-  // Shareable runners read one stream, and every caller advances queries
-  // of one stream (or one query): their ready windows fire together from
-  // one archive scan. The rest execute their own windows.
-  SharedWindowScan scan;
-  constexpr size_t kOwnPath = static_cast<size_t>(-1);
-  std::vector<size_t> slots(due.size(), kOwnPath);
-  for (size_t i = 0; i < due.size(); ++i) {
-    QueryRunner* runner = due[i].first->runner.get();
-    if (runner->shareable()) slots[i] = scan.Add(runner, due[i].second);
+void Server::AdvanceRunnersLocked(StreamState* ss,
+                                  std::span<QueryState* const> queries,
+                                  const SharedWindowScan::Query* only) {
+  SharedWindowScan::Stats stats;
+  if (ss != nullptr && ss->windows != nullptr) {
+    stats = ss->windows->Advance(ss->watermark, only);
   }
-  scan.Run();
-  uint64_t fired = scan.fired();
-  uint64_t scanned = scan.scanned();
+  uint64_t fired = stats.fired;
+  uint64_t scanned = stats.scanned;
+  uint64_t budget_exceeded = stats.budget_exceeded;
   // Delivery in query order, as if each query had advanced on its own.
-  for (size_t i = 0; i < due.size(); ++i) {
-    QueryState* qs = due[i].first;
-    std::vector<ResultSet> sets;
-    if (slots[i] != kOwnPath) {
-      sets = scan.TakeResults(slots[i]);
-    } else {
+  FiredSets sets;
+  for (QueryState* qs : queries) {
+    std::vector<ResultSet> out;
+    if (qs->window_query != nullptr) {
+      out = ss->windows->TakeResults(qs->window_query);
+    } else if (!qs->runner->done()) {
       const uint64_t before = qs->runner->tuples_scanned();
-      fired += qs->runner->Advance(due[i].second, &sets);
+      fired += qs->runner->Advance(RunnerWatermarkLocked(*qs), &out);
       scanned += qs->runner->tuples_scanned() - before;
-    }
-    if (!sets.empty()) DeliverResults(qs, std::move(sets));
-    // Only live runners are due, so a budget stop counts once.
-    if (qs->runner->status().code() == StatusCode::kResourceExhausted) {
-      ++windows_budget_exceeded_;
-      TCQ_METRIC(ServerMetrics::Get().window_budget_exceeded->Add(1));
-    }
-  }
-  if (fired == 0 && scanned == 0) return;
-  windows_fired_ += fired;
-  windows_scanned_ += scanned;
-  if (scan.fired() > 0) ++shared_scans_;
-  TCQ_METRIC(ServerMetrics::Get().window_fired->Add(fired));
-  TCQ_METRIC(ServerMetrics::Get().window_scanned->Add(scanned));
-}
-
-void Server::ReviseQueriesLocked(const std::string& stream,
-                                 Timestamp late_ts) {
-  if (num_speculative_ == 0) return;  // Per-batch call; skip the sweep.
-  for (auto& qptr : queries_) {
-    QueryState* qs = qptr.get();
-    if (!qs->active || qs->runner == nullptr) continue;
-    if (qs->consistency != Consistency::kSpeculative) continue;
-    bool touches = false;
-    for (const StreamDef& def : qs->analyzed.defs) {
-      if (!def.is_table && def.name == stream) {
-        touches = true;
-        break;
+      // Only live runners advance, so a budget stop counts once.
+      if (qs->runner->status().code() == StatusCode::kResourceExhausted) {
+        ++budget_exceeded;
       }
     }
-    if (!touches) continue;
-    std::vector<ResultSet> sets;
-    qs->runner->Revise(late_ts, &sets);
-    if (!sets.empty()) DeliverResults(qs, std::move(sets));
+    if (!out.empty()) sets.emplace_back(qs, std::move(out));
   }
+  DeliverResults(std::move(sets));
+  if (budget_exceeded > 0) {
+    windows_budget_exceeded_ += budget_exceeded;
+    TCQ_METRIC(ServerMetrics::Get().window_budget_exceeded->Add(
+        budget_exceeded));
+  }
+  if (fired == 0 && scanned == 0 && stats.pane_rewrites == 0) return;
+  windows_fired_ += fired;
+  windows_scanned_ += scanned;
+  windows_panes_ += stats.panes;
+  windows_pane_rewrites_ += stats.pane_rewrites;
+  if (stats.fired > 0) ++shared_scans_;
+  TCQ_METRIC(ServerMetrics::Get().window_fired->Add(fired));
+  TCQ_METRIC(ServerMetrics::Get().window_scanned->Add(scanned));
+  TCQ_METRIC(ServerMetrics::Get().window_panes->Add(stats.panes));
+  TCQ_METRIC(
+      ServerMetrics::Get().window_pane_rewrites->Add(stats.pane_rewrites));
+}
+
+void Server::ReviseQueriesLocked(StreamState* ss, Timestamp late_ts) {
+  if (num_speculative_ == 0) return;  // Per-batch call; skip the sweep.
+  FiredSets sets;
+  for (QueryState* qs : ss->windowed) {
+    if (!qs->active || qs->consistency != Consistency::kSpeculative) {
+      continue;
+    }
+    std::vector<ResultSet> out;
+    qs->runner->Revise(late_ts, &out);
+    if (!out.empty()) sets.emplace_back(qs, std::move(out));
+  }
+  DeliverResults(std::move(sets));
 }
 
 Status Server::ApplyReleasedLocked(const std::string& stream,
@@ -755,9 +786,9 @@ Status Server::IngestBatchLocked(const std::string& stream, StreamState* sp,
 
   // Revise before advancing: the windows an advance fires would otherwise
   // push the ones this batch changed out of the revision horizon.
-  if (revise_ts != kMaxTimestamp) ReviseQueriesLocked(stream, revise_ts);
+  if (revise_ts != kMaxTimestamp) ReviseQueriesLocked(&ss, revise_ts);
   if (accepted > 0) {
-    AdvanceQueriesLocked(stream);
+    AdvanceQueriesLocked(&ss);
     // Speculative-lane injection: raw arrivals, in arrival order.
     if (want_spec && !raw.empty()) {
       TCQ_RETURN_NOT_OK(ss.engine->PushBatch(stream, std::move(raw),
@@ -804,9 +835,9 @@ Status Server::SetDisorderBound(const std::string& stream,
         released.empty() ? kMaxTimestamp : released.front().timestamp();
     TCQ_RETURN_NOT_OK(ApplyReleasedLocked(stream, &ss, std::move(released)));
     if (min_released != kMaxTimestamp) {
-      ReviseQueriesLocked(stream, min_released);
+      ReviseQueriesLocked(&ss, min_released);
     }
-    AdvanceQueriesLocked(stream);
+    AdvanceQueriesLocked(&ss);
   }
   return Status::OK();
 }
@@ -842,9 +873,9 @@ Status Server::HeartbeatLocked(const std::string& stream, StreamState* sp,
   TCQ_RETURN_NOT_OK(ApplyReleasedLocked(stream, &ss, std::move(released)));
   if (ts > ss.watermark) ss.watermark = ts;
   if (min_released != kMaxTimestamp) {
-    ReviseQueriesLocked(stream, min_released);
+    ReviseQueriesLocked(&ss, min_released);
   }
-  AdvanceQueriesLocked(stream);
+  AdvanceQueriesLocked(&ss);
   return Status::OK();
 }
 
@@ -888,7 +919,7 @@ Status Server::Retract(const std::string& stream, const Tuple& tuple) {
   if (ss.standing() > 0) TCQ_RETURN_NOT_OK(ss.engine->Push(stream, r));
   // Fired speculative windows covering the timestamp must be revised;
   // delayed windows that already fired keep the stale row (documented).
-  ReviseQueriesLocked(stream, r.timestamp());
+  ReviseQueriesLocked(&ss, r.timestamp());
   return Status::OK();
 }
 
@@ -907,17 +938,12 @@ size_t Server::PumpHeartbeats() {
     // same timestamp domain. Single-stream queries never stall on a
     // partner, so a stream with no multi-stream footprint is left alone.
     Timestamp target = kMinTimestamp;
-    for (const auto& qptr : queries_) {
-      const QueryState* qs = qptr.get();
-      if (!qs->active || qs->runner == nullptr) continue;
-      bool touches = false;
-      size_t stream_defs = 0;
-      for (const StreamDef& def : qs->analyzed.defs) {
-        if (def.is_table) continue;
-        ++stream_defs;
-        if (def.name == name) touches = true;
-      }
-      if (!touches || stream_defs < 2) continue;
+    for (const QueryState* qs : ss.windowed) {
+      if (!qs->active) continue;
+      const size_t stream_defs = static_cast<size_t>(
+          std::count_if(qs->analyzed.defs.begin(), qs->analyzed.defs.end(),
+                        [](const StreamDef& def) { return !def.is_table; }));
+      if (stream_defs < 2) continue;
       for (const StreamDef& def : qs->analyzed.defs) {
         if (def.is_table || def.name == name) continue;
         target = std::max(target, streams_.at(def.name).watermark);
@@ -985,7 +1011,7 @@ Status Server::ReplayStream(const std::string& stream, Timestamp from_ts) {
     ss.reorder.Punctuate(max_ts, &released);
     TCQ_CHECK(released.empty());
     if (max_ts > ss.watermark) ss.watermark = max_ts;
-    AdvanceQueriesLocked(stream);
+    AdvanceQueriesLocked(&ss);
   }
   return Status::OK();
 }
@@ -1044,9 +1070,12 @@ void Server::AppendResultLocked(QueryState* qs, ResultSet&& rs) {
   EnqueueLocked(std::move(d));
 }
 
-void Server::DeliverResults(QueryState* qs, std::vector<ResultSet>&& sets) {
+void Server::DeliverResults(FiredSets&& fired) {
+  if (fired.empty()) return;
   std::lock_guard<std::mutex> rlock(results_mu_);
-  for (ResultSet& rs : sets) AppendResultLocked(qs, std::move(rs));
+  for (auto& [qs, sets] : fired) {
+    for (ResultSet& rs : sets) AppendResultLocked(qs, std::move(rs));
+  }
 }
 
 Tuple Server::ProjectRow(const QueryState& qs, const Tuple& t) {
@@ -1125,6 +1154,8 @@ void Server::DeliverShardEmissions(
 }
 
 void Server::DrainDeliveries(bool wait) {
+  // Declared first so they are freed after the lock is released.
+  std::vector<std::unique_ptr<const Callback>> retired;
   std::unique_lock<std::mutex> lock(results_mu_);
   const std::thread::id self = std::this_thread::get_id();
   if (draining_) {
@@ -1139,7 +1170,9 @@ void Server::DrainDeliveries(bool wait) {
           deliveries_.begin(), deliveries_.end(),
           [target](const Delivery& d) { return d.seq <= target; });
     };
+    ++delivery_waiters_;
     delivered_cv_.wait(lock, [&] { return !draining_ || delivered(); });
+    --delivery_waiters_;
     if (delivered()) return;
     // The drainer stopped early (a callback threw): drain the rest here.
   }
@@ -1150,7 +1183,7 @@ void Server::DrainDeliveries(bool wait) {
     deliveries_.pop_front();
     QueryState* qs = d.qs;
     --qs->queued;
-    std::shared_ptr<const Callback> cb = qs->active ? qs->callback : nullptr;
+    const Callback* cb = qs->active ? qs->callback.get() : nullptr;
     const auto take = [qs, &d] {
       if (d.batch == nullptr) return std::move(d.set);
       return BuildSet(
@@ -1173,20 +1206,21 @@ void Server::DrainDeliveries(bool wait) {
         thrown = std::current_exception();
       }
       d = Delivery();  // Free the rows before the next set is built.
-      cb.reset();
       lock.lock();
       qs->in_flight = false;
       in_flight_seq_ = 0;
     }
-    delivered_cv_.notify_all();
+    if (delivery_waiters_ > 0) delivered_cv_.notify_all();
     if (thrown != nullptr) {
       // The set counts as delivered; the rest wait for the next drain,
       // and the exception reaches the call that ran this one.
       draining_ = false;
+      retired.swap(retired_callbacks_);
       std::rethrow_exception(thrown);
     }
   }
   draining_ = false;
+  retired.swap(retired_callbacks_);
 }
 
 std::optional<ResultSet> Server::Poll(QueryId q) {
@@ -1384,7 +1418,9 @@ std::string Server::SnapshotMetrics() const {
   out += "},\"windows\":{\"fired\":" + std::to_string(windows_fired_) +
          ",\"scanned\":" + std::to_string(windows_scanned_) +
          ",\"shared_scans\":" + std::to_string(shared_scans_) +
-         ",\"budget_exceeded\":" + std::to_string(windows_budget_exceeded_);
+         ",\"budget_exceeded\":" + std::to_string(windows_budget_exceeded_) +
+         ",\"panes\":" + std::to_string(windows_panes_) +
+         ",\"pane_rewrites\":" + std::to_string(windows_pane_rewrites_);
 
   out += "},\"queries\":{";
   first = true;

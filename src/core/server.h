@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -282,12 +283,16 @@ class Server {
   std::string SnapshotMetrics() const;
 
  private:
+  struct StreamState;
   struct QueryState {
     bool active = false;
     bool is_cacq = false;
     Consistency consistency = Consistency::kDelayed;
     AnalyzedQuery analyzed;
     std::unique_ptr<QueryRunner> runner;     ///< Windowed path.
+    /// The runner's place in its stream's window plan (shareable only).
+    SharedWindowScan::Query* window_query = nullptr;
+    StreamState* window_stream = nullptr;  ///< That stream.
     std::string cacq_stream;                 ///< CACQ path.
     QueryId cacq_id = 0;
     /// CACQ egress projection by cell index, when every select item is
@@ -296,9 +301,9 @@ class Server {
     std::deque<ResultSet> results;  ///< Buffered for Poll, bounded in rows.
     size_t buffered_rows = 0;       ///< Rows in `results`.
     uint64_t shed_rows = 0;         ///< Rows shed to honor the bound.
-    /// Shared so the draining thread can call it with results_mu_
-    /// released while a callback replaces or clears it.
-    std::shared_ptr<const Callback> callback;
+    /// Called by the draining thread with results_mu_ released; one that
+    /// SetCallback replaces during a drain lives until the drain ends.
+    std::unique_ptr<const Callback> callback;
     uint64_t rows_delivered = 0;  ///< Egress rows (queued or called back).
     uint64_t result_sets = 0;     ///< Egress sets (queued or called back).
     /// Sets of this query waiting in the delivery FIFO. While non-zero,
@@ -352,6 +357,13 @@ class Server {
     /// once cancelled. Guarded by results_mu_ (the egress thread resolves
     /// emissions through it); writers hold mu_ too.
     std::vector<QueryState*> cacq_owner;
+    /// Windowed queries reading this stream, in registration order.
+    /// Cancel only sets `windowed_cancelled`; the next advance sweeps.
+    std::vector<QueryState*> windowed;
+    bool windowed_cancelled = false;
+    /// The standing plan of its shareable windowed queries (DESIGN.md
+    /// §17), made with the first.
+    std::unique_ptr<SharedWindowScan> windows;
   };
 
   /// An engine batch whose sets wait in the delivery FIFO: the
@@ -395,7 +407,11 @@ class Server {
   void AppendResultLocked(QueryState* qs, ResultSet&& rs);
   /// Appends `d` to the delivery FIFO.
   void EnqueueLocked(Delivery&& d);
-  void DeliverResults(QueryState* qs, std::vector<ResultSet>&& sets);
+  /// Window sets of one advance or revision pass, per query in query order.
+  using FiredSets =
+      std::vector<std::pair<QueryState*, std::vector<ResultSet>>>;
+  /// Appends every fired set under one results_mu_ acquisition.
+  void DeliverResults(FiredSets&& fired);
   /// Groups one emission batch of a stream's engine by query, in arrival
   /// order: one set per query. Sets bound for a callback are queued as
   /// emission indexes and projected at delivery; the rest are projected
@@ -417,20 +433,24 @@ class Server {
   /// (declared column or arrival order). Watermark logic lives in
   /// IngestBatchLocked — stamping no longer touches it.
   Status StampLocked(StreamState* ss, Tuple* tuple);
-  /// Advances every windowed query whose footprint includes `stream` —
-  /// delayed queries to the min safe watermark over their footprint,
-  /// speculative ones to the min raw watermark.
-  void AdvanceQueriesLocked(const std::string& stream);
+  /// Advances every windowed query whose footprint includes `ss`'s
+  /// stream — delayed queries to the min safe watermark over their
+  /// footprint, speculative ones to the min raw watermark.
+  void AdvanceQueriesLocked(StreamState* ss);
   /// The watermark `qs`'s runner advances to (kMaxTimestamp: tables only).
   Timestamp RunnerWatermarkLocked(const QueryState& qs) const;
-  /// Fires each (query, watermark)'s ready windows and delivers them in
-  /// query order: shareable runners through one SharedWindowScan, the
-  /// rest through QueryRunner::Advance. Feeds tcq.window.{fired,scanned}.
-  void AdvanceRunnersLocked(
-      const std::vector<std::pair<QueryState*, Timestamp>>& due);
+  /// Fires the ready windows of `queries` and delivers them in query
+  /// order: shareable runners through `ss`'s window plan (all of its
+  /// queries, or only `only`: Submit's first advance), the rest through
+  /// QueryRunner::Advance. `ss` is null when none is shareable. Feeds
+  /// tcq.window.*.
+  void AdvanceRunnersLocked(StreamState* ss,
+                            std::span<QueryState* const> queries,
+                            const SharedWindowScan::Query* only = nullptr);
   /// Revision pass: tells every speculative windowed query watching
-  /// `stream` that data at or after `late_ts` changed under fired windows.
-  void ReviseQueriesLocked(const std::string& stream, Timestamp late_ts);
+  /// `ss`'s stream that data at or after `late_ts` changed under fired
+  /// windows.
+  void ReviseQueriesLocked(StreamState* ss, Timestamp late_ts);
   /// Spools reorder-buffer releases: archive append, safe-watermark
   /// advance, delayed-lane injection. The shared tail of ingest,
   /// Heartbeat and PumpHeartbeats.
@@ -462,8 +482,13 @@ class Server {
   std::thread::id drainer_;  ///< The draining thread, while draining_.
   uint64_t enqueued_ = 0;    ///< Sets ever queued: the last `seq`.
   uint64_t in_flight_seq_ = 0;  ///< `seq` of the running callback, or 0.
-  /// Signalled after every set the drain handles, and when it stops.
+  /// Signalled after every set the drain handles, while some thread
+  /// waits on it (`delivery_waiters_` counts them).
   std::condition_variable delivered_cv_;
+  size_t delivery_waiters_ = 0;
+  /// Callbacks SetCallback replaced during a drain, freed when it ends
+  /// (the drain may be running one).
+  std::vector<std::unique_ptr<const Callback>> retired_callbacks_;
   /// Queries touched by the emission batch being grouped (reused).
   std::vector<QueryState*> touched_;
   Options options_;
@@ -480,11 +505,14 @@ class Server {
   size_t num_speculative_ = 0;
   /// Windowed-execution totals (SnapshotMetrics "windows"; live in every
   /// build): windows fired, archive tuples their executions read,
-  /// advances that fired through a SharedWindowScan, and queries ended by
-  /// the per-advance window budget.
+  /// advances that fired through a SharedWindowScan, panes built and
+  /// dropped by a rewrite, and queries ended by the per-advance window
+  /// budget.
   uint64_t windows_fired_ = 0;
   uint64_t windows_scanned_ = 0;
   uint64_t shared_scans_ = 0;
+  uint64_t windows_panes_ = 0;
+  uint64_t windows_pane_rewrites_ = 0;
   uint64_t windows_budget_exceeded_ = 0;  ///< Queries ended by the budget.
   /// Millisecond clock for idle-heartbeat detection (injectable).
   std::function<int64_t()> clock_ms_;

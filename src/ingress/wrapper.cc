@@ -139,14 +139,13 @@ void Archive::TrimSpan() {
   while (!tuples_.empty() && tuples_.front().timestamp() < cutoff) {
     tuples_.pop_front();
   }
-  if (hook_ && cutoff > hook_->floor) {
-    // The floor gives exact logical retention; physical segment drops
-    // are free to lag at whole-segment granularity.
-    hook_->floor = cutoff;
-    if (hook_->spooled > 0) {
-      TCQ_CHECK(hook_->spool->EvictBefore(hook_->key, cutoff).ok());
-      hook_->spooled = hook_->spool->records(hook_->key);
-    }
+  if (cutoff <= floor_) return;
+  // The floor gives exact logical retention; physical segment drops are
+  // free to lag at whole-segment granularity.
+  floor_ = cutoff;
+  if (hook_ && hook_->spooled > 0) {
+    TCQ_CHECK(hook_->spool->EvictBefore(hook_->key, cutoff).ok());
+    hook_->spooled = hook_->spool->records(hook_->key);
   }
 }
 
@@ -183,7 +182,7 @@ TupleVector Archive::Scan(Timestamp lo, Timestamp hi) const {
 }
 
 void Archive::InsertOrdered(const Tuple& t) {
-  if (hook_ && t.timestamp() < hook_->floor) return;  // Expired straggler.
+  if (hook_ && t.timestamp() < floor_) return;  // Expired straggler.
   NoteRewrite(t.timestamp());
   if (hook_) {
     // A straggler older than every resident tuple belongs in the spool's
@@ -246,7 +245,7 @@ bool Archive::CancelMatching(const Tuple& t) {
   // is older than every resident one, so checking resident first keeps
   // the newest-match contract.
   if (hook_ && hook_->spooled > 0 && t.timestamp() <= hook_->frontier &&
-      t.timestamp() >= hook_->floor) {
+      t.timestamp() >= floor_) {
     auto cancelled = hook_->spool->Cancel(hook_->key, t);
     TCQ_CHECK(cancelled.ok()) << "spool cancel failed: "
                               << cancelled.status();
@@ -272,6 +271,7 @@ void Archive::EvictBefore(Timestamp ts) {
     }
     return;
   }
+  floor_ = std::max(floor_, ts);
   while (!tuples_.empty() && tuples_.front().timestamp() < ts) {
     tuples_.pop_front();
   }
@@ -286,7 +286,7 @@ void Archive::ScanSpool(Timestamp lo, Timestamp hi,
 Timestamp Archive::ScanChunk(Timestamp lo, Timestamp hi, size_t max_records,
                              TupleVector* out) const {
   if (hook_) {
-    if (lo < hook_->floor) lo = hook_->floor;
+    if (lo < floor_) lo = floor_;
     if (hook_->spooled > 0 && lo <= hook_->frontier) {
       auto next = hook_->spool->ScanChunk(hook_->key, lo, hi, max_records,
                                           out);
@@ -311,7 +311,7 @@ Timestamp Archive::ScanChunk(Timestamp lo, Timestamp hi, size_t max_records,
 
 Timestamp Archive::min_timestamp() const {
   if (hook_ && hook_->spooled > 0) {
-    return std::max(hook_->floor,
+    return std::max(floor_,
                     hook_->spool->min_timestamp(hook_->key));
   }
   return tuples_.empty() ? kMaxTimestamp : tuples_.front().timestamp();

@@ -166,7 +166,7 @@ class Archive {
   template <typename Fn>
   void ScanApply(Timestamp lo, Timestamp hi, Fn&& fn) const {
     if (hook_) {
-      if (lo < hook_->floor) lo = hook_->floor;
+      if (lo < floor_) lo = floor_;
       if (hook_->spooled > 0 && lo <= hook_->frontier) {
         ScanSpool(lo, hi, [&](const Tuple& t) {
           fn(t);
@@ -193,6 +193,11 @@ class Archive {
   /// stays scannable.
   void EvictBefore(Timestamp ts);
 
+  /// History below this timestamp is gone: the retention span passed it,
+  /// or EvictBefore freed it. A reader holding state over older history
+  /// drops what reaches below it. Never decreases.
+  Timestamp floor() const { return floor_; }
+
   /// Retained tuples. With a spool and a finite retention span this can
   /// exceed what scans serve: physical segment drops are coarse, so
   /// records below the logical floor linger on disk (never in results)
@@ -211,9 +216,6 @@ class Archive {
     /// Newest main-run timestamp in the spool; every spooled record has
     /// ts <= frontier, every resident tuple ts >= it.
     Timestamp frontier = kMinTimestamp;
-    /// Logical retention floor (the span cutoff): scans clamp here, so
-    /// segment-granular physical retention can lag exactness-free.
-    Timestamp floor = kMinTimestamp;
     size_t spooled = 0;  ///< Live records in the spool.
   };
 
@@ -231,6 +233,10 @@ class Archive {
   void NoteRewrite(Timestamp ts);
 
   Timestamp retention_span_;
+  /// See floor(). With a spool it is also the logical retention floor:
+  /// scans clamp here, so segment-granular physical retention can lag
+  /// exactness-free.
+  Timestamp floor_ = kMinTimestamp;
   std::deque<Tuple> tuples_;  ///< Timestamp-ordered (enforced on Append).
   Timestamp max_ts_ = kMinTimestamp;
   mutable std::vector<std::weak_ptr<Timestamp>> rewrite_marks_;

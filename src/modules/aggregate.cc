@@ -1,6 +1,7 @@
 #include "modules/aggregate.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "common/logging.h"
@@ -15,7 +16,50 @@ bool IntegerSum(const AggregateSpec& spec) {
   return spec.kind == AggKind::kSum && spec.arg != nullptr &&
          spec.arg->result_type() == ValueType::kInt64;
 }
+
+bool Better(const Value& v, const Value& than, bool max) {
+  return max ? v > than : v < than;
+}
+
+bool IsNan(const Value& v) {
+  return v.type() == ValueType::kDouble && std::isnan(v.double_value());
+}
+
+/// One result row: `cells` (the group key) followed by each aggregate.
+Tuple FinalRow(std::vector<Value> cells, const Accumulator& acc,
+               const std::vector<AggregateSpec>& specs, Timestamp ts) {
+  cells.reserve(cells.size() + specs.size());
+  for (size_t i = 0; i < specs.size(); ++i) {
+    cells.push_back(acc.Final(specs[i], i));
+  }
+  return Tuple::Make(std::move(cells), ts);
+}
 }  // namespace
+
+void Accumulator::State::FoldExtreme(const Value& v, bool max) {
+  if (!has_extreme && !pinned && IsNan(v)) {
+    pinned = true;
+    sum = v.double_value();
+  } else if (pinned && IsNan(v)) {
+    return;  // A NaN after the first changes nothing.
+  } else if (!has_extreme || Better(v, extreme, max)) {
+    extreme = v;  // A NaN never compares better.
+    has_extreme = true;
+  }
+}
+
+void Accumulator::State::MergeExtreme(const State& later, bool max) {
+  if (!has_extreme && !pinned) {
+    pinned = later.pinned;
+    sum = later.sum;
+  }
+  // `later`'s NaNs change nothing here; its best other value might.
+  if (later.has_extreme &&
+      (!has_extreme || Better(later.extreme, extreme, max))) {
+    extreme = later.extreme;
+    has_extreme = true;
+  }
+}
 
 void Accumulator::Add(const std::vector<AggregateSpec>& specs,
                       const Tuple& t) {
@@ -41,17 +85,25 @@ void Accumulator::Add(const std::vector<AggregateSpec>& specs,
         }
         break;
       case AggKind::kMin:
-        if (!s.has_extreme || v < s.extreme) {
-          s.extreme = v;
-          s.has_extreme = true;
-        }
-        break;
       case AggKind::kMax:
-        if (!s.has_extreme || v > s.extreme) {
-          s.extreme = v;
-          s.has_extreme = true;
-        }
+        s.FoldExtreme(v, specs[i].kind == AggKind::kMax);
         break;
+    }
+  }
+}
+
+void Accumulator::Merge(const std::vector<AggregateSpec>& specs,
+                        const Accumulator& later) {
+  rows_ += later.rows_;
+  for (size_t i = 0; i < specs.size(); ++i) {
+    State& s = states_[i];
+    const State& o = later.states_[i];
+    s.count += o.count;
+    if (specs[i].kind == AggKind::kMin || specs[i].kind == AggKind::kMax) {
+      s.MergeExtreme(o, specs[i].kind == AggKind::kMax);
+    } else {
+      s.sum += o.sum;
+      s.int_sum += o.int_sum;
     }
   }
 }
@@ -78,10 +130,22 @@ void Accumulator::Remove(const std::vector<AggregateSpec>& specs,
   }
 }
 
+void Accumulator::Clear() {
+  std::fill(states_.begin(), states_.end(), State());
+  rows_ = 0;
+}
+
 bool Accumulator::Subtractable(const std::vector<AggregateSpec>& specs) {
   return std::all_of(specs.begin(), specs.end(), [](const AggregateSpec& s) {
     return s.kind == AggKind::kCount || s.kind == AggKind::kSum ||
            s.kind == AggKind::kAvg;
+  });
+}
+
+bool Accumulator::Mergeable(const std::vector<AggregateSpec>& specs) {
+  return std::all_of(specs.begin(), specs.end(), [](const AggregateSpec& s) {
+    return s.kind == AggKind::kCount || s.kind == AggKind::kMin ||
+           s.kind == AggKind::kMax || IntegerSum(s);
   });
 }
 
@@ -105,6 +169,7 @@ Value Accumulator::Final(const AggregateSpec& spec, size_t i) const {
       return Value::Double(s.sum / static_cast<double>(s.count));
     case AggKind::kMin:
     case AggKind::kMax:
+      if (s.pinned) return Value::Double(s.sum);
       return s.has_extreme ? s.extreme : Value::Null();
   }
   return Value::Null();
@@ -180,22 +245,13 @@ TupleVector WindowAggregator::Emit(Timestamp result_ts) const {
   // produces one row (COUNT = 0, SUM/AVG/MIN/MAX = NULL); a grouped one
   // produces no rows.
   if (groups_.empty() && group_by_.empty()) {
-    Accumulator empty(specs_.size());
-    std::vector<Value> cells;
-    cells.reserve(specs_.size());
-    for (size_t i = 0; i < specs_.size(); ++i) {
-      cells.push_back(empty.Final(specs_[i], i));
-    }
-    rows.push_back(Tuple::Make(std::move(cells), result_ts));
+    rows.push_back(
+        FinalRow({}, Accumulator(specs_.size()), specs_, result_ts));
     return rows;
   }
   rows.reserve(groups_.size());
   for (const auto& [key, acc] : groups_) {
-    std::vector<Value> cells = key;
-    for (size_t i = 0; i < specs_.size(); ++i) {
-      cells.push_back(acc.Final(specs_[i], i));
-    }
-    rows.push_back(Tuple::Make(std::move(cells), result_ts));
+    rows.push_back(FinalRow(key, acc, specs_, result_ts));
   }
   return rows;
 }
@@ -205,6 +261,53 @@ void WindowAggregator::Reset() {
   buffer_.clear();
   lo_ = kMinTimestamp;
   hi_ = kMaxTimestamp;
+}
+
+void AggregateState::Add(const std::vector<AggregateSpec>& specs,
+                         const std::vector<ExprPtr>& group_by,
+                         const Tuple& t) {
+  if (group_by.empty()) {
+    single_.Add(specs, t);
+    return;
+  }
+  std::vector<Value> key;
+  key.reserve(group_by.size());
+  for (const ExprPtr& e : group_by) key.push_back(e->Eval(t));
+  groups_.try_emplace(std::move(key), specs.size())
+      .first->second.Add(specs, t);
+}
+
+void AggregateState::Merge(const std::vector<AggregateSpec>& specs,
+                           const std::vector<ExprPtr>& group_by,
+                           const AggregateState& later) {
+  if (group_by.empty()) {
+    single_.Merge(specs, later.single_);
+    return;
+  }
+  for (const auto& [key, acc] : later.groups_) {
+    groups_.try_emplace(key, specs.size()).first->second.Merge(specs, acc);
+  }
+}
+
+void AggregateState::Clear() {
+  single_.Clear();
+  groups_.clear();
+}
+
+TupleVector AggregateState::Emit(const std::vector<AggregateSpec>& specs,
+                                 const std::vector<ExprPtr>& group_by,
+                                 Timestamp result_ts) const {
+  TupleVector rows;
+  // One row even for an empty ungrouped set (COUNT = 0, the rest NULL).
+  if (group_by.empty()) {
+    rows.push_back(FinalRow({}, single_, specs, result_ts));
+    return rows;
+  }
+  rows.reserve(groups_.size());
+  for (const auto& [key, acc] : groups_) {
+    rows.push_back(FinalRow(key, acc, specs, result_ts));
+  }
+  return rows;
 }
 
 }  // namespace tcq

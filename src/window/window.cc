@@ -160,8 +160,12 @@ Result<WindowShape> ClassifyWindow(const ForLoopSpec& spec,
     return Status::OutOfRange("clause index out of range");
   }
   TCQ_RETURN_NOT_OK(ValidateForLoop(spec));
+  return ClassifyWindow(WindowSequence(&spec, st), clause_index,
+                        probe_steps);
+}
 
-  WindowSequence seq(&spec, st);
+Result<WindowShape> ClassifyWindow(WindowSequence seq, size_t clause_index,
+                                   size_t probe_steps) {
   std::vector<WindowBounds> probes;
   for (size_t i = 0; i < probe_steps; ++i) {
     auto step = seq.Next();

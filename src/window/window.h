@@ -125,6 +125,10 @@ struct WindowShape {
 Result<WindowShape> ClassifyWindow(const ForLoopSpec& spec,
                                    size_t clause_index, Timestamp st,
                                    size_t probe_steps = 8);
+/// The same for a sequence already built over a validated spec: probes a
+/// copy of `seq` from its next step.
+Result<WindowShape> ClassifyWindow(WindowSequence seq, size_t clause_index,
+                                   size_t probe_steps = 8);
 
 /// Validates that every bound expression only references the loop variable
 /// and ST, and that the clause list is non-empty for stream queries.

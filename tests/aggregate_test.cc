@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <limits>
 
 #include "common/rng.h"
@@ -179,6 +181,97 @@ TEST(AggregateTest, ResetClearsEverything) {
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_TRUE(rows[0].cell(0).is_null());
   EXPECT_EQ(agg.buffered_tuples(), 0u);
+}
+
+/// Equal type and value; doubles bit for bit (NaN payloads, -0.0).
+bool SameCell(const Value& a, const Value& b) {
+  if (a.type() != b.type()) return false;
+  if (a.type() == ValueType::kDouble) {
+    return std::bit_cast<uint64_t>(a.double_value()) ==
+           std::bit_cast<uint64_t>(b.double_value());
+  }
+  return a == b;
+}
+
+// Panes (DESIGN.md §17): the in-order merge of the states of consecutive
+// runs of tuples equals one pass over them, for every aggregate
+// Accumulator::Mergeable admits, grouped or not, with NULLs, NaNs first,
+// last and between, signed zeros and ties.
+TEST(AggregateTest, MergeOfConsecutiveRunsEqualsOnePass) {
+  SchemaPtr schema = Schema::Make({{"k", ValueType::kString, ""},
+                                   {"v", ValueType::kInt64, ""},
+                                   {"d", ValueType::kDouble, ""}});
+  const ExprPtr v = *Expr::Column("v")->Bind(*schema);
+  const ExprPtr d = *Expr::Column("d")->Bind(*schema);
+  std::vector<AggregateSpec> specs;
+  for (const auto& [kind, arg] :
+       std::vector<std::pair<AggKind, ExprPtr>>{{AggKind::kCount, nullptr},
+                                                {AggKind::kCount, v},
+                                                {AggKind::kSum, v},
+                                                {AggKind::kMin, v},
+                                                {AggKind::kMax, v},
+                                                {AggKind::kMin, d},
+                                                {AggKind::kMax, d}}) {
+    specs.push_back(AggregateSpec{kind, arg, AggKindToString(kind)});
+  }
+  ASSERT_TRUE(Accumulator::Mergeable(specs));
+  const std::vector<ExprPtr> keys{*Expr::Column("k")->Bind(*schema)};
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    Rng rng(seed);
+    std::vector<Tuple> tuples;
+    for (int i = 0; i < 1 + static_cast<int>(rng.NextBounded(30)); ++i) {
+      const double doubles[] = {nan, -0.0, 0.0, 1.5, -2.25, 7.0};
+      tuples.push_back(Tuple::Make(
+          {Value::String(std::string(1, static_cast<char>(
+                                            'a' + rng.NextBounded(3)))),
+           rng.NextBounded(6) == 0 ? Value::Null()
+                                   : Value::Int64(rng.NextInt(-3, 3)),
+           rng.NextBounded(6) == 0
+               ? Value::Null()
+               : Value::Double(doubles[rng.NextBounded(6)])},
+          i));
+    }
+    for (const std::vector<ExprPtr>& group_by : {std::vector<ExprPtr>{}, keys}) {
+      AggregateState whole(specs, group_by);
+      for (const Tuple& t : tuples) whole.Add(specs, group_by, t);
+      AggregateState merged(specs, group_by);
+      for (size_t at = 0; at < tuples.size();) {
+        const size_t run = 1 + rng.NextBounded(5);
+        AggregateState part(specs, group_by);
+        for (size_t i = at; i < std::min(tuples.size(), at + run); ++i) {
+          part.Add(specs, group_by, tuples[i]);
+        }
+        merged.Merge(specs, group_by, part);
+        at += run;
+      }
+      const TupleVector want = whole.Emit(specs, group_by, 9);
+      const TupleVector got = merged.Emit(specs, group_by, 9);
+      ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+      for (size_t r = 0; r < want.size(); ++r) {
+        for (size_t c = 0; c < want[r].arity(); ++c) {
+          ASSERT_TRUE(SameCell(got[r].cell(c), want[r].cell(c)))
+              << "seed " << seed << " row " << r << " cell " << c << ": "
+              << got[r].cell(c).ToString() << " vs "
+              << want[r].cell(c).ToString();
+        }
+      }
+    }
+  }
+}
+
+TEST(AggregateTest, OnlyOrderFreeAggregatesMerge) {
+  SchemaPtr schema = Schema::Make({{"v", ValueType::kInt64, ""},
+                                   {"d", ValueType::kDouble, ""}});
+  auto spec = [&](AggKind kind, const char* column) {
+    return std::vector<AggregateSpec>{
+        {kind, *Expr::Column(column)->Bind(*schema), "x"}};
+  };
+  EXPECT_TRUE(Accumulator::Mergeable(spec(AggKind::kSum, "v")));
+  EXPECT_TRUE(Accumulator::Mergeable(spec(AggKind::kMax, "d")));
+  // A double sum depends on its accumulation order.
+  EXPECT_FALSE(Accumulator::Mergeable(spec(AggKind::kSum, "d")));
+  EXPECT_FALSE(Accumulator::Mergeable(spec(AggKind::kAvg, "v")));
 }
 
 // Property: sliding-window COUNT/SUM via subtraction == recompute oracle.

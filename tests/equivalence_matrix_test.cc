@@ -134,14 +134,17 @@ std::vector<std::string> MakeQueries(Rng* rng) {
                  Pick(rng, {"", " AND A.v > 10", " AND B.w < 30"}));
   for (int i = 0; i < 6; ++i) {
     const bool grouped = rng->NextBounded(3) == 0;
+    // The second grouped list merges exactly, so its sliding and hopping
+    // windows are built from panes (DESIGN.md §17).
     const std::string select =
         rng->NextBool(0.5) ? Pick(rng, {"A.ts, A.k, A.p", "A.p * 2, A.v", "*"})
-        : grouped          ? "A.k, SUM(A.v), MAX(A.p), AVG(A.v), COUNT(A.v)"
+        : grouped ? Pick(rng, {"A.k, SUM(A.v), MAX(A.p), AVG(A.v), COUNT(A.v)",
+                               "A.k, COUNT(*), SUM(A.v), MAX(A.p)"})
                   : Pick(rng, {"COUNT(*), SUM(A.v), AVG(A.p)",
                                "MIN(A.p), SUM(A.p), COUNT(A.p), MIN(A.v)"});
     std::string sql =
         Where(rng, "SELECT " + select + " FROM A", rng->NextBounded(3));
-    if (select.rfind("A.k, SUM", 0) == 0) sql += " GROUP BY A.k";
+    if (select.rfind("A.k, ", 0) == 0) sql += " GROUP BY A.k";
     sqls.push_back(sql + " " + WindowOverA(rng));
   }
   for (int i = 0; i < 2; ++i) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -11,7 +12,9 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <optional>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -19,6 +22,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "core/analyzer.h"
 #include "ingress/sources.h"
 #include "result_rows.h"
 
@@ -659,6 +663,371 @@ TEST(ServerNullTest, NullCellsFailEveryComparisonOnBothPaths) {
 }
 
 // ---- Batched egress --------------------------------------------------------
+
+// ---- Panes (DESIGN.md §17) -------------------------------------------------
+
+/// One field of SnapshotMetrics' "windows" object.
+uint64_t WindowsMetric(const Server& server, const std::string& field) {
+  const std::string snap = server.SnapshotMetrics();
+  const size_t windows = snap.find("\"windows\":{");
+  const size_t at = snap.find("\"" + field + "\":", windows);
+  EXPECT_NE(windows, std::string::npos) << snap;
+  EXPECT_NE(at, std::string::npos) << snap;
+  return std::strtoull(snap.c_str() + at + field.size() + 3, nullptr, 10);
+}
+
+/// A result set, doubles by their bits: equal strings are byte-identical
+/// sets.
+std::string RenderSet(const ResultSet& rs) {
+  std::string out = "t=" + std::to_string(rs.t);
+  for (const Tuple& row : rs.rows) {
+    out += " [" + std::to_string(row.timestamp());
+    for (size_t c = 0; c < row.arity(); ++c) {
+      const Value& v = row.cell(c);
+      out += v.type() == ValueType::kDouble
+                 ? " d" + std::to_string(std::bit_cast<uint64_t>(
+                              v.double_value()))
+                 : " " + v.ToString();
+    }
+    out += "]";
+  }
+  return out;
+}
+
+/// A Server and, beside it, standalone QueryRunners over an archive fed
+/// the way the server feeds its own: in-order arrivals appended,
+/// kIngestLate stragglers inserted after them, matched retractions
+/// cancelled, and every runner advanced to the server's watermark after
+/// each call. The server fires single-stream windows through its window
+/// plan, a runner each through its own per-window Eddy, so every set the
+/// two deliver must be byte-identical.
+class PaneRig {
+ public:
+  explicit PaneRig(Timestamp retention_span = kMaxTimestamp)
+      : server_(Options(retention_span)), archive_(retention_span) {
+    EXPECT_TRUE(server_.DefineStream("S", Schema(), 0).ok());
+    EXPECT_TRUE(
+        server_.SetDisorderBound("S", 0, LatePolicy::kIngestLate).ok());
+    EXPECT_TRUE(catalog_
+                    .RegisterStream(StreamDef{.name = "S",
+                                              .schema = Schema(),
+                                              .timestamp_field = 0})
+                    .ok());
+  }
+
+  static Server::Options Options(Timestamp retention_span) {
+    Server::Options options;
+    options.retention_span = retention_span;
+    return options;
+  }
+
+  static SchemaPtr Schema() {
+    return Schema::Make({{"ts", ValueType::kInt64, ""},
+                         {"k", ValueType::kInt64, ""},
+                         {"v", ValueType::kInt64, ""},
+                         {"p", ValueType::kDouble, ""}});
+  }
+
+  size_t Submit(const std::string& sql) {
+    auto id = server_.Submit(sql);
+    EXPECT_TRUE(id.ok()) << id.status() << ": " << sql;
+    auto analyzed = AnalyzeSql(sql, catalog_);
+    EXPECT_TRUE(analyzed.ok()) << analyzed.status();
+    QueryRunner::Options options;
+    options.start_time = std::max<Timestamp>(1, watermark_ + 1);
+    queries_.push_back(
+        Query{*id, sql,
+              std::make_unique<QueryRunner>(
+                  *analyzed, std::vector<const Archive*>{&archive_},
+                  std::vector<TupleVector>(1), options),
+              {}, {}});
+    Collect();
+    return queries_.size() - 1;
+  }
+
+  void Push(const std::vector<Tuple>& batch) {
+    EXPECT_TRUE(server_.PushBatch("S", batch).ok());
+    std::vector<Tuple> late;
+    for (Tuple t : batch) {
+      t.set_timestamp(t.cell(0).int64_value());
+      if (t.timestamp() < watermark_) {
+        late.push_back(std::move(t));
+        continue;
+      }
+      watermark_ = t.timestamp();
+      archive_.Append(t);
+      history_.push_back(t);
+    }
+    for (const Tuple& t : late) archive_.InsertOrdered(t);
+    Collect();
+  }
+
+  /// Retracts the in-order arrival `i` (of those pushed so far).
+  void Retract(size_t i) {
+    Tuple r = history_[i];
+    EXPECT_TRUE(server_.Retract("S", r).ok());
+    r.set_retraction(true);
+    archive_.CancelMatching(r);
+    Collect();
+  }
+
+  void Heartbeat(Timestamp ts) {
+    EXPECT_TRUE(server_.Heartbeat("S", ts).ok());
+    watermark_ = std::max(watermark_, ts);
+    Collect();
+  }
+
+  void Cancel(size_t q) {
+    EXPECT_TRUE(server_.Cancel(queries_[q].id).ok());
+    queries_[q].runner.reset();
+  }
+
+  /// Every query's sets so far, server against runner.
+  void ExpectSameSets(const std::string& context) const {
+    for (const Query& q : queries_) {
+      ASSERT_EQ(q.got, q.want) << context << "\n" << q.sql;
+    }
+  }
+
+  size_t history() const { return history_.size(); }
+  Timestamp watermark() const { return watermark_; }
+  const Server& server() const { return server_; }
+  const std::vector<std::string>& got(size_t q) const {
+    return queries_[q].got;
+  }
+
+ private:
+  struct Query {
+    QueryId id;
+    std::string sql;
+    std::unique_ptr<QueryRunner> runner;  ///< Null once cancelled.
+    std::vector<std::string> got, want;
+  };
+
+  void Collect() {
+    for (Query& q : queries_) {
+      if (q.runner == nullptr) continue;
+      for (const ResultSet& rs : server_.PollAll(q.id)) {
+        q.got.push_back(RenderSet(rs));
+      }
+      std::vector<ResultSet> sets;
+      q.runner->Advance(watermark_, &sets);
+      for (const ResultSet& rs : sets) q.want.push_back(RenderSet(rs));
+    }
+  }
+
+  Server server_;
+  Catalog catalog_;
+  Archive archive_;
+  Timestamp watermark_ = kMinTimestamp;
+  std::vector<Tuple> history_;  ///< In-order arrivals.
+  std::vector<Query> queries_;
+};
+
+Tuple PaneRow(Rng* rng, Timestamp ts) {
+  auto maybe_null = [rng](Value v) {
+    return rng->NextBounded(12) == 0 ? Value::Null() : std::move(v);
+  };
+  return Tuple::Make(
+      {Value::Int64(ts), maybe_null(Value::Int64(rng->NextInt(0, 7))),
+       maybe_null(Value::Int64(rng->NextInt(-20, 60))),
+       maybe_null(Value::Double(
+           static_cast<double>(rng->NextBounded(1000)) / 7.0))},
+      ts);
+}
+
+std::string SlidingSql(const std::string& select, const std::string& where,
+                       int64_t width, int64_t hop,
+                       const std::string& start = "ST") {
+  std::string sql = "SELECT " + select + " FROM S" + where;
+  if (select.rfind("k, ", 0) == 0) sql += " GROUP BY k";
+  return sql + " for (t = " + start + "; true; t += " + std::to_string(hop) +
+         ") { WindowIs(S, t - " + std::to_string(width - 1) + ", t); }";
+}
+
+TEST(ServerPaneTest, MatchesStandaloneRunnersOverRandomShapes) {
+  // Widths 1-12; hops equal to the width, below it (gcd 1 included) and
+  // above it (panes in the gaps are never built); grouped and ungrouped
+  // merges, projections, and the AVG and double SUM fallback. Feeds carry
+  // timestamp ties, NULLs, kIngestLate stragglers and retractions into
+  // built panes; a query joins mid-stream with windows over history and
+  // one of two queries on the same key leaves.
+  const char* const kSelects[] = {
+      "COUNT(*), SUM(v), MAX(p), MIN(v)", "k, COUNT(*), SUM(v), MAX(p)",
+      "ts, k, p", "AVG(p), COUNT(v)", "MIN(p), SUM(p), MAX(v)"};
+  const char* const kWheres[] = {"", " WHERE k = 3", " WHERE v > 10",
+                                 " WHERE v + 1 > 5",
+                                 " WHERE k != 5 AND v <= 40"};
+  uint64_t panes = 0;
+  uint64_t rewrites = 0;
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    PaneRig rig;
+    auto random_sql = [&](const std::string& start) {
+      const int64_t width = 1 + static_cast<int64_t>(rng.NextBounded(12));
+      const uint64_t kind = rng.NextBounded(3);
+      const int64_t hop =
+          kind == 0   ? width
+          : kind == 1 ? 1 + static_cast<int64_t>(rng.NextBounded(
+                                static_cast<uint64_t>(width)))
+                      : width + 1 + static_cast<int64_t>(rng.NextBounded(5));
+      return SlidingSql(kSelects[rng.NextBounded(std::size(kSelects))],
+                        kWheres[rng.NextBounded(std::size(kWheres))], width,
+                        hop, start);
+    };
+    for (int q = 0; q < 6; ++q) rig.Submit(random_sql("ST"));
+    rig.Submit(SlidingSql("COUNT(*), MAX(v)", " WHERE k = 3", 10, 3));
+    const size_t leaves =
+        rig.Submit(SlidingSql("COUNT(*), MAX(v)", " WHERE k = 3", 10, 3));
+    Timestamp ts = 1;
+    for (int batch = 0; batch < 40; ++batch) {
+      std::vector<Tuple> tuples;
+      for (uint64_t i = 0, n = 1 + rng.NextBounded(12); i < n; ++i) {
+        ts += static_cast<Timestamp>(rng.NextBounded(3));
+        const bool straggler = rig.watermark() > 20 && rng.NextBounded(12) == 0;
+        tuples.push_back(PaneRow(
+            &rng, straggler ? rig.watermark() - 1 -
+                                  static_cast<Timestamp>(rng.NextBounded(15))
+                            : ts));
+      }
+      rig.Push(tuples);
+      if (rig.history() > 0 && rng.NextBounded(4) == 0) {
+        rig.Retract(rig.history() - 1 - rng.NextBounded(std::min<size_t>(
+                                            rig.history(), 20)));
+      }
+      if (batch == 20) {
+        rig.Submit(random_sql("5"));  // Its first windows are history.
+        rig.Cancel(leaves);
+      }
+    }
+    rig.Heartbeat(ts + 30);
+    rig.ExpectSameSets("seed " + std::to_string(seed));
+    panes += WindowsMetric(rig.server(), "panes");
+    rewrites += WindowsMetric(rig.server(), "pane_rewrites");
+  }
+  EXPECT_GT(panes, 0u);
+  EXPECT_GT(rewrites, 0u);
+}
+
+TEST(ServerPaneTest, StragglerAndRetractionRebuildOnlyTheirPanes) {
+  // Windows of 10 ticks every 2: panes of 2 ticks. At watermark 40 the
+  // windows up to t = 39 have fired and the panes of [30, 39] are kept
+  // for the windows still to come.
+  PaneRig rig;
+  Rng rng(3);
+  rig.Submit(SlidingSql("COUNT(*), SUM(v), MAX(p)", "", 10, 2));
+  rig.Submit(SlidingSql("k, COUNT(*), MIN(v)", "", 10, 2));
+  rig.Submit(SlidingSql("ts, v", "", 10, 2));
+  for (Timestamp ts = 1; ts <= 40; ++ts) rig.Push({PaneRow(&rng, ts)});
+  const uint64_t built = WindowsMetric(rig.server(), "panes");
+  EXPECT_EQ(WindowsMetric(rig.server(), "pane_rewrites"), 0u);
+  // A straggler into the pane [36, 37]: every query drops it and the
+  // one built after it, [38, 39], and rebuilds both for the window of
+  // t = 41, which fires once a tuple at 42 arrives.
+  rig.Push({PaneRow(&rng, 36)});
+  EXPECT_EQ(WindowsMetric(rig.server(), "pane_rewrites"), 2u * 3);
+  rig.Push({PaneRow(&rng, 41)});
+  rig.Push({PaneRow(&rng, 42)});
+  EXPECT_EQ(WindowsMetric(rig.server(), "panes"), built + 3u * 3);
+  // A retraction of tick 33's tuple drops the panes from [32, 33] on.
+  // That one is gone already (the next window starts at 34), so four per
+  // query: [34, 35] to [40, 41].
+  rig.Retract(32);
+  rig.Push({PaneRow(&rng, 43)});
+  EXPECT_EQ(WindowsMetric(rig.server(), "pane_rewrites"), 2u * 3 + 4u * 3);
+  rig.Heartbeat(60);
+  rig.ExpectSameSets("straggler and retraction");
+}
+
+TEST(ServerPaneTest, EachPaneIsBuiltOnceWithoutRewrites) {
+  // One tuple per tick, in order: every pane is non-empty, so the panes
+  // built are exactly the grid cells some window covers that the
+  // watermark has reached, each once.
+  const int64_t kShapes[][2] = {{10, 5}, {10, 3}, {12, 4}, {16, 8},
+                                {4, 4},  {3, 7},  {1, 1}};
+  PaneRig rig;
+  for (const auto& [width, hop] : kShapes) {
+    rig.Submit(SlidingSql("COUNT(*), MAX(v)", "", width, hop));
+  }
+  Rng rng(9);
+  std::vector<Tuple> batch;
+  for (Timestamp ts = 1; ts <= 300; ++ts) {
+    batch.push_back(PaneRow(&rng, ts));
+    if (batch.size() == 7) rig.Push(std::exchange(batch, {}));
+  }
+  rig.Push(batch);
+  rig.ExpectSameSets("in order");
+  uint64_t cells = 0;
+  for (const auto& [width, hop] : kShapes) {
+    // ST is 1, so window k is [1 - (width - 1) + k * hop, ...]; its left
+    // end at k = 0 anchors the grid.
+    const int64_t pane = std::gcd(width, hop);
+    const Timestamp anchor = 1 - (width - 1);
+    std::set<int64_t> covered;
+    for (Timestamp left = anchor; left < 300; left += hop) {
+      for (Timestamp start = left; start < left + width; start += pane) {
+        // Reached by the watermark (300), and not wholly before the first
+        // tuple (such a pane holds nothing and is never made).
+        if (start + pane - 1 >= 1 && start < 300) {
+          covered.insert((start - anchor) / pane);
+        }
+      }
+    }
+    cells += covered.size();
+  }
+  EXPECT_EQ(WindowsMetric(rig.server(), "panes"), cells);
+  EXPECT_EQ(WindowsMetric(rig.server(), "pane_rewrites"), 0u);
+  // Each tuple below the watermark was read once, not once per window
+  // or query over it.
+  EXPECT_EQ(WindowsMetric(rig.server(), "scanned"), 299u);
+}
+
+TEST(ServerPaneTest, RetentionDropsThePanesItReachesInto) {
+  // History older than 25 ticks is gone, and windows reach 40 ticks back:
+  // panes reaching below the archive's floor are dropped, and the windows
+  // over them see only what is retained, as their own scans would.
+  PaneRig rig(/*retention_span=*/25);
+  Rng rng(8);
+  rig.Submit(SlidingSql("COUNT(*), SUM(v), MAX(p)", "", 40, 4));
+  rig.Submit(SlidingSql("ts, v", " WHERE k < 4", 30, 6));
+  rig.Submit(SlidingSql("k, COUNT(*), MIN(v)", "", 12, 3));
+  for (Timestamp ts = 1; ts <= 120; ++ts) {
+    rig.Push({PaneRow(&rng, ts), PaneRow(&rng, ts)});
+  }
+  rig.ExpectSameSets("retention");
+  EXPECT_GT(WindowsMetric(rig.server(), "pane_rewrites"), 0u);
+}
+
+TEST(ServerPaneTest, MidStreamSubmitBuildsPanesFromHistory) {
+  PaneRig rig;
+  Rng rng(4);
+  for (Timestamp ts = 1; ts <= 100; ++ts) rig.Push({PaneRow(&rng, ts)});
+  // Windows from t = 20 are history at submission: they fire at once,
+  // from panes built over the archive.
+  rig.Submit(SlidingSql("COUNT(*), SUM(v), MAX(p)", " WHERE v > 10", 10, 3,
+                        "20"));
+  rig.Submit(SlidingSql("ts, k", " WHERE k = 2", 6, 4, "20"));
+  EXPECT_FALSE(rig.got(0).empty());
+  EXPECT_GT(WindowsMetric(rig.server(), "panes"), 0u);
+  for (Timestamp ts = 101; ts <= 130; ++ts) rig.Push({PaneRow(&rng, ts)});
+  rig.ExpectSameSets("mid-stream submit");
+}
+
+TEST(ServerPaneTest, CancellingOneOfTwoQueriesOnAKey) {
+  PaneRig rig;
+  Rng rng(6);
+  const size_t stays =
+      rig.Submit(SlidingSql("COUNT(*), MAX(v)", " WHERE k = 3", 8, 2));
+  const size_t leaves =
+      rig.Submit(SlidingSql("COUNT(*), MAX(v)", " WHERE k = 3", 8, 2));
+  for (Timestamp ts = 1; ts <= 40; ++ts) rig.Push({PaneRow(&rng, ts)});
+  const size_t delivered = rig.got(leaves).size();
+  rig.Cancel(leaves);
+  for (Timestamp ts = 41; ts <= 80; ++ts) rig.Push({PaneRow(&rng, ts)});
+  rig.ExpectSameSets("after cancel");
+  EXPECT_EQ(rig.got(leaves).size(), delivered);
+  EXPECT_GT(rig.got(stays).size(), delivered);
+}
 
 TEST_F(ServerTest, OneSetPerQueryPerBatchInArrivalOrder) {
   // One 256-tuple PushBatch into 8 standing filters: each query with
