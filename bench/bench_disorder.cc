@@ -24,10 +24,9 @@
 //
 //  4. ingest_late_landmark — the same stragglers under a landmark SUM
 //     (one window from ts 1, firing every 4 ticks, so most stragglers
-//     land at or below the last fired right end). Such a straggler is in
-//     history the running accumulators already hold: the next window
-//     refeeds from the newest accumulator checkpoint before it, not from
-//     the landmark.
+//     land in history the landmark's running state already holds). The
+//     window plan rewinds the state to the newest copy it took before the
+//     straggler and refeeds from there, not from the landmark.
 
 #include <benchmark/benchmark.h>
 

@@ -17,10 +17,12 @@
 //  3. replay_rate — chunked ScanChunk walks over the full history (the
 //     Server::ReplayStream access pattern), swept over segment size.
 //
-//  4. server_landmark_spooled — end-to-end: a landmark window re-scanning
-//     ALL archived history each fire, with the archive bounded to a
-//     256-tuple resident tail (spool on) versus unbounded RAM (spool
-//     off). The gap is the end-to-end price of bounded-RAM history.
+//  4. server_landmark_spooled — end-to-end: a landmark SUM over all
+//     archived history, with the archive bounded to a 256-tuple resident
+//     tail (spool on) versus unbounded RAM (spool off). The window plan
+//     feeds the landmark's running state each tuple once, as the
+//     watermark passes it, so the gap is the end-to-end price of
+//     demoting history to disk, not of reading it back.
 
 #include <benchmark/benchmark.h>
 

@@ -1,20 +1,26 @@
 // E8 — Window semantics and their state/recompute costs (§4.1).
 //
-// Three experiments on the ClosingStockPrices stream:
+// Experiments on the ClosingStockPrices stream, end to end through the
+// Server (its standing window plan, DESIGN.md §17):
 //
 //  1. landmark_max vs sliding_max — §4.1.2's observation made concrete:
-//     a landmark MAX runs with O(1) accumulator state; a sliding MAX must
-//     retain the window and recompute on retirement. Reported per window
-//     size: time and buffered tuples.
+//     a landmark MAX keeps one running state fed once from its left end;
+//     a sliding MAX keeps the panes its windows cover and merges them.
+//     Reported: archive reads and panes built per input tuple.
 //
-//  2. sliding_sum_subtractable — COUNT/SUM/AVG retire in O(1) even for
-//     sliding windows (subtractable accumulators; recomputes stays 0).
+//  2. sliding_sum_double — a double SUM depends on its accumulation
+//     order, so its windows cannot merge panes: each is scanned whole
+//     when it fires, and the reads per tuple grow with width / hop.
 //
-//  3. hop_size sweep — end-to-end QueryRunner cost of the paper's sliding
-//     AVG (example 3) as the hop grows: larger hops execute fewer windows
+//  3. hop_size sweep — end-to-end cost of the paper's sliding AVG
+//     (example 3) as the hop grows: larger hops execute fewer windows
 //     over the same stream (and when hop > width, skip data entirely).
 
 #include <benchmark/benchmark.h>
+
+#include <cstdlib>
+#include <string>
+#include <vector>
 
 #include "core/server.h"
 #include "ingress/sources.h"
@@ -27,64 +33,65 @@ Tuple Stock(int64_t day, double price) {
       {Value::Int64(day), Value::String("MSFT"), Value::Double(price)}, day);
 }
 
-std::vector<AggregateSpec> MaxSpec() {
-  SchemaPtr schema = StockTickerSource::MakeSchema();
-  AggregateSpec spec;
-  spec.kind = AggKind::kMax;
-  spec.arg = *Expr::Column("closingPrice")->Bind(*schema);
-  spec.output_name = "max_price";
-  return {spec};
-}
-
-std::vector<AggregateSpec> SumSpec() {
-  SchemaPtr schema = StockTickerSource::MakeSchema();
-  AggregateSpec spec;
-  spec.kind = AggKind::kSum;
-  spec.arg = *Expr::Column("closingPrice")->Bind(*schema);
-  spec.output_name = "sum_price";
-  return {spec};
+/// One field of SnapshotMetrics' "windows" object.
+double WindowsField(const Server& server, const std::string& field) {
+  const std::string snap = server.SnapshotMetrics();
+  const size_t at = snap.find("\"" + field + "\":", snap.find("\"windows\":{"));
+  if (at == std::string::npos) std::abort();
+  return std::strtod(snap.c_str() + at + field.size() + 3, nullptr);
 }
 
 constexpr int64_t kDays = 20000;
 
-void BM_LandmarkMax(benchmark::State& state) {
-  uint64_t buffered = 0;
+/// Feeds kDays days, 100 per batch, through one windowed query with
+/// `select` over `window` (a WindowIs clause over t, firing every 100
+/// days), and reports archive reads and panes per input tuple.
+void RunWindowQuery(benchmark::State& state, const std::string& select,
+                    const std::string& window) {
+  double reads = 0, panes = 0;
   for (auto _ : state) {
-    WindowAggregator agg(MaxSpec(), {}, /*retain_tuples=*/false);
-    for (int64_t d = 1; d <= kDays; ++d) {
-      agg.Add(Stock(d, 50.0 + (d % 100)));
-      if (d % 100 == 0) benchmark::DoNotOptimize(agg.Emit(d));
+    Server server;
+    if (!server
+             .DefineStream("ClosingStockPrices",
+                           StockTickerSource::MakeSchema(), 0)
+             .ok()) {
+      std::abort();
     }
-    buffered = agg.buffered_tuples();
+    auto q = server.Submit("SELECT " + select +
+                           " FROM ClosingStockPrices "
+                           "for (t = 100; true; t += 100) { " +
+                           window + " }");
+    if (!q.ok()) std::abort();
+    benchmark::DoNotOptimize(server.SetCallback(*q, [](const ResultSet&) {}));
+    std::vector<Tuple> batch;
+    for (int64_t d = 1; d <= kDays; ++d) {
+      batch.push_back(Stock(d, 50.0 + static_cast<double>(d % 100)));
+      if (batch.size() == 100) {
+        benchmark::DoNotOptimize(
+            server.PushBatch("ClosingStockPrices", std::move(batch)));
+        batch.clear();
+      }
+    }
+    reads = WindowsField(server, "scanned");
+    panes = WindowsField(server, "panes");
   }
-  state.counters["buffered_tuples"] = static_cast<double>(buffered);
+  state.counters["reads_per_tuple"] = reads / kDays;
+  state.counters["panes_per_tuple"] = panes / kDays;
   state.counters["tuples_per_sec"] = benchmark::Counter(
       static_cast<double>(kDays) * static_cast<double>(state.iterations()),
       benchmark::Counter::kIsRate);
 }
+
+void BM_LandmarkMax(benchmark::State& state) {
+  RunWindowQuery(state, "MAX(closingPrice)",
+                 "WindowIs(ClosingStockPrices, 1, t);");
+}
 BENCHMARK(BM_LandmarkMax)->Unit(benchmark::kMillisecond);
 
 void BM_SlidingMax(benchmark::State& state) {
-  const int64_t width = state.range(0);
-  uint64_t recomputes = 0;
-  uint64_t buffered = 0;
-  for (auto _ : state) {
-    WindowAggregator agg(MaxSpec(), {}, /*retain_tuples=*/true);
-    for (int64_t d = 1; d <= kDays; ++d) {
-      agg.Add(Stock(d, 50.0 + (d % 100)));
-      if (d % 100 == 0) {
-        agg.SetWindow(d - width + 1, d);  // Retire the old edge.
-        benchmark::DoNotOptimize(agg.Emit(d));
-      }
-    }
-    recomputes = agg.recomputes();
-    buffered = agg.buffered_tuples();
-  }
-  state.counters["recomputes"] = static_cast<double>(recomputes);
-  state.counters["buffered_tuples"] = static_cast<double>(buffered);
-  state.counters["tuples_per_sec"] = benchmark::Counter(
-      static_cast<double>(kDays) * static_cast<double>(state.iterations()),
-      benchmark::Counter::kIsRate);
+  RunWindowQuery(state, "MAX(closingPrice)",
+                 "WindowIs(ClosingStockPrices, t - " +
+                     std::to_string(state.range(0) - 1) + ", t);");
 }
 BENCHMARK(BM_SlidingMax)
     ->Arg(100)
@@ -92,26 +99,12 @@ BENCHMARK(BM_SlidingMax)
     ->Arg(10000)
     ->Unit(benchmark::kMillisecond);
 
-void BM_SlidingSumSubtractable(benchmark::State& state) {
-  const int64_t width = state.range(0);
-  uint64_t recomputes = 0;
-  for (auto _ : state) {
-    WindowAggregator agg(SumSpec(), {}, /*retain_tuples=*/true);
-    for (int64_t d = 1; d <= kDays; ++d) {
-      agg.Add(Stock(d, 50.0 + (d % 100)));
-      if (d % 100 == 0) {
-        agg.SetWindow(d - width + 1, d);
-        benchmark::DoNotOptimize(agg.Emit(d));
-      }
-    }
-    recomputes = agg.recomputes();
-  }
-  state.counters["recomputes"] = static_cast<double>(recomputes);
-  state.counters["tuples_per_sec"] = benchmark::Counter(
-      static_cast<double>(kDays) * static_cast<double>(state.iterations()),
-      benchmark::Counter::kIsRate);
+void BM_SlidingSumDouble(benchmark::State& state) {
+  RunWindowQuery(state, "SUM(closingPrice)",
+                 "WindowIs(ClosingStockPrices, t - " +
+                     std::to_string(state.range(0) - 1) + ", t);");
 }
-BENCHMARK(BM_SlidingSumSubtractable)
+BENCHMARK(BM_SlidingSumDouble)
     ->Arg(1000)
     ->Arg(10000)
     ->Unit(benchmark::kMillisecond);

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Full verification: tier-1 (fast unit suite) plus the fault-injection /
-# concurrency stress suite under ThreadSanitizer and ASan+UBSan.
+# concurrency stress suite and the equivalence matrix under
+# ThreadSanitizer and ASan+UBSan, as CI runs them.
 #
 # Usage:
 #   scripts/check.sh            # tier-1 + one stress pass per sanitizer
@@ -18,10 +19,10 @@ cmake --build build -j "$JOBS" >/dev/null
 
 for SAN in thread address; do
   DIR="build-${SAN}san"
-  echo "==> sanitizer=${SAN}: stress suite x${STRESS_REPEAT} (${DIR})"
+  echo "==> sanitizer=${SAN}: stress + equivalence x${STRESS_REPEAT} (${DIR})"
   cmake -B "$DIR" -S . -DTCQ_SANITIZE="$SAN" >/dev/null
   cmake --build "$DIR" -j "$JOBS" >/dev/null
-  (cd "$DIR" && ctest -L stress --output-on-failure \
+  (cd "$DIR" && ctest -L "stress|equivalence" --output-on-failure \
       --repeat until-fail:"$STRESS_REPEAT")
 done
 

@@ -178,7 +178,7 @@ Result<AnalyzedQuery> Analyze(const ParsedQuery& parsed,
     } else {
       out.group_by = plain_select;
     }
-    // Result rows come out of WindowAggregator as keys-then-aggregates:
+    // Result rows come out of AggregateState as keys-then-aggregates:
     // require the select list in that order so output columns line up.
     for (size_t i = 0; i < parsed.select.size(); ++i) {
       const bool is_agg = !parsed.select[i].star &&

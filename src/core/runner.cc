@@ -45,22 +45,7 @@ QueryRunner::QueryRunner(AnalyzedQuery analyzed,
     auto shape = ClassifyWindow(sequence_, 0);
     if (shape.ok()) shape_ = *shape;
   }
-  // Landmark fast path (§4.1.2): single windowed stream + aggregates over
-  // a landmark window never retire tuples — keep running accumulators.
-  // Disabled for speculative queries: Revise() re-executes fired windows,
-  // which the incremental accumulators cannot rewind.
-  if (!options_.speculative && analyzed_.has_aggregates && shape_ &&
-      (shape_->window_class == WindowClass::kLandmark ||
-       shape_->window_class == WindowClass::kSnapshot)) {
-    use_landmark_path_ = true;
-    landmark_clause_ = 0;
-    landmark_agg_ = std::make_unique<WindowAggregator>(
-        analyzed_.aggregates, analyzed_.group_by, /*retain_tuples=*/false);
-    landmark_rewrite_mark_ = archives_[0]->WatchRewrites();
-  }
-
-  shareable_ = !options_.speculative && !use_landmark_path_ &&
-               analyzed_.window.has_value() &&
+  shareable_ = !options_.speculative && analyzed_.window.has_value() &&
                analyzed_.layout->num_sources() == 1 &&
                !analyzed_.defs[0].is_table;
 }
@@ -142,8 +127,8 @@ size_t QueryRunner::Revise(Timestamp late_ts, std::vector<ResultSet>* out) {
       }
     }
     if (!affected) continue;
-    // Re-execute against the current archives (pure: the landmark path is
-    // off in speculative mode) and diff the result multisets.
+    // Re-execute against the current archives (pure) and diff the result
+    // multisets.
     ResultSet fresh = ExecuteWindow(fw.step);
     std::map<std::string, int> delta;  // Row key -> new count - old count.
     auto key_of = [](const Tuple& row) {
@@ -184,58 +169,6 @@ size_t QueryRunner::Revise(Timestamp late_ts, std::vector<ResultSet>* out) {
 ResultSet QueryRunner::ExecuteWindow(const WindowSequence::Step& step) {
   ResultSet result;
   result.t = step.t;
-
-  if (use_landmark_path_) {
-    // Incremental: only the newly exposed suffix of the window is fed.
-    const WindowBounds& b =
-        step.bounds[static_cast<size_t>(landmark_clause_)];
-    const Timestamp rewritten = *landmark_rewrite_mark_;
-    if (rewritten <= landmark_fed_through_) {
-      // A late insert or a retraction changed history the accumulators
-      // already hold: resume from the newest checkpoint before it, or
-      // refeed the window from its left end. A rewrite past the fed
-      // history is simply in the suffix fed below.
-      while (!landmark_checkpoints_.empty() &&
-             landmark_checkpoints_.back().fed_through >= rewritten) {
-        landmark_checkpoints_.pop_back();
-      }
-      if (landmark_checkpoints_.empty()) {
-        landmark_agg_->Reset();
-        landmark_fed_through_ = kMinTimestamp;
-      } else {
-        landmark_agg_ = std::make_unique<WindowAggregator>(
-            landmark_checkpoints_.back().agg);
-        landmark_fed_through_ = landmark_checkpoints_.back().fed_through;
-      }
-    }
-    *landmark_rewrite_mark_ = kMaxTimestamp;
-    const uint64_t scanned_before = tuples_scanned_;
-    const Timestamp from =
-        std::max(b.left, landmark_fed_through_ == kMinTimestamp
-                             ? b.left
-                             : landmark_fed_through_ + 1);
-    archives_[0]->ScanApply(from, b.right, [&](const Tuple& narrow) {
-      ++tuples_scanned_;
-      // Landmark filters still apply before aggregation.
-      const Tuple wide = analyzed_.layout->Widen(0, narrow);
-      for (const auto& f : analyzed_.filters) {
-        const Value keep = f.expr->Eval(wide);
-        if (keep.is_null() || !keep.bool_value()) return;
-      }
-      landmark_agg_->Add(wide);
-    });
-    if (b.right > landmark_fed_through_) landmark_fed_through_ = b.right;
-    result.rows = landmark_agg_->Emit(step.t);
-    landmark_fed_since_checkpoint_ += tuples_scanned_ - scanned_before;
-    if (landmark_fed_since_checkpoint_ >= 64 + 4 * result.rows.size()) {
-      landmark_checkpoints_.push_back({landmark_fed_through_, *landmark_agg_});
-      if (landmark_checkpoints_.size() > kLandmarkCheckpoints) {
-        landmark_checkpoints_.pop_front();
-      }
-      landmark_fed_since_checkpoint_ = 0;
-    }
-    return result;
-  }
 
   std::vector<Tuple> wide = RunDataflow(step);
 
@@ -374,6 +307,10 @@ class SharedWindowScan::Query {
       hop = shape->hop;
       pane = std::gcd(width, hop);
     }
+    landmark = aq.has_aggregates && shape.has_value() &&
+               shape->window_class == WindowClass::kLandmark &&
+               shape->hop > 0;
+    if (landmark) running = AggregateState(aq.aggregates, aq.group_by);
   }
 
   /// First pane of window k of the grid, and its left end.
@@ -443,16 +380,19 @@ class SharedWindowScan::Query {
     panes.erase(begin, end);
   }
   /// The result set of fired step `s`: a grid window is the in-order
-  /// merge of its panes (projections: their rows concatenated), any
-  /// other window its own unit.
+  /// merge of its panes (projections: their rows concatenated), a
+  /// landmark window what the running state emitted, any other window
+  /// its own unit.
   ResultSet Emit(size_t s) {
     const Fire& f = fires[s];
     ResultSet rs;
     rs.t = steps[s].t;
-    if (!f.paned) {
-      rs.rows = aq.has_aggregates
-                    ? unit_aggs[f.unit].Emit(aq.aggregates, aq.group_by, rs.t)
-                    : std::move(unit_rows[f.unit]);
+    if (f.kind == Fire::kUnit && aq.has_aggregates) {
+      rs.rows = unit_aggs[f.unit].Emit(aq.aggregates, aq.group_by, rs.t);
+      return rs;
+    }
+    if (f.kind != Fire::kPanes) {
+      rs.rows = std::move(unit_rows[f.unit]);
       return rs;
     }
     auto it = std::lower_bound(
@@ -525,6 +465,62 @@ class SharedWindowScan::Query {
     return panes.back();
   }
 
+  /// Whether `b` continues the landmark, the running state being planned
+  /// through `from` - 1: its left end is the anchor and it ends no
+  /// earlier.
+  bool OnLandmark(const WindowBounds& b, Timestamp from) const {
+    return b.left == anchor && (b.right >= from || b.right + 1 == from);
+  }
+  /// The running state, for one more tuple.
+  AggregateState& Feed() {
+    ++fed_since_checkpoint;
+    return running;
+  }
+  /// Emits, from the running state, the landmark windows of this advance
+  /// that end before `ts`: the state holds exactly each one's tuples
+  /// then. Takes a copy of the state once 64 + 4 x groups tuples have
+  /// been fed since the last, so copying stays a small share of feeding.
+  void EmitRunning(Timestamp ts) {
+    for (; next_due < fires.size(); ++next_due) {
+      const Fire& f = fires[next_due];
+      if (f.kind != Fire::kRunning) continue;
+      const Timestamp right = steps[next_due].bounds[clause].right;
+      if (right >= ts) return;
+      TupleVector& rows = unit_rows[f.unit];
+      rows = running.Emit(aq.aggregates, aq.group_by, steps[next_due].t);
+      if (fed_since_checkpoint >= 64 + 4 * rows.size()) {
+        checkpoints.push_back({right + 1, running});
+        if (checkpoints.size() > kCheckpoints) checkpoints.pop_front();
+        fed_since_checkpoint = 0;
+      }
+    }
+  }
+  /// A rewrite at `mark`, below `filled`: resumes from the newest copy
+  /// taken below it, or from the anchor.
+  void Rewind(Timestamp mark) {
+    while (!checkpoints.empty() && checkpoints.back().filled > mark) {
+      checkpoints.pop_back();
+    }
+    if (checkpoints.empty()) {
+      running.Clear();
+      filled = anchor;
+    } else {
+      running = checkpoints.back().agg;
+      filled = checkpoints.back().filled;
+    }
+    fed_since_checkpoint = 0;
+  }
+  /// Frees the standing state: the query fires no more, or (a landmark
+  /// the archive floor has passed) its windows are units from now on.
+  void Release() {
+    panes.clear();
+    spare.clear();
+    landmark = false;
+    anchored = false;
+    running.Clear();
+    checkpoints.clear();
+  }
+
   QueryRunner* runner;
   const size_t slot;  ///< Its bit in the grouped filters.
   const AnalyzedQuery& aq;
@@ -546,11 +542,25 @@ class SharedWindowScan::Query {
   std::vector<Pane> spare;  ///< Dropped panes, for reuse.
   AggregateState merged{{}, {}};  ///< A window's merge (reused).
 
+  /// A landmark aggregate's one pane: the state of the passing tuples in
+  /// [anchor, filled), fed in archive order, and copies of it, oldest
+  /// first, each as of its own `filled`.
+  bool landmark = false;
+  AggregateState running{{}, {}};
+  struct Checkpoint {
+    Timestamp filled;
+    AggregateState agg;
+  };
+  static constexpr size_t kCheckpoints = 16;
+  std::deque<Checkpoint> checkpoints;
+  uint64_t fed_since_checkpoint = 0;
+
   // --- One Advance.
   std::vector<WindowSequence::Step> steps;
-  /// Per step: its pane range, or its own unit.
+  /// Per step: its pane range, its own unit, or the running state (its
+  /// rows, once emitted, in unit_rows[unit]).
   struct Fire {
-    bool paned;
+    enum Kind : uint8_t { kPanes, kUnit, kRunning } kind;
     uint64_t first;
     uint64_t last;
     uint32_t unit;
@@ -558,7 +568,8 @@ class SharedWindowScan::Query {
   std::vector<Fire> fires;
   std::vector<AggregateState> unit_aggs;
   std::vector<TupleVector> unit_rows;
-  /// A range the scan builds: panes (unit < 0) or one unit.
+  /// A range the scan builds: panes or the running state (unit < 0), or
+  /// one unit.
   struct Build {
     Timestamp lo;
     Timestamp hi;
@@ -566,6 +577,7 @@ class SharedWindowScan::Query {
   };
   std::vector<Build> builds;  ///< By left end.
   size_t next_open = 0;
+  size_t next_due = 0;  ///< The first fire EmitRunning has not passed.
   std::vector<uint32_t> open;  ///< Builds opened, not yet seen closed.
   std::vector<ResultSet> results;
 };
@@ -633,6 +645,10 @@ uint64_t SharedWindowScan::DropStalePanes() {
   if (mark == kMaxTimestamp && !evicted) return 0;
   for (const std::unique_ptr<Query>& q : queries_) {
     if (q == nullptr || !q->anchored) continue;
+    if (q->landmark) {
+      if (mark < q->filled) q->Rewind(mark);
+      continue;
+    }
     if (mark != kMaxTimestamp) {
       // Every pane from the rewritten one on is rebuilt when needed.
       const uint64_t from = mark <= q->anchor ? 0 : q->PaneOf(mark);
@@ -665,8 +681,9 @@ SharedWindowScan::Stats SharedWindowScan::Advance(Timestamp high_watermark,
   busy.clear();
 
   // 1. Each query's ready steps, and what the scan must build: the panes
-  // of its grid windows not built yet, every other window whole, and the
-  // panes of its next window the watermark has completed.
+  // of its grid windows not built yet (or a landmark's running state up
+  // to its last window), every other window whole, and the panes (or
+  // running state) of its next window the watermark has completed.
   for (size_t i = only == nullptr ? 0 : only->slot; i < n; ++i) {
     if (queries_[i] == nullptr) continue;
     Query& q = *queries_[i];
@@ -678,19 +695,24 @@ SharedWindowScan::Stats SharedWindowScan::Advance(Timestamp high_watermark,
       ++stats.budget_exceeded;
     }
     if (q.steps.empty() && runner->done()) {
-      q.panes.clear();
-      q.spare.clear();
+      q.Release();
       continue;
     }
     stats.fired += q.steps.size();
     const std::optional<WindowSequence::Step>& next = runner->pending_step_;
-    if (q.pane > 0 && !q.anchored && (!q.steps.empty() || next)) {
+    if ((q.pane > 0 || q.landmark) && !q.anchored &&
+        (!q.steps.empty() || next)) {
       q.anchor = (q.steps.empty() ? *next : q.steps.front())
                      .bounds[q.clause]
                      .left;
       q.filled = q.anchor;
       q.anchored = true;
     }
+    // Once history from L on is no longer whole, every landmark window
+    // sees only what is retained, as its own scan would: a unit.
+    if (q.landmark && archive_->floor() > q.anchor) q.Release();
+    // The first timestamp the running state is not planned to hold.
+    Timestamp running_to = q.filled;
     // Panes are filled as the watermark passes their tuples: through the
     // ready windows, and in a full advance through everything the
     // watermark completed for the next one, so each tuple is read once.
@@ -700,8 +722,15 @@ SharedWindowScan::Stats SharedWindowScan::Advance(Timestamp high_watermark,
     Timestamp through = kMinTimestamp;
     for (const WindowSequence::Step& step : q.steps) {
       const WindowBounds& b = step.bounds[q.clause];
+      if (q.landmark && q.OnLandmark(b, running_to)) {
+        q.fires.push_back({Query::Fire::kRunning, 0, 0,
+                           static_cast<uint32_t>(q.unit_rows.size())});
+        q.unit_rows.emplace_back();
+        running_to = b.right + 1;
+        continue;
+      }
       if (q.OnGrid(b, &k, &first, &last)) {
-        q.fires.push_back({true, first, last, 0});
+        q.fires.push_back({Query::Fire::kPanes, first, last, 0});
         q.min_k = k;
         if (!first_k) first_k = k;
         through = b.right;
@@ -715,7 +744,7 @@ SharedWindowScan::Stats SharedWindowScan::Advance(Timestamp high_watermark,
         unit = static_cast<uint32_t>(q.unit_rows.size());
         q.unit_rows.emplace_back();
       }
-      q.fires.push_back({false, 0, 0, unit});
+      q.fires.push_back({Query::Fire::kUnit, 0, 0, unit});
       if (b.left <= b.right) q.builds.push_back({b.left, b.right, unit});
     }
     if (only == nullptr && next.has_value() && high_watermark > q.anchor &&
@@ -724,6 +753,20 @@ SharedWindowScan::Stats SharedWindowScan::Advance(Timestamp high_watermark,
       through = high_watermark - 1;
     }
     if (first_k) q.FillPanes(*first_k, through);
+    if (q.landmark) {
+      // The running state is fed through the fired landmark windows, and
+      // in a full advance through everything the watermark completed for
+      // the next one.
+      if (only == nullptr && next.has_value() &&
+          q.OnLandmark(next->bounds[q.clause], running_to) &&
+          high_watermark > running_to) {
+        running_to = high_watermark;
+      }
+      if (running_to > q.filled) {
+        q.builds.push_back({q.filled, running_to - 1, -1});
+        q.filled = running_to;
+      }
+    }
     if (!q.steps.empty() || !q.builds.empty()) busy.push_back(&q);
     if (q.builds.empty()) continue;
     std::stable_sort(
@@ -764,6 +807,7 @@ SharedWindowScan::Stats SharedWindowScan::Advance(Timestamp high_watermark,
         q.open.push_back(static_cast<uint32_t>(q.next_open++));
       }
       std::erase_if(q.open, [&](uint32_t b) { return q.builds[b].hi < ts; });
+      if (q.landmark) q.EmitRunning(ts);
       if (q.open.empty()) return;
       for (const ExprPtr& e : q.residuals) {
         const Value keep = e->Eval(t);
@@ -772,7 +816,9 @@ SharedWindowScan::Stats SharedWindowScan::Advance(Timestamp high_watermark,
       if (q.aq.has_aggregates) {
         for (const uint32_t b : q.open) {
           const int64_t unit = q.builds[b].unit;
-          (unit < 0 ? q.PaneAt(ts, &stats.panes).agg : q.unit_aggs[unit])
+          (unit >= 0     ? q.unit_aggs[unit]
+           : q.landmark ? q.Feed()
+                        : q.PaneAt(ts, &stats.panes).agg)
               .Add(q.aq.aggregates, q.aq.group_by, t);
         }
         return;
@@ -790,23 +836,24 @@ SharedWindowScan::Stats SharedWindowScan::Advance(Timestamp high_watermark,
   };
   for (const auto& [lo, hi] : merged) archive_->ScanApply(lo, hi, visit);
 
-  // 3. Emit every fired window, then drop the panes no later window
-  // covers: the next one is the runner's pending step, and every window
-  // after it starts no earlier on the grid.
+  // 3. Emit every fired window (the landmark windows the scan did not
+  // pass yet first), then drop the panes no later window covers: the
+  // next one is the runner's pending step, and every window after it
+  // starts no earlier on the grid.
   for (Query* qp : busy) {
     Query& q = *qp;
+    if (q.landmark) q.EmitRunning(kMaxTimestamp);
     for (size_t s = 0; s < q.steps.size(); ++s) {
       q.results.push_back(q.Emit(s));
     }
-    if (q.pane > 0 && !q.steps.empty()) {
+    if (q.runner->done()) {
+      q.Release();
+    } else if (q.pane > 0 && !q.steps.empty()) {
       const std::optional<WindowSequence::Step>& next =
           q.runner->pending_step_;
       uint64_t k = 0, first = 0, last = 0;
-      if (q.runner->done()) {
-        q.panes.clear();
-        q.spare.clear();
-      } else if (next.has_value() &&
-                 q.OnGrid(next->bounds[q.clause], &k, &first, &last)) {
+      if (next.has_value() &&
+          q.OnGrid(next->bounds[q.clause], &k, &first, &last)) {
         q.DropBelow(first);
       } else {
         q.DropBelow(q.FirstPane(q.min_k));
@@ -818,6 +865,7 @@ SharedWindowScan::Stats SharedWindowScan::Advance(Timestamp high_watermark,
     q.unit_rows.clear();
     q.builds.clear();
     q.next_open = 0;
+    q.next_due = 0;
     q.open.clear();
   }
   return stats;

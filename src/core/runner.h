@@ -44,8 +44,10 @@ enum class Consistency : uint8_t {
 /// SteM builds/probes for every join edge, filter operators for every
 /// predicate — followed by projection or windowed aggregation.
 ///
-/// Landmark aggregates take the incremental O(1)-state path (§4.1.2);
-/// other shapes re-evaluate the window, which is always correct.
+/// Every window is evaluated whole, which is always correct: this is the
+/// reference the server's standing window plan (SharedWindowScan) must
+/// match byte for byte, and the path of joins, table sources and
+/// speculative queries.
 class QueryRunner {
  public:
   struct Options {
@@ -54,9 +56,7 @@ class QueryRunner {
     /// Start time (ST) for the query's for-loop.
     Timestamp start_time = 1;
     /// Consistency::kSpeculative support: keep a bounded history of fired
-    /// windows so Revise() can recompute them when late data lands. Also
-    /// disables the stateful landmark fast path (its accumulators cannot
-    /// be rewound).
+    /// windows so Revise() can recompute them when late data lands.
     bool speculative = false;
   };
 
@@ -92,9 +92,9 @@ class QueryRunner {
   static constexpr size_t kMaxStepsPerAdvance = 1 << 16;
 
   /// True when the query's windows can fire through a SharedWindowScan:
-  /// it reads one stream and no table, is not speculative (its windows
-  /// are final when they fire, so none is ever re-executed), and is not
-  /// on the landmark-aggregate fast path. A property of the query.
+  /// it reads one stream and no table, and is not speculative (its
+  /// windows are final when they fire, so none is ever re-executed). A
+  /// property of the query.
   bool shareable() const { return shareable_; }
 
   /// ClassifyWindow's probe of the query's one window clause (absent for
@@ -153,26 +153,6 @@ class QueryRunner {
   bool shareable_ = false;
   std::optional<WindowShape> shape_;
 
-  /// Incremental landmark-aggregate state (§4.1.2 fast path).
-  std::unique_ptr<WindowAggregator> landmark_agg_;
-  Timestamp landmark_fed_through_ = kMinTimestamp;
-  /// Lowest archive timestamp rewritten since the last feed
-  /// (Archive::WatchRewrites).
-  std::shared_ptr<Timestamp> landmark_rewrite_mark_;
-  /// Copies of the accumulators as fed through `fed_through`, oldest
-  /// first: a rewrite refeeds from the newest one before it instead of
-  /// from the landmark. One is taken once 64 + 4 x groups tuples have
-  /// been fed since the last, so copying stays a small share of feeding.
-  struct LandmarkCheckpoint {
-    Timestamp fed_through;
-    WindowAggregator agg;
-  };
-  static constexpr size_t kLandmarkCheckpoints = 16;
-  std::deque<LandmarkCheckpoint> landmark_checkpoints_;
-  uint64_t landmark_fed_since_checkpoint_ = 0;
-  bool use_landmark_path_ = false;
-  int landmark_clause_ = -1;
-
   /// Speculative mode: fired windows retained for revision, oldest first.
   struct FiredWindow {
     WindowSequence::Step step;
@@ -196,15 +176,23 @@ class QueryRunner {
 ///    partials on a grid of panes of gcd(w, h) ticks, anchored at its
 ///    first window's left end. Each tuple is added to one pane; a window
 ///    on the grid is the in-order merge of its panes (for projections,
-///    their rows concatenated). Every other query and step is its own
-///    unit, scanned when it fires.
+///    their rows concatenated);
+///  * for a landmark aggregate (fixed left end L, right end moving
+///    forward), the one-pane case: one running aggregate state fed from
+///    L in archive order, each window emitted from it as the scan passes
+///    the window's right end. Nothing is merged, so every aggregate is
+///    exact, AVG and double SUM included.
+///
+/// Every other query and step is its own unit, scanned when it fires.
 ///
 /// The archive stays the source of truth: a kIngestLate insert or a
 /// matched retraction (Archive::WatchRewrites) drops every pane from the
-/// rewritten timestamp on, history evicted below Archive::floor() drops
-/// every pane reaching into it, and the next advance rescans what it
-/// needs. Every window sees its tuples in archive order, so every
-/// ResultSet is byte-identical to QueryRunner::Advance's.
+/// rewritten timestamp on and rewinds a running state to a copy taken
+/// before it; history evicted below Archive::floor() drops every pane
+/// reaching into it, and a landmark's windows become units once the
+/// floor passes L. The next advance rescans what it needs. Every window
+/// sees its tuples in archive order, so every ResultSet is byte-identical
+/// to QueryRunner::Advance's.
 class SharedWindowScan {
  public:
   /// One registered runner's standing state.

@@ -118,6 +118,26 @@ ExprPtr StripQualifiers(const ExprPtr& e) {
   return e;
 }
 
+/// A tuple fits its stream when it has the schema's arity and every
+/// non-NULL cell has its column's declared type: filters, panes and the
+/// exact SUM read a cell as its column's type.
+Status CheckCells(const StreamDef& def, const Tuple& tuple) {
+  const Schema& schema = *def.schema;
+  if (tuple.arity() != schema.num_fields()) {
+    return Status::InvalidArgument("tuple arity mismatch for " + def.name);
+  }
+  for (size_t i = 0; i < tuple.arity(); ++i) {
+    const ValueType type = tuple.cell(i).type();
+    if (type != ValueType::kNull && type != schema.field(i).type) {
+      return Status::TypeError(
+          "column " + schema.field(i).name + " of " + def.name + " is " +
+          ValueTypeToString(schema.field(i).type) + ", not " +
+          ValueTypeToString(type));
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Server::Server() : Server(Options()) {}
@@ -522,10 +542,7 @@ Status Server::Push(const std::string& stream, const Tuple& tuple) {
 }
 
 Status Server::StampLocked(StreamState* ss, Tuple* tuple) {
-  if (tuple->arity() != ss->def.schema->num_fields()) {
-    return Status::InvalidArgument("tuple arity mismatch for " +
-                                   ss->def.name);
-  }
+  TCQ_RETURN_NOT_OK(CheckCells(ss->def, *tuple));
   // Stamp the engine timestamp: declared column or arrival order.
   ++ss->arrivals;
   Timestamp ts;
@@ -891,10 +908,7 @@ Status Server::Retract(const std::string& stream, const Tuple& tuple) {
     return Status::FailedPrecondition(
         "retractions need a timestamp column on " + stream);
   }
-  if (tuple.arity() != ss.def.schema->num_fields()) {
-    return Status::InvalidArgument("tuple arity mismatch for " +
-                                   ss.def.name);
-  }
+  TCQ_RETURN_NOT_OK(CheckCells(ss.def, tuple));
   const Value& v =
       tuple.cell(static_cast<size_t>(ss.def.timestamp_field));
   if (v.type() != ValueType::kInt64) {

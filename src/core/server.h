@@ -181,7 +181,8 @@ class Server {
   /// advance for the entire batch. Results are identical to pushing each
   /// tuple individually; only per-tuple overhead is amortized.
   ///
-  /// Invalid tuples (arity mismatch, bad or out-of-order timestamp) are
+  /// Invalid tuples (arity mismatch, a non-NULL cell of another type
+  /// than its column's, bad or out-of-order timestamp) are
   /// skipped: when `rejected` is non-null their count is reported there
   /// and the valid remainder still flows (returns OK); when null, the
   /// first error is returned after the preceding valid prefix has been
@@ -212,7 +213,7 @@ class Server {
   /// queries. An unmatched retraction is dropped and counted
   /// (tcq.disorder.unmatched_retractions); delayed windowed queries see
   /// the cancellation only in windows that have not fired yet. Requires a
-  /// timestamp column.
+  /// timestamp column; `tuple` is checked as an ingested one is.
   Status Retract(const std::string& stream, const Tuple& tuple);
 
   /// Scans every stream for idle-timeout heartbeats (Options::
@@ -429,7 +430,8 @@ class Server {
   /// queued before it has been delivered.
   void DrainDeliveries(bool wait);
   Status PushLocked(const std::string& stream, const Tuple& tuple);
-  /// Validates `tuple` against `ss` and stamps its engine timestamp
+  /// Validates `tuple` against `ss` (arity, and every non-NULL cell of
+  /// its column's declared type) and stamps its engine timestamp
   /// (declared column or arrival order). Watermark logic lives in
   /// IngestBatchLocked — stamping no longer touches it.
   Status StampLocked(StreamState* ss, Tuple* tuple);
@@ -500,8 +502,8 @@ class Server {
   std::map<std::string, StreamState> streams_;
   std::vector<std::unique_ptr<QueryState>> queries_;
   /// Live kSpeculative queries. ReviseQueriesLocked runs per ingest batch
-  /// and sweeps `queries_`, which grows with lifetime submits — the sweep
-  /// must be skippable in the common no-speculative-queries case.
+  /// and sweeps the stream's `windowed` list; with none live it skips the
+  /// sweep.
   size_t num_speculative_ = 0;
   /// Windowed-execution totals (SnapshotMetrics "windows"; live in every
   /// build): windows fired, archive tuples their executions read,

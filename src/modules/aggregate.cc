@@ -4,8 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "common/logging.h"
-
 namespace tcq {
 
 namespace {
@@ -63,7 +61,6 @@ void Accumulator::State::MergeExtreme(const State& later, bool max) {
 
 void Accumulator::Add(const std::vector<AggregateSpec>& specs,
                       const Tuple& t) {
-  ++rows_;
   for (size_t i = 0; i < specs.size(); ++i) {
     State& s = states_[i];
     if (specs[i].arg == nullptr) {  // COUNT(*).
@@ -94,7 +91,6 @@ void Accumulator::Add(const std::vector<AggregateSpec>& specs,
 
 void Accumulator::Merge(const std::vector<AggregateSpec>& specs,
                         const Accumulator& later) {
-  rows_ += later.rows_;
   for (size_t i = 0; i < specs.size(); ++i) {
     State& s = states_[i];
     const State& o = later.states_[i];
@@ -108,38 +104,8 @@ void Accumulator::Merge(const std::vector<AggregateSpec>& specs,
   }
 }
 
-void Accumulator::Remove(const std::vector<AggregateSpec>& specs,
-                         const Tuple& t) {
-  TCQ_DCHECK(Subtractable(specs)) << "MIN/MAX cannot retire incrementally";
-  --rows_;
-  for (size_t i = 0; i < specs.size(); ++i) {
-    State& s = states_[i];
-    if (specs[i].arg == nullptr) {
-      --s.count;
-      continue;
-    }
-    const Value v = specs[i].arg->Eval(t);
-    if (v.is_null()) continue;
-    --s.count;
-    if (IntegerSum(specs[i])) {
-      s.int_sum -= v.int64_value();
-    } else if (specs[i].kind == AggKind::kSum ||
-               specs[i].kind == AggKind::kAvg) {
-      s.sum -= v.AsDouble();
-    }
-  }
-}
-
 void Accumulator::Clear() {
   std::fill(states_.begin(), states_.end(), State());
-  rows_ = 0;
-}
-
-bool Accumulator::Subtractable(const std::vector<AggregateSpec>& specs) {
-  return std::all_of(specs.begin(), specs.end(), [](const AggregateSpec& s) {
-    return s.kind == AggKind::kCount || s.kind == AggKind::kSum ||
-           s.kind == AggKind::kAvg;
-  });
 }
 
 bool Accumulator::Mergeable(const std::vector<AggregateSpec>& specs) {
@@ -173,94 +139,6 @@ Value Accumulator::Final(const AggregateSpec& spec, size_t i) const {
       return s.has_extreme ? s.extreme : Value::Null();
   }
   return Value::Null();
-}
-
-WindowAggregator::WindowAggregator(std::vector<AggregateSpec> specs,
-                                   std::vector<ExprPtr> group_by,
-                                   bool retain_tuples)
-    : specs_(std::move(specs)),
-      group_by_(std::move(group_by)),
-      retain_tuples_(retain_tuples),
-      subtractable_(Accumulator::Subtractable(specs_)) {
-  TCQ_CHECK(!specs_.empty());
-}
-
-std::vector<Value> WindowAggregator::GroupKey(const Tuple& t) const {
-  std::vector<Value> key;
-  key.reserve(group_by_.size());
-  for (const ExprPtr& e : group_by_) key.push_back(e->Eval(t));
-  return key;
-}
-
-void WindowAggregator::Add(const Tuple& t) {
-  auto [it, inserted] =
-      groups_.try_emplace(GroupKey(t), Accumulator(specs_.size()));
-  it->second.Add(specs_, t);
-  if (retain_tuples_) buffer_.push_back(t);
-}
-
-void WindowAggregator::SetWindow(Timestamp lo, Timestamp hi) {
-  lo_ = lo;
-  hi_ = hi;
-  if (!retain_tuples_) return;  // Landmark fast path: nothing retires.
-
-  // Partition buffer into keep / retire.
-  std::deque<Tuple> keep;
-  std::vector<Tuple> retired;
-  for (Tuple& t : buffer_) {
-    if (t.timestamp() >= lo_ && t.timestamp() <= hi_) {
-      keep.push_back(std::move(t));
-    } else {
-      retired.push_back(std::move(t));
-    }
-  }
-  buffer_ = std::move(keep);
-  if (retired.empty()) return;
-
-  if (subtractable_) {
-    for (const Tuple& t : retired) {
-      auto it = groups_.find(GroupKey(t));
-      TCQ_DCHECK(it != groups_.end());
-      it->second.Remove(specs_, t);
-      if (it->second.total_count() == 0) groups_.erase(it);
-    }
-  } else {
-    Recompute();
-  }
-}
-
-void WindowAggregator::Recompute() {
-  ++recomputes_;
-  groups_.clear();
-  for (const Tuple& t : buffer_) {
-    auto [it, inserted] =
-        groups_.try_emplace(GroupKey(t), Accumulator(specs_.size()));
-    it->second.Add(specs_, t);
-  }
-}
-
-TupleVector WindowAggregator::Emit(Timestamp result_ts) const {
-  TupleVector rows;
-  // SQL semantics: an UNGROUPED aggregate over an empty window still
-  // produces one row (COUNT = 0, SUM/AVG/MIN/MAX = NULL); a grouped one
-  // produces no rows.
-  if (groups_.empty() && group_by_.empty()) {
-    rows.push_back(
-        FinalRow({}, Accumulator(specs_.size()), specs_, result_ts));
-    return rows;
-  }
-  rows.reserve(groups_.size());
-  for (const auto& [key, acc] : groups_) {
-    rows.push_back(FinalRow(key, acc, specs_, result_ts));
-  }
-  return rows;
-}
-
-void WindowAggregator::Reset() {
-  groups_.clear();
-  buffer_.clear();
-  lo_ = kMinTimestamp;
-  hi_ = kMaxTimestamp;
 }
 
 void AggregateState::Add(const std::vector<AggregateSpec>& specs,

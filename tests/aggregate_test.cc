@@ -35,10 +35,24 @@ std::vector<AggregateSpec> Specs(std::initializer_list<AggKind> kinds) {
   return specs;
 }
 
+/// An AggregateState with its specs and group keys, as a query holds
+/// them.
+struct Agg {
+  explicit Agg(std::vector<AggregateSpec> s, std::vector<ExprPtr> k = {})
+      : specs(std::move(s)), keys(std::move(k)), state(specs, keys) {}
+  void Add(const Tuple& t) { state.Add(specs, keys, t); }
+  TupleVector Emit(Timestamp ts) const { return state.Emit(specs, keys, ts); }
+
+  std::vector<AggregateSpec> specs;
+  std::vector<ExprPtr> keys;
+  AggregateState state;
+};
+
+std::vector<ExprPtr> KeyK() { return {*Expr::Column("k")->Bind(*KV())}; }
+
 TEST(AggregateTest, UngroupedBasics) {
-  auto specs = Specs({AggKind::kCount, AggKind::kSum, AggKind::kAvg,
-                      AggKind::kMin, AggKind::kMax});
-  WindowAggregator agg(specs, {}, /*retain_tuples=*/false);
+  Agg agg(Specs({AggKind::kCount, AggKind::kSum, AggKind::kAvg,
+                 AggKind::kMin, AggKind::kMax}));
   agg.Add(Row("a", 10, 1));
   agg.Add(Row("b", 20, 2));
   agg.Add(Row("c", 30, 3));
@@ -55,7 +69,7 @@ TEST(AggregateTest, UngroupedBasics) {
 
 TEST(AggregateTest, EmptyUngroupedEmitsOneNullishRow) {
   // SQL semantics: SELECT SUM(v) over an empty set = one row, NULL.
-  WindowAggregator agg(Specs({AggKind::kSum, AggKind::kCount}), {}, false);
+  Agg agg(Specs({AggKind::kSum, AggKind::kCount}));
   TupleVector rows = agg.Emit(0);
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_TRUE(rows[0].cell(0).is_null());
@@ -63,16 +77,12 @@ TEST(AggregateTest, EmptyUngroupedEmitsOneNullishRow) {
 }
 
 TEST(AggregateTest, EmptyGroupedEmitsNothing) {
-  SchemaPtr schema = KV();
-  std::vector<ExprPtr> keys{*Expr::Column("k")->Bind(*schema)};
-  WindowAggregator agg(Specs({AggKind::kSum}), keys, false);
+  Agg agg(Specs({AggKind::kSum}), KeyK());
   EXPECT_TRUE(agg.Emit(0).empty());
 }
 
 TEST(AggregateTest, GroupedCounts) {
-  SchemaPtr schema = KV();
-  std::vector<ExprPtr> keys{*Expr::Column("k")->Bind(*schema)};
-  WindowAggregator agg(Specs({AggKind::kCount, AggKind::kSum}), keys, false);
+  Agg agg(Specs({AggKind::kCount, AggKind::kSum}), KeyK());
   agg.Add(Row("a", 1, 1));
   agg.Add(Row("b", 2, 2));
   agg.Add(Row("a", 3, 3));
@@ -85,52 +95,13 @@ TEST(AggregateTest, GroupedCounts) {
   EXPECT_EQ(rows[1].cell(1).int64_value(), 1);
 }
 
-TEST(AggregateTest, SlidingWindowSubtractablePath) {
-  // COUNT/SUM/AVG retire in O(1): recomputes() stays 0.
-  WindowAggregator agg(Specs({AggKind::kCount, AggKind::kSum}), {}, true);
-  for (Timestamp ts = 1; ts <= 10; ++ts) agg.Add(Row("a", ts, ts));
-  agg.SetWindow(6, 10);
-  EXPECT_EQ(agg.recomputes(), 0u);
-  TupleVector rows = agg.Emit(10);
-  ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(rows[0].cell(0).int64_value(), 5);       // ts 6..10.
-  EXPECT_EQ(rows[0].cell(1).int64_value(), 6 + 7 + 8 + 9 + 10);
-  EXPECT_EQ(agg.buffered_tuples(), 5u);
-}
-
-TEST(AggregateTest, SlidingWindowMaxRequiresRecompute) {
-  // §4.1.2: sliding MAX must retain and rescan the window.
-  WindowAggregator agg(Specs({AggKind::kMax}), {}, true);
-  for (Timestamp ts = 1; ts <= 10; ++ts) {
-    agg.Add(Row("a", 100 - ts, ts));  // Decreasing values: max leaves first.
-  }
-  TupleVector before = agg.Emit(10);
-  EXPECT_EQ(before[0].cell(0).int64_value(), 99);  // v of ts=1.
-  agg.SetWindow(6, 10);
-  EXPECT_GE(agg.recomputes(), 1u);
-  TupleVector after = agg.Emit(10);
-  EXPECT_EQ(after[0].cell(0).int64_value(), 94);  // v of ts=6.
-}
-
-TEST(AggregateTest, LandmarkMaxIsIncremental) {
-  // Landmark windows never retire: MAX with no retained buffer.
-  WindowAggregator agg(Specs({AggKind::kMax}), {}, /*retain_tuples=*/false);
+TEST(AggregateTest, LandmarkMaxKeepsOneValue) {
+  // §4.1.2: a landmark MAX never retires a tuple, so its state is the
+  // running maximum alone.
+  Agg agg(Specs({AggKind::kMax}));
   for (Timestamp ts = 1; ts <= 1000; ++ts) agg.Add(Row("a", ts, ts));
-  EXPECT_EQ(agg.buffered_tuples(), 0u);  // O(1) state.
   TupleVector rows = agg.Emit(1000);
   EXPECT_EQ(rows[0].cell(0).int64_value(), 1000);
-}
-
-TEST(AggregateTest, GroupDisappearsWhenAllRetired) {
-  SchemaPtr schema = KV();
-  std::vector<ExprPtr> keys{*Expr::Column("k")->Bind(*schema)};
-  WindowAggregator agg(Specs({AggKind::kCount}), keys, true);
-  agg.Add(Row("a", 1, 1));
-  agg.Add(Row("b", 2, 5));
-  agg.SetWindow(4, 10);
-  TupleVector rows = agg.Emit(10);
-  ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(rows[0].cell(0).string_value(), "b");
 }
 
 TEST(AggregateTest, NullsAreIgnored) {
@@ -140,7 +111,7 @@ TEST(AggregateTest, NullsAreIgnored) {
   AggregateSpec avg;
   avg.kind = AggKind::kAvg;
   avg.arg = *Expr::Column("v")->Bind(*schema);
-  WindowAggregator agg({count_star, avg}, {}, false);
+  Agg agg({count_star, avg});
   agg.Add(Tuple::Make({Value::Int64(10)}, 1));
   agg.Add(Tuple::Make({Value::Null()}, 2));
   TupleVector rows = agg.Emit(2);
@@ -151,7 +122,7 @@ TEST(AggregateTest, NullsAreIgnored) {
 TEST(AggregateTest, IntegerSumIsExactAndNullOnOverflow) {
   constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
   auto sum_of = [](std::initializer_list<int64_t> vs) {
-    WindowAggregator agg(Specs({AggKind::kSum}), {}, false);
+    Agg agg(Specs({AggKind::kSum}));
     Timestamp ts = 0;
     for (int64_t v : vs) agg.Add(Row("a", v, ++ts));
     return agg.Emit(ts)[0].cell(0);
@@ -161,26 +132,24 @@ TEST(AggregateTest, IntegerSumIsExactAndNullOnOverflow) {
             (int64_t{1} << 53) + 1);
   EXPECT_EQ(sum_of({kMax}).int64_value(), kMax);
   EXPECT_TRUE(sum_of({kMax, 1}).is_null());
+  // A sum that passes out of range and comes back is exact again.
   EXPECT_EQ(sum_of({kMax, 1, -1}).int64_value(), kMax);
-
-  // Retiring the tuple that pushed the sum out of range brings it back.
-  WindowAggregator sliding(Specs({AggKind::kSum}), {}, true);
-  sliding.Add(Row("a", kMax, 1));
-  sliding.Add(Row("a", 5, 2));
-  EXPECT_TRUE(sliding.Emit(2)[0].cell(0).is_null());
-  sliding.SetWindow(1, 1);
-  EXPECT_EQ(sliding.Emit(2)[0].cell(0).int64_value(), kMax);
 }
 
-TEST(AggregateTest, ResetClearsEverything) {
-  WindowAggregator agg(Specs({AggKind::kSum}), {}, true);
-  agg.Add(Row("a", 5, 1));
-  agg.Reset();
-  // Back to the empty-ungrouped state: one NULL row, nothing buffered.
-  TupleVector rows = agg.Emit(1);
-  ASSERT_EQ(rows.size(), 1u);
-  EXPECT_TRUE(rows[0].cell(0).is_null());
-  EXPECT_EQ(agg.buffered_tuples(), 0u);
+TEST(AggregateTest, ClearEmptiesTheState) {
+  for (const std::vector<ExprPtr>& keys : {std::vector<ExprPtr>{}, KeyK()}) {
+    Agg agg(Specs({AggKind::kSum}), keys);
+    agg.Add(Row("a", 5, 1));
+    agg.state.Clear();
+    // Back to the empty state: one NULL row ungrouped, none grouped.
+    TupleVector rows = agg.Emit(1);
+    if (!keys.empty()) {
+      EXPECT_TRUE(rows.empty());
+      continue;
+    }
+    ASSERT_EQ(rows.size(), 1u);
+    EXPECT_TRUE(rows[0].cell(0).is_null());
+  }
 }
 
 /// Equal type and value; doubles bit for bit (NaN payloads, -0.0).
@@ -273,49 +242,6 @@ TEST(AggregateTest, OnlyOrderFreeAggregatesMerge) {
   EXPECT_FALSE(Accumulator::Mergeable(spec(AggKind::kSum, "d")));
   EXPECT_FALSE(Accumulator::Mergeable(spec(AggKind::kAvg, "v")));
 }
-
-// Property: sliding-window COUNT/SUM via subtraction == recompute oracle.
-class SlidingAggPropertyTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(SlidingAggPropertyTest, SubtractionMatchesRecompute) {
-  Rng rng(GetParam());
-  WindowAggregator agg(Specs({AggKind::kCount, AggKind::kSum}), {}, true);
-  std::vector<std::pair<Timestamp, int64_t>> data;
-  Timestamp ts = 0;
-  for (int i = 0; i < 300; ++i) {
-    ts += 1 + static_cast<Timestamp>(rng.NextBounded(3));
-    const int64_t v = rng.NextInt(-50, 50);
-    data.emplace_back(ts, v);
-    agg.Add(Row("x", v, ts));
-    if (i % 10 == 9) {
-      const Timestamp lo = ts - 20;
-      agg.SetWindow(lo, ts);
-      int64_t count = 0, sum = 0;
-      for (auto& [dts, dv] : data) {
-        if (dts >= lo && dts <= ts) {
-          ++count;
-          sum += dv;
-        }
-      }
-      TupleVector rows = agg.Emit(ts);
-      ASSERT_EQ(rows.size(), 1u);  // Ungrouped: always one row.
-      ASSERT_EQ(rows[0].cell(0).int64_value(), count);
-      if (count == 0) {
-        ASSERT_TRUE(rows[0].cell(1).is_null());
-      } else {
-        ASSERT_EQ(rows[0].cell(1).int64_value(), sum);
-      }
-      // Oracle prune to keep the comparison windows aligned.
-      data.erase(std::remove_if(data.begin(), data.end(),
-                                [&](auto& p) { return p.first < lo; }),
-                 data.end());
-    }
-  }
-  EXPECT_EQ(agg.recomputes(), 0u);  // Subtractable all the way.
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, SlidingAggPropertyTest,
-                         ::testing::Values(1, 2, 3, 4, 5));
 
 }  // namespace
 }  // namespace tcq

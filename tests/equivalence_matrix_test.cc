@@ -188,7 +188,8 @@ const Config kConfigs[] = {
 /// Standalone QueryRunners over archives fed as the Server feeds its own
 /// (reorder-buffer releases appended, then kIngestLate stragglers
 /// inserted in order) and advanced at the same points: the per-window
-/// Eddy path, which the Server skips for kDelayed single-stream windows.
+/// Eddy path for every window, landmarks included, which the Server
+/// replaces with its window plan for kDelayed single-stream queries.
 class RunnerRig {
  public:
   explicit RunnerRig(Timestamp disorder) {

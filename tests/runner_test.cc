@@ -8,8 +8,9 @@ namespace tcq {
 namespace {
 
 /// Direct QueryRunner tests (no server): window firing discipline,
-/// reverse/history windows, the landmark incremental fast path, and
-/// table-only snapshots.
+/// reverse/history windows, per-window aggregation and table-only
+/// snapshots. The landmark's running state lives in the server's window
+/// plan (server_test, ServerLandmarkTest).
 class RunnerTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -73,102 +74,6 @@ TEST_F(RunnerTest, ReverseWindowBrowsesHistory) {
   EXPECT_EQ(out[1].t, 80);             // Moving backwards.
   EXPECT_EQ(out[2].t, 70);
   EXPECT_EQ(out[2].rows.front().cell(0).int64_value(), 61);
-}
-
-TEST_F(RunnerTest, LandmarkAggregateUsesIncrementalPath) {
-  QueryRunner runner = MakeRunner(
-      "SELECT MAX(closingPrice) FROM ClosingStockPrices "
-      "for (t = 10; t <= 50; t++) { "
-      "WindowIs(ClosingStockPrices, 10, t); }",
-      1);
-  std::vector<ResultSet> out;
-  EXPECT_EQ(runner.Advance(100, &out), 41u);
-  // MAX grows with the landmark window: price = 40 + day.
-  EXPECT_DOUBLE_EQ(out[0].rows[0].cell(0).double_value(), 50.0);   // t=10.
-  EXPECT_DOUBLE_EQ(out[40].rows[0].cell(0).double_value(), 90.0);  // t=50.
-  // Incremental path: no per-window re-scan through the eddy machinery.
-  EXPECT_EQ(runner.total_visits(), 0u);
-}
-
-TEST_F(RunnerTest, LandmarkPathAppliesFilters) {
-  QueryRunner runner = MakeRunner(
-      "SELECT COUNT(*) FROM ClosingStockPrices "
-      "WHERE closingPrice > 60 "
-      "for (t = 10; t <= 30; t++) { "
-      "WindowIs(ClosingStockPrices, 10, t); }",
-      1);
-  std::vector<ResultSet> out;
-  runner.Advance(100, &out);
-  ASSERT_EQ(out.size(), 21u);
-  // Window [10,30]: days with price > 60 are 21..30 -> 10 rows.
-  EXPECT_EQ(out[20].rows[0].cell(0).int64_value(), 10);
-  // Window [10,20]: price > 60 means day > 20 -> none yet.
-  EXPECT_EQ(out[10].rows.size(), 1u);
-  EXPECT_EQ(out[10].rows[0].cell(0).int64_value(), 0);
-}
-
-TEST_F(RunnerTest, LandmarkRefeedsOnlyForStragglersInFedHistory) {
-  // Days 1..10 are archived and the watermark reaches 50, so windows
-  // [1,10] .. [1,40] fire and the accumulators hold history through 40.
-  // A straggler at day 30 is newer than every archived tuple, yet lies in
-  // that history: it must count from the next window on. One past the
-  // fed history must not make the runner rescan what it holds.
-  Archive archive;
-  auto day = [](int64_t d) {
-    return Tuple::Make(
-        {Value::Int64(d), Value::String("MSFT"), Value::Double(40.0 + d)}, d);
-  };
-  for (int64_t d = 1; d <= 10; ++d) archive.Append(day(d));
-  auto analyzed = AnalyzeSql(
-      "SELECT COUNT(*) FROM ClosingStockPrices "
-      "for (t = 10; true; t += 10) { WindowIs(ClosingStockPrices, 1, t); }",
-      catalog_);
-  ASSERT_TRUE(analyzed.ok()) << analyzed.status();
-  QueryRunner runner(*analyzed, {&archive}, {TupleVector{}}, {});
-  std::vector<ResultSet> out;
-  EXPECT_EQ(runner.Advance(50, &out), 4u);
-  EXPECT_EQ(runner.tuples_scanned(), 10u);
-  archive.InsertOrdered(day(30));
-  EXPECT_EQ(runner.Advance(60, &out), 1u);  // [1,50]: refed whole.
-  EXPECT_EQ(out.back().rows[0].cell(0).int64_value(), 11);
-  EXPECT_EQ(runner.tuples_scanned(), 21u);
-  archive.Append(day(58));
-  archive.InsertOrdered(day(55));
-  EXPECT_EQ(runner.Advance(70, &out), 1u);  // [1,60]: days 55 and 58 fed.
-  EXPECT_EQ(out.back().rows[0].cell(0).int64_value(), 13);
-  EXPECT_EQ(runner.tuples_scanned(), 23u);
-}
-
-TEST_F(RunnerTest, LandmarkResumesFromTheCheckpointBeforeAStraggler) {
-  // Windows [1,10] .. [1,100] feed 100 days; a checkpoint is taken at
-  // t = 70, the first window 68 tuples (64 + 4 per group) past the last.
-  const std::string sql =
-      "SELECT COUNT(*), SUM(closingPrice) FROM ClosingStockPrices "
-      "for (t = 10; true; t += 10) { WindowIs(ClosingStockPrices, 1, t); }";
-  QueryRunner runner = MakeRunner(sql, 1);
-  std::vector<ResultSet> out;
-  EXPECT_EQ(runner.Advance(101, &out), 10u);
-  // What a runner that never saw the stragglers reads at `hwm`.
-  auto fresh = [&](Timestamp hwm) {
-    QueryRunner reference = MakeRunner(sql, 1);
-    std::vector<ResultSet> sets;
-    reference.Advance(hwm, &sets);
-    return sets.back().rows[0].ToString();
-  };
-  auto straggle = [&](int64_t d) {
-    archive_.InsertOrdered(Tuple::Make(
-        {Value::Int64(d), Value::String("MSFT"), Value::Double(0.1)}, d));
-  };
-  straggle(80);  // After the checkpoint: resume from it.
-  uint64_t scanned = runner.tuples_scanned();
-  EXPECT_EQ(runner.Advance(111, &out), 1u);
-  EXPECT_EQ(runner.tuples_scanned() - scanned, 31u);  // Days 71..100 + 80.
-  EXPECT_EQ(out.back().rows[0].ToString(), fresh(111));
-  straggle(70);  // At the checkpoint's last day: it is stale too.
-  scanned = runner.tuples_scanned();
-  EXPECT_EQ(runner.Advance(121, &out), 1u);
-  EXPECT_EQ(runner.tuples_scanned() - scanned, 102u);
-  EXPECT_EQ(out.back().rows[0].ToString(), fresh(121));
 }
 
 TEST_F(RunnerTest, SlidingAggregateRunsPerWindow) {

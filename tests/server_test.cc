@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <numeric>
@@ -522,6 +523,47 @@ TEST_F(ServerTest, PushBatchSkipsAndCountsInvalidTuples) {
   EXPECT_EQ(days, "5,6,8,9,11,");
 }
 
+TEST(ServerIngestTest, MistypedCellsAreRejected) {
+  // A DOUBLE cell in an INT64 column is refused at ingest, like an arity
+  // mismatch, so an exact SUM over the column never reads it as INT64.
+  SchemaPtr schema = Schema::Make(
+      {{"ts", ValueType::kInt64, ""}, {"v", ValueType::kInt64, ""}});
+  Server server;
+  ASSERT_TRUE(server.DefineStream("S", schema, 0).ok());
+  auto q = server.Submit(
+      "SELECT SUM(v) FROM S for (t = 4; true; t += 4) "
+      "{ WindowIs(S, t - 3, t); }");
+  ASSERT_TRUE(q.ok()) << q.status();
+  auto row = [](int64_t ts, Value v) {
+    return Tuple::Make({Value::Int64(ts), std::move(v)}, ts);
+  };
+  const Status st = server.Push("S", row(1, Value::Double(2.5)));
+  EXPECT_EQ(st.code(), StatusCode::kTypeError) << st;
+  ASSERT_TRUE(server.Push("S", row(2, Value::Int64(1))).ok());
+  // In a batch: skipped and counted, the rest ingested. NULL fits any
+  // column.
+  size_t rejected = 0;
+  ASSERT_TRUE(server
+                  .PushBatch("S",
+                             {row(3, Value::String("x")), row(3, Value::Null()),
+                              row(4, Value::Int64(5)),
+                              row(5, Value::Double(1.0))},
+                             &rejected)
+                  .ok());
+  EXPECT_EQ(rejected, 2u);
+  ASSERT_TRUE(server.Push("S", row(9, Value::Int64(0))).ok());
+  // Windows [1,4] and [5,8]: 1 + 5, then nothing (NULL).
+  const std::vector<ResultSet> sets = server.PollAll(*q);
+  ASSERT_EQ(sets.size(), 2u);
+  EXPECT_EQ(sets[0].rows[0].cell(0).int64_value(), 6);
+  EXPECT_TRUE(sets[1].rows[0].cell(0).is_null());
+  // A retraction is checked the same way.
+  EXPECT_EQ(server.Retract("S", row(4, Value::Double(5.0))).code(),
+            StatusCode::kTypeError);
+  EXPECT_EQ(server.Retract("S", Tuple::Make({Value::Int64(4)}, 4)).code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST_F(ServerTest, PushBatchUnknownStreamFails) {
   size_t rejected = 0;
   EXPECT_FALSE(
@@ -845,13 +887,26 @@ std::string SlidingSql(const std::string& select, const std::string& where,
          ") { WindowIs(S, t - " + std::to_string(width - 1) + ", t); }";
 }
 
+std::string LandmarkSql(const std::string& select, const std::string& where,
+                        const std::string& left, int64_t hop,
+                        const std::string& start = "ST") {
+  std::string sql = "SELECT " + select + " FROM S" + where;
+  if (select.rfind("k, ", 0) == 0) sql += " GROUP BY k";
+  return sql + " for (t = " + start + "; true; t += " + std::to_string(hop) +
+         ") { WindowIs(S, " + left + ", t); }";
+}
+
 TEST(ServerPaneTest, MatchesStandaloneRunnersOverRandomShapes) {
   // Widths 1-12; hops equal to the width, below it (gcd 1 included) and
   // above it (panes in the gaps are never built); grouped and ungrouped
-  // merges, projections, and the AVG and double SUM fallback. Feeds carry
-  // timestamp ties, NULLs, kIngestLate stragglers and retractions into
-  // built panes; a query joins mid-stream with windows over history and
-  // one of two queries on the same key leaves.
+  // merges, projections, and the AVG and double SUM fallback. Landmarks
+  // from a fixed left end (the running state; projections stay units)
+  // over the same lists, AVG and double SUM included. Feeds carry
+  // timestamp ties, NULLs, kIngestLate stragglers (near the frontier and
+  // far behind it, before the landmarks' newest checkpoints) and
+  // retractions into built panes; a query joins mid-stream with windows
+  // over history and one of two queries on the same key leaves. The last
+  // seeds keep a retention span, so landmarks lose their left end.
   const char* const kSelects[] = {
       "COUNT(*), SUM(v), MAX(p), MIN(v)", "k, COUNT(*), SUM(v), MAX(p)",
       "ts, k, p", "AVG(p), COUNT(v)", "MIN(p), SUM(p), MAX(v)"};
@@ -860,9 +915,13 @@ TEST(ServerPaneTest, MatchesStandaloneRunnersOverRandomShapes) {
                                  " WHERE k != 5 AND v <= 40"};
   uint64_t panes = 0;
   uint64_t rewrites = 0;
-  for (uint64_t seed = 1; seed <= 40; ++seed) {
+  for (uint64_t seed = 1; seed <= 48; ++seed) {
     Rng rng(seed);
-    PaneRig rig;
+    // Landmark shapes and far stragglers draw from their own stream, so
+    // the sliding shapes and the feed are those of the seed alone.
+    Rng extra(1000 + seed);
+    PaneRig rig(seed > 40 ? 15 + static_cast<Timestamp>(extra.NextBounded(60))
+                          : kMaxTimestamp);
     auto random_sql = [&](const std::string& start) {
       const int64_t width = 1 + static_cast<int64_t>(rng.NextBounded(12));
       const uint64_t kind = rng.NextBounded(3);
@@ -875,7 +934,17 @@ TEST(ServerPaneTest, MatchesStandaloneRunnersOverRandomShapes) {
                         kWheres[rng.NextBounded(std::size(kWheres))], width,
                         hop, start);
     };
+    auto random_landmark = [&](const std::string& start) {
+      const std::string lefts[] = {
+          "1", "ST", std::to_string(1 + extra.NextBounded(40))};
+      return LandmarkSql(kSelects[extra.NextBounded(std::size(kSelects))],
+                         kWheres[extra.NextBounded(std::size(kWheres))],
+                         lefts[extra.NextBounded(3)],
+                         1 + static_cast<int64_t>(extra.NextBounded(8)),
+                         start);
+    };
     for (int q = 0; q < 6; ++q) rig.Submit(random_sql("ST"));
+    for (int q = 0; q < 3; ++q) rig.Submit(random_landmark("ST"));
     rig.Submit(SlidingSql("COUNT(*), MAX(v)", " WHERE k = 3", 10, 3));
     const size_t leaves =
         rig.Submit(SlidingSql("COUNT(*), MAX(v)", " WHERE k = 3", 10, 3));
@@ -890,6 +959,11 @@ TEST(ServerPaneTest, MatchesStandaloneRunnersOverRandomShapes) {
                                   static_cast<Timestamp>(rng.NextBounded(15))
                             : ts));
       }
+      if (rig.watermark() > 120 && extra.NextBounded(5) == 0) {
+        tuples.push_back(PaneRow(
+            &extra, rig.watermark() - 20 -
+                        static_cast<Timestamp>(extra.NextBounded(100))));
+      }
       rig.Push(tuples);
       if (rig.history() > 0 && rng.NextBounded(4) == 0) {
         rig.Retract(rig.history() - 1 - rng.NextBounded(std::min<size_t>(
@@ -897,6 +971,7 @@ TEST(ServerPaneTest, MatchesStandaloneRunnersOverRandomShapes) {
       }
       if (batch == 20) {
         rig.Submit(random_sql("5"));  // Its first windows are history.
+        rig.Submit(random_landmark("5"));
         rig.Cancel(leaves);
       }
     }
@@ -1027,6 +1102,160 @@ TEST(ServerPaneTest, CancellingOneOfTwoQueriesOnAKey) {
   rig.ExpectSameSets("after cancel");
   EXPECT_EQ(rig.got(leaves).size(), delivered);
   EXPECT_GT(rig.got(stays).size(), delivered);
+}
+
+// ---- Landmarks on the window plan (DESIGN.md §17) --------------------------
+
+TEST_F(ServerTest, LandmarkMaxReadsEachTupleOnce) {
+  auto q = server_.Submit(
+      "SELECT MAX(closingPrice) FROM ClosingStockPrices "
+      "for (t = 10; t <= 50; t++) { WindowIs(ClosingStockPrices, 10, t); }");
+  ASSERT_TRUE(q.ok()) << q.status();
+  FeedMsft(&server_, 100);
+  auto sets = server_.PollAll(*q);
+  ASSERT_EQ(sets.size(), 41u);
+  // MAX grows with the landmark window: price = 40 + day.
+  EXPECT_DOUBLE_EQ(sets[0].rows[0].cell(0).double_value(), 50.0);   // t=10.
+  EXPECT_DOUBLE_EQ(sets[40].rows[0].cell(0).double_value(), 90.0);  // t=50.
+  // The running state reads days 10..50 once, not once per window.
+  EXPECT_EQ(WindowsMetric(server_, "scanned"), 41u);
+}
+
+TEST_F(ServerTest, LandmarkAppliesFilters) {
+  auto q = server_.Submit(
+      "SELECT COUNT(*) FROM ClosingStockPrices WHERE closingPrice > 60 "
+      "for (t = 10; t <= 30; t++) { WindowIs(ClosingStockPrices, 10, t); }");
+  ASSERT_TRUE(q.ok()) << q.status();
+  FeedMsft(&server_, 100);
+  auto sets = server_.PollAll(*q);
+  ASSERT_EQ(sets.size(), 21u);
+  // Window [10,30]: days with price > 60 are 21..30 -> 10 rows.
+  EXPECT_EQ(sets[20].rows[0].cell(0).int64_value(), 10);
+  // Window [10,20]: price > 60 means day > 20 -> none yet.
+  ASSERT_EQ(sets[10].rows.size(), 1u);
+  EXPECT_EQ(sets[10].rows[0].cell(0).int64_value(), 0);
+  EXPECT_EQ(WindowsMetric(server_, "scanned"), 21u);
+}
+
+TEST(ServerLandmarkTest, RefeedsOnlyForStragglersInFedHistory) {
+  // Ticks 1..10 are archived and the watermark reaches 50, so at Submit
+  // the windows [1,10] .. [1,40] fire and the running state holds the
+  // history through 40.
+  PaneRig rig;
+  Rng rng(2);
+  std::vector<Tuple> first;
+  for (Timestamp ts = 1; ts <= 10; ++ts) first.push_back(PaneRow(&rng, ts));
+  rig.Push(first);
+  rig.Heartbeat(50);
+  const size_t q = rig.Submit(
+      "SELECT COUNT(*) FROM S for (t = 10; true; t += 10) "
+      "{ WindowIs(S, 1, t); }");
+  EXPECT_EQ(rig.got(q).size(), 4u);
+  EXPECT_EQ(WindowsMetric(rig.server(), "scanned"), 10u);
+  // A straggler past the held history is fed with the rest of it, through
+  // the watermark: nothing held is read again.
+  rig.Push({PaneRow(&rng, 45)});
+  EXPECT_EQ(WindowsMetric(rig.server(), "scanned"), 11u);
+  // One inside it rewinds the state to the left end (no copy is older):
+  // [1, 49] is read again, the straggler included.
+  rig.Push({PaneRow(&rng, 30)});
+  EXPECT_EQ(WindowsMetric(rig.server(), "scanned"), 23u);
+  rig.Heartbeat(60);
+  EXPECT_EQ(WindowsMetric(rig.server(), "scanned"), 23u);
+  ASSERT_EQ(rig.got(q).size(), 5u);
+  EXPECT_EQ(rig.got(q).back(), "t=50 [50 12]");
+  rig.ExpectSameSets("stragglers in and past the fed history");
+}
+
+TEST(ServerLandmarkTest, ResumesFromTheCheckpointBeforeAStraggler) {
+  // Windows [1,10] .. [1,100] feed 100 ticks; a copy of the running state
+  // is taken at t = 70, the first window 68 tuples (64 + 4 per group)
+  // past the last. Double SUM: the sums must stay those of one in-order
+  // pass, bit for bit.
+  PaneRig rig;
+  Rng rng(12);
+  rig.Submit(
+      "SELECT COUNT(*), SUM(p) FROM S for (t = 10; true; t += 10) "
+      "{ WindowIs(S, 1, t); }");
+  for (Timestamp ts = 1; ts <= 100; ++ts) rig.Push({PaneRow(&rng, ts)});
+  rig.Heartbeat(101);
+  EXPECT_EQ(WindowsMetric(rig.server(), "scanned"), 100u);
+  // After the copy: resume from it, reading ticks 71..100 and the
+  // straggler.
+  rig.Push({PaneRow(&rng, 80)});
+  EXPECT_EQ(WindowsMetric(rig.server(), "scanned"), 131u);
+  rig.Heartbeat(111);
+  // At the copy's last tick: it is stale too, and the state restarts from
+  // the left end (100 ticks and both stragglers).
+  rig.Push({PaneRow(&rng, 70)});
+  EXPECT_EQ(WindowsMetric(rig.server(), "scanned"), 233u);
+  rig.Heartbeat(121);
+  rig.ExpectSameSets("checkpoints");
+}
+
+TEST(ServerLandmarkTest, RetentionLeavesEachWindowTheRetainedHistory) {
+  // Ten ticks of history are kept, and a landmark from tick 1 fires every
+  // 5. Once the archive's floor passes the left end, each window sees only
+  // what is retained, as its own scan would: the same query submitted
+  // kSpeculative (every window evaluated whole) must read the same, with
+  // or without a straggler at tick 32.
+  const std::string sql =
+      "SELECT COUNT(*), SUM(v) FROM S for (t = 5; true; t += 5) "
+      "{ WindowIs(S, 1, t); }";
+  for (const bool straggler : {false, true}) {
+    Server::Options options;
+    options.retention_span = 10;
+    Server server(options);
+    ASSERT_TRUE(server.DefineStream("S", PaneRig::Schema(), 0).ok());
+    ASSERT_TRUE(
+        server.SetDisorderBound("S", 0, LatePolicy::kIngestLate).ok());
+    auto delayed = server.Submit(sql);
+    Server::SubmitOptions speculative;
+    speculative.consistency = Consistency::kSpeculative;
+    auto whole = server.Submit(sql, speculative);
+    ASSERT_TRUE(delayed.ok() && whole.ok());
+    Rng rng(7);
+    for (Timestamp ts = 1; ts <= 46; ++ts) {
+      ASSERT_TRUE(server.Push("S", PaneRow(&rng, ts)).ok());
+      if (straggler && ts == 38) {
+        ASSERT_TRUE(server.Push("S", PaneRow(&rng, 32)).ok());
+      }
+    }
+    // The first set at each t is the speculative window as fired (later
+    // ones revise it).
+    std::map<Timestamp, std::string> want;
+    for (const ResultSet& rs : server.PollAll(*whole)) {
+      want.emplace(rs.t, RenderSet(rs));
+    }
+    const std::vector<ResultSet> got = server.PollAll(*delayed);
+    ASSERT_EQ(got.size(), 9u);
+    for (const ResultSet& rs : got) {
+      EXPECT_EQ(RenderSet(rs), want[rs.t]) << "straggler " << straggler;
+    }
+    // At t = 40 ticks 32..40 are retained, and the straggler at 32.
+    EXPECT_EQ(got[7].rows[0].cell(0).int64_value(), straggler ? 10 : 9);
+    EXPECT_EQ(got[8].rows[0].cell(0).int64_value(), 9);
+  }
+}
+
+TEST(ServerLandmarkTest, RetractionPastTheHeldHistoryReadsNothingAgain) {
+  // A retraction of a tuple at the watermark, which the running state has
+  // not been fed yet, leaves it as it is.
+  PaneRig rig;
+  Rng rng(5);
+  rig.Submit(
+      "SELECT k, COUNT(*), AVG(p) FROM S GROUP BY k for (t = 4; true; t += 4) "
+      "{ WindowIs(S, 1, t); }");
+  for (Timestamp ts = 1; ts <= 30; ++ts) rig.Push({PaneRow(&rng, ts)});
+  const uint64_t scanned = WindowsMetric(rig.server(), "scanned");
+  EXPECT_EQ(scanned, 29u);
+  rig.Retract(29);  // The tuple at tick 30.
+  rig.Heartbeat(40);
+  EXPECT_EQ(WindowsMetric(rig.server(), "scanned"), scanned);
+  rig.Retract(5);  // Inside the held history: read again from tick 1.
+  rig.Heartbeat(50);
+  EXPECT_EQ(WindowsMetric(rig.server(), "scanned"), scanned + 28u);
+  rig.ExpectSameSets("retractions");
 }
 
 TEST_F(ServerTest, OneSetPerQueryPerBatchInArrivalOrder) {
