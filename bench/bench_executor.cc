@@ -24,6 +24,9 @@
 //     (DESIGN.md §13): replication off (Arg 0) vs changelog+checkpoints
 //     on (Arg 1) vs on with kill/promote cycles mid-run (Arg 2) vs on
 //     under query churn (Arg 3).
+//
+//  6. standby_add_query — one AddQuery + RemoveQuery pair on a 2-shard
+//     engine with standbys over 50k join tuples per stream (E21).
 
 #include <benchmark/benchmark.h>
 
@@ -293,8 +296,8 @@ BENCHMARK(BM_ShardedSkewedThroughput)
 // cadence checkpoints copy SteM state), Arg(2) additionally kills and
 // promotes a rotating shard every 256 batches, Arg(3) is Arg(1) under
 // query churn: every 16 batches the oldest filter leaves and a new one
-// joins (each re-snapshots every shard for its standby; churn_us_mean is
-// one remove-plus-add pair). Uses the ShardedEngine
+// joins (churn_us_mean is one remove-plus-add pair on the caller's thread;
+// the shards apply both at their place in the queue). Uses the ShardedEngine
 // directly — kill/promote is not a Server API. tuples_per_sec keeps the
 // producer-rate convention; wall_tuples_per_sec includes the final drain
 // and (for Arg 2) every recovery stall; recovery_ms_mean is the
@@ -393,6 +396,59 @@ BENCHMARK(BM_ShardedFailover)
     ->Arg(2)
     ->Arg(3)
     ->Unit(benchmark::kMicrosecond);
+
+// A registration on a sharded engine with standbys, over large join
+// state: 2 shards with one standby each, 50k tuples per stream stored in
+// the SteMs of a standing join, then one AddQuery + RemoveQuery of a
+// second join per iteration. pair_ms is wall time per pair up to a final
+// Quiesce, so it includes the shards applying every pair (the lineage
+// scrub of each removal), not only the calls.
+void BM_StandbyAddQuery(benchmark::State& state) {
+  ShardedEngine::Options opts;
+  opts.num_shards = 2;
+  opts.num_replicas = 1;
+  ShardedEngine engine(opts);
+  const SchemaPtr schema = Schema::Make(
+      {{"k", ValueType::kInt64, ""}, {"v", ValueType::kInt64, ""}});
+  benchmark::DoNotOptimize(engine.AddStream("A", schema, 0));
+  benchmark::DoNotOptimize(engine.AddStream("B", schema, 0));
+  engine.SetSink([](std::vector<ShardedEngine::Emission>&& batch) {
+    benchmark::DoNotOptimize(batch.size());
+  });
+  engine.Start();
+  CacqQuerySpec join;
+  join.sources = {"A", "B"};
+  join.where = Expr::Binary(BinaryOp::kEq, Expr::Column("A.k"),
+                            Expr::Column("B.k"));
+  benchmark::DoNotOptimize(engine.AddQuery(join));
+  constexpr int64_t kTuplesPerStream = 50000;
+  constexpr int64_t kBatch = 1000;
+  for (const char* stream : {"A", "B"}) {
+    for (int64_t base = 0; base < kTuplesPerStream; base += kBatch) {
+      std::vector<Tuple> batch;
+      batch.reserve(kBatch);
+      for (int64_t i = base; i < base + kBatch; ++i) {
+        batch.push_back(Tuple::Make({Value::Int64(i), Value::Int64(i)}, i + 1));
+      }
+      benchmark::DoNotOptimize(engine.PushBatch(stream, std::move(batch)));
+    }
+  }
+  benchmark::DoNotOptimize(engine.Quiesce());
+  const auto wall_start = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    auto q = engine.AddQuery(join);
+    benchmark::DoNotOptimize(engine.RemoveQuery(*q));
+  }
+  benchmark::DoNotOptimize(engine.Quiesce());  // Inside the wall clock.
+  const double wall_secs =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                    wall_start)
+          .count();
+  engine.Stop();
+  state.counters["pair_ms"] =
+      1e3 * wall_secs / static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_StandbyAddQuery)->Unit(benchmark::kMillisecond);
 
 void BM_SubmitAndCancelLatency(benchmark::State& state) {
   Server server;

@@ -71,8 +71,8 @@ std::shared_ptr<ResidualFilterOp> CacqEngine::ResidualOpFor(
   return op;
 }
 
-Status CacqEngine::EnsureJoin(size_t src_a, int col_a, size_t src_b,
-                              int col_b) {
+void CacqEngine::EnsureJoin(size_t src_a, int col_a, size_t src_b,
+                            int col_b) {
   auto ensure_stem = [&](size_t src, int key) -> SharedSteMPtr {
     JoinKey jk{src, key};
     auto it = stems_.find(jk);
@@ -108,90 +108,94 @@ Status CacqEngine::EnsureJoin(size_t src_a, int col_a, size_t src_b,
   };
   ensure_probe(src_b, stem_b, col_b, src_a, col_a);
   ensure_probe(src_a, stem_a, col_a, src_b, col_b);
-  return Status::OK();
 }
 
 Result<QueryId> CacqEngine::AddQuery(const CacqQuerySpec& spec) {
+  TCQ_ASSIGN_OR_RETURN(const CacqQueryPlan plan, PlanQuery(layout_, spec));
+  return InstallQuery(plan);
+}
+
+Result<CacqQueryPlan> CacqEngine::PlanQuery(const SourceLayout& layout,
+                                            const CacqQuerySpec& spec) {
   if (spec.sources.empty()) {
     return Status::InvalidArgument("query needs at least one source");
   }
-  const QueryId qid = static_cast<QueryId>(queries_.size());
-  QueryInfo info;
-  info.footprint.Resize(layout_.num_sources());
+  CacqQueryPlan plan;
+  plan.speculative = spec.speculative;
+  plan.footprint.Resize(layout.num_sources());
   for (const std::string& name : spec.sources) {
-    const size_t s = layout_.SourceIndexOf(name);
-    if (s == layout_.num_sources()) {
+    const size_t s = layout.SourceIndexOf(name);
+    if (s == layout.num_sources()) {
       return Status::NotFound("query references unknown stream: " + name);
     }
-    info.footprint.Set(s);
+    plan.footprint.Set(s);
   }
 
-  const SchemaPtr& schema = layout_.full_schema();
-  std::vector<std::pair<std::shared_ptr<ResidualFilterOp>, ExprPtr>>
-      residual_registrations;
-  struct FilterRegistration {
-    size_t column;
-    BinaryOp op;
-    Value constant;
-  };
-  std::vector<FilterRegistration> filter_registrations;
-
   // Classify each boolean factor of the WHERE clause.
+  const SchemaPtr& schema = layout.full_schema();
   for (const ExprPtr& factor : ExtractConjuncts(spec.where)) {
     if (factor == nullptr) continue;
-    TCQ_ASSIGN_OR_RETURN(FactorPlan plan, ClassifyFactor(factor, *schema));
-    switch (plan.kind) {
+    TCQ_ASSIGN_OR_RETURN(FactorPlan fp, ClassifyFactor(factor, *schema));
+    switch (fp.kind) {
       case FactorPlan::Kind::kJoin: {
         // Equi-join between two sources -> shared SteM machinery.
         const size_t sa =
-            layout_.SourceIndexOf(schema->field(plan.column).qualifier);
+            layout.SourceIndexOf(schema->field(fp.column).qualifier);
         const size_t sb =
-            layout_.SourceIndexOf(schema->field(plan.column_b).qualifier);
-        if (!info.footprint.Test(sa) || !info.footprint.Test(sb)) {
+            layout.SourceIndexOf(schema->field(fp.column_b).qualifier);
+        if (!plan.footprint.Test(sa) || !plan.footprint.Test(sb)) {
           return Status::InvalidArgument(
               "join predicate references sources outside the footprint: " +
               factor->ToString());
         }
-        TCQ_RETURN_NOT_OK(EnsureJoin(sa, static_cast<int>(plan.column), sb,
-                                     static_cast<int>(plan.column_b)));
+        plan.joins.push_back({sa, fp.column, sb, fp.column_b});
         break;
       }
       case FactorPlan::Kind::kGrouped:
-        filter_registrations.push_back(
-            {plan.column, plan.op, std::move(plan.constant)});
+        plan.filters.push_back({fp.column, fp.op, std::move(fp.constant)});
         break;
       case FactorPlan::Kind::kResidual: {
         // Per-query residual on the referenced sources.
         std::vector<std::string> cols;
         factor->CollectColumns(&cols);
-        SmallBitset req(layout_.num_sources());
+        SmallBitset req(layout.num_sources());
         for (const std::string& c : cols) {
           TCQ_ASSIGN_OR_RETURN(size_t idx, schema->IndexOf(c));
-          const std::string qual = schema->field(idx).qualifier;
-          const size_t s = layout_.SourceIndexOf(qual);
-          TCQ_CHECK(s < layout_.num_sources());
+          const size_t s = layout.SourceIndexOf(schema->field(idx).qualifier);
+          TCQ_CHECK(s < layout.num_sources());
           req.Set(s);
         }
-        if (req.None()) req = info.footprint;  // Constant predicate.
-        residual_registrations.emplace_back(ResidualOpFor(req),
-                                            std::move(plan.bound));
+        if (req.None()) req = plan.footprint;  // Constant predicate.
+        plan.residuals.push_back({std::move(req), std::move(fp.bound)});
         break;
       }
     }
   }
+  return plan;
+}
 
-  // All checks passed: commit the registration.
-  for (FilterRegistration& r : filter_registrations) {
-    FilterOpFor(r.column)->filter().AddPredicate(qid, r.op,
-                                                 std::move(r.constant));
-    info.filter_columns.push_back(r.column);
+QueryId CacqEngine::InstallQuery(const CacqQueryPlan& plan) {
+  const QueryId qid = static_cast<QueryId>(queries_.size());
+  QueryInfo info;
+  info.footprint = plan.footprint;
+  // Join and residual operators are created before grouped filters: the
+  // routing policy's draws follow the eddy's operator order.
+  for (const CacqQueryPlan::Join& j : plan.joins) {
+    EnsureJoin(j.source_a, static_cast<int>(j.column_a), j.source_b,
+               static_cast<int>(j.column_b));
   }
-  for (auto& [op, bound] : residual_registrations) {
-    op->AddResidual(qid, std::move(bound));
-    info.residual_ops.push_back(op);
+  for (const CacqQueryPlan::Residual& r : plan.residuals) {
+    info.residual_ops.push_back(ResidualOpFor(r.required));
+  }
+  for (const CacqQueryPlan::Filter& f : plan.filters) {
+    FilterOpFor(f.column)->filter().AddPredicate(qid, f.op, f.constant);
+    info.filter_columns.push_back(f.column);
+  }
+  for (size_t i = 0; i < plan.residuals.size(); ++i) {
+    info.residual_ops[i]->AddResidual(qid, plan.residuals[i].bound);
   }
   info.active = true;
-  info.speculative = spec.speculative;
+  info.speculative = plan.speculative;
   info.footprint.ForEachSet([&](size_t s) {
     if (interested_[s].size_bits() <= qid) interested_[s].Resize(qid + 1);
     interested_[s].Set(qid);
@@ -200,7 +204,7 @@ Result<QueryId> CacqEngine::AddQuery(const CacqQuerySpec& spec) {
     delayed_queries_.Resize(qid + 1);
     speculative_queries_.Resize(qid + 1);
   }
-  (spec.speculative ? speculative_queries_ : delayed_queries_).Set(qid);
+  (plan.speculative ? speculative_queries_ : delayed_queries_).Set(qid);
   queries_.push_back(std::move(info));
   ++active_queries_;
   return qid;

@@ -34,6 +34,37 @@ struct CacqQuerySpec {
   bool speculative = false;
 };
 
+/// A CacqQuerySpec classified against a source layout: everything
+/// AddQuery can reject has been checked, so installing it cannot fail.
+/// Engines with identical streams install one plan to identical effect
+/// (the sharded engine plans once and installs on every shard). The bound
+/// residuals are immutable expression trees, safe to share across threads.
+struct CacqQueryPlan {
+  SmallBitset footprint;
+  bool speculative = false;
+  /// Equi-joins between two sources: absolute columns of each side.
+  struct Join {
+    size_t source_a;
+    size_t column_a;
+    size_t source_b;
+    size_t column_b;
+  };
+  std::vector<Join> joins;
+  /// `column op constant` factors, for the per-column grouped filters.
+  struct Filter {
+    size_t column;
+    BinaryOp op;
+    Value constant;
+  };
+  std::vector<Filter> filters;
+  /// Everything else: a bound factor over the sources it reads.
+  struct Residual {
+    SmallBitset required;
+    ExprPtr bound;
+  };
+  std::vector<Residual> residuals;
+};
+
 /// CACQ (§3.1): one Eddy executing many continuous queries at once — the
 /// "super-query" that is the disjunction of all registered queries. Tuple
 /// lineage (a query bitmap) tracks which queries each tuple still
@@ -74,7 +105,17 @@ class CacqEngine {
   void SetSink(Sink sink) { sink_ = std::move(sink); }
 
   /// Registers a continuous query; it applies to all future tuples.
+  /// PlanQuery then InstallQuery.
   Result<QueryId> AddQuery(const CacqQuerySpec& spec);
+
+  /// The step of AddQuery that can fail: classifies `spec`'s factors
+  /// against `layout` without touching any engine.
+  static Result<CacqQueryPlan> PlanQuery(const SourceLayout& layout,
+                                         const CacqQuerySpec& spec);
+
+  /// The step that cannot fail: registers a plan made against this
+  /// engine's layout. Returns its QueryId, the registration index.
+  QueryId InstallQuery(const CacqQueryPlan& plan);
 
   /// Unregisters a query; shared state it alone used is scrubbed.
   Status RemoveQuery(QueryId q);
@@ -178,7 +219,7 @@ class CacqEngine {
   std::shared_ptr<ResidualFilterOp> ResidualOpFor(const SmallBitset& req);
   /// Lazily creates build op + stem for (source, key column) and the probe
   /// ops in both directions for an equi-join pair.
-  Status EnsureJoin(size_t src_a, int col_a, size_t src_b, int col_b);
+  void EnsureJoin(size_t src_a, int col_a, size_t src_b, int col_b);
 
   void Deliver(RoutedTuple&& rt);
 

@@ -17,7 +17,7 @@ namespace tcq {
 /// the bucket — tuple, query-lineage bitmap, timestamp, and arrival seq all
 /// travel (the tuple carries the latter two). What does NOT move: grouped
 /// filters, residual predicates, and query registrations are replicated on
-/// every shard already (control closures apply to all shards), so the
+/// every shard already (query changes apply to all shards), so the
 /// recipient rebuilds nothing; PSoup history and window runners live on the
 /// single-shard ingress path and are not bucket-partitioned state.
 ///

@@ -91,8 +91,8 @@ class ShardedEngine::ShardBarrier {
 };
 
 /// Drains one shard's exchange queue: data tasks are injected into the
-/// shard engine (emissions buffered by the engine sink), control tasks run
-/// inline. The emissions of a step's data tasks reach the egress queue in
+/// shard engine (emissions buffered by the engine sink), query changes are
+/// applied to it, control tasks run inline. The emissions of a step's data tasks reach the egress queue in
 /// few items: at the end of the step, before a control task, and whenever
 /// kFlushEmissions have piled up. A backlogged worker thus pays a few
 /// egress wakes per step instead of one per task (a wake costs a syscall
@@ -134,16 +134,20 @@ class ShardedEngine::WorkerModule : public FjordModule {
         continue;
       }
       if (sh.kill.load(std::memory_order_acquire)) {
-        // Killed mid-scratch: this batch and the rest are dropped whole —
-        // each is in the changelog, above the applied floor, and will be
-        // replayed (and counted) by the failover.
+        // Killed mid-scratch: this task and the rest are dropped whole —
+        // each is in the changelog or the query history, above the applied
+        // floor, and will be replayed (and counted) by the failover.
         return Die(sh);
       }
-      const Status st =
-          sh.engine->InjectBatch(task.source, task.tuples, task.lane);
-      TCQ_CHECK(st.ok()) << "shard " << shard_
-                         << " inject failed: " << st.ToString();
-      sh.processed += task.tuples.size();
+      if (task.change) {
+        ApplyChange(sh.engine.get(), *task.change);
+      } else {
+        const Status st =
+            sh.engine->InjectBatch(task.source, task.tuples, task.lane);
+        TCQ_CHECK(st.ok()) << "shard " << shard_
+                           << " inject failed: " << st.ToString();
+        sh.processed += task.tuples.size();
+      }
       if (task.lsn != 0) unflushed_lsn_ = task.lsn;
       if (sh.pending.size() >= kFlushEmissions) Flush(sh);
     }
@@ -198,7 +202,7 @@ class ShardedEngine::WorkerModule : public FjordModule {
   ShardedEngine* parent_;
   const size_t shard_;
   std::vector<ShardTask> scratch_;
-  /// LSN of the last data task applied but not yet flushed (0 = none).
+  /// LSN of the last task applied but not yet flushed (0 = none).
   uint64_t unflushed_lsn_ = 0;
 };
 
@@ -279,15 +283,6 @@ ShardedEngine::ShardedEngine(Options options)
                                       std::to_string(i) + ".";
     }
     shard->engine = std::make_unique<CacqEngine>(eo);
-    if (options_.num_replicas > 0) {
-      // The warm standby: identical construction (same seed — routing
-      // invariance makes replayed results match the primary's multiset),
-      // minus the spool: standby state is a checkpoint copy of the
-      // primary's, and double-spooling would duplicate history.
-      eo.spool = nullptr;
-      eo.spool_prefix.clear();
-      shard->standby = std::make_unique<CacqEngine>(eo);
-    }
     if (!inline_) {
       shard->output = std::make_unique<FjordQueue<EgressItem>>(
           ShardEdgeOptions(options_.egress_capacity, egress_waker_));
@@ -321,10 +316,21 @@ ShardedEngine::ShardedEngine(Options options)
     // enqueue time, under the exchange's per-partition tee lock, so log
     // order IS queue order. The record gets the LSN stamped back onto the
     // task; the worker advances the applied floor as it processes them.
+    // A query change takes the next LSN too, kept in its history record
+    // (the tee runs on the AddQuery/RemoveQuery thread, under the shared
+    // route lock), so a failover replays it at its place in the log.
     input_->SetTee([this](size_t p, ShardTask& task, size_t) {
-      if (task.control) return;  // Only the data path is logged.
-      task.lsn = replication_->replica(p).Append(
-          task.source, std::vector<Tuple>(task.tuples), task.lane);
+      if (task.control) return;  // Barriers are not logged.
+      ShardReplica<EngineCheckpoint>& log = replication_->replica(p);
+      if (task.change) {
+        task.lsn = log.Stamp();
+        QueryRecord& rec = query_history_[task.change->query];
+        (task.change->plan != nullptr ? rec.add_lsn : rec.remove_lsn)[p] =
+            task.lsn;
+        return;
+      }
+      task.lsn = log.Append(task.source, std::vector<Tuple>(task.tuples),
+                            task.lane);
       size_t bytes = 0;
       for (const Tuple& t : task.tuples) {
         bytes += sizeof(Tuple) + t.arity() * sizeof(Value);
@@ -352,11 +358,6 @@ Result<size_t> ShardedEngine::AddStream(const std::string& name,
   size_t index = 0;
   for (auto& shard : shards_) {
     TCQ_ASSIGN_OR_RETURN(index, shard->engine->AddStream(name, schema));
-    if (shard->standby != nullptr) {
-      TCQ_ASSIGN_OR_RETURN(const size_t mirror,
-                           shard->standby->AddStream(name, schema));
-      TCQ_CHECK(mirror == index);
-    }
   }
   const size_t mirror = layout_.AddSource(name, schema);
   TCQ_CHECK(mirror == index);
@@ -504,27 +505,16 @@ Status ShardedEngine::RunOnShard(size_t i, const std::function<void()>& fn) {
   return WaitBarrier(barrier, {i});
 }
 
-Status ShardedEngine::ValidatePartitioning(const CacqQuerySpec& spec) const {
-  if (spec.where == nullptr || layout_.num_sources() == 0) {
-    return Status::OK();  // Nothing to join on; CacqEngine validates.
-  }
+Status ShardedEngine::ValidatePartitioning(const CacqQueryPlan& plan) const {
   const SchemaPtr& schema = layout_.full_schema();
-  for (const ExprPtr& factor : ExtractConjuncts(spec.where)) {
-    if (factor == nullptr) continue;
-    auto ej = MatchEquiJoin(factor);
-    if (!ej.has_value()) continue;
-    auto ca = schema->IndexOf(ej->left_column);
-    auto cb = schema->IndexOf(ej->right_column);
-    if (!ca.ok() || !cb.ok()) continue;  // CacqEngine reports the error.
-    const size_t sa = layout_.SourceIndexOf(schema->field(*ca).qualifier);
-    const size_t sb = layout_.SourceIndexOf(schema->field(*cb).qualifier);
-    if (sa == sb) continue;  // Same-source equality: residual work.
-    const size_t col_a = *ca - layout_.offset(sa);
-    const size_t col_b = *cb - layout_.offset(sb);
-    if (col_a != sources_[sa].partition_column ||
-        col_b != sources_[sb].partition_column) {
+  for (const CacqQueryPlan::Join& j : plan.joins) {
+    if (j.column_a - layout_.offset(j.source_a) !=
+            sources_[j.source_a].partition_column ||
+        j.column_b - layout_.offset(j.source_b) !=
+            sources_[j.source_b].partition_column) {
       return Status::InvalidArgument(
-          "equi-join " + factor->ToString() +
+          "equi-join " + schema->field(j.column_a).QualifiedName() + " = " +
+          schema->field(j.column_b).QualifiedName() +
           " does not match the shard partition columns of its streams; "
           "matches would span shards (declare the streams partitioned on "
           "their join columns)");
@@ -533,72 +523,66 @@ Status ShardedEngine::ValidatePartitioning(const CacqQuerySpec& spec) const {
   return Status::OK();
 }
 
+void ShardedEngine::ApplyChange(CacqEngine* engine,
+                                const QueryChange& change) {
+  if (change.plan == nullptr) {
+    const Status removed = engine->RemoveQuery(change.query);
+    TCQ_CHECK(removed.ok()) << removed.ToString();
+    return;
+  }
+  const QueryId id = engine->InstallQuery(*change.plan);
+  TCQ_CHECK(id == change.query) << "engine assigned a divergent QueryId";
+}
+
 Result<QueryId> ShardedEngine::AddQuery(const CacqQuerySpec& spec) {
   // Inline: one shard holds every key, so no join can span shards, and
   // with no standby there is no history to keep.
   if (inline_) return shards_[0]->engine->AddQuery(spec);
-  TCQ_RETURN_NOT_OK(ValidatePartitioning(spec));
-  // Serialized with migrations AND failovers: a registration interleaved
-  // with a standby promotion would leave the replica set divergent.
-  std::lock_guard<std::mutex> mig(migrate_mu_);
-  std::vector<std::optional<Result<QueryId>>> results(shards_.size());
-  TCQ_RETURN_NOT_OK(RunOnAllShards([this, &spec, &results](size_t i) {
-    results[i] = shards_[i]->engine->AddQuery(spec);
-    // Logged records seed the lineage of every query registered when they
-    // replay: re-snapshot so a failover can't replay pre-registration
-    // records into the new query.
-    if (results[i]->ok() && replication_ != nullptr) {
-      CheckpointShard(i,
-                      shards_[i]->applied_lsn.load(std::memory_order_relaxed));
-    }
-  }));
-  TCQ_CHECK(results[0].has_value());
-  if (!results[0]->ok()) return results[0]->status();
-  const QueryId id = **results[0];
-  for (size_t i = 1; i < results.size(); ++i) {
-    if (!results[i]->ok()) return results[i]->status();
-    TCQ_CHECK(**results[i] == id)
-        << "shard " << i << " assigned a divergent QueryId";
-  }
-  // Mirror onto the standbys (from this thread — a standby has no thread
-  // of its own) and into the history the next standby is rebuilt from.
-  for (auto& shard : shards_) {
-    if (shard->standby == nullptr) continue;
-    auto sq = shard->standby->AddQuery(spec);
-    if (!sq.ok()) return sq.status();
-    TCQ_CHECK(*sq == id) << "standby assigned a divergent QueryId";
-  }
-  query_history_.push_back(QueryRecord{spec, false});
-  return id;
+  // Every error is found here, on the calling thread: installing the plan
+  // on a shard cannot fail.
+  TCQ_ASSIGN_OR_RETURN(CacqQueryPlan plan,
+                       CacqEngine::PlanQuery(layout_, spec));
+  TCQ_RETURN_NOT_OK(ValidatePartitioning(plan));
+  std::lock_guard<std::mutex> registry(registry_mu_);
+  std::shared_lock<std::shared_mutex> route(route_mu_);
+  QueryChange change;
+  change.query = static_cast<QueryId>(query_history_.size());
+  change.plan = std::make_shared<const CacqQueryPlan>(std::move(plan));
+  QueryRecord rec;
+  rec.plan = change.plan;
+  rec.add_lsn.assign(shards_.size(), 0);
+  rec.remove_lsn.assign(shards_.size(), 0);
+  query_history_.push_back(std::move(rec));
+  TCQ_RETURN_NOT_OK(EnqueueChange(change));
+  return change.query;
 }
 
 Status ShardedEngine::RemoveQuery(QueryId q) {
   if (inline_) return shards_[0]->engine->RemoveQuery(q);
-  // Removal scrubs the query's bit from every stored lineage; serialized
-  // with migrations so extracted-but-not-yet-installed state can't skip
-  // the scrub and resurrect the query's results on the recipient.
-  std::lock_guard<std::mutex> mig(migrate_mu_);
-  std::vector<Status> statuses(shards_.size());
-  TCQ_RETURN_NOT_OK(RunOnAllShards([this, q, &statuses](size_t i) {
-    statuses[i] = shards_[i]->engine->RemoveQuery(q);
-    // The scrub changed state outside the logged data path: re-snapshot so
-    // a failover can't replay pre-removal lineage.
-    if (statuses[i].ok() && replication_ != nullptr) {
-      CheckpointShard(i,
-                      shards_[i]->applied_lsn.load(std::memory_order_relaxed));
+  std::lock_guard<std::mutex> registry(registry_mu_);
+  std::shared_lock<std::shared_mutex> route(route_mu_);
+  if (q >= query_history_.size() || query_history_[q].removed) {
+    return Status::NotFound("no such active query");
+  }
+  query_history_[q].removed = true;
+  return EnqueueChange(QueryChange{q, nullptr});
+}
+
+Status ShardedEngine::EnqueueChange(const QueryChange& change) {
+  if (!started_ || stopped_) {
+    for (auto& shard : shards_) ApplyChange(shard->engine.get(), change);
+    return Status::OK();
+  }
+  // The shared route lock (held by the caller) makes the change one atom
+  // for FailoverShard, which reads the history under the exclusive lock:
+  // it sees the change stamped on every shard, or not at all. Producers
+  // that scatter after this returns queue behind the change everywhere.
+  for (size_t p = 0; p < shards_.size(); ++p) {
+    ShardTask task;
+    task.change = change;
+    if (!input_->EnqueuePartition(p, std::move(task), 0)) {
+      return Status::Unavailable("engine stopped mid-registration");
     }
-  }));
-  for (const Status& st : statuses) {
-    if (!st.ok()) return st;
-  }
-  for (auto& shard : shards_) {
-    if (shard->standby == nullptr) continue;
-    TCQ_RETURN_NOT_OK(shard->standby->RemoveQuery(q));
-  }
-  // QueryIds are registration indices (identical across every engine), so
-  // the history record for `q` is simply entry q.
-  if (static_cast<size_t>(q) < query_history_.size()) {
-    query_history_[static_cast<size_t>(q)].removed = true;
   }
   return Status::OK();
 }
@@ -751,8 +735,9 @@ void ShardedEngine::DrainDeadInput(size_t shard) {
     for (ShardTask& t : tasks) {
       // Stale barrier wrappers only count down their (abandoned) barriers:
       // every barrier op holds migrate_mu_, the failover holds it now, so
-      // none of them can still have a live waiter. Data tasks are dropped —
-      // each is in the changelog and will be replayed.
+      // none of them can still have a live waiter. Data tasks and query
+      // changes are dropped — each is in the changelog or the query
+      // history and will be replayed.
       if (t.control) t.control();
     }
   }
@@ -806,8 +791,9 @@ Status ShardedEngine::FailoverShard(size_t shard) {
         "primary still alive (KillShard first)");
   }
   const auto t0 = std::chrono::steady_clock::now();
-  // Serialized with migrations, registrations and barriers: nobody may
-  // mutate routing or engine state mid-promotion.
+  // Serialized with migrations and barriers (and, through the route lock
+  // below, with query changes): nobody may mutate routing, registrations
+  // or engine state mid-promotion.
   std::lock_guard<std::mutex> mig(migrate_mu_);
   // 1. Wait for the worker to observe the kill at its next task boundary
   // and exit (it polls the flag every step, even when idle), then reap it.
@@ -817,24 +803,54 @@ Status ShardedEngine::FailoverShard(size_t shard) {
   shard_eos_[shard]->Join();
   shard_eos_[shard].reset();
   // 2. Take the route lock exclusively while keeping the dead queue
-  // drained. A producer holding the shared lock can only be blocked on the
-  // full queue this drain empties, so alternating try-lock with drain
-  // always terminates; after the final drain under the exclusive lock the
-  // partition is quiescent and the changelog is the complete record of
-  // every unapplied task.
+  // drained. A producer or query change holding the shared lock can only
+  // be blocked on a live shard's queue, which drains, or on the full queue
+  // this drain empties, so alternating try-lock with drain always
+  // terminates; after the final drain under the exclusive lock the
+  // partition is quiescent and the changelog plus the query history are
+  // the complete record of every unapplied task.
   std::unique_lock<std::shared_mutex> route(route_mu_, std::defer_lock);
   LockRoutesForUpdate(route);
   DrainDeadInput(shard);
-  // 3. Recover the standby: newest valid snapshot, then the changelog
-  // tail. Records at or under the primary's applied floor rebuild SteM
-  // state but their emissions are SUPPRESSED — the primary flushed those
-  // results into the egress queue before advancing the floor, and the
-  // egress queue always drains, so they reach the sink exactly once.
-  // Records above the floor are the lost work: their emissions flow and
-  // they count as processed.
+  // 3. Recover a standby: the registry as of the newest valid snapshot's
+  // floor, the snapshot, then the changelog tail with every later query
+  // change applied at its LSN — a query sees exactly the records after
+  // its add and before its removal, as on the primary. Records at or
+  // under the primary's applied floor rebuild SteM state but their
+  // emissions are SUPPRESSED — the primary flushed those results into the
+  // egress queue before advancing the floor, and the egress queue always
+  // drains, so they reach the sink exactly once. Records above the floor
+  // are the lost work: their emissions flow and they count as processed.
   auto plan = replication_->replica(shard).MakeRecoveryPlan();
-  CacqEngine* standby = sh.standby.get();
-  TCQ_CHECK(standby != nullptr);
+  std::unique_ptr<CacqEngine> standby = BuildStandby(shard);
+  // Every query change the shard stamped, in LSN order. QueryIds are
+  // assigned by install order, and adds are stamped in history order, so
+  // the standby agrees with every primary, ids of removed queries
+  // included. The stable sort keeps an add before a removal stamped with
+  // it before Start (LSN 0).
+  std::vector<std::pair<uint64_t, QueryChange>> changes;
+  for (size_t q = 0; q < query_history_.size(); ++q) {
+    const QueryRecord& rec = query_history_[q];
+    const auto id = static_cast<QueryId>(q);
+    changes.emplace_back(rec.add_lsn[shard], QueryChange{id, rec.plan});
+    if (rec.removed) {
+      changes.emplace_back(rec.remove_lsn[shard], QueryChange{id, nullptr});
+    }
+  }
+  std::stable_sort(
+      changes.begin(), changes.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; });
+  uint64_t tail_lsn = plan.snapshot_floor;
+  size_t next_change = 0;
+  auto apply_changes_below = [&](uint64_t lsn) {
+    for (; next_change < changes.size() && changes[next_change].first < lsn;
+         ++next_change) {
+      ApplyChange(standby.get(), changes[next_change].second);
+      tail_lsn = std::max(tail_lsn, changes[next_change].first);
+    }
+  };
+  // The registry the snapshot's lineage bits were made under.
+  apply_changes_below(plan.snapshot_floor + 1);
   if (plan.has_snapshot) {
     const Status restored = standby->RestoreCheckpoint(plan.snapshot);
     TCQ_CHECK(restored.ok()) << "standby restore failed: "
@@ -848,8 +864,8 @@ Status ShardedEngine::FailoverShard(size_t shard) {
   });
   uint64_t replayed = 0;
   uint64_t suppressed = 0;
-  uint64_t tail_lsn = plan.snapshot_floor;
   for (const auto& rec : plan.tail) {
+    apply_changes_below(rec.lsn);
     scratch.clear();
     const Status st = standby->InjectBatch(rec.source, rec.tuples, rec.lane);
     TCQ_CHECK(st.ok()) << "changelog replay failed: " << st.ToString();
@@ -864,6 +880,7 @@ Status ShardedEngine::FailoverShard(size_t shard) {
       suppressed += scratch.size();
     }
   }
+  apply_changes_below(UINT64_MAX);
   if (!recovered.empty()) {
     EgressItem item;
     item.results = std::move(recovered);
@@ -871,18 +888,17 @@ Status ShardedEngine::FailoverShard(size_t shard) {
     TCQ_CHECK(ok) << "egress enqueue during failover";
   }
   // 4. Promote: the standby becomes the primary (pointer swap guarded
-  // against cross-thread introspection), a fresh empty standby takes its
-  // place, and the replica store is reseeded from the promoted state so a
-  // second failure recovers from here, not from the dead engine's history.
+  // against cross-thread introspection), and the replica store is reseeded
+  // from the promoted state so a second failure recovers from here, not
+  // from the dead engine's history.
   {
     std::lock_guard<std::mutex> elock(sh.engine_mu);
-    sh.engine = std::move(sh.standby);
+    sh.engine = std::move(standby);
   }
   Shard* raw = &sh;
   sh.engine->SetSink([raw](QueryId q, const Tuple& t) {
     raw->pending.emplace_back(q, t);
   });
-  sh.standby = BuildStandby(shard);
   sh.applied_lsn.store(tail_lsn, std::memory_order_release);
   // Direct store, bypassing the torn-fault hook: this snapshot is
   // load-bearing for the next failover, not a cadence checkpoint.
@@ -912,6 +928,10 @@ Status ShardedEngine::FailoverShard(size_t shard) {
 }
 
 std::unique_ptr<CacqEngine> ShardedEngine::BuildStandby(size_t shard) const {
+  // Same construction as the primary (same seed — routing invariance makes
+  // replayed results match the primary's multiset), minus the spool:
+  // standby state is a checkpoint copy of the primary's, and
+  // double-spooling would duplicate history.
   CacqEngine::Options eo;
   eo.policy = options_.policy;
   eo.seed = options_.seed + shard;
@@ -920,17 +940,6 @@ std::unique_ptr<CacqEngine> ShardedEngine::BuildStandby(size_t shard) const {
   for (const SourceInfo& src : sources_) {
     const auto added = engine->AddStream(src.name, src.schema);
     TCQ_CHECK(added.ok()) << added.status().ToString();
-  }
-  // Replay the full registration history: QueryIds are assigned by order,
-  // so the rebuilt standby agrees with every primary — including ids of
-  // since-removed queries.
-  for (const QueryRecord& qr : query_history_) {
-    const auto q = engine->AddQuery(qr.spec);
-    TCQ_CHECK(q.ok()) << q.status().ToString();
-    if (qr.removed) {
-      const Status removed = engine->RemoveQuery(*q);
-      TCQ_CHECK(removed.ok()) << removed.ToString();
-    }
   }
   return engine;
 }
@@ -1011,6 +1020,7 @@ Status ShardedEngine::MigrateBucket(size_t bucket, size_t to_shard) {
   if (to_shard >= shards_.size()) {
     return Status::OutOfRange("shard out of range");
   }
+  std::lock_guard<std::mutex> registry(registry_mu_);
   std::lock_guard<std::mutex> mig(migrate_mu_);
   const size_t from = partition_map_.ShardOf(bucket);
   if (from == to_shard) return Status::OK();
@@ -1151,18 +1161,11 @@ std::vector<ShardedEngine::ReplicaStats> ShardedEngine::replica_stats() const {
 ShardedEngine::HaStats ShardedEngine::ha_stats() const {
   HaStats s;
   if (inline_) return s;
+  s.checkpoints = ha_checkpoints_->value();
   s.failovers = ha_failovers_->value();
   s.replayed_tuples = ha_replayed_tuples_->value();
   s.suppressed_emissions = ha_suppressed_->value();
   return s;
-}
-
-size_t ShardedEngine::num_active_queries() const {
-  // Identical registrations everywhere: shard 0 speaks for all. Safe
-  // cross-thread only in the quiesced/unstarted states the accessor's
-  // callers hold (Server reads it under its own submission lock).
-  std::lock_guard<std::mutex> elock(shards_[0]->engine_mu);
-  return shards_[0]->engine->num_active_queries();
 }
 
 std::vector<ShardedEngine::ShardStats> ShardedEngine::shard_stats() const {

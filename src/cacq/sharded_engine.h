@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <utility>
@@ -39,10 +40,12 @@ namespace tcq {
 ///  * Per-shard FIFO: tuples with equal partition keys traverse one shard
 ///    in arrival order. Cross-shard output order is NOT defined — results
 ///    are a multiset equal to single-shard execution, in exchange order.
-///  * Control operations (AddQuery/RemoveQuery/EvictBefore/Quiesce) ride
-///    the same per-shard task queues as data, executing on the shard
-///    thread after everything enqueued before them (the actor model), so
-///    no engine state is ever touched from two threads.
+///  * Query changes (AddQuery/RemoveQuery) are tasks in the same per-shard
+///    queues as data: the caller validates and enqueues them without
+///    waiting, and each shard applies them at their place in its queue.
+///    Barriers (EvictBefore/Quiesce/migration) ride the queues too and
+///    run on the shard thread after everything enqueued before them (the
+///    actor model), so no engine state is ever touched from two threads.
 ///  * Routing is dynamic: keys hash into fixed buckets and a PartitionMap
 ///    maps buckets to shards. MigrateBucket (manual, or driven by the
 ///    auto-rebalance controller) moves a bucket's SteM state between
@@ -82,10 +85,10 @@ class ShardedEngine {
     RebalanceController::Options rebalance;
     Eddy::Options eddy;
     /// Standby replicas per shard (Flux process pairs, §5 / DESIGN.md
-    /// §13). 0 = no fault tolerance (a killed shard loses state); 1 gives
-    /// each shard a warm standby fed by dual-routed changelog records and
-    /// periodic state checkpoints, promotable with FailoverShard. Values
-    /// above 1 are clamped to 1.
+    /// §13). 0 = no fault tolerance (a killed shard loses state); 1 keeps
+    /// for each shard a changelog of dual-routed records and periodic
+    /// state checkpoints, from which FailoverShard builds and promotes a
+    /// standby. Values above 1 are clamped to 1.
     size_t num_replicas = 0;
     /// Applied exchange tasks between standby checkpoints (the hydra
     /// changelog-plus-snapshot cadence). Smaller = shorter replay tails
@@ -117,9 +120,11 @@ class ShardedEngine {
   /// Delivery callback, invoked on the egress thread with batches of
   /// emissions in shard-output order (inline: on the pushing thread, once
   /// per PushBatch, in emission order). Must be set before Start(). It
-  /// must not Quiesce or migrate (both wait for the egress thread); an
-  /// AddQuery or RemoveQuery from it waits for every shard, so it must not
-  /// run while a shard is blocked on a full egress queue.
+  /// must not Quiesce or migrate (both wait for the egress thread). An
+  /// AddQuery, RemoveQuery or push from it waits for room in every target
+  /// shard's input queue (and AddQuery/RemoveQuery for a migration in
+  /// flight), so it must not run while a shard is blocked on a full
+  /// egress queue.
   using Sink = std::function<void(std::vector<Emission>&&)>;
   void SetSink(Sink sink) { sink_ = std::move(sink); }
 
@@ -150,15 +155,17 @@ class ShardedEngine {
   /// kill: FailedPrecondition.
   Status KillShard(size_t shard);
 
-  /// Detects the dead primary, promotes its standby and resumes routing:
+  /// Detects the dead primary, promotes a standby and resumes routing:
   /// waits for the killed worker to exit, drains the dead input queue
-  /// (releasing blocked producers and stale barrier closures), restores
-  /// the newest valid checkpoint into the standby, replays the changelog
-  /// tail — suppressing emissions for records the primary already applied
-  /// (the seq-floor dedup at the egress union; zero lost, zero duplicated
-  /// results) — re-checkpoints, and starts a fresh worker plus a fresh
-  /// standby. Requires Options::num_replicas > 0 and a prior KillShard.
-  /// Serialized with migrations/barriers; must not race with Stop().
+  /// (releasing blocked producers and stale barrier closures), builds a
+  /// standby registered with every query added at or below the newest
+  /// valid checkpoint's floor, restores that checkpoint into it, replays
+  /// the changelog tail with the later query changes at their LSNs —
+  /// suppressing emissions for records the primary already applied (the
+  /// seq-floor dedup at the egress union; zero lost, zero duplicated
+  /// results) — re-checkpoints, and starts a fresh worker. Requires
+  /// Options::num_replicas > 0 and a prior KillShard. Serialized with
+  /// migrations/barriers; must not race with Stop().
   Status FailoverShard(size_t shard);
 
   /// False once the shard's worker observed a kill and exited, true again
@@ -168,16 +175,25 @@ class ShardedEngine {
   }
 
   /// Registers `spec` on every shard (identical QueryId on each, returned
-  /// here). Callable while running: folds in through the control path, so
-  /// the query sees exactly the tuples scattered after this returns.
-  /// Rejects equi-joins whose join columns are not the partition columns
-  /// of their streams — such a join would need cross-shard matches.
+  /// here). Callable while running: the query is planned and validated on
+  /// the calling thread, then enqueued on every shard's input queue and
+  /// applied there in queue order, so it sees exactly the tuples scattered
+  /// after this returns. It does not wait for the shards, only for queue
+  /// room (like a push), also on a killed shard that a failover will
+  /// recover. With standbys each shard stamps the change with its
+  /// changelog LSN, and a failover replays it at that place. Errors are
+  /// synchronous: rejects equi-joins whose join columns are not the
+  /// partition columns of their streams — such a join would need
+  /// cross-shard matches — and whatever CacqEngine::PlanQuery rejects.
   /// AddQuery/RemoveQuery calls must be serialized by the caller (the
   /// Server's submission lock does): two racing registrations could
   /// interleave differently per shard and diverge the QueryIds.
   Result<QueryId> AddQuery(const CacqQuerySpec& spec);
 
-  /// Unregisters `q` on every shard.
+  /// Unregisters `q` on every shard, the same way: NotFound at once for an
+  /// unknown or removed query, otherwise enqueued without waiting. The
+  /// shards keep emitting `q`'s results for tuples scattered before this
+  /// call; the lineage scrub runs later, on each shard's thread.
   Status RemoveQuery(QueryId q);
 
   /// Scatters a same-stream batch across the shards by partition column
@@ -233,6 +249,7 @@ class ShardedEngine {
 
   /// Cumulative HA event counts (tcq.ha.* counters).
   struct HaStats {
+    uint64_t checkpoints = 0;  ///< Snapshots accepted, all shards.
     uint64_t failovers = 0;
     uint64_t replayed_tuples = 0;        ///< Changelog tuples re-injected.
     uint64_t suppressed_emissions = 0;   ///< Deduped at the egress union.
@@ -251,7 +268,6 @@ class ShardedEngine {
   /// One shard, no standby: no threads, synchronous delivery.
   bool is_inline() const { return inline_; }
   bool started() const { return started_; }
-  size_t num_active_queries() const;
   const SourceLayout& layout() const { return layout_; }
 
   /// Cross-thread-safe per-shard statistics (relaxed atomics throughout).
@@ -268,20 +284,30 @@ class ShardedEngine {
 
   /// Shard i's engine, for introspection (stem snapshots, layout). Reads
   /// of non-atomic engine state are only safe after Quiesce() with no
-  /// concurrent pushes, or before Start().
+  /// concurrent pushes or query changes, or before Start().
   const CacqEngine& engine(size_t shard) const {
     return *shards_[shard]->engine;
   }
 
  private:
+  /// A registration to apply on a shard: install `plan` as `query`, or
+  /// remove `query` when `plan` is null.
+  struct QueryChange {
+    QueryId query = 0;
+    std::shared_ptr<const CacqQueryPlan> plan;
+  };
+
   /// One unit of exchange work: a same-stream tuple group bound for one
-  /// shard, or a control closure to run on the shard thread.
+  /// shard, a query change, or a control closure to run on the shard
+  /// thread.
   struct ShardTask {
     size_t source = 0;
     std::vector<Tuple> tuples;
+    std::optional<QueryChange> change;
     std::function<void()> control;
     /// Log sequence number stamped by the replication tee at enqueue time
-    /// (0 for control tasks, and for everything when replication is off).
+    /// (0 for control closures, and for everything when replication is
+    /// off).
     uint64_t lsn = 0;
     /// Consistency lane the batch targets (DESIGN.md §15): the worker
     /// passes it through to CacqEngine::InjectBatch so delayed queries
@@ -296,12 +322,6 @@ class ShardedEngine {
 
   struct Shard {
     std::unique_ptr<CacqEngine> engine;
-    /// Warm standby (Options::num_replicas > 0): registered with the same
-    /// streams/queries as the primary but EMPTY of state until a failover
-    /// restores the newest checkpoint into it and replays the changelog
-    /// tail. Touched only under migrate_mu_ (registration, failover) —
-    /// never by the shard thread.
-    std::unique_ptr<CacqEngine> standby;
     std::unique_ptr<FjordQueue<EgressItem>> output;
     /// What the shard's worker EO parks on; every enqueue onto the input
     /// partition wakes it. Owned here, not by the EO, so it survives the
@@ -331,7 +351,7 @@ class ShardedEngine {
   struct SourceInfo {
     std::string name;
     size_t partition_column = 0;
-    /// Kept so BuildStandby can re-register the stream after a promotion.
+    /// Kept so BuildStandby can register the stream on a standby.
     SchemaPtr schema;
   };
 
@@ -353,13 +373,21 @@ class ShardedEngine {
   /// Shared wait half of the two above.
   Status WaitBarrier(const std::shared_ptr<ShardBarrier>& barrier,
                      const std::vector<size_t>& targets);
-  /// Builds an empty engine registered with the primaries' streams and
-  /// full query history — the next standby after a promotion.
+  /// Applies one query change to `engine` (a shard's, or a standby
+  /// being rebuilt).
+  static void ApplyChange(CacqEngine* engine, const QueryChange& change);
+  /// Enqueues `change` on every shard (applies it directly when no worker
+  /// runs); AddQuery and RemoveQuery after validation.
+  Status EnqueueChange(const QueryChange& change);
+  /// Builds an empty engine registered with the primaries' streams, for
+  /// FailoverShard to register queries on, restore and replay into.
   std::unique_ptr<CacqEngine> BuildStandby(size_t shard) const;
   /// Drains a dead shard's input queue from the failover thread: stale
-  /// control closures run (they only count down abandoned barriers), data
-  /// tasks are dropped — every one of them is in the changelog and will
-  /// be replayed. Unblocks producers stuck on the full queue.
+  /// control closures run (a barrier's waiter has abandoned it or holds
+  /// migrate_mu_ behind this failover), data tasks and query changes are
+  /// dropped — with replication each is in the changelog or the query
+  /// history and will be replayed. Unblocks producers stuck on the full
+  /// queue.
   void DrainDeadInput(size_t shard);
   /// DrainDeadInput for every shard whose worker has exited.
   void DrainDeadInputs();
@@ -378,7 +406,7 @@ class ShardedEngine {
   /// pause buffer to it — the common tail of success and abort paths.
   void ResumeBucket(size_t final_owner);
   /// Equi-join columns must be the partition columns of their streams.
-  Status ValidatePartitioning(const CacqQuerySpec& spec) const;
+  Status ValidatePartitioning(const CacqQueryPlan& plan) const;
   /// A Load observation for the RebalanceController: per-shard backlog in
   /// tuples (routed - processed) + cumulative per-bucket routed counts.
   RebalanceController::Load ObserveLoad() const;
@@ -392,12 +420,19 @@ class ShardedEngine {
   std::vector<SourceInfo> sources_;
   std::map<std::string, size_t> source_index_;
   Sink sink_;
-  /// Full AddQuery/RemoveQuery history in registration order — replaying
-  /// it into a fresh engine reproduces the primaries' QueryId assignment
-  /// exactly (BuildStandby). Guarded by migrate_mu_ once started.
+  /// Full AddQuery/RemoveQuery history in registration order; a QueryId
+  /// is its index. Replaying it into a fresh engine reproduces the
+  /// primaries' QueryId assignment exactly (BuildStandby, FailoverShard).
+  /// Written by AddQuery/RemoveQuery (and the tee they enqueue through)
+  /// under the shared route lock, read by FailoverShard under the
+  /// exclusive one.
   struct QueryRecord {
-    CacqQuerySpec spec;
+    std::shared_ptr<const CacqQueryPlan> plan;
     bool removed = false;
+    /// Per shard with replication: the LSNs the add and the removal were
+    /// stamped with in that shard's changelog (0 = applied before Start).
+    std::vector<uint64_t> add_lsn;
+    std::vector<uint64_t> remove_lsn;
   };
   std::vector<QueryRecord> query_history_;
 
@@ -414,12 +449,19 @@ class ShardedEngine {
   bool stopped_ = false;
 
   // ---- Migration machinery (DESIGN.md §12) ----
-  // Lock order: migrate_mu_ -> route_mu_ -> buffer_mu_. Shard threads take
-  // none of these, so barriers inside the critical sections always drain.
-  /// Serializes migrations against each other and against the barriered
-  /// mutators (Quiesce/AddQuery/RemoveQuery/EvictBefore), so extracted
-  /// state can never miss a scrub/eviction and Quiesce never runs with
-  /// tuples parked in the pause buffer.
+  // Lock order: registry_mu_ -> migrate_mu_ -> route_mu_ -> buffer_mu_.
+  // Shard threads take none of these, so barriers inside the critical
+  // sections always drain.
+  /// Orders query changes against whole migrations: a change is enqueued
+  /// on every shard before a migration's extract and install, or after
+  /// both, so donor and recipient agree on the registry the moved state
+  /// was built under. Not taken by FailoverShard, which must be able to
+  /// drain a dead queue that a query change waits on.
+  std::mutex registry_mu_;
+  /// Serializes migrations against each other, against failovers and
+  /// against the barriered mutators (Quiesce/EvictBefore), so extracted
+  /// state can never miss an eviction and Quiesce never runs with tuples
+  /// parked in the pause buffer.
   std::mutex migrate_mu_;
   /// Producers scatter under a shared lock; MigrateBucket takes it
   /// exclusively to mark/unmark the paused bucket, guaranteeing no

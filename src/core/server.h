@@ -71,8 +71,9 @@ class Server {
     RebalanceController::Options rebalance;
     /// Standby replicas per shard (Flux process pairs, DESIGN.md §13):
     /// 0 = no fault tolerance; 1 dual-routes every scattered batch into a
-    /// per-shard changelog and keeps a warm standby engine, so a killed
-    /// shard can be failed over with zero lost or duplicated results.
+    /// per-shard changelog with periodic snapshots, from which a killed
+    /// shard's standby is built and failed over with zero lost or
+    /// duplicated results.
     /// Only meaningful with cacq_shards > 1.
     size_t cacq_replicas = 0;
     /// Default per-stream disorder bound (DESIGN.md §15): arrivals whose

@@ -21,7 +21,9 @@ namespace tcq {
 /// *changelog* of every data batch routed to the primary after that
 /// position. The standby recovers by installing the snapshot and
 /// replaying the changelog tail — together they reconstruct exactly the
-/// primary's state at its last task boundary.
+/// primary's state at its last task boundary. Changes kept outside the log
+/// (query registrations) take LSNs from the same sequence (Stamp), so the
+/// replay can place them between the records.
 ///
 /// Log sequence numbers (LSNs) are assigned here, at append time, and
 /// must be assigned in the primary's queue order: the exchange calls
@@ -54,7 +56,7 @@ class ShardReplica {
 
   /// Cross-thread-safe counters for telemetry / SnapshotMetrics rows.
   struct Stats {
-    uint64_t next_lsn = 0;       ///< LSN of the last appended record.
+    uint64_t next_lsn = 0;       ///< Last LSN appended or stamped.
     uint64_t snapshot_floor = 0;
     size_t log_records = 0;
     size_t log_bytes = 0;        ///< Approximate payload of live records.
@@ -76,6 +78,15 @@ class ShardReplica {
     log_bytes_ += ApproxBytes(rec);
     log_.push_back(std::move(rec));
     return next_lsn_;
+  }
+
+  /// Takes the next LSN for a change the caller records itself (the
+  /// sharded engine keeps query registrations in its own history), so
+  /// that it is ordered against the data records. Same ordering rule as
+  /// Append.
+  uint64_t Stamp() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return ++next_lsn_;
   }
 
   /// Installs a snapshot covering every record with lsn <= `floor` and

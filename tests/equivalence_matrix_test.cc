@@ -16,6 +16,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <map>
@@ -23,6 +24,7 @@
 #include <mutex>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cacq/sharded_engine.h"
@@ -587,7 +589,20 @@ std::string RunConfig(uint64_t seed, const Config& config, size_t* rows) {
       if (rig) rig->Heartbeat(stream, ts);
     }
     if (before < total / 2 && at[0] + at[1] >= total / 2) {
-      submit(order[n - 2]);
+      if (config.crash) {
+        // The first Submit lands on a killed shard: the registration waits
+        // in its dead queue, and the promoted standby applies it at its
+        // changelog LSN.
+        const size_t victim = (crashes++ + seed) % config.shards;
+        EXPECT_TRUE(engine->KillShard(victim).ok());
+        while (engine->shard_alive(victim)) {
+          std::this_thread::sleep_for(std::chrono::microseconds(50));
+        }
+        submit(order[n - 2]);
+        EXPECT_TRUE(engine->FailoverShard(victim).ok());
+      } else {
+        submit(order[n - 2]);
+      }
       submit(order[n - 1]);
     }
     if (before < 3 * total / 4 && at[0] + at[1] >= 3 * total / 4) {

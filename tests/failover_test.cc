@@ -8,12 +8,16 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
+#include <map>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "cacq/sharded_engine.h"
 #include "conservation.h"
+#include "common/rng.h"
 #include "kv.h"
 #include "testing/crash_injector.h"
 
@@ -325,8 +329,8 @@ TEST(FailoverTest, KillAndFailoverRecoversExactly) {
 TEST(FailoverTest, FailedOverWorkerParksOnTheShardWaker) {
   // The waker belongs to the shard, not to its EO: the fresh worker that
   // FailoverShard starts parks on the waker the input partition wakes, so
-  // registrations and removals after a failover end its parks by a wake
-  // (and stay prompt) instead of waiting out the fallback timer.
+  // barriers after a failover end its parks by a wake (and stay prompt)
+  // instead of waiting out the fallback timer.
   ShardedEngine::Options opts;
   opts.num_shards = 2;
   opts.num_replicas = 1;
@@ -343,17 +347,11 @@ TEST(FailoverTest, FailedOverWorkerParksOnTheShardWaker) {
   CrashInjector::CrashAndRecover(&engine, 0);
 
   const ShardedEngine::ShardStats before = engine.shard_stats()[0];
-  CacqQuerySpec filter;
-  filter.sources = {"S"};
-  filter.where = Expr::Binary(BinaryOp::kGt, Expr::Column("S.v"),
-                              Expr::Literal(Value::Int64(5)));
   for (int round = 0; round < 20; ++round) {
     // Idle long enough for the worker to be parked when the barrier lands.
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
     const auto t0 = std::chrono::steady_clock::now();
-    auto q = engine.AddQuery(filter);
-    ASSERT_TRUE(q.ok()) << q.status();
-    ASSERT_TRUE(engine.RemoveQuery(*q).ok());
+    ASSERT_TRUE(engine.Quiesce().ok());
     EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1));
   }
   const ShardedEngine::ShardStats after = engine.shard_stats()[0];
@@ -448,6 +446,202 @@ TEST(FailoverTest, MidMigrationShardFailsOverConsistently) {
   ASSERT_TRUE(engine.PushBatch("B", std::move(probe)).ok());
   ASSERT_TRUE(engine.Quiesce().ok());
   EXPECT_EQ(ledger.hits(*q), 32u);
+  engine.Stop();
+}
+
+/// Holds the egress thread inside the sink until Open(). The shards then
+/// fill their egress queues and stop in their next flush, so everything
+/// pushed after that waits, unapplied, in their input queues.
+class SinkGate {
+ public:
+  void Wait() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return open_; });
+  }
+  void Open() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = false;
+};
+
+/// Two shards with a standby each behind a closed SinkGate, the rows each
+/// query received, and tuples that key onto shard 0.
+struct GatedFleet {
+  explicit GatedFleet(uint64_t seed) : rng(seed) {
+    ShardedEngine::Options opts;
+    opts.num_shards = 2;
+    opts.num_replicas = 1;
+    opts.num_buckets = 8;
+    opts.egress_capacity = 1;
+    opts.checkpoint_interval = 1 + rng.NextBounded(6);
+    engine = std::make_unique<ShardedEngine>(opts);
+    EXPECT_TRUE(engine->AddStream("A", KV(), 0).ok());
+    EXPECT_TRUE(engine->AddStream("B", KV(), 0).ok());
+    engine->SetSink([this](std::vector<ShardedEngine::Emission>&& batch) {
+      gate.Wait();
+      std::lock_guard<std::mutex> lock(mu);
+      for (const auto& [q, t] : batch) rows[q].push_back(t.ToString());
+    });
+    engine->Start();
+  }
+
+  /// A batch of about `n` tuples with shard-0 keys. The default is big
+  /// enough that the rows one see-all task emits pass the worker's
+  /// mid-step flush threshold.
+  std::vector<Tuple> Batch(size_t n = 1100) {
+    std::vector<Tuple> batch;
+    const size_t size = n + rng.NextBounded(n / 2 + 1);
+    while (batch.size() < size) {
+      const auto k = static_cast<int64_t>(rng.NextBounded(64));
+      if (engine->partition_map().ShardOf(Value::Int64(k)) != 0) continue;
+      const auto v = static_cast<int64_t>(++pushed);
+      batch.push_back(KVTuple(k, v, v));
+    }
+    return batch;
+  }
+
+  /// Fills shard 0's egress queue and input backlog.
+  void Backlog(const std::string& stream) {
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_TRUE(engine->PushBatch(stream, Batch()).ok());
+    }
+  }
+
+  /// Kills shard 0 while its worker is held in a flush, so it dies at its
+  /// next task boundary with the backlog unapplied, then promotes it.
+  void KillAndFailOver() {
+    ASSERT_TRUE(engine->KillShard(0).ok());
+    gate.Open();
+    while (engine->shard_alive(0)) {
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+    ASSERT_TRUE(engine->FailoverShard(0).ok());
+    ASSERT_TRUE(engine->Quiesce().ok());
+  }
+
+  std::vector<std::string> RowsOf(QueryId q) {
+    std::lock_guard<std::mutex> lock(mu);
+    std::vector<std::string> out = rows[q];
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+
+  Rng rng;
+  uint64_t pushed = 0;
+  SinkGate gate;
+  std::mutex mu;
+  std::map<QueryId, std::vector<std::string>> rows;
+  std::unique_ptr<ShardedEngine> engine;
+};
+
+TEST(FailoverTest, QueryAddedBeforeAKillSeesExactlyTheLaterTuples) {
+  // The start-LSN rule: a promoted standby applies an AddQuery at its
+  // place in the shard's changelog, so the replayed backlog from before
+  // the add never reaches the new query and everything after it does.
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    GatedFleet fleet(seed);
+    ShardedEngine& engine = *fleet.engine;
+    CacqQuerySpec see_all;
+    see_all.sources = {"A"};
+    ASSERT_TRUE(engine.AddQuery(see_all).ok());
+    fleet.Backlog("A");
+    CacqQuerySpec late;
+    late.sources = {"A"};
+    late.where = Expr::Binary(BinaryOp::kGe, Expr::Column("A.v"),
+                              Expr::Literal(Value::Int64(0)));
+    auto q = engine.AddQuery(late);
+    ASSERT_TRUE(q.ok()) << q.status();
+    std::vector<std::string> want;
+    for (int i = 0; i < 1 + static_cast<int>(fleet.rng.NextBounded(3)); ++i) {
+      std::vector<Tuple> batch = fleet.Batch();
+      for (const Tuple& t : batch) {
+        want.push_back(engine.layout().Widen(0, t).ToString());
+      }
+      ASSERT_TRUE(engine.PushBatch("A", std::move(batch)).ok());
+    }
+    fleet.KillAndFailOver();
+    std::sort(want.begin(), want.end());
+    EXPECT_EQ(fleet.RowsOf(*q), want);
+    engine.Stop();
+  }
+}
+
+TEST(FailoverTest, QueryRemovedBeforeAKillLeavesNoLineageBit) {
+  // The removal sits at its LSN too: replay scrubs the join's bit from the
+  // restored and replayed SteM entries there, and entries replayed after
+  // it never get one.
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    GatedFleet fleet(seed);
+    ShardedEngine& engine = *fleet.engine;
+    CacqQuerySpec see_all;
+    see_all.sources = {"A"};
+    ASSERT_TRUE(engine.AddQuery(see_all).ok());
+    CacqQuerySpec join;
+    join.sources = {"A", "B"};
+    join.where = Expr::Binary(BinaryOp::kEq, Expr::Column("A.k"),
+                              Expr::Column("B.k"));
+    auto q = engine.AddQuery(join);
+    ASSERT_TRUE(q.ok()) << q.status();
+    ASSERT_TRUE(engine.PushBatch("B", fleet.Batch(8)).ok());
+    fleet.Backlog("A");
+    ASSERT_TRUE(engine.RemoveQuery(*q).ok());
+    ASSERT_TRUE(engine.PushBatch("B", fleet.Batch(8)).ok());
+    ASSERT_TRUE(engine.PushBatch("A", fleet.Batch()).ok());
+    fleet.KillAndFailOver();
+    for (size_t shard = 0; shard < 2; ++shard) {
+      size_t entries = 0;
+      for (const auto& stem : engine.engine(shard).CheckpointState().stems) {
+        for (const SharedSteM::ExtractedEntry& e : stem.entries) {
+          ++entries;
+          EXPECT_FALSE(*q < e.queries.size_bits() && e.queries.Test(*q))
+              << "shard " << shard << ": " << e.tuple.ToString();
+        }
+      }
+      if (shard == 0) EXPECT_GT(entries, 0u);
+    }
+    engine.Stop();
+  }
+}
+
+TEST(FailoverTest, QueryChangesTakeNoCheckpoint) {
+  // A registration is a changelog position, not a snapshot: with standbys
+  // an AddQuery + RemoveQuery pair copies no SteM state.
+  ShardedEngine::Options opts;
+  opts.num_shards = 2;
+  opts.num_replicas = 1;
+  opts.checkpoint_interval = 1000;  // No cadence checkpoint either.
+  ShardedEngine engine(opts);
+  ASSERT_TRUE(engine.AddStream("A", KV(), 0).ok());
+  ASSERT_TRUE(engine.AddStream("B", KV(), 0).ok());
+  EmissionLedger ledger;
+  engine.SetSink(ledger.MakeSink());
+  engine.Start();
+  CacqQuerySpec join;
+  join.sources = {"A", "B"};
+  join.where = Expr::Binary(BinaryOp::kEq, Expr::Column("A.k"),
+                            Expr::Column("B.k"));
+  ASSERT_TRUE(engine.AddQuery(join).ok());
+  for (const char* stream : {"A", "B"}) {
+    std::vector<Tuple> batch;
+    for (int64_t i = 0; i < 64; ++i) batch.push_back(KVTuple(i, i, i + 1));
+    ASSERT_TRUE(engine.PushBatch(stream, std::move(batch)).ok());
+  }
+  ASSERT_TRUE(engine.Quiesce().ok());
+  const uint64_t before = engine.ha_stats().checkpoints;
+  auto q = engine.AddQuery(join);
+  ASSERT_TRUE(q.ok()) << q.status();
+  ASSERT_TRUE(engine.RemoveQuery(*q).ok());
+  ASSERT_TRUE(engine.Quiesce().ok());
+  EXPECT_EQ(engine.ha_stats().checkpoints, before);
+  EXPECT_EQ(engine.RemoveQuery(*q).code(), StatusCode::kNotFound);
   engine.Stop();
 }
 

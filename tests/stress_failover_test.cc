@@ -1,11 +1,13 @@
 // Concurrency stress for process-pair failover: real producer threads
 // pushing through the exchange while one thread repeatedly kills and
-// promotes shards and another migrates buckets, with quiesce barriers and
-// eviction mixed in. Run under -DTCQ_SANITIZE=thread in CI; the
-// assertions are the shared conservation laws (tests/conservation.h) that
-// hold whatever the interleaving — a failover must never lose, duplicate
-// or strand a tuple, whether it was queued on the dead primary, parked in
-// a migration pause buffer, or only present in the changelog.
+// promotes shards, another migrates buckets, with quiesce barriers and
+// eviction mixed in, and a third adds and removes queries. Run under
+// -DTCQ_SANITIZE=thread and address in CI; the assertions are the shared
+// conservation laws (tests/conservation.h) that hold whatever the
+// interleaving — a failover must never lose, duplicate or strand a tuple,
+// whether it was queued on the dead primary, parked in a migration pause
+// buffer, or only present in the changelog — plus the lineage scrub of
+// every removed query.
 
 #include <gtest/gtest.h>
 
@@ -47,9 +49,8 @@ TEST(StressFailoverTest, FailoversAgainstProducersAndMigrations) {
   // tcq.ha.* counters are process-global; assert on the delta.
   const uint64_t failovers_before = engine.ha_stats().failovers;
 
-  // All queries are registered before the first kill: promotion rebuilds
-  // registrations from query history, which assumes AddQuery never races
-  // a dead primary (DESIGN.md §13 limitations).
+  // The two queries whose results are counted stand from the start; the
+  // churner below adds and removes others while shards die.
   CacqQuerySpec see_all;
   see_all.sources = {"A"};
   auto q = engine.AddQuery(see_all);
@@ -108,9 +109,27 @@ TEST(StressFailoverTest, FailoversAgainstProducersAndMigrations) {
     }
   });
 
+  // The churner: registrations and removals racing the kills. A change
+  // enqueued on a dead primary waits in its queue (or for room in it)
+  // until the promotion, which replays it at its changelog LSN.
+  std::vector<QueryId> churned;
+  std::thread churner([&engine, &churned] {
+    for (int round = 0; round < 60; ++round) {
+      CacqQuerySpec filter;
+      filter.sources = {"A"};
+      filter.where = Expr::Binary(BinaryOp::kGe, Expr::Column("A.v"),
+                                  Expr::Literal(Value::Int64(round % 3)));
+      auto cq = engine.AddQuery(filter);
+      ASSERT_TRUE(cq.ok()) << cq.status();
+      churned.push_back(*cq);
+      ASSERT_TRUE(engine.RemoveQuery(*cq).ok());
+    }
+  });
+
   for (auto& t : producers) t.join();
   killer.join();
   migrator.join();
+  churner.join();
   // Every shard is alive again (the killer always promotes), so the final
   // barrier must succeed outright.
   ASSERT_TRUE(engine.Quiesce().ok());
@@ -125,6 +144,19 @@ TEST(StressFailoverTest, FailoversAgainstProducersAndMigrations) {
   for (const auto& r : engine.replica_stats()) {
     EXPECT_TRUE(r.alive);
     EXPECT_GE(r.logged_lsn, r.applied_lsn);
+  }
+  // QueryIds stay registration indices, and every removal scrubbed its
+  // lineage bit on every shard, promoted ones included.
+  for (size_t i = 0; i < churned.size(); ++i) EXPECT_EQ(churned[i], i + 2);
+  for (size_t shard = 0; shard < kShards; ++shard) {
+    for (const auto& stem : engine.engine(shard).CheckpointState().stems) {
+      for (const SharedSteM::ExtractedEntry& e : stem.entries) {
+        for (QueryId cq : churned) {
+          EXPECT_FALSE(cq < e.queries.size_bits() && e.queries.Test(cq))
+              << "shard " << shard << " query " << cq;
+        }
+      }
+    }
   }
   engine.Stop();
   EXPECT_EQ(ledger.hits(see_all_a), (kProducers - 1) * per_stream);
