@@ -14,6 +14,10 @@
 // Expected shape: independent cost grows ~linearly with N; shared grows
 // sub-linearly (index probe + bitmap ops per tuple), with the gap widening
 // to an order of magnitude by N in the hundreds — CACQ's headline result.
+//
+// BM_SharedJoin: N standing `A.k = B.k AND A.v > c_i` queries on one
+// CacqEngine. All N share one SteM pair; lineage intersection at the probe
+// decides which queries each pair reaches.
 
 #include <benchmark/benchmark.h>
 
@@ -131,6 +135,68 @@ BENCHMARK(BM_IndependentQueries)
     ->Arg(16)
     ->Arg(64)
     ->Arg(256)
+    ->Unit(benchmark::kMillisecond);
+
+constexpr int64_t kJoinTuples = 20000;  // Per stream.
+constexpr int64_t kJoinKeys = 1000;
+constexpr int64_t kJoinWindow = 2000;   // Timestamps of join state kept.
+constexpr size_t kJoinBatch = 64;
+
+/// Stream rows (k, v) at timestamps 0, 2, 4, ... (A) or 1, 3, 5, ... (B).
+std::vector<TupleVector> MakeJoinBatches(uint64_t seed, int64_t ts0) {
+  Rng rng(seed);
+  std::vector<TupleVector> batches;
+  for (int64_t i = 0; i < kJoinTuples; ++i) {
+    if (static_cast<size_t>(i) % kJoinBatch == 0) batches.emplace_back();
+    batches.back().push_back(Tuple::Make(
+        {Value::Int64(static_cast<int64_t>(rng.NextBounded(kJoinKeys))),
+         Value::Int64(static_cast<int64_t>(rng.NextBounded(100)))},
+        ts0 + 2 * i));
+  }
+  return batches;
+}
+
+void BM_SharedJoin(benchmark::State& state) {
+  const size_t num_queries = static_cast<size_t>(state.range(0));
+  const std::vector<TupleVector> a = MakeJoinBatches(11, 0);
+  const std::vector<TupleVector> b = MakeJoinBatches(12, 1);
+  SchemaPtr kv = Schema::Make(
+      {{"k", ValueType::kInt64, ""}, {"v", ValueType::kInt64, ""}});
+  uint64_t deliveries = 0;
+  for (auto _ : state) {
+    CacqEngine engine;
+    benchmark::DoNotOptimize(engine.AddStream("A", kv));
+    benchmark::DoNotOptimize(engine.AddStream("B", kv));
+    engine.SetSink([&](QueryId, const Tuple&) { ++deliveries; });
+    for (size_t i = 0; i < num_queries; ++i) {
+      CacqQuerySpec spec;
+      spec.sources = {"A", "B"};
+      spec.where = Expr::Binary(
+          BinaryOp::kAnd,
+          Expr::Binary(BinaryOp::kEq, Expr::Column("A.k"),
+                       Expr::Column("B.k")),
+          Expr::Binary(BinaryOp::kGt, Expr::Column("A.v"),
+                       Expr::Literal(Value::Int64(
+                           static_cast<int64_t>(i * 7 % 90)))));
+      benchmark::DoNotOptimize(engine.AddQuery(spec));
+    }
+    for (size_t i = 0; i < a.size(); ++i) {
+      benchmark::DoNotOptimize(engine.InjectBatch("A", a[i]));
+      benchmark::DoNotOptimize(engine.InjectBatch("B", b[i]));
+      engine.EvictBefore(b[i].back().timestamp() - kJoinWindow);
+    }
+  }
+  state.counters["deliveries"] = static_cast<double>(deliveries) /
+                                 static_cast<double>(state.iterations());
+  state.counters["tuples_per_sec"] = benchmark::Counter(
+      static_cast<double>(2 * kJoinTuples) *
+          static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_SharedJoin)
+    ->Arg(1)
+    ->Arg(8)
+    ->Arg(32)
     ->Unit(benchmark::kMillisecond);
 
 // Query churn: fold-in/remove latency on a live shared engine (§4.2.2's

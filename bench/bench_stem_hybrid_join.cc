@@ -75,19 +75,15 @@ void RunJoin(benchmark::State& state, Plan plan, double skew) {
         "T_idx", KV(), 0, MakeTRows(),
         RemoteIndex::Options{kRemoteCost, std::chrono::microseconds(0)});
 
-    SteM::Options so;
-    so.key_field = static_cast<int>(fx.layout.offset(fx.t));
-    auto stem_t =
-        std::make_shared<SteM>("SteM_T", fx.layout.full_schema(), so);
-    SteM::Options ss;
-    ss.key_field = static_cast<int>(fx.layout.offset(fx.s));
-    auto stem_s =
-        std::make_shared<SteM>("SteM_S", fx.layout.full_schema(), ss);
-    auto cache =
-        std::make_shared<SteM>("T_cache", fx.layout.full_schema(), so);
-
     const int s_key = static_cast<int>(fx.layout.offset(fx.s));
     const int t_key = static_cast<int>(fx.layout.offset(fx.t));
+    auto stem_t =
+        std::make_shared<SteM>("SteM_T", fx.layout.full_schema(), t_key);
+    auto stem_s =
+        std::make_shared<SteM>("SteM_S", fx.layout.full_schema(), s_key);
+    auto cache =
+        std::make_shared<SteM>("T_cache", fx.layout.full_schema(), t_key);
+
     const bool use_stems = plan == Plan::kSymHash || plan == Plan::kHybrid;
     if (use_stems) {
       eddy.AddOperator(
@@ -96,18 +92,17 @@ void RunJoin(benchmark::State& state, Plan plan, double skew) {
           std::make_shared<StemBuildOp>("build_T", fx.t, stem_t));
       eddy.AddOperator(std::make_shared<StemProbeOp>(
                            "probe_T", &fx.layout, fx.t, stem_t,
-                           fx.Only(fx.s), s_key, nullptr),
+                           fx.Only(fx.s), s_key),
                        /*group=*/1);
       eddy.AddOperator(std::make_shared<StemProbeOp>(
                            "probe_S", &fx.layout, fx.s, stem_s,
-                           fx.Only(fx.t), t_key, nullptr),
+                           fx.Only(fx.t), t_key),
                        /*group=*/0);
     }
     if (plan != Plan::kSymHash) {
       eddy.AddOperator(
           std::make_shared<RemoteIndexProbeOp>(
               "idx_T", &fx.layout, fx.t, index, fx.Only(fx.s), s_key,
-              nullptr,
               plan == Plan::kIndexOnly ? nullptr : cache),
           /*group=*/1);
     }

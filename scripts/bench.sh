@@ -17,8 +17,11 @@
 # (EnqueueBatch/DequeueUpTo), and the many-query scale sweep
 # (BM_ManyQueries* at 10..10k CQs, inline and sharded), and the
 # disorder-tolerant ingress sweep (bench_disorder: reorder bound ×
-# disorder rate, delayed vs speculative, kIngestLate backfill). Add
-# binaries via $BENCHES.
+# disorder rate, delayed vs speculative, kIngestLate backfill), and the
+# SteM joins: CACQ sharing with one shared SteM pair under 1..32 join
+# queries (bench_cacq_sharing, BM_SharedJoin) and the per-window
+# symmetric-hash/index hybrid (bench_stem_hybrid_join). Add binaries via
+# $BENCHES.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -26,7 +29,7 @@ JOBS="${JOBS:-$(nproc)}"
 BUILD_DIR="${BUILD_DIR:-build}"
 SHA="$(git rev-parse --short HEAD)"
 OUT="${OUT:-BENCH_${SHA}.json}"
-BENCHES="${BENCHES:-bench_executor bench_fjords_queues bench_many_queries bench_disorder bench_spool}"
+BENCHES="${BENCHES:-bench_executor bench_fjords_queues bench_many_queries bench_disorder bench_spool bench_cacq_sharing bench_stem_hybrid_join}"
 
 EXTRA_ARGS=()
 if [[ "${1:-}" == "--quick" ]]; then

@@ -7,14 +7,6 @@
 
 namespace tcq {
 
-namespace {
-uint64_t FoldBits(const SmallBitset& bits) {
-  uint64_t key = 0;
-  bits.ForEachSet([&](size_t i) { key |= uint64_t{1} << (i % 64); });
-  return key;
-}
-}  // namespace
-
 CacqEngine::CacqEngine() : CacqEngine(Options()) {}
 
 CacqEngine::CacqEngine(Options options) : options_(std::move(options)) {
@@ -62,22 +54,22 @@ std::shared_ptr<GroupedFilterOp> CacqEngine::FilterOpFor(size_t column) {
 
 std::shared_ptr<ResidualFilterOp> CacqEngine::ResidualOpFor(
     const SmallBitset& req) {
-  const uint64_t key = FoldBits(req);
-  auto it = residual_ops_.find(key);
-  if (it != residual_ops_.end()) return it->second;
+  for (const auto& op : residual_ops_) {
+    if (op->required() == req) return op;
+  }
   auto op = std::make_shared<ResidualFilterOp>("residual", req);
   eddy_->AddOperator(op);
-  residual_ops_.emplace(key, op);
+  residual_ops_.push_back(op);
   return op;
 }
 
 void CacqEngine::EnsureJoin(size_t src_a, int col_a, size_t src_b,
                             int col_b) {
-  auto ensure_stem = [&](size_t src, int key) -> SharedSteMPtr {
+  auto ensure_stem = [&](size_t src, int key) -> SteMPtr {
     JoinKey jk{src, key};
     auto it = stems_.find(jk);
     if (it != stems_.end()) return it->second;
-    auto stem = std::make_shared<SharedSteM>(
+    auto stem = std::make_shared<SteM>(
         "stem[" + layout_.alias(src) + "]", layout_.full_schema(), key);
     if (options_.spool != nullptr) {
       stem->SetSpool(options_.spool,
@@ -85,22 +77,20 @@ void CacqEngine::EnsureJoin(size_t src_a, int col_a, size_t src_b,
                          "." + std::to_string(key));
     }
     stems_.emplace(jk, stem);
-    eddy_->AddOperator(std::make_shared<SharedStemBuildOp>(
+    eddy_->AddOperator(std::make_shared<StemBuildOp>(
         "build[" + layout_.alias(src) + "]", src, stem));
     return stem;
   };
-  SharedSteMPtr stem_a = ensure_stem(src_a, col_a);
-  SharedSteMPtr stem_b = ensure_stem(src_b, col_b);
+  SteMPtr stem_a = ensure_stem(src_a, col_a);
+  SteMPtr stem_b = ensure_stem(src_b, col_b);
 
-  auto ensure_probe = [&](size_t target, const SharedSteMPtr& stem,
+  auto ensure_probe = [&](size_t target, const SteMPtr& stem,
                           int stored_key, size_t probe_src, int probe_key) {
-    const auto edge = std::make_tuple(target, stored_key, probe_key);
-    if (probe_edges_.count(edge) != 0) return;
-    probe_edges_.emplace(edge, true);
+    if (!probe_edges_.emplace(target, stored_key, probe_key).second) return;
     SmallBitset probe_sources(layout_.num_sources());
     probe_sources.Set(probe_src);
     eddy_->AddOperator(
-        std::make_shared<SharedStemProbeOp>(
+        std::make_shared<StemProbeOp>(
             "probe[" + layout_.alias(target) + "<-" +
                 layout_.alias(probe_src) + "]",
             &layout_, target, stem, std::move(probe_sources), probe_key),
@@ -303,8 +293,7 @@ std::vector<CacqEngine::StemSnapshot> CacqEngine::stem_snapshots() const {
   std::vector<StemSnapshot> out;
   out.reserve(stems_.size());
   for (const auto& [jk, stem] : stems_) {
-    out.push_back(StemSnapshot{stem->name(), stem->size(), stem->probes(),
-                               stem->scanned()});
+    out.push_back(StemSnapshot{stem->name(), stem->size(), stem->stats()});
   }
   return out;
 }

@@ -4,15 +4,16 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "cacq/migration.h"
 #include "cacq/shared_ops.h"
-#include "cacq/shared_stem.h"
 #include "eddy/eddy.h"
 #include "expr/ast.h"
 #include "modules/grouped_filter.h"
+#include "stem/stem.h"
 
 namespace tcq {
 
@@ -186,9 +187,8 @@ class CacqEngine {
   /// (Server::SnapshotMetrics).
   struct StemSnapshot {
     std::string name;
-    size_t size = 0;       ///< Live stored tuples.
-    uint64_t probes = 0;
-    uint64_t scanned = 0;
+    size_t size = 0;  ///< Live stored tuples.
+    SteM::Stats stats;
   };
   std::vector<StemSnapshot> stem_snapshots() const;
 
@@ -240,10 +240,11 @@ class CacqEngine {
   SmallBitset speculative_queries_;
 
   std::map<size_t, std::shared_ptr<GroupedFilterOp>> filter_ops_;
-  std::map<uint64_t, std::shared_ptr<ResidualFilterOp>> residual_ops_;
-  std::map<JoinKey, SharedSteMPtr> stems_;
+  /// Residual operators by the exact source set they require.
+  std::vector<std::shared_ptr<ResidualFilterOp>> residual_ops_;
+  std::map<JoinKey, SteMPtr> stems_;
   /// Registered probe edges (target, stored key, probe key) to avoid dups.
-  std::map<std::tuple<size_t, int, int>, bool> probe_edges_;
+  std::set<std::tuple<size_t, int, int>> probe_edges_;
 };
 
 }  // namespace tcq

@@ -16,7 +16,7 @@ BucketState CacqEngine::ExtractBucketState(
     ss.target_source = key.target_source;
     ss.stored_key = key.stored_key;
     ss.entries = stem->ExtractIf(in_bucket);
-    for (const SharedSteM::ExtractedEntry& e : ss.entries) {
+    for (const SteM::ExtractedEntry& e : ss.entries) {
       state.max_seq = std::max(state.max_seq, e.tuple.seq());
     }
     if (!ss.entries.empty()) state.stems.push_back(std::move(ss));
@@ -27,7 +27,7 @@ BucketState CacqEngine::ExtractBucketState(
 Status CacqEngine::InstallBucketState(const BucketState& state) {
   // Resolve every target SteM before touching any, so a mismatch cannot
   // leave the bucket half-installed.
-  std::vector<SharedSteM*> targets;
+  std::vector<SteM*> targets;
   targets.reserve(state.stems.size());
   for (const BucketState::StemState& ss : state.stems) {
     auto it = stems_.find(JoinKey{ss.target_source, ss.stored_key});
@@ -41,7 +41,7 @@ Status CacqEngine::InstallBucketState(const BucketState& state) {
     targets.push_back(it->second.get());
   }
   for (size_t i = 0; i < state.stems.size(); ++i) {
-    for (const SharedSteM::ExtractedEntry& e : state.stems[i].entries) {
+    for (const SteM::ExtractedEntry& e : state.stems[i].entries) {
       targets[i]->Install(e);
     }
   }
@@ -72,7 +72,7 @@ Status CacqEngine::RestoreCheckpoint(const EngineCheckpoint& ckpt) {
   }
   // Same resolve-before-touch discipline as InstallBucketState: a replica
   // whose streams/queries diverged from the primary must fail whole.
-  std::vector<SharedSteM*> targets;
+  std::vector<SteM*> targets;
   targets.reserve(ckpt.stems.size());
   for (const BucketState::StemState& ss : ckpt.stems) {
     auto it = stems_.find(JoinKey{ss.target_source, ss.stored_key});
@@ -89,7 +89,7 @@ Status CacqEngine::RestoreCheckpoint(const EngineCheckpoint& ckpt) {
   // checkpoint doesn't mention were empty on the primary.
   for (auto& [key, stem] : stems_) stem->ClearAll();
   for (size_t i = 0; i < ckpt.stems.size(); ++i) {
-    for (const SharedSteM::ExtractedEntry& e : ckpt.stems[i].entries) {
+    for (const SteM::ExtractedEntry& e : ckpt.stems[i].entries) {
       targets[i]->Install(e);
     }
   }

@@ -5,7 +5,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "cacq/shared_stem.h"
+#include "stem/stem.h"
 #include "tuple/tuple.h"
 
 namespace tcq {
@@ -13,7 +13,7 @@ namespace tcq {
 /// One bucket's worth of engine state, lifted out of a donor shard's
 /// CacqEngine for Flux-style migration (DESIGN.md §12).
 ///
-/// What moves: every shared SteM's live entries whose join key hashes into
+/// What moves: every SteM's live entries whose join key hashes into
 /// the bucket — tuple, query-lineage bitmap, timestamp, and arrival seq all
 /// travel (the tuple carries the latter two). What does NOT move: grouped
 /// filters, residual predicates, and query registrations are replicated on
@@ -34,7 +34,7 @@ struct BucketState {
   struct StemState {
     size_t target_source = 0;
     int stored_key = -1;
-    std::vector<SharedSteM::ExtractedEntry> entries;
+    std::vector<SteM::ExtractedEntry> entries;
   };
 
   size_t bucket = 0;
@@ -54,7 +54,7 @@ struct BucketState {
   size_t approx_bytes() const {
     size_t bytes = 0;
     for (const StemState& s : stems) {
-      for (const SharedSteM::ExtractedEntry& e : s.entries) {
+      for (const SteM::ExtractedEntry& e : s.entries) {
         bytes += sizeof(Tuple) + e.tuple.arity() * sizeof(Value);
       }
     }
@@ -92,7 +92,7 @@ struct EngineCheckpoint {
   size_t approx_bytes() const {
     size_t bytes = 0;
     for (const BucketState::StemState& s : stems) {
-      for (const SharedSteM::ExtractedEntry& e : s.entries) {
+      for (const SteM::ExtractedEntry& e : s.entries) {
         bytes += sizeof(Tuple) + e.tuple.arity() * sizeof(Value);
       }
     }

@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "cacq/shared_stem.h"
 #include "eddy/operator.h"
 #include "eddy/operators.h"
 #include "expr/ast.h"
@@ -46,47 +45,14 @@ class ResidualFilterOp : public EddyOperator {
   void AddResidual(QueryId q, ExprPtr bound_expr);
   void RemoveQuery(QueryId q);
 
+  const SmallBitset& required() const { return required_; }
+
   bool Eligible(const SmallBitset& sources) const override;
   EddyOpResult Process(RoutedTuple& rt) override;
 
  private:
   SmallBitset required_;
   std::vector<std::pair<QueryId, ExprPtr>> residuals_;
-};
-
-/// Shared SteM build: stores the tuple together with its current lineage.
-class SharedStemBuildOp : public EddyOperator {
- public:
-  SharedStemBuildOp(std::string name, size_t source, SharedSteMPtr stem);
-
-  bool Eligible(const SmallBitset& sources) const override;
-  EddyOpResult Process(RoutedTuple& rt) override;
-
- private:
-  size_t source_;
-  SharedSteMPtr stem_;
-};
-
-/// Shared SteM probe: join outputs carry the intersection of both sides'
-/// lineages — only queries that accepted both constituents survive.
-class SharedStemProbeOp : public EddyOperator {
- public:
-  SharedStemProbeOp(std::string name, const SourceLayout* layout,
-                    size_t target, SharedSteMPtr target_stem,
-                    SmallBitset probe_sources, int probe_key_index,
-                    WindowHandlePtr window = nullptr);
-
-  bool Eligible(const SmallBitset& sources) const override;
-  EddyOpResult Process(RoutedTuple& rt) override;
-  bool IsJoinProbe() const override { return true; }
-
- private:
-  const SourceLayout* layout_;
-  size_t target_;
-  SharedSteMPtr stem_;
-  SmallBitset probe_sources_;
-  int probe_key_index_;
-  WindowHandlePtr window_;
 };
 
 }  // namespace tcq

@@ -214,10 +214,8 @@ std::vector<Tuple> QueryRunner::RunDataflow(const WindowSequence::Step& step) {
     }
     std::vector<SteMPtr> stems(n);
     for (size_t s = 0; s < n; ++s) {
-      SteM::Options so;
-      so.key_field = key_of[s];
       stems[s] = std::make_shared<SteM>("stem[" + layout.alias(s) + "]",
-                                        layout.full_schema(), so);
+                                        layout.full_schema(), key_of[s]);
       eddy.AddOperator(std::make_shared<StemBuildOp>(
           "build[" + layout.alias(s) + "]", s, stems[s]));
     }
@@ -244,7 +242,7 @@ std::vector<Tuple> QueryRunner::RunDataflow(const WindowSequence::Step& step) {
                 "probe[" + layout.alias(target) + "<-" + layout.alias(x) +
                     "]",
                 &layout, target, stems[target], std::move(probe_sources),
-                probe_key, nullptr),
+                probe_key),
             /*group=*/static_cast<int>(target));
       }
     }

@@ -1488,8 +1488,9 @@ std::string Server::SnapshotMetrics() const {
       if (i != 0) out += ",";
       out += "{\"name\":\"" + JsonEscape(stems[i].name) +
              "\",\"size\":" + std::to_string(stems[i].size) +
-             ",\"probes\":" + std::to_string(stems[i].probes) +
-             ",\"scanned\":" + std::to_string(stems[i].scanned) + "}";
+             ",\"probes\":" + std::to_string(stems[i].stats.probes) +
+             ",\"matches\":" + std::to_string(stems[i].stats.matches) +
+             ",\"scanned\":" + std::to_string(stems[i].stats.scanned) + "}";
     }
     out += "]}";
   }

@@ -1,5 +1,7 @@
 #include "eddy/operators.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 
 namespace tcq {
@@ -8,16 +10,16 @@ namespace {
 /// Builds the merged output RoutedTuple for a join match. The probe side's
 /// done-set carries over (those operators saw the same cells); operators
 /// pending for the stored side remain pending, so join outputs re-check
-/// predicates their stored constituent may have skipped.
-RoutedTuple MakeJoinOutput(const SourceLayout& layout, const RoutedTuple& rt,
-                           size_t target, Tuple merged) {
+/// predicates their stored constituent may have skipped. `queries` is the
+/// output's lineage.
+RoutedTuple MakeJoinOutput(const RoutedTuple& rt, size_t target, Tuple merged,
+                           SmallBitset queries) {
   RoutedTuple out;
   out.tuple = std::move(merged);
   out.sources = rt.sources;
   out.sources.Set(target);
   out.done = rt.done;
-  out.queries = rt.queries;  // Shared-mode lineage narrows downstream.
-  (void)layout;
+  out.queries = std::move(queries);
   return out;
 }
 }  // namespace
@@ -84,7 +86,7 @@ bool StemBuildOp::Eligible(const SmallBitset& sources) const {
 }
 
 EddyOpResult StemBuildOp::Process(RoutedTuple& rt) {
-  stem_->Insert(rt.tuple);
+  stem_->Insert(rt.tuple, rt.queries);
   EddyOpResult result;
   result.pass = true;
   return result;
@@ -95,14 +97,13 @@ EddyOpResult StemBuildOp::Process(RoutedTuple& rt) {
 StemProbeOp::StemProbeOp(std::string name, const SourceLayout* layout,
                          size_t target, SteMPtr target_stem,
                          SmallBitset probe_sources, int probe_key_index,
-                         ExprPtr bound_residual, WindowHandlePtr window)
+                         WindowHandlePtr window)
     : EddyOperator(std::move(name)),
       layout_(layout),
       target_(target),
       stem_(std::move(target_stem)),
       probe_sources_(std::move(probe_sources)),
       probe_key_index_(probe_key_index),
-      residual_(std::move(bound_residual)),
       window_(std::move(window)) {
   TCQ_CHECK(layout_ != nullptr && stem_ != nullptr);
 }
@@ -128,19 +129,29 @@ EddyOpResult StemProbeOp::Process(RoutedTuple& rt) {
     key = &key_storage;
   }
 
-  stem_->ProbeCollect(key, lo, hi, [&](const Tuple& stored) {
-    // Arrival-order dedup [MSHR02]: only match state that arrived strictly
-    // before this tuple's newest constituent, so each join result is
-    // produced exactly once no matter how the Eddy ordered the probes.
-    if (stored.seq() >= rt.tuple.seq()) return;
-    Tuple merged = layout_->MergeSparse(rt.tuple, stored);
-    if (residual_ != nullptr) {
-      const Value keep = residual_->Eval(merged);
-      if (keep.is_null() || !keep.bool_value()) return;
-    }
-    result.outputs.push_back(
-        MakeJoinOutput(*layout_, rt, target_, std::move(merged)));
-  });
+  const bool shared = rt.queries.size_bits() > 0;
+  stem_->ProbeCollect(
+      key, lo, hi, [&](const Tuple& stored, const SmallBitset& lineage) {
+        // Arrival-order dedup [MSHR02]: only match state that arrived
+        // strictly before this tuple's newest constituent, so each join
+        // result is produced exactly once no matter how the Eddy ordered
+        // the probes.
+        if (stored.seq() >= rt.tuple.seq()) return;
+        SmallBitset joint = rt.queries;
+        if (shared) {
+          // Lineage intersection: only queries that accepted both sides.
+          SmallBitset other = lineage;
+          const size_t width = std::max(joint.size_bits(), other.size_bits());
+          joint.Resize(width);
+          other.Resize(width);
+          joint &= other;
+          if (joint.None()) return;
+        }
+        result.outputs.push_back(
+            MakeJoinOutput(rt, target_, layout_->MergeSparse(rt.tuple, stored),
+                           std::move(joint)));
+      });
+  stem_->RecordMatches(result.outputs.size());
   return result;
 }
 
@@ -152,7 +163,6 @@ RemoteIndexProbeOp::RemoteIndexProbeOp(std::string name,
                                        std::shared_ptr<RemoteIndex> index,
                                        SmallBitset probe_sources,
                                        int probe_key_index,
-                                       ExprPtr bound_residual,
                                        SteMPtr cache_stem)
     : EddyOperator(std::move(name)),
       layout_(layout),
@@ -160,7 +170,6 @@ RemoteIndexProbeOp::RemoteIndexProbeOp(std::string name,
       index_(std::move(index)),
       probe_sources_(std::move(probe_sources)),
       probe_key_index_(probe_key_index),
-      residual_(std::move(bound_residual)),
       cache_(std::move(cache_stem)) {
   TCQ_CHECK(layout_ != nullptr && index_ != nullptr);
   TCQ_CHECK(probe_key_index_ >= 0)
@@ -190,18 +199,16 @@ EddyOpResult RemoteIndexProbeOp::Process(RoutedTuple& rt) {
   if (key.is_null()) return result;
 
   auto emit_match = [&](const Tuple& wide_stored) {
-    Tuple merged = layout_->MergeSparse(rt.tuple, wide_stored);
-    if (residual_ != nullptr) {
-      const Value keep = residual_->Eval(merged);
-      if (keep.is_null() || !keep.bool_value()) return;
-    }
-    result.outputs.push_back(
-        MakeJoinOutput(*layout_, rt, target_, std::move(merged)));
+    result.outputs.push_back(MakeJoinOutput(
+        rt, target_, layout_->MergeSparse(rt.tuple, wide_stored),
+        rt.queries));
   };
 
   if (cache_ != nullptr && cached_keys_.count(key) != 0) {
     ++cache_hits_;
-    cache_->ProbeCollect(&key, kMinTimestamp, kMaxTimestamp, emit_match);
+    cache_->ProbeCollect(
+        &key, kMinTimestamp, kMaxTimestamp,
+        [&](const Tuple& stored, const SmallBitset&) { emit_match(stored); });
     return result;
   }
 

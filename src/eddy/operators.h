@@ -74,17 +74,15 @@ class SyntheticFilterOp : public EddyOperator {
   uint64_t seen_ = 0;
 };
 
-/// SteM build: inserts base tuples of one source into that source's SteM.
-/// Only exact single-source tuples build (composites live in the output
-/// stream, not in base state).
+/// SteM build: inserts base tuples of one source into that source's SteM,
+/// together with their current query lineage. Only exact single-source
+/// tuples build (composites live in the output stream, not in base state).
 class StemBuildOp : public EddyOperator {
  public:
   StemBuildOp(std::string name, size_t source, SteMPtr stem);
 
   bool Eligible(const SmallBitset& sources) const override;
   EddyOpResult Process(RoutedTuple& rt) override;
-
-  const SteMPtr& stem() const { return stem_; }
 
  private:
   size_t source_;
@@ -93,18 +91,19 @@ class StemBuildOp : public EddyOperator {
 
 /// SteM probe: joins the routed tuple against the stored tuples of a
 /// target source it does not yet contain. Probing uses the hash key when
-/// both key columns are configured, otherwise scans with the residual
-/// predicate. Matches re-enter the Eddy as merged sparse tuples.
+/// both key columns are configured, otherwise scans (theta predicates are
+/// FilterOps over the joined sources). Matches re-enter the Eddy as merged
+/// sparse tuples. A probing tuple that carries a lineage (CACQ) matches
+/// only stored tuples whose lineage shares a query with it, and the output
+/// carries the intersection.
 class StemProbeOp : public EddyOperator {
  public:
   /// `probe_sources` = sources that must be present in the tuple (those
   /// carrying `probe_key_index`); `target` = stored side's source index.
-  /// `probe_key_index` / residual use full-schema cell indexes; pass
-  /// probe_key_index = -1 for scan (band/theta joins).
+  /// `probe_key_index` is a full-schema cell index; pass -1 for a scan.
   StemProbeOp(std::string name, const SourceLayout* layout, size_t target,
               SteMPtr target_stem, SmallBitset probe_sources,
-              int probe_key_index, ExprPtr bound_residual,
-              WindowHandlePtr window = nullptr);
+              int probe_key_index, WindowHandlePtr window = nullptr);
 
   bool Eligible(const SmallBitset& sources) const override;
   EddyOpResult Process(RoutedTuple& rt) override;
@@ -116,7 +115,6 @@ class StemProbeOp : public EddyOperator {
   SteMPtr stem_;
   SmallBitset probe_sources_;
   int probe_key_index_;
-  ExprPtr residual_;
   WindowHandlePtr window_;
 };
 
@@ -130,7 +128,7 @@ class RemoteIndexProbeOp : public EddyOperator {
   RemoteIndexProbeOp(std::string name, const SourceLayout* layout,
                      size_t target, std::shared_ptr<RemoteIndex> index,
                      SmallBitset probe_sources, int probe_key_index,
-                     ExprPtr bound_residual, SteMPtr cache_stem = nullptr);
+                     SteMPtr cache_stem = nullptr);
 
   bool Eligible(const SmallBitset& sources) const override;
   EddyOpResult Process(RoutedTuple& rt) override;
@@ -146,7 +144,6 @@ class RemoteIndexProbeOp : public EddyOperator {
   std::shared_ptr<RemoteIndex> index_;
   SmallBitset probe_sources_;
   int probe_key_index_;
-  ExprPtr residual_;
   SteMPtr cache_;
   std::unordered_set<Value, ValueHash> cached_keys_;
   uint64_t cache_hits_ = 0;

@@ -94,30 +94,27 @@ Result<QueryId> PSoup::Register(const ExprPtr& predicate,
 
   // Decompose the predicate into indexable factors and residual work, but
   // register nothing until everything validates (atomic registration).
-  struct FilterReg {
-    size_t column;
-    BinaryOp op;
-    Value constant;
-  };
-  std::vector<FilterReg> filter_regs;
+  std::vector<FactorPlan> grouped;
   std::vector<ExprPtr> residual_factors;
   if (predicate != nullptr) {
     TCQ_ASSIGN_OR_RETURN(state.bound_predicate, predicate->Bind(*schema_));
     for (const ExprPtr& factor : ExtractConjuncts(predicate)) {
-      if (auto sp = MatchSimplePredicate(factor)) {
-        auto idx = schema_->IndexOf(sp->column);
-        if (idx.ok()) {
-          filter_regs.push_back({*idx, sp->op, std::move(sp->constant)});
-          continue;
-        }
+      TCQ_ASSIGN_OR_RETURN(FactorPlan fp, ClassifyFactor(factor, *schema_));
+      if (fp.kind == FactorPlan::Kind::kGrouped) {
+        grouped.push_back(std::move(fp));
+        continue;
       }
-      TCQ_ASSIGN_OR_RETURN(ExprPtr bound, factor->Bind(*schema_));
-      residual_factors.push_back(std::move(bound));
+      // One stream has one qualifier, so a join factor cannot occur; bind
+      // it like any residual if a schema ever mixes qualifiers.
+      if (fp.bound == nullptr) {
+        TCQ_ASSIGN_OR_RETURN(fp.bound, factor->Bind(*schema_));
+      }
+      residual_factors.push_back(std::move(fp.bound));
     }
   }
 
-  for (FilterReg& r : filter_regs) {
-    filter_index_[r.column].AddPredicate(qid, r.op, std::move(r.constant));
+  for (FactorPlan& g : grouped) {
+    filter_index_[g.column].AddPredicate(qid, g.op, std::move(g.constant));
   }
   for (ExprPtr& r : residual_factors) {
     residuals_.emplace_back(qid, std::move(r));

@@ -22,22 +22,26 @@ AggregateMetrics& AggregateMetrics::Get() {
   return *m;
 }
 
-void TrackResidentBytes(int64_t delta) {
-  TCQ_METRIC(AggregateMetrics::Get().resident_bytes->Add(delta));
-  (void)delta;
-}
-
 }  // namespace stem_internal
 
-SteM::SteM(std::string name, SchemaPtr schema, Options options)
-    : name_(std::move(name)), schema_(std::move(schema)), options_(options) {
+namespace {
+/// Adjusts tcq.stem.resident_bytes (no-op under disabled metrics).
+void TrackResidentBytes(int64_t delta) {
+  TCQ_METRIC(stem_internal::AggregateMetrics::Get().resident_bytes->Add(
+      delta));
+  (void)delta;
+}
+}  // namespace
+
+SteM::SteM(std::string name, SchemaPtr schema, int key_field)
+    : name_(std::move(name)), schema_(std::move(schema)),
+      key_field_(key_field) {
   TCQ_CHECK(schema_ != nullptr);
-  TCQ_CHECK(options_.key_field < static_cast<int>(schema_->num_fields()));
-  TCQ_CHECK(options_.max_tuples > 0);
+  TCQ_CHECK(key_field_ < static_cast<int>(schema_->num_fields()));
 }
 
 SteM::~SteM() {
-  stem_internal::TrackResidentBytes(-resident_bytes_);  // Gauge hygiene.
+  TrackResidentBytes(-resident_bytes_);  // Gauge hygiene.
 }
 
 void SteM::SetSpool(Spool* spool, std::string key) {
@@ -46,203 +50,130 @@ void SteM::SetSpool(Spool* spool, std::string key) {
   spool_key_ = std::move(key);
 }
 
-void SteM::DemoteAt(size_t pos) {
-  if (dead_[pos]) return;
-  if (spool_ != nullptr) {
-    // Demote rather than free: expired join state stays replayable. The
-    // spool routes out-of-timestamp-order demotions to its late run, so
-    // the arrival-order sweep here needs no sorting.
-    TCQ_CHECK(spool_->Append(spool_key_, tuples_[pos]).ok())
-        << name_ << ": spool demotion failed";
-  }
-  EvictAt(pos);
-}
-
-void SteM::Insert(const Tuple& tuple) {
+void SteM::Insert(const Tuple& tuple, const SmallBitset& lineage) {
   TCQ_DCHECK(tuple.arity() == schema_->num_fields())
       << name_ << ": arity mismatch";
   if (tuple.retraction()) {
-    // A retraction cancels the matching stored assertion instead of being
-    // stored: future probes must no longer see the retracted build side.
-    // Unmatched retractions (assertion never stored, already evicted, or
-    // already cancelled) are dropped — counted by the ingress layer.
-    auto cancel_at = [&](size_t pos) {
-      EvictAt(pos);
-      CompactFront();
-    };
-    if (options_.key_field >= 0) {
-      const Value& key = tuple.cell(static_cast<size_t>(options_.key_field));
-      auto [lo, hi] = index_.equal_range(key);
-      for (auto it = lo; it != hi; ++it) {
-        const uint64_t id = it->second;
-        if (id < base_id_) continue;
-        const size_t pos = static_cast<size_t>(id - base_id_);
-        if (pos >= tuples_.size() || dead_[pos]) continue;
-        if (!tuples_[pos].retraction() && tuples_[pos].PayloadEquals(tuple)) {
-          cancel_at(pos);
-          return;
+    // Retraction-cancel (DESIGN.md §15): delete the matching stored
+    // assertion, whatever lineage it narrowed to, so future probes no
+    // longer join against it. Unmatched retractions (assertion never
+    // stored, already evicted, or already cancelled) are dropped —
+    // counted by the ingress layer.
+    if (key_field_ >= 0) {
+      const Value& key = tuple.cell(static_cast<size_t>(key_field_));
+      auto [b, end] = index_.equal_range(key);
+      for (auto it = b; it != end; ++it) {
+        const Entry* e = LiveAt(it->second);
+        if (e != nullptr && e->tuple.PayloadEquals(tuple)) {
+          Evict(entries_[static_cast<size_t>(it->second - base_id_)]);
+          break;
         }
       }
     } else {
-      for (size_t i = 0; i < tuples_.size(); ++i) {
-        if (!dead_[i] && !tuples_[i].retraction() &&
-            tuples_[i].PayloadEquals(tuple)) {
-          cancel_at(i);
-          return;
+      for (Entry& e : entries_) {
+        if (!e.dead && e.tuple.PayloadEquals(tuple)) {
+          Evict(e);
+          break;
         }
       }
     }
+    CompactFront();
     return;
   }
-  if (live_count_ >= options_.max_tuples) {
-    // FIFO capacity eviction: drop the oldest live tuple (demoting it to
-    // the spool when one is attached).
-    for (size_t i = 0; i < dead_.size(); ++i) {
-      if (!dead_[i]) {
-        DemoteAt(i);
-        break;
-      }
-    }
-    CompactFront();
+  const uint64_t id = base_id_ + entries_.size();
+  if (key_field_ >= 0) {
+    index_.emplace(tuple.cell(static_cast<size_t>(key_field_)), id);
   }
-  const uint64_t id = base_id_ + tuples_.size();
-  tuples_.push_back(tuple);
-  dead_.push_back(false);
-  ++live_count_;
+  entries_.push_back(Entry{tuple, lineage, false});
+  ++live_;
   const int64_t bytes = static_cast<int64_t>(tuple.ApproxBytes());
   resident_bytes_ += bytes;
-  stem_internal::TrackResidentBytes(bytes);
-  if (options_.key_field >= 0) {
-    index_.emplace(tuple.cell(static_cast<size_t>(options_.key_field)), id);
-  }
+  TrackResidentBytes(bytes);
   ++stats_.inserts;
   TCQ_METRIC(stem_internal::AggregateMetrics::Get().inserts->Add(1));
 }
 
-TupleVector SteM::Probe(const Tuple& probe, int probe_key_field,
-                        bool probe_on_left, const ExprPtr& residual) const {
-  return ProbeImpl(probe, probe_key_field, probe_on_left, residual,
-                   kMinTimestamp, kMaxTimestamp);
-}
-
-TupleVector SteM::ProbeWindow(const Tuple& probe, int probe_key_field,
-                              bool probe_on_left, const ExprPtr& residual,
-                              Timestamp window_lo,
-                              Timestamp window_hi) const {
-  return ProbeImpl(probe, probe_key_field, probe_on_left, residual, window_lo,
-                   window_hi);
-}
-
-TupleVector SteM::ProbeImpl(const Tuple& probe, int probe_key_field,
-                            bool probe_on_left, const ExprPtr& residual,
-                            Timestamp window_lo, Timestamp window_hi) const {
+void SteM::CountProbe(uint64_t scanned) const {
   ++stats_.probes;
+  stats_.scanned += scanned;
   TCQ_METRIC(stem_internal::AggregateMetrics::Get().probes->Add(1));
-  TupleVector out;
-
-  auto consider = [&](const Tuple& stored) {
-    ++stats_.scanned;
-    TCQ_METRIC(stem_internal::AggregateMetrics::Get().scanned->Add(1));
-    if (stored.timestamp() < window_lo || stored.timestamp() > window_hi) {
-      return;
-    }
-    Tuple joined = probe_on_left ? Tuple::Concat(probe, stored)
-                                 : Tuple::Concat(stored, probe);
-    if (residual != nullptr) {
-      const Value keep = residual->Eval(joined);
-      if (keep.is_null() || !keep.bool_value()) return;
-    }
-    ++stats_.matches;
-    TCQ_METRIC(stem_internal::AggregateMetrics::Get().matches->Add(1));
-    out.push_back(std::move(joined));
-  };
-
-  const bool indexed = options_.key_field >= 0 && probe_key_field >= 0;
-  if (indexed) {
-    const Value& key = probe.cell(static_cast<size_t>(probe_key_field));
-    auto [lo, hi] = index_.equal_range(key);
-    for (auto it = lo; it != hi; ++it) {
-      const uint64_t id = it->second;
-      if (id < base_id_) continue;  // Compacted away.
-      const size_t pos = static_cast<size_t>(id - base_id_);
-      if (pos >= tuples_.size() || dead_[pos]) continue;
-      // equal_range is hash-based: confirm true key equality.
-      if (tuples_[pos].cell(static_cast<size_t>(options_.key_field)) != key) {
-        continue;
-      }
-      consider(tuples_[pos]);
-    }
-  } else {
-    for (size_t i = 0; i < tuples_.size(); ++i) {
-      if (!dead_[i]) consider(tuples_[i]);
-    }
-  }
-  return out;
+  TCQ_METRIC(stem_internal::AggregateMetrics::Get().scanned->Add(scanned));
 }
 
-void SteM::EvictAt(size_t pos) {
-  if (dead_[pos]) return;
-  dead_[pos] = true;
-  --live_count_;
-  const int64_t bytes = static_cast<int64_t>(tuples_[pos].ApproxBytes());
+void SteM::RecordMatches(uint64_t n) const {
+  if (n == 0) return;
+  stats_.matches += n;
+  TCQ_METRIC(stem_internal::AggregateMetrics::Get().matches->Add(n));
+}
+
+void SteM::Kill(Entry& e) {
+  e.dead = true;
+  --live_;
+  const int64_t bytes = static_cast<int64_t>(e.tuple.ApproxBytes());
   resident_bytes_ -= bytes;
-  stem_internal::TrackResidentBytes(-bytes);
+  TrackResidentBytes(-bytes);
+}
+
+void SteM::Evict(Entry& e) {
+  Kill(e);
   ++stats_.evictions;
   TCQ_METRIC(stem_internal::AggregateMetrics::Get().evictions->Add(1));
 }
 
 void SteM::CompactFront() {
-  while (!dead_.empty() && dead_.front()) {
-    // Remove the matching index entries for the departing id.
-    if (options_.key_field >= 0) {
+  while (!entries_.empty() && entries_.front().dead) {
+    // Remove the index entry of the departing id.
+    if (key_field_ >= 0) {
       const Value& key =
-          tuples_.front().cell(static_cast<size_t>(options_.key_field));
-      auto [lo, hi] = index_.equal_range(key);
-      for (auto it = lo; it != hi;) {
+          entries_.front().tuple.cell(static_cast<size_t>(key_field_));
+      auto [b, end] = index_.equal_range(key);
+      for (auto it = b; it != end;) {
         it = (it->second == base_id_) ? index_.erase(it) : std::next(it);
       }
     }
-    tuples_.pop_front();
-    dead_.pop_front();
+    entries_.pop_front();
     ++base_id_;
   }
 }
 
 size_t SteM::EvictBefore(Timestamp ts) {
   size_t n = 0;
-  for (size_t i = 0; i < tuples_.size(); ++i) {
-    if (!dead_[i] && tuples_[i].timestamp() < ts) {
-      DemoteAt(i);
-      ++n;
+  for (Entry& e : entries_) {
+    if (e.dead || e.tuple.timestamp() >= ts) continue;
+    if (spool_ != nullptr) {
+      // Demote rather than free: expired join state stays replayable. The
+      // spool routes out-of-timestamp-order demotions to its late run, so
+      // this arrival-order sweep needs no sorting.
+      TCQ_CHECK(spool_->Append(spool_key_, e.tuple).ok())
+          << name_ << ": spool demotion failed";
     }
+    Evict(e);
+    ++n;
   }
   CompactFront();
   return n;
 }
 
-size_t SteM::EvictOutside(Timestamp lo, Timestamp hi) {
-  size_t n = 0;
-  for (size_t i = 0; i < tuples_.size(); ++i) {
-    if (dead_[i]) continue;
-    const Timestamp ts = tuples_[i].timestamp();
-    if (ts < lo || ts > hi) {
-      DemoteAt(i);
-      ++n;
-    }
+std::vector<SteM::ExtractedEntry> SteM::CopyAll() const {
+  std::vector<ExtractedEntry> out;
+  out.reserve(live_);
+  for (const Entry& e : entries_) {
+    if (!e.dead) out.push_back(ExtractedEntry{e.tuple, e.lineage});
   }
-  CompactFront();
-  return n;
+  return out;
 }
 
-void SteM::Clear() {
-  // Wholesale reset (tests, shutdown): no demotion, plain release.
-  tuples_.clear();
-  dead_.clear();
-  index_.clear();
-  base_id_ = 0;
-  live_count_ = 0;
-  stem_internal::TrackResidentBytes(-resident_bytes_);
-  resident_bytes_ = 0;
+void SteM::ClearAll() {
+  for (Entry& e : entries_) {
+    if (!e.dead) Kill(e);
+  }
+  CompactFront();
+}
+
+void SteM::ScrubQuery(size_t q) {
+  for (Entry& e : entries_) {
+    if (!e.dead && q < e.lineage.size_bits()) e.lineage.Clear(q);
+  }
 }
 
 }  // namespace tcq

@@ -8,12 +8,12 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/bitset.h"
 #include "common/clock.h"
-#include "common/status.h"
-#include "expr/ast.h"
 #include "telemetry/metrics.h"
 #include "tuple/schema.h"
 #include "tuple/tuple.h"
+#include "tuple/value.h"
 
 namespace tcq {
 
@@ -28,127 +28,127 @@ struct AggregateMetrics {
   Counter* matches;
   Counter* evictions;
   Counter* scanned;
-  Gauge* resident_bytes;  ///< Stored-tuple bytes in RAM (SteM+SharedSteM).
+  Gauge* resident_bytes;  ///< Stored-tuple bytes in RAM.
   static AggregateMetrics& Get();
 };
-
-/// Adjusts tcq.stem.resident_bytes (no-op under disabled metrics).
-void TrackResidentBytes(int64_t delta);
 }  // namespace stem_internal
 
 /// A State Module (§2.2, [RDH02]): a temporary repository of homogeneous
-/// tuples — "half of a traditional join operator". Supports insert (build),
-/// search (probe) and delete (evict). Probes return the concatenations of
-/// the probe tuple with every stored match; with a hash index on the join
-/// attribute, an Eddy routing build+probe tuples through two SteMs yields a
-/// symmetric hash join, and richer routings yield hybrid join plans.
+/// tuples — "half of a traditional join operator" that the Eddy builds
+/// into and probes. With a hash index on the join attribute, an Eddy
+/// routing build+probe tuples through two SteMs yields a symmetric hash
+/// join, and richer routings yield hybrid join plans.
 ///
-/// Eviction: window queries expire tuples by timestamp; a capacity bound
-/// evicts FIFO (the oldest state) when exceeded, which also serves as the
-/// out-of-core pressure-relief valve for this in-memory reproduction.
+/// Every stored tuple carries its lineage: the set of queries it still
+/// satisfied when it was built. Probes hand it back next to the tuple, so
+/// one physical SteM serves the joins of many CACQ queries at once (§3.1,
+/// [MSHR02]). A single-query Eddy (per-window joins) stores empty
+/// lineages. Newly added queries see only tuples stored after their
+/// arrival (CACQ semantics: no history; PSoup adds it).
 class SteM {
  public:
-  struct Options {
-    /// Field index (into this SteM's schema) carrying the join key that the
-    /// hash index is built on; -1 disables the index (probes scan).
-    int key_field = -1;
-    /// FIFO capacity bound; inserting beyond it evicts the oldest tuple.
-    size_t max_tuples = SIZE_MAX;
-  };
-
-  SteM(std::string name, SchemaPtr schema, Options options);
+  /// `key_field` = the cell (of `schema`) the hash index is built on; -1
+  /// disables the index (probes scan).
+  SteM(std::string name, SchemaPtr schema, int key_field);
   ~SteM();
 
   SteM(const SteM&) = delete;
   SteM& operator=(const SteM&) = delete;
 
-  /// Evicted tuples (window expiry, capacity FIFO) demote to `spool`
-  /// under `key` instead of being freed (DESIGN.md §16); retraction
-  /// cancellations still delete. Caller keeps `spool` alive past this
-  /// SteM.
+  /// Window-expired state demotes to `spool` under `key` instead of being
+  /// freed (DESIGN.md §16). The spooled record is the bare tuple: lineage
+  /// stays in RAM, and replay re-derives query sets. Retraction
+  /// cancellations, ExtractIf and ClearAll delete. The caller keeps
+  /// `spool` alive past this SteM.
   void SetSpool(Spool* spool, std::string key);
 
   const std::string& name() const { return name_; }
-  const SchemaPtr& schema() const { return schema_; }
-  int key_field() const { return options_.key_field; }
+  int key_field() const { return key_field_; }
+  size_t size() const { return live_; }
 
-  /// Adds a build tuple. Evicts FIFO when at capacity.
-  void Insert(const Tuple& tuple);
+  /// Stores a build tuple with its query lineage. A retraction is never
+  /// stored: it cancels the matching stored assertion instead.
+  void Insert(const Tuple& tuple, const SmallBitset& lineage = SmallBitset());
 
-  /// Probes with tuple `probe` whose join-key is cell `probe_key_field`.
-  /// Every stored tuple s with matching key yields a concatenation —
-  /// probe-then-stored when `probe_on_left`, else stored-then-probe —
-  /// filtered by the optional `residual` predicate, which must be bound
-  /// against the corresponding concatenated schema. With key_field == -1
-  /// (or probe_key_field == -1) the probe scans all stored tuples and
-  /// relies entirely on `residual`.
-  TupleVector Probe(const Tuple& probe, int probe_key_field,
-                    bool probe_on_left, const ExprPtr& residual) const;
+  /// Applies `fn(stored_tuple, stored_lineage)` to every live stored tuple
+  /// matching `key` (nullptr = scan all, in arrival order) whose timestamp
+  /// lies in [lo, hi]. The caller combines tuples itself — the Eddy merges
+  /// sparse full-width tuples rather than concatenating narrow ones.
+  template <typename Fn>
+  void ProbeCollect(const Value* key, Timestamp lo, Timestamp hi,
+                    Fn&& fn) const {
+    uint64_t scanned = 0;
+    auto consider = [&](const Entry& e) {
+      ++scanned;
+      const Timestamp ts = e.tuple.timestamp();
+      if (ts < lo || ts > hi) return;
+      fn(e.tuple, e.lineage);
+    };
+    if (key != nullptr && key_field_ >= 0) {
+      auto [b, end] = index_.equal_range(*key);
+      for (auto it = b; it != end; ++it) {
+        const Entry* e = LiveAt(it->second);
+        // equal_range is hash-based: confirm true key equality.
+        if (e == nullptr ||
+            e->tuple.cell(static_cast<size_t>(key_field_)) != *key) {
+          continue;
+        }
+        consider(*e);
+      }
+    } else {
+      for (const Entry& e : entries_) {
+        if (!e.dead) consider(e);
+      }
+    }
+    CountProbe(scanned);
+  }
 
-  /// Restricts a probe to stored tuples whose timestamp lies in
-  /// [window_lo, window_hi] — used by windowed joins (band joins, §4.1).
-  TupleVector ProbeWindow(const Tuple& probe, int probe_key_field,
-                          bool probe_on_left, const ExprPtr& residual,
-                          Timestamp window_lo, Timestamp window_hi) const;
+  /// Counts `n` join outputs made from this SteM's probes.
+  void RecordMatches(uint64_t n) const;
 
-  /// Evicts stored tuples with timestamp < ts (assumes mostly-ordered
-  /// arrival; out-of-order stragglers are caught by a full sweep).
+  /// Evicts (demoting to the spool, when one is set) every stored tuple
+  /// with timestamp < ts. A full sweep, so out-of-order stragglers go too.
   /// Returns the number evicted.
   size_t EvictBefore(Timestamp ts);
 
-  /// Evicts everything outside [lo, hi].
-  size_t EvictOutside(Timestamp lo, Timestamp hi);
+  /// A stored tuple lifted out for state migration or a checkpoint: the
+  /// tuple (which carries its timestamp and arrival seq) plus its lineage.
+  struct ExtractedEntry {
+    Tuple tuple;
+    SmallBitset lineage;
+  };
 
-  void Clear();
-
-  size_t size() const { return live_count_; }
-  bool empty() const { return live_count_ == 0; }
-
-  /// Applies `fn` to every live tuple in arrival order.
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    for (size_t i = 0; i < tuples_.size(); ++i) {
-      if (!dead_[i]) fn(tuples_[i]);
+  /// Removes every live entry whose key cell satisfies `pred` and returns
+  /// them in arrival order. With key_field < 0 (scan-only SteM) `pred` sees
+  /// the tuple's first cell — callers partitioning by key never build such
+  /// SteMs, but the fallback keeps extraction total.
+  template <typename Pred>
+  std::vector<ExtractedEntry> ExtractIf(Pred&& pred) {
+    std::vector<ExtractedEntry> out;
+    const size_t key = key_field_ >= 0 ? static_cast<size_t>(key_field_) : 0;
+    for (Entry& e : entries_) {
+      if (e.dead || !pred(e.tuple.cell(key))) continue;
+      out.push_back(ExtractedEntry{e.tuple, e.lineage});
+      Kill(e);
     }
+    CompactFront();
+    return out;
   }
 
-  /// Low-level probe: applies `fn(const Tuple&)` to every live stored tuple
-  /// matching `key` (or to all live tuples when key == nullptr) whose
-  /// timestamp lies in [window_lo, window_hi]. The caller combines tuples
-  /// itself — the Eddy uses this to merge sparse full-width tuples rather
-  /// than concatenating narrow ones.
-  template <typename Fn>
-  void ProbeCollect(const Value* key, Timestamp window_lo,
-                    Timestamp window_hi, Fn&& fn) const {
-    ++stats_.probes;
-    TCQ_METRIC(stem_internal::AggregateMetrics::Get().probes->Add(1));
-    auto consider = [&](const Tuple& stored) {
-      ++stats_.scanned;
-      TCQ_METRIC(stem_internal::AggregateMetrics::Get().scanned->Add(1));
-      if (stored.timestamp() < window_lo || stored.timestamp() > window_hi) {
-        return;
-      }
-      fn(stored);
-    };
-    if (key != nullptr && options_.key_field >= 0) {
-      auto [lo, hi] = index_.equal_range(*key);
-      for (auto it = lo; it != hi; ++it) {
-        const uint64_t id = it->second;
-        if (id < base_id_) continue;
-        const size_t pos = static_cast<size_t>(id - base_id_);
-        if (pos >= tuples_.size() || dead_[pos]) continue;
-        if (tuples_[pos].cell(static_cast<size_t>(options_.key_field)) !=
-            *key) {
-          continue;
-        }
-        consider(tuples_[pos]);
-      }
-    } else {
-      for (size_t i = 0; i < tuples_.size(); ++i) {
-        if (!dead_[i]) consider(tuples_[i]);
-      }
-    }
+  /// Re-inserts an extracted entry, preserving lineage, timestamp and seq.
+  void Install(const ExtractedEntry& entry) {
+    Insert(entry.tuple, entry.lineage);
   }
+
+  /// Copies every live entry in arrival order without removing it — the
+  /// checkpoint flavor of ExtractIf.
+  std::vector<ExtractedEntry> CopyAll() const;
+
+  /// Drops every live entry (a replica discarding its previous snapshot).
+  void ClearAll();
+
+  /// Clears query q's bit from every stored lineage (query removed).
+  void ScrubQuery(size_t q);
 
   // -- Statistics -------------------------------------------------------
   // Internally the SteM counts with telemetry counters (relaxed atomics,
@@ -170,30 +170,42 @@ class SteM {
   }
 
  private:
-  void EvictAt(size_t pos);
-  /// EvictAt plus spool demotion — the window-expiry / capacity path
-  /// (cancellations bypass this and truly delete).
-  void DemoteAt(size_t pos);
+  struct Entry {
+    Tuple tuple;
+    SmallBitset lineage;
+    bool dead = false;
+  };
+
+  /// The live entry with global id `id`, or null if compacted or dead.
+  const Entry* LiveAt(uint64_t id) const {
+    if (id < base_id_) return nullptr;
+    const size_t pos = static_cast<size_t>(id - base_id_);
+    if (pos >= entries_.size() || entries_[pos].dead) return nullptr;
+    return &entries_[pos];
+  }
+  /// Tombstones a live entry. The tuple stays intact: CompactFront still
+  /// reads a dead front entry's key to clean the index.
+  void Kill(Entry& e);
+  /// Kill plus the eviction count (window expiry, retraction cancel).
+  void Evict(Entry& e);
   void CompactFront();
-  TupleVector ProbeImpl(const Tuple& probe, int probe_key_field,
-                        bool probe_on_left, const ExprPtr& residual,
-                        Timestamp window_lo, Timestamp window_hi) const;
+  /// Counts one probe that examined `scanned` stored tuples.
+  void CountProbe(uint64_t scanned) const;
 
   const std::string name_;
   const SchemaPtr schema_;
-  const Options options_;
+  const int key_field_;
 
-  // Spool hook (null = evictions free memory, the legacy behavior).
+  // Spool hook (null = window expiry frees memory).
   Spool* spool_ = nullptr;
   std::string spool_key_;
   int64_t resident_bytes_ = 0;
 
-  // Storage: append-only deque addressed by global id = base_id_ + offset.
-  // dead_ marks evicted positions; the front compacts when fully dead.
-  std::deque<Tuple> tuples_;
-  std::deque<bool> dead_;
+  // Storage: deque addressed by global id = base_id_ + offset. Dead
+  // entries are tombstones; the front compacts when fully dead.
+  std::deque<Entry> entries_;
   uint64_t base_id_ = 0;
-  size_t live_count_ = 0;
+  size_t live_ = 0;
 
   // Hash index: key value -> global ids (may contain stale/dead ids that
   // probes filter lazily).

@@ -128,6 +128,36 @@ TEST(CacqEngineTest, ResidualPredicates) {
   EXPECT_EQ(hits, 2);
 }
 
+TEST(CacqEngineTest, ResidualsOnSourceSetsSixtyFourApartStaySeparate) {
+  // {S0} and {S64} agree modulo 64: each query's residual must still run
+  // on its own stream only.
+  CacqEngine engine;
+  for (int i = 0; i <= 64; ++i) {
+    ASSERT_TRUE(engine.AddStream("S" + std::to_string(i), KV()).ok());
+  }
+  std::map<QueryId, int> hits;
+  engine.SetSink([&](QueryId q, const Tuple&) { ++hits[q]; });
+  auto sum_gt_100 = [](const std::string& s) {
+    CacqQuerySpec q;
+    q.sources = {s};
+    q.where = Expr::Binary(
+        BinaryOp::kGt,
+        Expr::Binary(BinaryOp::kAdd, Expr::Column(s + ".k"),
+                     Expr::Column(s + ".v")),
+        Expr::Literal(Value::Int64(100)));
+    return q;
+  };
+  auto q0 = engine.AddQuery(sum_gt_100("S0"));
+  auto q64 = engine.AddQuery(sum_gt_100("S64"));
+  ASSERT_TRUE(q0.ok() && q64.ok());
+
+  ASSERT_TRUE(engine.Inject("S0", KVTuple(1, 1, 1)).ok());
+  ASSERT_TRUE(engine.Inject("S64", KVTuple(1, 1, 1)).ok());
+  ASSERT_TRUE(engine.Inject("S64", KVTuple(60, 60, 2)).ok());
+  EXPECT_EQ(hits[*q0], 0);
+  EXPECT_EQ(hits[*q64], 1);  // Only (60, 60) passes k + v > 100.
+}
+
 TEST(CacqEngineTest, SharedJoinAcrossQueries) {
   // Two join queries with different selections share the SteM pair.
   CacqEngine engine;

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "cacq/sharded_engine.h"
-#include "cacq/shared_stem.h"
 #include "core/server.h"
 #include "ingress/wrapper.h"
 #include "psoup/psoup.h"
@@ -588,18 +587,21 @@ TEST(DisorderSatelliteTest, PSoupEvictBeforeReclaimsLateArrivals) {
 }
 
 TEST(DisorderSatelliteTest, SteMEvictBeforeSweepsStragglers) {
-  SteM stem("s", KV(), SteM::Options{});
+  SteM stem("s", KV(), /*key_field=*/-1);
   stem.Insert(KVTuple(10, 1));
   stem.Insert(KVTuple(3, 2));  // Straggler stored behind a newer tuple.
   stem.Insert(KVTuple(20, 3));
   EXPECT_EQ(stem.EvictBefore(15), 2u);  // Full sweep: 10 AND the 3.
   EXPECT_EQ(stem.size(), 1u);
-  stem.ForEach([](const Tuple& t) { EXPECT_EQ(t.timestamp(), 20); });
+  stem.ProbeCollect(nullptr, kMinTimestamp, kMaxTimestamp,
+                    [](const Tuple& t, const SmallBitset&) {
+                      EXPECT_EQ(t.timestamp(), 20);
+                    });
 }
 
-TEST(DisorderSatelliteTest, SharedSteMEvictSweepsStragglersAcrossMigration) {
-  SharedSteM from("a", KV(), /*key_field=*/1);
-  SharedSteM to("b", KV(), /*key_field=*/1);
+TEST(DisorderSatelliteTest, LineageSteMEvictSweepsStragglersAcrossMigration) {
+  SteM from("a", KV(), /*key_field=*/1);
+  SteM to("b", KV(), /*key_field=*/1);
   SmallBitset lineage(2);
   lineage.Set(0);
   from.Insert(KVTuple(10, 1), lineage);

@@ -20,12 +20,10 @@ struct JoinFixture {
   JoinFixture() {
     s = layout.AddSource("S", KV());
     t = layout.AddSource("T", KV());
-    SteM::Options so;
-    so.key_field = static_cast<int>(layout.offset(s));  // S.k
-    stem_s = std::make_shared<SteM>("SteM_S", layout.full_schema(), so);
-    SteM::Options to;
-    to.key_field = static_cast<int>(layout.offset(t));  // T.k
-    stem_t = std::make_shared<SteM>("SteM_T", layout.full_schema(), to);
+    stem_s = std::make_shared<SteM>("SteM_S", layout.full_schema(),
+                                    static_cast<int>(layout.offset(s)));
+    stem_t = std::make_shared<SteM>("SteM_T", layout.full_schema(),
+                                    static_cast<int>(layout.offset(t)));
   }
 
   SmallBitset Only(size_t src) const {
@@ -39,10 +37,10 @@ struct JoinFixture {
     eddy->AddOperator(std::make_shared<StemBuildOp>("build_T", t, stem_t));
     eddy->AddOperator(std::make_shared<StemProbeOp>(
         "probe_T", &layout, t, stem_t, Only(s),
-        static_cast<int>(layout.offset(s)), nullptr));
+        static_cast<int>(layout.offset(s))));
     eddy->AddOperator(std::make_shared<StemProbeOp>(
         "probe_S", &layout, s, stem_s, Only(t),
-        static_cast<int>(layout.offset(t)), nullptr));
+        static_cast<int>(layout.offset(t))));
   }
 };
 
@@ -112,7 +110,11 @@ TEST_P(EddyJoinPropertyTest, MatchesReferenceJoin) {
     if (rng.NextBool(0.3)) eddy.Drain();  // Interleave routing with arrival.
   }
   eddy.Drain();
-  EXPECT_EQ(emitted, ReferenceJoinCount(s_rows, t_rows));
+  const size_t expected = ReferenceJoinCount(s_rows, t_rows);
+  EXPECT_EQ(emitted, expected);
+  // Each join output is counted once, by the SteM its probe read.
+  EXPECT_EQ(fx.stem_s->stats().matches + fx.stem_t->stats().matches,
+            expected);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -129,14 +131,11 @@ TEST(EddyJoinTest, ResidualPredicateBandJoin) {
   auto residual = residual_expr->Bind(*fx.layout.full_schema());
   ASSERT_TRUE(residual.ok()) << residual.status();
 
-  eddy.AddOperator(std::make_shared<StemBuildOp>("build_S", fx.s, fx.stem_s));
-  eddy.AddOperator(std::make_shared<StemBuildOp>("build_T", fx.t, fx.stem_t));
-  eddy.AddOperator(std::make_shared<StemProbeOp>(
-      "probe_T", &fx.layout, fx.t, fx.stem_t, fx.Only(fx.s),
-      static_cast<int>(fx.layout.offset(fx.s)), *residual));
-  eddy.AddOperator(std::make_shared<StemProbeOp>(
-      "probe_S", &fx.layout, fx.s, fx.stem_s, fx.Only(fx.t),
-      static_cast<int>(fx.layout.offset(fx.t)), *residual));
+  fx.WireSymmetricHashJoin(&eddy);
+  SmallBitset both = fx.Only(fx.s);
+  both.Set(fx.t);
+  eddy.AddOperator(
+      std::make_shared<FilterOp>("T.v > S.v", *residual, std::move(both)));
 
   TupleVector out;
   eddy.SetSink([&](RoutedTuple&& rt) { out.push_back(rt.tuple); });
@@ -157,7 +156,7 @@ TEST(EddyJoinTest, WindowedProbeRespectsHandle) {
   eddy.AddOperator(std::make_shared<StemBuildOp>("build_T", fx.t, fx.stem_t));
   eddy.AddOperator(std::make_shared<StemProbeOp>(
       "probe_T", &fx.layout, fx.t, fx.stem_t, fx.Only(fx.s),
-      static_cast<int>(fx.layout.offset(fx.s)), nullptr, window));
+      static_cast<int>(fx.layout.offset(fx.s)), window));
 
   size_t emitted = 0;
   eddy.SetSink([&](RoutedTuple&&) { ++emitted; });
@@ -179,9 +178,8 @@ TEST(EddyJoinTest, ThreeWayJoinMatchesReference) {
   const size_t t = layout.AddSource("T", KV());
 
   auto make_stem = [&](size_t src, const char* name) {
-    SteM::Options o;
-    o.key_field = static_cast<int>(layout.offset(src));
-    return std::make_shared<SteM>(name, layout.full_schema(), o);
+    return std::make_shared<SteM>(name, layout.full_schema(),
+                                  static_cast<int>(layout.offset(src)));
   };
   auto stem_r = make_stem(r, "SteM_R");
   auto stem_s = make_stem(s, "SteM_S");
@@ -205,7 +203,7 @@ TEST(EddyJoinTest, ThreeWayJoinMatchesReference) {
     eddy.AddOperator(
         std::make_shared<StemProbeOp>(
             name, &layout, target, stem, contains({key_src}),
-            static_cast<int>(layout.offset(key_src)), nullptr),
+            static_cast<int>(layout.offset(key_src))),
         /*group=*/static_cast<int>(target));
   };
   add_probe("probe_S_by_R", s, stem_s, r);
@@ -255,16 +253,15 @@ TEST(EddyJoinTest, RemoteIndexHybridCachesLookups) {
   ro.latency_cost = 100;
   auto index = std::make_shared<RemoteIndex>("T_idx", KV(), 0, t_rows, ro);
 
-  SteM::Options co;
-  co.key_field = static_cast<int>(layout.offset(t));
-  auto cache = std::make_shared<SteM>("T_cache", layout.full_schema(), co);
+  auto cache = std::make_shared<SteM>("T_cache", layout.full_schema(),
+                                      static_cast<int>(layout.offset(t)));
 
   SmallBitset only_s(layout.num_sources());
   only_s.Set(s);
   Eddy eddy(&layout, std::make_unique<FixedPolicy>(std::vector<size_t>{}));
   auto probe = std::make_shared<RemoteIndexProbeOp>(
       "idx_probe", &layout, t, index, only_s,
-      static_cast<int>(layout.offset(s)), nullptr, cache);
+      static_cast<int>(layout.offset(s)), cache);
   eddy.AddOperator(probe);
 
   size_t emitted = 0;
@@ -290,9 +287,8 @@ TEST(EddyJoinTest, SelfJoinViaTwoAliases) {
   const size_t c1 = layout.AddSource("c1", KV());
   const size_t c2 = layout.AddSource("c2", KV());
   auto make_stem = [&](size_t src, const char* name) {
-    SteM::Options o;
-    o.key_field = static_cast<int>(layout.offset(src));
-    return std::make_shared<SteM>(name, layout.full_schema(), o);
+    return std::make_shared<SteM>(name, layout.full_schema(),
+                                  static_cast<int>(layout.offset(src)));
   };
   auto stem1 = make_stem(c1, "SteM_c1");
   auto stem2 = make_stem(c2, "SteM_c2");
@@ -314,10 +310,14 @@ TEST(EddyJoinTest, SelfJoinViaTwoAliases) {
   eddy.AddOperator(std::make_shared<StemBuildOp>("build2", c2, stem2));
   eddy.AddOperator(std::make_shared<StemProbeOp>(
       "probe2", &layout, c2, stem2, only(c1),
-      static_cast<int>(layout.offset(c1)), *residual));
+      static_cast<int>(layout.offset(c1))));
   eddy.AddOperator(std::make_shared<StemProbeOp>(
       "probe1", &layout, c1, stem1, only(c2),
-      static_cast<int>(layout.offset(c2)), *residual));
+      static_cast<int>(layout.offset(c2))));
+  SmallBitset both = only(c1);
+  both.Set(c2);
+  eddy.AddOperator(
+      std::make_shared<FilterOp>("c2.v > c1.v", *residual, std::move(both)));
 
   size_t emitted = 0;
   eddy.SetSink([&](RoutedTuple&&) { ++emitted; });

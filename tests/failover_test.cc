@@ -599,9 +599,9 @@ TEST(FailoverTest, QueryRemovedBeforeAKillLeavesNoLineageBit) {
     for (size_t shard = 0; shard < 2; ++shard) {
       size_t entries = 0;
       for (const auto& stem : engine.engine(shard).CheckpointState().stems) {
-        for (const SharedSteM::ExtractedEntry& e : stem.entries) {
+        for (const SteM::ExtractedEntry& e : stem.entries) {
           ++entries;
-          EXPECT_FALSE(*q < e.queries.size_bits() && e.queries.Test(*q))
+          EXPECT_FALSE(*q < e.lineage.size_bits() && e.lineage.Test(*q))
               << "shard " << shard << ": " << e.tuple.ToString();
         }
       }

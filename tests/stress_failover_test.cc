@@ -150,9 +150,9 @@ TEST(StressFailoverTest, FailoversAgainstProducersAndMigrations) {
   for (size_t i = 0; i < churned.size(); ++i) EXPECT_EQ(churned[i], i + 2);
   for (size_t shard = 0; shard < kShards; ++shard) {
     for (const auto& stem : engine.engine(shard).CheckpointState().stems) {
-      for (const SharedSteM::ExtractedEntry& e : stem.entries) {
+      for (const SteM::ExtractedEntry& e : stem.entries) {
         for (QueryId cq : churned) {
-          EXPECT_FALSE(cq < e.queries.size_bits() && e.queries.Test(cq))
+          EXPECT_FALSE(cq < e.lineage.size_bits() && e.lineage.Test(cq))
               << "shard " << shard << " query " << cq;
         }
       }
