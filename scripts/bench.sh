@@ -20,7 +20,9 @@
 # disorder rate, delayed vs speculative, kIngestLate backfill), and the
 # SteM joins: CACQ sharing with one shared SteM pair under 1..32 join
 # queries (bench_cacq_sharing, BM_SharedJoin) and the per-window
-# symmetric-hash/index hybrid (bench_stem_hybrid_join). Add binaries via
+# symmetric-hash/index hybrid (bench_stem_hybrid_join), and the other two
+# users of the query index: PSoup's Query SteM (bench_psoup) and the
+# grouped filter inside it (bench_grouped_filter). Add binaries via
 # $BENCHES.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -29,7 +31,7 @@ JOBS="${JOBS:-$(nproc)}"
 BUILD_DIR="${BUILD_DIR:-build}"
 SHA="$(git rev-parse --short HEAD)"
 OUT="${OUT:-BENCH_${SHA}.json}"
-BENCHES="${BENCHES:-bench_executor bench_fjords_queues bench_many_queries bench_disorder bench_spool bench_cacq_sharing bench_stem_hybrid_join}"
+BENCHES="${BENCHES:-bench_executor bench_fjords_queues bench_many_queries bench_disorder bench_spool bench_cacq_sharing bench_stem_hybrid_join bench_psoup bench_grouped_filter}"
 
 EXTRA_ARGS=()
 if [[ "${1:-}" == "--quick" ]]; then

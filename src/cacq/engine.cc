@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "expr/predicates.h"
+#include "eddy/operators.h"
 
 namespace tcq {
 
@@ -29,38 +29,42 @@ Result<size_t> CacqEngine::AddStream(const std::string& name,
   return idx;
 }
 
-std::shared_ptr<GroupedFilterOp> CacqEngine::FilterOpFor(size_t column) {
-  auto it = filter_ops_.find(column);
-  if (it != filter_ops_.end()) return it->second;
-  // Which source owns this absolute column?
-  size_t owner = layout_.num_sources();
-  for (size_t s = 0; s < layout_.num_sources(); ++s) {
-    if (column >= layout_.offset(s) &&
-        column < layout_.offset(s) + layout_.arity(s)) {
-      owner = s;
-      break;
-    }
-  }
-  TCQ_CHECK(owner < layout_.num_sources());
-  SmallBitset required(layout_.num_sources());
-  required.Set(owner);
-  auto op = std::make_shared<GroupedFilterOp>(
-      "gf[" + layout_.full_schema()->field(column).QualifiedName() + "]",
-      column, std::move(required));
-  eddy_->AddOperator(op);
-  filter_ops_.emplace(column, op);
-  return op;
-}
+class CacqEngine::IndexOp : public EddyOperator {
+ public:
+  IndexOp(std::string name, SmallBitset required)
+      : EddyOperator(std::move(name)), required_(std::move(required)) {}
 
-std::shared_ptr<ResidualFilterOp> CacqEngine::ResidualOpFor(
-    const SmallBitset& req) {
-  for (const auto& op : residual_ops_) {
-    if (op->required() == req) return op;
+  const SmallBitset& required() const { return required_; }
+  QueryIndex& index() { return index_; }
+
+  bool Eligible(const SmallBitset& sources) const override {
+    return sources.Contains(required_);
   }
-  auto op = std::make_shared<ResidualFilterOp>("residual", req);
+  EddyOpResult Process(RoutedTuple& rt) override {
+    index_.Narrow(rt.tuple, &rt.queries);
+    EddyOpResult result;
+    result.pass = !rt.queries.None();
+    return result;
+  }
+
+ private:
+  SmallBitset required_;
+  QueryIndex index_;
+};
+
+CacqEngine::IndexOp& CacqEngine::IndexOpFor(const SmallBitset& required) {
+  for (const auto& op : index_ops_) {
+    if (op->required() == required) return *op;
+  }
+  std::string name = "index[";
+  required.ForEachSet([&](size_t s) {
+    if (name.back() != '[') name += ",";
+    name += layout_.alias(s);
+  });
+  auto op = std::make_shared<IndexOp>(name + "]", required);
   eddy_->AddOperator(op);
-  residual_ops_.push_back(op);
-  return op;
+  index_ops_.push_back(op);
+  return *op;
 }
 
 void CacqEngine::EnsureJoin(size_t src_a, int col_a, size_t src_b,
@@ -142,21 +146,34 @@ Result<CacqQueryPlan> CacqEngine::PlanQuery(const SourceLayout& layout,
         break;
       }
       case FactorPlan::Kind::kGrouped:
-        plan.filters.push_back({fp.column, fp.op, std::move(fp.constant)});
-        break;
       case FactorPlan::Kind::kResidual: {
-        // Per-query residual on the referenced sources.
-        std::vector<std::string> cols;
-        factor->CollectColumns(&cols);
+        // Indexed with the other factors over the same sources.
         SmallBitset req(layout.num_sources());
-        for (const std::string& c : cols) {
-          TCQ_ASSIGN_OR_RETURN(size_t idx, schema->IndexOf(c));
-          const size_t s = layout.SourceIndexOf(schema->field(idx).qualifier);
-          TCQ_CHECK(s < layout.num_sources());
-          req.Set(s);
+        if (fp.kind == FactorPlan::Kind::kGrouped) {
+          req.Set(layout.SourceIndexOf(schema->field(fp.column).qualifier));
+        } else {
+          std::vector<std::string> cols;
+          factor->CollectColumns(&cols);
+          for (const std::string& c : cols) {
+            TCQ_ASSIGN_OR_RETURN(size_t idx, schema->IndexOf(c));
+            req.Set(layout.SourceIndexOf(schema->field(idx).qualifier));
+          }
+          if (req.None()) req = plan.footprint;  // Constant predicate.
         }
-        if (req.None()) req = plan.footprint;  // Constant predicate.
-        plan.residuals.push_back({std::move(req), std::move(fp.bound)});
+        if (!plan.footprint.Contains(req)) {
+          return Status::InvalidArgument(
+              "predicate references sources outside the footprint: " +
+              factor->ToString());
+        }
+        auto it = std::find_if(plan.selections.begin(), plan.selections.end(),
+                               [&](const CacqQueryPlan::Selection& s) {
+                                 return s.required == req;
+                               });
+        if (it == plan.selections.end()) {
+          plan.selections.push_back({std::move(req), {}});
+          it = plan.selections.end() - 1;
+        }
+        it->factors.push_back(std::move(fp));
         break;
       }
     }
@@ -168,24 +185,16 @@ QueryId CacqEngine::InstallQuery(const CacqQueryPlan& plan) {
   const QueryId qid = static_cast<QueryId>(queries_.size());
   QueryInfo info;
   info.footprint = plan.footprint;
-  // Join and residual operators are created before grouped filters: the
-  // routing policy's draws follow the eddy's operator order.
+  // Join operators are created before index operators: the routing
+  // policy's draws follow the eddy's operator order.
   for (const CacqQueryPlan::Join& j : plan.joins) {
     EnsureJoin(j.source_a, static_cast<int>(j.column_a), j.source_b,
                static_cast<int>(j.column_b));
   }
-  for (const CacqQueryPlan::Residual& r : plan.residuals) {
-    info.residual_ops.push_back(ResidualOpFor(r.required));
-  }
-  for (const CacqQueryPlan::Filter& f : plan.filters) {
-    FilterOpFor(f.column)->filter().AddPredicate(qid, f.op, f.constant);
-    info.filter_columns.push_back(f.column);
-  }
-  for (size_t i = 0; i < plan.residuals.size(); ++i) {
-    info.residual_ops[i]->AddResidual(qid, plan.residuals[i].bound);
+  for (const CacqQueryPlan::Selection& s : plan.selections) {
+    IndexOpFor(s.required).index().Add(qid, s.factors);
   }
   info.active = true;
-  info.speculative = plan.speculative;
   info.footprint.ForEachSet([&](size_t s) {
     if (interested_[s].size_bits() <= qid) interested_[s].Resize(qid + 1);
     interested_[s].Set(qid);
@@ -207,10 +216,7 @@ Status CacqEngine::RemoveQuery(QueryId q) {
   QueryInfo& info = queries_[q];
   info.active = false;
   --active_queries_;
-  for (size_t column : info.filter_columns) {
-    filter_ops_[column]->filter().RemoveQuery(q);
-  }
-  for (auto& op : info.residual_ops) op->RemoveQuery(q);
+  for (auto& op : index_ops_) op->index().Remove(q);
   for (auto& [jk, stem] : stems_) stem->ScrubQuery(q);
   for (SmallBitset& bits : interested_) {
     if (q < bits.size_bits()) bits.Clear(q);

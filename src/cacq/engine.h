@@ -9,10 +9,10 @@
 #include <vector>
 
 #include "cacq/migration.h"
-#include "cacq/shared_ops.h"
 #include "eddy/eddy.h"
 #include "expr/ast.h"
-#include "modules/grouped_filter.h"
+#include "expr/predicates.h"
+#include "modules/query_index.h"
 #include "stem/stem.h"
 
 namespace tcq {
@@ -24,8 +24,9 @@ struct CacqQuerySpec {
   std::vector<std::string> sources;
   /// WHERE predicate with qualified (or unique bare) column names; null =
   /// no predicate. Equality factors between two sources become shared
-  /// SteM joins; single-column factors enter grouped filters; everything
-  /// else becomes per-query residual work.
+  /// SteM joins; every other factor enters the query index of the
+  /// sources it reads (a grouped filter for `column op constant`, a
+  /// per-query residual otherwise). Either must stay inside `sources`.
   ExprPtr where;
   /// CEDR consistency level (DESIGN.md §15): false = delayed-but-correct
   /// (the query consumes the reorder-buffer release feed — IngressLane::
@@ -51,26 +52,21 @@ struct CacqQueryPlan {
     size_t column_b;
   };
   std::vector<Join> joins;
-  /// `column op constant` factors, for the per-column grouped filters.
-  struct Filter {
-    size_t column;
-    BinaryOp op;
-    Value constant;
-  };
-  std::vector<Filter> filters;
-  /// Everything else: a bound factor over the sources it reads.
-  struct Residual {
+  /// Every other factor (kGrouped or bound kResidual), grouped by the
+  /// exact set of sources it reads: each set is one QueryIndex operator.
+  struct Selection {
     SmallBitset required;
-    ExprPtr bound;
+    std::vector<FactorPlan> factors;
   };
-  std::vector<Residual> residuals;
+  std::vector<Selection> selections;
 };
 
 /// CACQ (§3.1): one Eddy executing many continuous queries at once — the
 /// "super-query" that is the disjunction of all registered queries. Tuple
 /// lineage (a query bitmap) tracks which queries each tuple still
-/// satisfies; grouped filters index shared selections; shared SteMs serve
-/// every query's joins from one copy of the state.
+/// satisfies; query indexes (grouped filters plus residuals) share the
+/// selections; shared SteMs serve every query's joins from one copy of
+/// the state.
 ///
 /// One engine is one *query class* (§4.2.2): all join queries registered
 /// here must agree on the equi-join graph (the executor opens a new class
@@ -206,17 +202,13 @@ class CacqEngine {
   struct QueryInfo {
     SmallBitset footprint;
     bool active = false;
-    bool speculative = false;  ///< CEDR consistency level (spec lane).
-    /// Grouped-filter registrations: (column op const) per column op, for
-    /// removal bookkeeping.
-    std::vector<size_t> filter_columns;
-    std::vector<std::shared_ptr<ResidualFilterOp>> residual_ops;
   };
 
-  /// Lazily creates the grouped-filter operator for a column.
-  std::shared_ptr<GroupedFilterOp> FilterOpFor(size_t column);
-  /// Lazily creates the residual operator for a source set.
-  std::shared_ptr<ResidualFilterOp> ResidualOpFor(const SmallBitset& req);
+  /// The query index of the factors over one exact source set, as an
+  /// eddy operator eligible for tuples spanning at least that set.
+  class IndexOp;
+  /// Lazily creates the index operator for a source set.
+  IndexOp& IndexOpFor(const SmallBitset& required);
   /// Lazily creates build op + stem for (source, key column) and the probe
   /// ops in both directions for an equi-join pair.
   void EnsureJoin(size_t src_a, int col_a, size_t src_b, int col_b);
@@ -239,9 +231,7 @@ class CacqEngine {
   SmallBitset delayed_queries_;
   SmallBitset speculative_queries_;
 
-  std::map<size_t, std::shared_ptr<GroupedFilterOp>> filter_ops_;
-  /// Residual operators by the exact source set they require.
-  std::vector<std::shared_ptr<ResidualFilterOp>> residual_ops_;
+  std::vector<std::shared_ptr<IndexOp>> index_ops_;
   std::map<JoinKey, SteMPtr> stems_;
   /// Registered probe edges (target, stored key, probe key) to avoid dups.
   std::set<std::tuple<size_t, int, int>> probe_edges_;

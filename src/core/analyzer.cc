@@ -84,7 +84,7 @@ Result<AnalyzedQuery> Analyze(const ParsedQuery& parsed,
     }
     AnalyzedQuery::BoundFilter filter;
     if (plan.kind == FactorPlan::Kind::kResidual) {
-      filter.expr = std::move(plan.bound);
+      filter.expr = plan.bound;
     } else {
       TCQ_ASSIGN_OR_RETURN(filter.expr, factor->Bind(*schema));
     }

@@ -41,9 +41,9 @@ struct AnalyzedQuery {
   struct BoundFilter {
     SmallBitset required;
     ExprPtr expr;
-    /// The factor's shared-execution class (ClassifyFactor): kGrouped
-    /// carries column/op/constant for a GroupedFilter, kResidual is
-    /// evaluated through `expr` (plan.bound stays empty). Never kJoin.
+    /// The factor's shared-execution class (ClassifyFactor), as a
+    /// QueryIndex registers it: kGrouped carries column/op/constant,
+    /// kResidual carries `expr` as plan.bound. Never kJoin.
     FactorPlan plan;
   };
   std::vector<BoundFilter> filters;

@@ -5,7 +5,6 @@
 #include <numeric>
 
 #include "common/logging.h"
-#include "modules/grouped_filter.h"
 
 namespace tcq {
 
@@ -270,11 +269,6 @@ std::vector<Tuple> QueryRunner::RunDataflow(const WindowSequence::Step& step) {
   return out;
 }
 
-struct SharedWindowScan::ColumnFilter {
-  size_t column;
-  GroupedFilter filter;
-};
-
 class SharedWindowScan::Query {
  public:
   Query(QueryRunner* r, size_t slot)
@@ -282,11 +276,6 @@ class SharedWindowScan::Query {
         slot(slot),
         aq(r->analyzed_),
         clause(static_cast<size_t>(aq.window_clause_of_source[0])) {
-    for (const AnalyzedQuery::BoundFilter& bf : aq.filters) {
-      if (bf.plan.kind == FactorPlan::Kind::kResidual) {
-        residuals.push_back(bf.expr);
-      }
-    }
     const std::optional<WindowShape>& shape = r->window_shape();
     const bool forward =
         shape.has_value() && shape->width > 0 && shape->hop > 0 &&
@@ -520,10 +509,9 @@ class SharedWindowScan::Query {
   }
 
   QueryRunner* runner;
-  const size_t slot;  ///< Its bit in the grouped filters.
+  const size_t slot;  ///< Its bit in the query index.
   const AnalyzedQuery& aq;
   const size_t clause;
-  std::vector<ExprPtr> residuals;
 
   /// The pane grid; pane == 0 when every window is its own unit.
   int64_t width = 0;
@@ -596,7 +584,9 @@ SharedWindowScan::Query* SharedWindowScan::Add(QueryRunner* runner) {
     free_.pop_back();
   }
   queries_[slot] = std::make_unique<Query>(runner, slot);
-  unregistered_.push_back(slot);
+  for (const AnalyzedQuery::BoundFilter& bf : runner->analyzed_.filters) {
+    index_.Add(slot, {&bf.plan, 1});
+  }
   return queries_[slot].get();
 }
 
@@ -604,33 +594,11 @@ void SharedWindowScan::Remove(Query* query) { removed_.push_back(query->slot); }
 
 void SharedWindowScan::ReleaseRemoved() {
   for (const size_t slot : removed_) {
-    if (std::erase(unregistered_, slot) == 0) {
-      for (ColumnFilter& cf : filters_) {
-        cf.filter.RemoveQuery(static_cast<QueryId>(slot));
-      }
-    }
+    index_.Remove(slot);
     queries_[slot].reset();
     free_.push_back(slot);
   }
   removed_.clear();
-}
-
-void SharedWindowScan::Register() {
-  for (const size_t slot : unregistered_) {
-    for (const AnalyzedQuery::BoundFilter& bf : queries_[slot]->aq.filters) {
-      const FactorPlan& f = bf.plan;
-      if (f.kind != FactorPlan::Kind::kGrouped) continue;
-      auto it = std::find_if(
-          filters_.begin(), filters_.end(),
-          [&](const ColumnFilter& cf) { return cf.column == f.column; });
-      if (it == filters_.end()) {
-        filters_.push_back(ColumnFilter{f.column, GroupedFilter()});
-        it = filters_.end() - 1;
-      }
-      it->filter.AddPredicate(static_cast<QueryId>(slot), f.op, f.constant);
-    }
-  }
-  unregistered_.clear();
 }
 
 uint64_t SharedWindowScan::DropStalePanes() {
@@ -789,15 +757,12 @@ SharedWindowScan::Stats SharedWindowScan::Advance(Timestamp high_watermark,
       merged.push_back(r);
     }
   }
-  if (!merged.empty()) Register();
   SmallBitset candidates(n);
   auto visit = [&](const Tuple& t) {
     ++stats.scanned;
     const Timestamp ts = t.timestamp();
     candidates = with_builds;
-    for (const ColumnFilter& cf : filters_) {
-      cf.filter.Apply(t.cell(cf.column), &candidates);
-    }
+    index_.Narrow(t, &candidates);
     candidates.ForEachSet([&](size_t i) {
       Query& q = *queries_[i];
       while (q.next_open < q.builds.size() &&
@@ -807,10 +772,6 @@ SharedWindowScan::Stats SharedWindowScan::Advance(Timestamp high_watermark,
       std::erase_if(q.open, [&](uint32_t b) { return q.builds[b].hi < ts; });
       if (q.landmark) q.EmitRunning(ts);
       if (q.open.empty()) return;
-      for (const ExprPtr& e : q.residuals) {
-        const Value keep = e->Eval(t);
-        if (keep.is_null() || !keep.bool_value()) return;
-      }
       if (q.aq.has_aggregates) {
         for (const uint32_t b : q.open) {
           const int64_t unit = q.builds[b].unit;

@@ -12,6 +12,7 @@
 #include "eddy/eddy.h"
 #include "eddy/operators.h"
 #include "ingress/wrapper.h"
+#include "modules/query_index.h"
 
 namespace tcq {
 
@@ -167,9 +168,8 @@ class QueryRunner {
 /// archive scan per advance, instead of one scan and one Eddy per (query,
 /// window). Kept up to date by Add and Remove, never rebuilt per advance:
 ///
-///  * per-column GroupedFilters over the queries' `column op constant`
-///    factors (compiled lazily on the first scan after a change), and
-///    each query's residual factors;
+///  * a QueryIndex over the queries' WHERE factors (its grouped filters
+///    compile lazily on the first scan after a change);
 ///  * for a query whose windows move forward with width w and hop h
 ///    (ClassifyWindow) and whose select list merges exactly — COUNT, MIN,
 ///    MAX and INT64 SUM (Accumulator::Mergeable), or plain projections —
@@ -230,11 +230,6 @@ class SharedWindowScan {
   std::vector<ResultSet> TakeResults(Query* query);
 
  private:
-  struct ColumnFilter;
-
-  /// Adds the factors of the queries added since the last call to the
-  /// grouped filters (the index recompiles on its next Apply).
-  void Register();
   /// Drops the removed queries' factors and frees their slots for reuse.
   void ReleaseRemoved();
   /// Drops panes the archive rewrote or evicted since the last Advance.
@@ -243,12 +238,11 @@ class SharedWindowScan {
   const Archive* archive_;
   std::shared_ptr<Timestamp> rewrite_mark_;  ///< Archive::WatchRewrites.
   Timestamp floor_seen_ = kMinTimestamp;     ///< Archive::floor() applied.
-  /// By slot, a query's bit in the grouped filters; null when free.
+  /// By slot, a query's bit in index_; null when free.
   std::vector<std::unique_ptr<Query>> queries_;
-  std::vector<size_t> unregistered_;  ///< Slots not in filters_ yet.
   std::vector<size_t> removed_;  ///< Slots removed since the last Advance.
   std::vector<size_t> free_;     ///< Slots to reuse.
-  std::vector<ColumnFilter> filters_;
+  QueryIndex index_;
   /// One Advance's scan ranges, before and after merging, and the queries
   /// it touched (kept for their storage).
   std::vector<std::pair<Timestamp, Timestamp>> ranges_, merged_;

@@ -92,33 +92,23 @@ Result<QueryId> PSoup::Register(const ExprPtr& predicate,
   QueryState state;
   state.window_width = window_width;
 
-  // Decompose the predicate into indexable factors and residual work, but
-  // register nothing until everything validates (atomic registration).
-  std::vector<FactorPlan> grouped;
-  std::vector<ExprPtr> residual_factors;
+  // Classify the predicate's factors, but register nothing until every
+  // one validates (atomic registration).
+  std::vector<FactorPlan> factors;
   if (predicate != nullptr) {
     TCQ_ASSIGN_OR_RETURN(state.bound_predicate, predicate->Bind(*schema_));
     for (const ExprPtr& factor : ExtractConjuncts(predicate)) {
       TCQ_ASSIGN_OR_RETURN(FactorPlan fp, ClassifyFactor(factor, *schema_));
-      if (fp.kind == FactorPlan::Kind::kGrouped) {
-        grouped.push_back(std::move(fp));
-        continue;
-      }
       // One stream has one qualifier, so a join factor cannot occur; bind
       // it like any residual if a schema ever mixes qualifiers.
-      if (fp.bound == nullptr) {
+      if (fp.kind == FactorPlan::Kind::kJoin) {
+        fp.kind = FactorPlan::Kind::kResidual;
         TCQ_ASSIGN_OR_RETURN(fp.bound, factor->Bind(*schema_));
       }
-      residual_factors.push_back(std::move(fp.bound));
+      factors.push_back(std::move(fp));
     }
   }
-
-  for (FactorPlan& g : grouped) {
-    filter_index_[g.column].AddPredicate(qid, g.op, std::move(g.constant));
-  }
-  for (ExprPtr& r : residual_factors) {
-    residuals_.emplace_back(qid, std::move(r));
-  }
+  index_.Add(qid, factors);
 
   // "New query probes old data": seed the Results Structure from history —
   // the demoted prefix first (read back through the spool's page cache in
@@ -160,28 +150,8 @@ Status PSoup::Unregister(QueryId q) {
   queries_[q].results.clear();
   active_bits_.Clear(q);
   --active_;
-  for (auto& [col, gf] : filter_index_) gf.RemoveQuery(q);
-  residuals_.erase(std::remove_if(residuals_.begin(), residuals_.end(),
-                                  [q](const auto& r) { return r.first == q; }),
-                   residuals_.end());
+  index_.Remove(q);
   return Status::OK();
-}
-
-SmallBitset PSoup::MatchQueries(const Tuple& t) const {
-  SmallBitset candidates = active_bits_;
-  for (const auto& [col, gf] : filter_index_) {
-    if (candidates.size_bits() < gf.num_queries()) {
-      candidates.Resize(gf.num_queries());
-    }
-    gf.Apply(t.cell(col), &candidates);
-    if (candidates.None()) return candidates;
-  }
-  for (const auto& [q, expr] : residuals_) {
-    if (q >= candidates.size_bits() || !candidates.Test(q)) continue;
-    const Value keep = expr->Eval(t);
-    if (keep.is_null() || !keep.bool_value()) candidates.Clear(q);
-  }
-  return candidates;
 }
 
 namespace {
@@ -237,12 +207,11 @@ void PSoup::OnData(const Tuple& tuple) {
   if (spool_ != nullptr) DemoteOverflow();
   TCQ_METRIC(PsoupMetrics::Get().data_in->Add(1));
   // Probe the Query SteM; materialize into each match's results.
-  SmallBitset matches = MatchQueries(tuple);
+  SmallBitset matches = active_bits_;
+  index_.Narrow(tuple, &matches);
   matches.ForEachSet([&](size_t q) {
-    if (q < queries_.size() && queries_[q].active) {
-      InsertByTimestamp(&queries_[q].results, tuple);
-      TCQ_METRIC(PsoupMetrics::Get().materialized->Add(1));
-    }
+    InsertByTimestamp(&queries_[q].results, tuple);
+    TCQ_METRIC(PsoupMetrics::Get().materialized->Add(1));
   });
 }
 

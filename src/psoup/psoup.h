@@ -3,7 +3,6 @@
 
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -11,7 +10,7 @@
 #include "common/clock.h"
 #include "common/status.h"
 #include "expr/ast.h"
-#include "modules/grouped_filter.h"
+#include "modules/query_index.h"
 #include "tuple/schema.h"
 #include "tuple/tuple.h"
 
@@ -23,7 +22,7 @@ class Spool;
 ///
 ///  * Data arrives  -> built into the Data SteM, then *probes the Query
 ///    SteM*: the set of standing queries it satisfies is computed (via a
-///    grouped-filter index over query predicates — the paper calls the
+///    QueryIndex over query predicates — the paper calls the
 ///    Query SteM "a generalization of the notion of a grouped filter"),
 ///    and the tuple is appended to each matching query's Results Structure.
 ///  * A query arrives -> built into the Query SteM, then *probes the Data
@@ -99,9 +98,6 @@ class PSoup {
     std::deque<Tuple> results;
   };
 
-  /// Data-side probe of the Query SteM: all active queries matching t.
-  SmallBitset MatchQueries(const Tuple& t) const;
-
   /// Demotes the oldest resident history until `resident_limit_` holds.
   void DemoteOverflow();
   void TrackHistoryBytes(int64_t delta);
@@ -127,11 +123,10 @@ class PSoup {
   std::deque<Tuple> history_;
   Timestamp max_ts_ = kMinTimestamp;
 
-  // Query SteM: per-column grouped-filter indexes over the queries'
-  // single-column factors, plus per-query residual predicates.
-  std::map<size_t, GroupedFilter> filter_index_;
+  // Query SteM: the queries' factors, indexed by registration index.
+  // Data probes it by narrowing active_bits_.
+  QueryIndex index_;
   std::vector<QueryState> queries_;
-  std::vector<std::pair<QueryId, ExprPtr>> residuals_;
   SmallBitset active_bits_;
   size_t active_ = 0;
 };

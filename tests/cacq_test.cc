@@ -158,6 +158,56 @@ TEST(CacqEngineTest, ResidualsOnSourceSetsSixtyFourApartStaySeparate) {
   EXPECT_EQ(hits[*q64], 1);  // Only (60, 60) passes k + v > 100.
 }
 
+TEST(CacqEngineTest, RejectsFactorsOutsideTheFootprint) {
+  // A factor on a stream the query does not range over could never be
+  // applied to its tuples; accepting it would deliver every A tuple.
+  CacqEngine engine;
+  ASSERT_TRUE(engine.AddStream("A", KV()).ok());
+  ASSERT_TRUE(engine.AddStream("B", KV()).ok());
+  int hits = 0;
+  engine.SetSink([&](QueryId, const Tuple&) { ++hits; });
+  const ExprPtr grouped = Expr::Binary(BinaryOp::kGt, Expr::Column("B.v"),
+                                       Expr::Literal(Value::Int64(100)));
+  const ExprPtr residual = Expr::Binary(
+      BinaryOp::kGt,
+      Expr::Binary(BinaryOp::kAdd, Expr::Column("B.v"), Expr::Column("B.k")),
+      Expr::Literal(Value::Int64(100)));
+  for (const ExprPtr& where : {grouped, residual}) {
+    CacqQuerySpec q;
+    q.sources = {"A"};
+    q.where = where;
+    const Result<QueryId> id = engine.AddQuery(q);
+    ASSERT_FALSE(id.ok()) << where->ToString();
+    EXPECT_EQ(id.status().code(), StatusCode::kInvalidArgument);
+  }
+  for (int64_t i = 0; i < 3; ++i) {
+    ASSERT_TRUE(engine.Inject("A", KVTuple(i, 1, i)).ok());
+  }
+  EXPECT_EQ(hits, 0);
+  EXPECT_EQ(engine.num_active_queries(), 0u);
+}
+
+TEST(CacqEngineTest, OneIndexVisitPerSingleStreamTuple) {
+  // Filters over two columns of one stream share one query-index
+  // operator: each tuple is routed once, not once per column.
+  CacqEngine engine;
+  ASSERT_TRUE(engine.AddStream("Stocks", StockSchema()).ok());
+  int hits = 0;
+  engine.SetSink([&](QueryId, const Tuple&) { ++hits; });
+  for (double p : {10.0, 50.0}) {
+    CacqQuerySpec q;
+    q.sources = {"Stocks"};
+    q.where = Expr::Binary(BinaryOp::kAnd, SymEq("MSFT"), PriceGt(p));
+    ASSERT_TRUE(engine.AddQuery(q).ok());
+  }
+  const std::vector<Tuple> batch = {Stock(1, "MSFT", 45), Stock(2, "MSFT", 55),
+                                    Stock(3, "IBM", 60)};
+  for (const Tuple& t : batch) ASSERT_TRUE(engine.Inject("Stocks", t).ok());
+  ASSERT_TRUE(engine.InjectBatch("Stocks", batch).ok());
+  EXPECT_EQ(engine.eddy().visits(), 2 * batch.size());
+  EXPECT_EQ(hits, 2 * 3);  // (45: q0) and (55: q0, q1), twice.
+}
+
 TEST(CacqEngineTest, SharedJoinAcrossQueries) {
   // Two join queries with different selections share the SteM pair.
   CacqEngine engine;

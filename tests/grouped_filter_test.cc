@@ -6,6 +6,8 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "expr/predicates.h"
+#include "modules/query_index.h"
 
 namespace tcq {
 namespace {
@@ -349,6 +351,116 @@ TEST_P(GroupedFilterChurnTest, ChurnedIndexMatchesNaiveEvaluation) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GroupedFilterChurnTest,
                          ::testing::Values(101, 102, 103, 104));
+
+// The QueryIndex under churn: slots registering grouped factors on two
+// columns and residuals (arithmetic, OR trees) are removed and re-added
+// with different factors; every Narrow, over random candidate seeds and
+// tuples with NULL cells, must equal a naive Expr::Eval of each live
+// slot's conjunction. A factor surviving its slot's Remove fails it.
+class QueryIndexChurnTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(QueryIndexChurnTest, ChurnedIndexMatchesNaiveEvaluation) {
+  Rng rng(GetParam());
+  constexpr size_t kSlots = 160;
+  const SchemaPtr schema = Schema::Make(
+      {{"a", ValueType::kInt64, ""}, {"b", ValueType::kInt64, ""}});
+  const BinaryOp ops[] = {BinaryOp::kEq, BinaryOp::kNe, BinaryOp::kLt,
+                          BinaryOp::kLe, BinaryOp::kGt, BinaryOp::kGe};
+  auto column = [&] { return Expr::Column(rng.NextBool(0.5) ? "a" : "b"); };
+  auto literal = [&] {
+    return Expr::Literal(Value::Int64(rng.NextInt(-20, 20)));
+  };
+  auto random_factor = [&]() -> ExprPtr {
+    switch (rng.NextBounded(4)) {
+      case 0:  // Residual: arithmetic over both columns.
+        return Expr::Binary(
+            ops[rng.NextBounded(6)],
+            Expr::Binary(BinaryOp::kAdd, Expr::Column("a"), Expr::Column("b")),
+            literal());
+      case 1:  // Residual: an OR tree.
+        return Expr::Binary(
+            BinaryOp::kOr,
+            Expr::Binary(ops[rng.NextBounded(6)], column(), literal()),
+            Expr::Binary(ops[rng.NextBounded(6)], column(), literal()));
+      default:  // Grouped, either orientation.
+        return rng.NextBool(0.5)
+                   ? Expr::Binary(ops[rng.NextBounded(6)], column(), literal())
+                   : Expr::Binary(ops[rng.NextBounded(6)], literal(), column());
+    }
+  };
+
+  QueryIndex index;
+  // live[slot] = the bound factors the slot holds now (absent = none).
+  std::unordered_map<size_t, std::vector<ExprPtr>> live;
+  size_t grouped = 0, residual = 0;
+  auto add = [&](size_t slot) {
+    std::vector<ExprPtr> factors;
+    const size_t n = rng.NextBounded(4);  // Zero factors: unconstrained.
+    for (size_t i = 0; i < n; ++i) factors.push_back(random_factor());
+    if (rng.NextBool(0.1)) {  // A contradictory range on one column.
+      const ExprPtr c = column();
+      factors.push_back(
+          Expr::Binary(BinaryOp::kGt, c, Expr::Literal(Value::Int64(5))));
+      factors.push_back(
+          Expr::Binary(BinaryOp::kLt, c, Expr::Literal(Value::Int64(-5))));
+    }
+    std::vector<FactorPlan> plans;
+    auto& bound = live[slot];
+    for (const ExprPtr& f : factors) {
+      Result<FactorPlan> fp = ClassifyFactor(f, *schema);
+      ASSERT_TRUE(fp.ok()) << fp.status();
+      ASSERT_NE(fp->kind, FactorPlan::Kind::kJoin);
+      ++(fp->kind == FactorPlan::Kind::kGrouped ? grouped : residual);
+      plans.push_back(std::move(*fp));
+      Result<ExprPtr> b = f->Bind(*schema);
+      ASSERT_TRUE(b.ok()) << b.status();
+      bound.push_back(std::move(*b));
+    }
+    index.Add(slot, plans);
+  };
+  auto naive = [&](const Tuple& t, size_t slot) {
+    auto it = live.find(slot);
+    if (it == live.end()) return true;
+    for (const ExprPtr& e : it->second) {
+      const Value keep = e->Eval(t);
+      if (keep.is_null() || !keep.bool_value()) return false;
+    }
+    return true;
+  };
+  auto cell = [&] {
+    return rng.NextBool(0.1) ? Value() : Value::Int64(rng.NextInt(-25, 25));
+  };
+
+  for (size_t slot = 0; slot < kSlots; ++slot) add(slot);
+  for (int round = 0; round < 30; ++round) {
+    // Churn: remove slots, re-adding most at once with new factors.
+    for (int i = 0; i < 20; ++i) {
+      const size_t slot = rng.NextBounded(kSlots);
+      index.Remove(slot);
+      live.erase(slot);
+      if (rng.NextBool(0.7)) add(slot);
+    }
+    for (int trial = 0; trial < 40; ++trial) {
+      const Tuple t = Tuple::Make({cell(), cell()}, trial);
+      SmallBitset seed(kSlots);
+      for (size_t slot = 0; slot < kSlots; ++slot) {
+        if (rng.NextBool(0.8)) seed.Set(slot);
+      }
+      SmallBitset got = seed;
+      index.Narrow(t, &got);
+      for (size_t slot = 0; slot < kSlots; ++slot) {
+        ASSERT_EQ(got.Test(slot), seed.Test(slot) && naive(t, slot))
+            << "round " << round << " slot " << slot << " tuple "
+            << t.ToString() << " seed " << GetParam();
+      }
+    }
+  }
+  EXPECT_GT(grouped, 0u);
+  EXPECT_GT(residual, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, QueryIndexChurnTest,
+                         ::testing::Values(201, 202, 203, 204));
 
 }  // namespace
 }  // namespace tcq
