@@ -75,11 +75,6 @@ void CacqEngine::EnsureJoin(size_t src_a, int col_a, size_t src_b,
     if (it != stems_.end()) return it->second;
     auto stem = std::make_shared<SteM>(
         "stem[" + layout_.alias(src) + "]", layout_.full_schema(), key);
-    if (options_.spool != nullptr) {
-      stem->SetSpool(options_.spool,
-                     options_.spool_prefix + "stem." + layout_.alias(src) +
-                         "." + std::to_string(key));
-    }
     stems_.emplace(jk, stem);
     eddy_->AddOperator(std::make_shared<StemBuildOp>(
         "build[" + layout_.alias(src) + "]", src, stem));

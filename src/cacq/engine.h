@@ -78,12 +78,6 @@ class CacqEngine {
     std::string policy = "lottery";
     uint64_t seed = 7;
     Eddy::Options eddy;
-    /// Non-null: window-expired SteM state demotes to this spool instead of
-    /// being freed (DESIGN.md §16). Keys are spool_prefix + "stem." + the
-    /// SteM's alias + "." + key column. The caller keeps the spool alive
-    /// past the engine; the engine never opens or closes it.
-    Spool* spool = nullptr;
-    std::string spool_prefix;
   };
 
   CacqEngine();

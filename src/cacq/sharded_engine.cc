@@ -275,13 +275,6 @@ ShardedEngine::ShardedEngine(Options options)
     eo.policy = options_.policy;
     eo.seed = options_.seed + i;  // Decorrelated exploration per shard.
     eo.eddy = options_.eddy;
-    if (options_.spool != nullptr) {
-      // Inline keys stay unqualified: the one shard owns the prefix.
-      eo.spool = options_.spool;
-      eo.spool_prefix = inline_ ? options_.spool_prefix
-                                : options_.spool_prefix + "shard." +
-                                      std::to_string(i) + ".";
-    }
     shard->engine = std::make_unique<CacqEngine>(eo);
     if (!inline_) {
       shard->output = std::make_unique<FjordQueue<EgressItem>>(
@@ -929,9 +922,7 @@ Status ShardedEngine::FailoverShard(size_t shard) {
 
 std::unique_ptr<CacqEngine> ShardedEngine::BuildStandby(size_t shard) const {
   // Same construction as the primary (same seed — routing invariance makes
-  // replayed results match the primary's multiset), minus the spool:
-  // standby state is a checkpoint copy of the primary's, and
-  // double-spooling would duplicate history.
+  // replayed results match the primary's multiset).
   CacqEngine::Options eo;
   eo.policy = options_.policy;
   eo.seed = options_.seed + shard;

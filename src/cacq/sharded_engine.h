@@ -94,12 +94,6 @@ class ShardedEngine {
     /// changelog-plus-snapshot cadence). Smaller = shorter replay tails
     /// and faster failover, at more state-copy cost per task.
     uint64_t checkpoint_interval = 32;
-    /// Non-null: primaries demote window-expired SteM state to this spool
-    /// (keys shard-qualified as spool_prefix + "shard." + i + "." + ...).
-    /// Standbys never demote — their state is a checkpoint copy of the
-    /// primary's, and double-spooling would duplicate history.
-    Spool* spool = nullptr;
-    std::string spool_prefix;
   };
 
   ShardedEngine();

@@ -318,10 +318,6 @@ Result<QueryId> Server::Submit(const std::string& sql,
       sopts.rebalance = options_.rebalance;
       // Standbys need a fleet: one shard always runs inline.
       sopts.num_replicas = sopts.num_shards > 1 ? options_.cacq_replicas : 0;
-      if (spool_ != nullptr) {
-        sopts.spool = spool_.get();
-        sopts.spool_prefix = "cacq." + stream + ".";
-      }
       auto engine = std::make_unique<ShardedEngine>(std::move(sopts));
       auto added =
           engine->AddStream(stream, ss.def.schema, ss.partition_column);
@@ -1408,6 +1404,8 @@ std::string Server::SnapshotMetrics() const {
            std::to_string(ss.dis.unmatched_retractions) + "}" +
            ",\"history\":{\"resident\":" +
            std::to_string(ss.archive->resident_size()) +
+           ",\"resident_bytes\":" +
+           std::to_string(ss.archive->resident_bytes()) +
            ",\"spooled\":" + std::to_string(ss.archive->spooled_size()) +
            "}}";
   }

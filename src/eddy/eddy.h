@@ -92,11 +92,6 @@ class Eddy {
   /// Routes until the internal queue is empty.
   void Drain();
 
-  /// Swaps the routing policy mid-flight (operator statistics persist).
-  void SetPolicy(std::unique_ptr<RoutingPolicy> policy) {
-    policy_ = std::move(policy);
-  }
-
   /// Turns the §4.3 knobs while running (used by the KnobController).
   void set_batch_size(size_t batch) {
     options_.batch_size = batch < 1 ? 1 : batch;

@@ -77,14 +77,6 @@ struct EddyOpStats {
   /// Lottery tickets [AH00]: credited on consumption, debited on return,
   /// decayed periodically so the policy tracks drift.
   double tickets = 1.0;
-
-  /// Observed pass rate (selectivity); optimistic 1.0 before evidence.
-  double PassRate() const {
-    const uint64_t r = routed.value();
-    return r == 0 ? 1.0
-                  : static_cast<double>(passed.value()) /
-                        static_cast<double>(r);
-  }
 };
 
 }  // namespace tcq

@@ -137,7 +137,7 @@ void Archive::TrimSpan() {
   if (retention_span_ == kMaxTimestamp) return;
   const Timestamp cutoff = max_ts_ - retention_span_ + 1;
   while (!tuples_.empty() && tuples_.front().timestamp() < cutoff) {
-    tuples_.pop_front();
+    PopFront();
   }
   if (cutoff <= floor_) return;
   // The floor gives exact logical retention; physical segment drops are
@@ -149,21 +149,29 @@ void Archive::TrimSpan() {
   }
 }
 
+void Archive::PopFront() {
+  resident_bytes_ -= static_cast<int64_t>(tuples_.front().ApproxBytes());
+  tuples_.pop_front();
+}
+
+void Archive::DemoteFront() {
+  const Tuple& victim = tuples_.front();
+  TCQ_CHECK(hook_->spool->Append(hook_->key, victim).ok())
+      << "spool demotion failed";
+  hook_->frontier = std::max(hook_->frontier, victim.timestamp());
+  ++hook_->spooled;
+  PopFront();
+}
+
 void Archive::DemoteOverflow() {
-  while (tuples_.size() > hook_->resident_limit) {
-    const Tuple& victim = tuples_.front();
-    TCQ_CHECK(hook_->spool->Append(hook_->key, victim).ok())
-        << "spool demotion failed";
-    hook_->frontier = std::max(hook_->frontier, victim.timestamp());
-    ++hook_->spooled;
-    tuples_.pop_front();
-  }
+  while (tuples_.size() > hook_->resident_limit) DemoteFront();
 }
 
 void Archive::Append(const Tuple& t) {
   TCQ_CHECK(tuples_.empty() || t.timestamp() >= tuples_.back().timestamp())
       << "archive requires timestamp-ordered appends";
   tuples_.push_back(t);
+  resident_bytes_ += static_cast<int64_t>(t.ApproxBytes());
   if (t.timestamp() > max_ts_) max_ts_ = t.timestamp();
   if (retention_span_ != kMaxTimestamp) TrimSpan();
   if (hook_) DemoteOverflow();
@@ -182,15 +190,16 @@ TupleVector Archive::Scan(Timestamp lo, Timestamp hi) const {
 }
 
 void Archive::InsertOrdered(const Tuple& t) {
-  if (hook_ && t.timestamp() < floor_) return;  // Expired straggler.
+  if (t.timestamp() < floor_) return;  // Expired straggler.
   NoteRewrite(t.timestamp());
-  if (hook_) {
-    // A straggler older than every resident tuple belongs in the spool's
-    // late run, which stitches it to the exact upper-bound position the
-    // unsplit deque would have used (every tuple with ts <= its own is
-    // already spooled, every resident one is strictly newer).
-    if (hook_->spooled > 0 &&
-        (tuples_.empty() || t.timestamp() < tuples_.front().timestamp())) {
+  if (hook_ && hook_->spooled > 0) {
+    // A straggler older than every resident tuple (or, with none resident,
+    // older than the newest spooled one) belongs in the spool's late run,
+    // which stitches it to the exact upper-bound position the unsplit
+    // deque would have used (every tuple with ts <= its own is already
+    // spooled, every resident one is strictly newer).
+    if (tuples_.empty() ? t.timestamp() < hook_->frontier
+                        : t.timestamp() < tuples_.front().timestamp()) {
       TCQ_CHECK(hook_->spool->Append(hook_->key, t).ok())
           << "spool late insert failed";
       hook_->frontier = std::max(hook_->frontier, t.timestamp());
@@ -206,6 +215,7 @@ void Archive::InsertOrdered(const Tuple& t) {
       tuples_.begin(), tuples_.end(), t.timestamp(),
       [](Timestamp ts, const Tuple& u) { return ts < u.timestamp(); });
   tuples_.insert(pos, t);
+  resident_bytes_ += static_cast<int64_t>(t.ApproxBytes());
   // max_ts_ unchanged (the straggler is older by definition); retention
   // may still discard it immediately when it falls outside the span.
   if (retention_span_ != kMaxTimestamp) TrimSpan();
@@ -236,6 +246,7 @@ bool Archive::CancelMatching(const Tuple& t) {
   for (auto it = hi; it != lo;) {
     --it;
     if (it->PayloadEquals(t)) {
+      resident_bytes_ -= static_cast<int64_t>(it->ApproxBytes());
       tuples_.erase(it);
       NoteRewrite(t.timestamp());
       return true;
@@ -259,21 +270,15 @@ bool Archive::CancelMatching(const Tuple& t) {
 }
 
 void Archive::EvictBefore(Timestamp ts) {
-  if (hook_) {
-    // Demote rather than free: the tuples leave RAM but stay scannable.
-    while (!tuples_.empty() && tuples_.front().timestamp() < ts) {
-      const Tuple& victim = tuples_.front();
-      TCQ_CHECK(hook_->spool->Append(hook_->key, victim).ok())
-          << "spool demotion failed";
-      hook_->frontier = std::max(hook_->frontier, victim.timestamp());
-      ++hook_->spooled;
-      tuples_.pop_front();
-    }
-    return;
-  }
-  floor_ = std::max(floor_, ts);
+  // With a spool, demote rather than free: the tuples leave RAM but stay
+  // scannable.
+  if (!hook_) floor_ = std::max(floor_, ts);
   while (!tuples_.empty() && tuples_.front().timestamp() < ts) {
-    tuples_.pop_front();
+    if (hook_) {
+      DemoteFront();
+    } else {
+      PopFront();
+    }
   }
 }
 

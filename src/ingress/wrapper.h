@@ -130,9 +130,10 @@ class Archive {
   /// anything resident. Caller keeps `spool` alive past this archive.
   void AttachSpool(Spool* spool, std::string key, size_t resident_limit);
 
-  bool has_spool() const { return hook_ != nullptr; }
   /// Tuples held in memory (== size() when no spool is attached).
   size_t resident_size() const { return tuples_.size(); }
+  /// Tuple::ApproxBytes summed over the tuples held in memory.
+  int64_t resident_bytes() const { return resident_bytes_; }
   /// Live tuples demoted to the spool.
   size_t spooled_size() const { return hook_ ? hook_->spooled : 0; }
 
@@ -140,8 +141,8 @@ class Archive {
 
   /// Ordered insert for a beyond-bound straggler (LatePolicy::kIngestLate):
   /// places `t` at the upper bound of its timestamp so scans stay sorted.
-  /// Appending in-order data keeps using Append (O(1) and invariant-
-  /// checked).
+  /// A straggler below floor() is dropped: that history is gone. Appending
+  /// in-order data keeps using Append (O(1) and invariant-checked).
   void InsertOrdered(const Tuple& t);
 
   /// Removes the newest retained tuple whose payload (timestamp + cells)
@@ -223,6 +224,11 @@ class Archive {
   /// Applies the retention span: raises the floor, pops expired resident
   /// tuples and physically drops expired spool segments.
   void TrimSpan();
+  /// Frees the oldest resident tuple (the one place resident bytes fall
+  /// on the way out of the front).
+  void PopFront();
+  /// Moves the oldest resident tuple to the spool.
+  void DemoteFront();
   /// Demotes the oldest resident tuples until `resident_limit` holds.
   void DemoteOverflow();
   /// Scans the spool region [lo, hi] in merge order (out-of-line so the
@@ -238,6 +244,7 @@ class Archive {
   /// exactness-free.
   Timestamp floor_ = kMinTimestamp;
   std::deque<Tuple> tuples_;  ///< Timestamp-ordered (enforced on Append).
+  int64_t resident_bytes_ = 0;
   Timestamp max_ts_ = kMinTimestamp;
   mutable std::vector<std::weak_ptr<Timestamp>> rewrite_marks_;
   std::unique_ptr<SpoolHook> hook_;

@@ -4,7 +4,6 @@
 
 #include "common/logging.h"
 #include "expr/predicates.h"
-#include "spool/spool.h"
 #include "telemetry/metrics.h"
 
 namespace tcq {
@@ -41,45 +40,25 @@ struct PsoupMetrics {
 PSoup::PSoup(SchemaPtr schema) : PSoup(std::move(schema), Options()) {}
 
 PSoup::PSoup(SchemaPtr schema, Options options)
-    : schema_(std::move(schema)), options_(options) {
+    : schema_(std::move(schema)), history_(options.history_span) {
   TCQ_CHECK(schema_ != nullptr);
 }
 
 PSoup::~PSoup() {
-  TrackHistoryBytes(-resident_bytes_);  // Gauge hygiene on teardown.
+  // Gauge hygiene on teardown.
+  TCQ_METRIC(PsoupMetrics::Get().resident_bytes->Add(-published_bytes_));
 }
 
-void PSoup::TrackHistoryBytes(int64_t delta) {
-  resident_bytes_ += delta;
-  TCQ_METRIC(PsoupMetrics::Get().resident_bytes->Add(delta));
+void PSoup::PublishHistoryBytes() {
+  TCQ_METRIC(PsoupMetrics::Get().resident_bytes->Add(
+      history_.resident_bytes() - published_bytes_));
+  published_bytes_ = history_.resident_bytes();
 }
 
 void PSoup::AttachSpool(Spool* spool, std::string key,
                         size_t resident_limit) {
-  TCQ_CHECK(spool != nullptr);
-  TCQ_CHECK(resident_limit > 0) << "psoup needs a resident tail";
-  TCQ_CHECK(spool_ == nullptr) << "spool already attached";
-  spool_ = spool;
-  spool_key_ = std::move(key);
-  resident_limit_ = resident_limit;
-  spooled_ = spool_->records(spool_key_);
-  spool_frontier_ = spool_->main_frontier(spool_key_);
-  TCQ_CHECK(history_.empty() ||
-            history_.front().timestamp() >= spool_frontier_)
-      << "spooled history must predate resident tuples";
-  DemoteOverflow();
-}
-
-void PSoup::DemoteOverflow() {
-  while (history_.size() > resident_limit_) {
-    const Tuple& victim = history_.front();
-    TCQ_CHECK(spool_->Append(spool_key_, victim).ok())
-        << "psoup history demotion failed";
-    spool_frontier_ = std::max(spool_frontier_, victim.timestamp());
-    ++spooled_;
-    TrackHistoryBytes(-static_cast<int64_t>(victim.ApproxBytes()));
-    history_.pop_front();
-  }
+  history_.AttachSpool(spool, std::move(key), resident_limit);
+  PublishHistoryBytes();
 }
 
 Result<QueryId> PSoup::Register(const ExprPtr& predicate,
@@ -110,28 +89,16 @@ Result<QueryId> PSoup::Register(const ExprPtr& predicate,
   }
   index_.Add(qid, factors);
 
-  // "New query probes old data": seed the Results Structure from history —
-  // the demoted prefix first (read back through the spool's page cache in
-  // timestamp-merge order), then the resident tail. Every spooled tuple
-  // predates every resident one, so the results deque stays sorted.
-  const auto seed = [&](const Tuple& t) {
+  // "New query probes old data": seed the Results Structure from history
+  // in timestamp order (a spooled prefix reads back through the spool's
+  // page cache first), so the results deque stays sorted.
+  history_.ScanApply(kMinTimestamp, kMaxTimestamp, [&](const Tuple& t) {
     if (state.bound_predicate != nullptr) {
       const Value keep = state.bound_predicate->Eval(t);
       if (keep.is_null() || !keep.bool_value()) return;
     }
     state.results.push_back(t);
-  };
-  if (spool_ != nullptr && spooled_ > 0) {
-    TCQ_CHECK(spool_
-                  ->Scan(spool_key_, spool_floor_, kMaxTimestamp,
-                         [&](const Tuple& t) {
-                           seed(t);
-                           return true;
-                         })
-                  .ok())
-        << "psoup history seed scan failed";
-  }
-  for (const Tuple& t : history_) seed(t);
+  });
 
   state.active = true;
   queries_.push_back(std::move(state));
@@ -174,37 +141,9 @@ void InsertByTimestamp(std::deque<Tuple>* dq, const Tuple& t) {
 }  // namespace
 
 void PSoup::OnData(const Tuple& tuple) {
-  // Build into the Data SteM. A straggler older than every resident tuple
-  // goes straight to the spool's late run (keeping the resident deque's
-  // global-suffix invariant); everything else lands resident and the
-  // overflow demotes from the front below.
-  if (spool_ != nullptr && tuple.timestamp() < spool_frontier_) {
-    if (tuple.timestamp() >= spool_floor_) {
-      TCQ_CHECK(spool_->Append(spool_key_, tuple).ok())
-          << "psoup straggler spool failed";
-      ++spooled_;
-    }
-  } else {
-    InsertByTimestamp(&history_, tuple);
-    TrackHistoryBytes(static_cast<int64_t>(tuple.ApproxBytes()));
-  }
-  if (tuple.timestamp() > max_ts_) max_ts_ = tuple.timestamp();
-  if (options_.history_span != kMaxTimestamp) {
-    const Timestamp cutoff = max_ts_ - options_.history_span + 1;
-    while (!history_.empty() && history_.front().timestamp() < cutoff) {
-      TrackHistoryBytes(
-          -static_cast<int64_t>(history_.front().ApproxBytes()));
-      history_.pop_front();
-    }
-    if (spool_ != nullptr && cutoff > spool_floor_) {
-      spool_floor_ = cutoff;
-      if (spooled_ > 0) {
-        TCQ_CHECK(spool_->EvictBefore(spool_key_, cutoff).ok());
-        spooled_ = spool_->records(spool_key_);
-      }
-    }
-  }
-  if (spool_ != nullptr) DemoteOverflow();
+  // Build into the Data SteM.
+  history_.InsertOrdered(tuple);
+  PublishHistoryBytes();
   TCQ_METRIC(PsoupMetrics::Get().data_in->Add(1));
   // Probe the Query SteM; materialize into each match's results.
   SmallBitset matches = active_bits_;
@@ -233,23 +172,8 @@ Result<TupleVector> PSoup::Invoke(QueryId q, Timestamp now) const {
 }
 
 void PSoup::EvictBefore(Timestamp ts) {
-  if (spool_ != nullptr) {
-    // Demote rather than free: evicted history leaves RAM but remains on
-    // disk for future Register() seeds.
-    while (!history_.empty() && history_.front().timestamp() < ts) {
-      const Tuple& victim = history_.front();
-      TCQ_CHECK(spool_->Append(spool_key_, victim).ok())
-          << "psoup history demotion failed";
-      spool_frontier_ = std::max(spool_frontier_, victim.timestamp());
-      ++spooled_;
-      TrackHistoryBytes(-static_cast<int64_t>(victim.ApproxBytes()));
-      history_.pop_front();
-    }
-  }
-  while (!history_.empty() && history_.front().timestamp() < ts) {
-    TrackHistoryBytes(-static_cast<int64_t>(history_.front().ApproxBytes()));
-    history_.pop_front();
-  }
+  history_.EvictBefore(ts);
+  PublishHistoryBytes();
   for (QueryState& state : queries_) {
     while (!state.results.empty() &&
            state.results.front().timestamp() < ts) {

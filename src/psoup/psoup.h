@@ -2,21 +2,18 @@
 #define TCQ_PSOUP_PSOUP_H_
 
 #include <deque>
-#include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/clock.h"
 #include "common/status.h"
 #include "expr/ast.h"
+#include "ingress/wrapper.h"
 #include "modules/query_index.h"
 #include "tuple/schema.h"
 #include "tuple/tuple.h"
 
 namespace tcq {
-
-class Spool;
 
 /// PSoup (§3.2, [CF02]): treats data and queries symmetrically.
 ///
@@ -52,8 +49,7 @@ class PSoup {
   /// beyond the newest `resident_limit` tuples demotes to `spool` under
   /// `key`, and Register keeps seeding new queries from the FULL history
   /// by reading the demoted prefix back through the spool's page cache.
-  /// Adopts records already spooled under the key. Caller keeps `spool`
-  /// alive past this PSoup.
+  /// Forwards to Archive::AttachSpool.
   void AttachSpool(Spool* spool, std::string key, size_t resident_limit);
 
   /// Registers a standing query: a predicate over the stream schema plus a
@@ -67,7 +63,9 @@ class PSoup {
   /// queries, and materializes it into their Results Structures. Late
   /// (out-of-timestamp-order) tuples are inserted in timestamp order so
   /// Invoke stays correct; duplicated delivery materializes duplicates
-  /// (PSoup is at-least-once downstream of an at-least-once source).
+  /// (PSoup is at-least-once downstream of an at-least-once source). A
+  /// tuple below the history's floor (history_span, or EvictBefore
+  /// without a spool) is not kept in history.
   void OnData(const Tuple& tuple);
 
   /// Client invocation at time `now`: the query's window [now-width+1, now]
@@ -82,9 +80,9 @@ class PSoup {
   void EvictBefore(Timestamp ts);
 
   /// History tuples, resident and spooled.
-  size_t history_size() const { return history_.size() + spooled_; }
-  size_t resident_history_size() const { return history_.size(); }
-  size_t spooled_history_size() const { return spooled_; }
+  size_t history_size() const { return history_.size(); }
+  size_t resident_history_size() const { return history_.resident_size(); }
+  size_t spooled_history_size() const { return history_.spooled_size(); }
   size_t num_active_queries() const { return active_; }
   /// Total materialized result entries across queries.
   size_t materialized_results() const;
@@ -98,30 +96,16 @@ class PSoup {
     std::deque<Tuple> results;
   };
 
-  /// Demotes the oldest resident history until `resident_limit_` holds.
-  void DemoteOverflow();
-  void TrackHistoryBytes(int64_t delta);
+  /// Publishes the change in the history's resident bytes to the
+  /// tcq.psoup.resident_bytes gauge.
+  void PublishHistoryBytes();
 
   const SchemaPtr schema_;
-  const Options options_;
 
-  // Spool hook (null = pure in-memory Data SteM). `frontier_` is the
-  // newest demoted timestamp: every spooled tuple has ts <= frontier_,
-  // every resident one ts >= it. `floor_` is the history_span cutoff
-  // clamped onto spool reads.
-  Spool* spool_ = nullptr;
-  std::string spool_key_;
-  size_t resident_limit_ = 0;
-  Timestamp spool_frontier_ = kMinTimestamp;
-  Timestamp spool_floor_ = kMinTimestamp;
-  size_t spooled_ = 0;
-  int64_t resident_bytes_ = 0;
-
-  // Data SteM: retained history in timestamp order (InsertByTimestamp
-  // re-sorts late arrivals on the way in, so EvictBefore's prefix pop
-  // never strands an older tuple behind a newer one).
-  std::deque<Tuple> history_;
-  Timestamp max_ts_ = kMinTimestamp;
+  // Data SteM: retained history in timestamp order, bounded by
+  // Options::history_span (and, with a spool, by its resident limit).
+  Archive history_;
+  int64_t published_bytes_ = 0;
 
   // Query SteM: the queries' factors, indexed by registration index.
   // Data probes it by narrowing active_bits_.

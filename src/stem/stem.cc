@@ -1,7 +1,6 @@
 #include "stem/stem.h"
 
 #include "common/logging.h"
-#include "spool/spool.h"
 
 namespace tcq {
 
@@ -42,12 +41,6 @@ SteM::SteM(std::string name, SchemaPtr schema, int key_field)
 
 SteM::~SteM() {
   TrackResidentBytes(-resident_bytes_);  // Gauge hygiene.
-}
-
-void SteM::SetSpool(Spool* spool, std::string key) {
-  TCQ_CHECK(spool != nullptr);
-  spool_ = spool;
-  spool_key_ = std::move(key);
 }
 
 void SteM::Insert(const Tuple& tuple, const SmallBitset& lineage) {
@@ -140,13 +133,6 @@ size_t SteM::EvictBefore(Timestamp ts) {
   size_t n = 0;
   for (Entry& e : entries_) {
     if (e.dead || e.tuple.timestamp() >= ts) continue;
-    if (spool_ != nullptr) {
-      // Demote rather than free: expired join state stays replayable. The
-      // spool routes out-of-timestamp-order demotions to its late run, so
-      // this arrival-order sweep needs no sorting.
-      TCQ_CHECK(spool_->Append(spool_key_, e.tuple).ok())
-          << name_ << ": spool demotion failed";
-    }
     Evict(e);
     ++n;
   }

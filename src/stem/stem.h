@@ -17,8 +17,6 @@
 
 namespace tcq {
 
-class Spool;
-
 namespace stem_internal {
 /// Process-wide SteM telemetry aggregated across all state modules
 /// (DESIGN.md §10); per-instance detail remains on SteM::stats().
@@ -54,13 +52,6 @@ class SteM {
 
   SteM(const SteM&) = delete;
   SteM& operator=(const SteM&) = delete;
-
-  /// Window-expired state demotes to `spool` under `key` instead of being
-  /// freed (DESIGN.md §16). The spooled record is the bare tuple: lineage
-  /// stays in RAM, and replay re-derives query sets. Retraction
-  /// cancellations, ExtractIf and ClearAll delete. The caller keeps
-  /// `spool` alive past this SteM.
-  void SetSpool(Spool* spool, std::string key);
 
   const std::string& name() const { return name_; }
   int key_field() const { return key_field_; }
@@ -106,8 +97,7 @@ class SteM {
   /// Counts `n` join outputs made from this SteM's probes.
   void RecordMatches(uint64_t n) const;
 
-  /// Evicts (demoting to the spool, when one is set) every stored tuple
-  /// with timestamp < ts. A full sweep, so out-of-order stragglers go too.
+  /// Evicts every stored tuple with timestamp < ts. A full sweep, so out-of-order stragglers go too.
   /// Returns the number evicted.
   size_t EvictBefore(Timestamp ts);
 
@@ -196,9 +186,6 @@ class SteM {
   const SchemaPtr schema_;
   const int key_field_;
 
-  // Spool hook (null = window expiry frees memory).
-  Spool* spool_ = nullptr;
-  std::string spool_key_;
   int64_t resident_bytes_ = 0;
 
   // Storage: deque addressed by global id = base_id_ + offset. Dead

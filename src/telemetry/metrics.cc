@@ -121,24 +121,6 @@ size_t MetricRegistry::size() const {
   return metrics_.size();
 }
 
-void MetricRegistry::ResetAllForTest() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, e] : metrics_) {
-    (void)name;
-    switch (e.kind) {
-      case MetricKind::kCounter:
-        e.counter->Reset();
-        break;
-      case MetricKind::kGauge:
-        e.gauge->Reset();
-        break;
-      case MetricKind::kHistogram:
-        e.histogram->Reset();
-        break;
-    }
-  }
-}
-
 std::string JsonEscape(const std::string& s) {
   std::string out;
   out.reserve(s.size());

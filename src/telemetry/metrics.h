@@ -56,9 +56,6 @@ class Counter {
   }
   operator uint64_t() const { return value(); }
 
-  /// Test/reset hook: not atomic with respect to concurrent Add()s.
-  void Reset() { v_.store(0, std::memory_order_relaxed); }
-
  private:
   std::atomic<uint64_t> v_{0};
 };
@@ -70,7 +67,6 @@ class Gauge {
   void Set(int64_t v) { v_.store(v, std::memory_order_relaxed); }
   void Add(int64_t n) { v_.fetch_add(n, std::memory_order_relaxed); }
   int64_t value() const { return v_.load(std::memory_order_relaxed); }
-  void Reset() { Set(0); }
 
  private:
   std::atomic<int64_t> v_{0};
@@ -174,10 +170,6 @@ class MetricRegistry {
   std::string ToJson() const;
 
   size_t size() const;
-
-  /// Zeroes every registered metric (pointers stay valid). Tests only —
-  /// concurrent updates during the reset may survive it.
-  void ResetAllForTest();
 
  private:
   struct Entry {

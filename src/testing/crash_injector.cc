@@ -7,13 +7,7 @@
 
 namespace tcq {
 
-CrashInjector::CrashInjector(uint64_t seed, size_t num_shards,
-                             Options options)
-    : injector_(seed),
-      schedule_(injector_.MakeKillSchedule(options.kills, num_shards,
-                                           options.horizon)) {}
-
-void CrashInjector::CrashAndRecover(ShardedEngine* engine, size_t shard) {
+void CrashAndRecover(ShardedEngine* engine, size_t shard) {
   const Status killed = engine->KillShard(shard);
   TCQ_CHECK(killed.ok()) << killed.ToString();
   // The worker observes the kill at its next task boundary (it polls the
@@ -23,17 +17,6 @@ void CrashInjector::CrashAndRecover(ShardedEngine* engine, size_t shard) {
   }
   const Status recovered = engine->FailoverShard(shard);
   TCQ_CHECK(recovered.ok()) << recovered.ToString();
-}
-
-size_t CrashInjector::MaybeCrash(ShardedEngine* engine, uint64_t slice) {
-  size_t count = 0;
-  while (next_ < schedule_.size() && schedule_[next_].tick <= slice) {
-    CrashAndRecover(engine, schedule_[next_].node);
-    ++next_;
-    ++fired_;
-    ++count;
-  }
-  return count;
 }
 
 }  // namespace tcq

@@ -1,8 +1,5 @@
 #include "testing/fault_injector.h"
 
-#include <algorithm>
-#include <unordered_set>
-
 #include "common/logging.h"
 
 namespace tcq {
@@ -110,34 +107,6 @@ std::shared_ptr<QueueFaultHooks> FaultInjector::MakeQueueHooks(
     return d;
   };
   return hooks;
-}
-
-std::vector<FaultInjector::NodeKill> FaultInjector::MakeKillSchedule(
-    size_t kills, size_t num_nodes, uint64_t horizon) {
-  TCQ_CHECK(kills <= num_nodes)
-      << "cannot kill more distinct nodes than exist";
-  TCQ_CHECK(kills <= horizon) << "need one tick per kill";
-  std::vector<NodeKill> schedule;
-  std::unordered_set<uint64_t> used_ticks;
-  std::unordered_set<size_t> used_nodes;
-  std::lock_guard<std::mutex> lock(mu_);
-  while (schedule.size() < kills) {
-    const uint64_t tick = 1 + rng_.Next() % horizon;
-    const size_t node = static_cast<size_t>(rng_.Next() % num_nodes);
-    if (!used_ticks.insert(tick).second) continue;
-    if (!used_nodes.insert(node).second) {
-      used_ticks.erase(tick);
-      continue;
-    }
-    schedule.push_back(NodeKill{tick, node});
-    trace_.push_back("kill:t=" + std::to_string(tick) +
-                     ",n=" + std::to_string(node));
-  }
-  std::sort(schedule.begin(), schedule.end(),
-            [](const NodeKill& a, const NodeKill& b) {
-              return a.tick < b.tick;
-            });
-  return schedule;
 }
 
 TupleVector FaultInjector::Perturb(const TupleVector& input,

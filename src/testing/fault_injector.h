@@ -16,9 +16,9 @@ namespace tcq {
 
 /// Deterministic fault injection for the engine's "uncertain world" test
 /// targets (§3, §4.2 of the paper). One FaultInjector owns a seeded
-/// tcq::Rng; every fault source derived from it (queue hooks, shard kill
-/// schedules, stream perturbations) draws from child generators seeded by
-/// the parent, so a single seed reproduces the entire fault schedule —
+/// tcq::Rng; every fault source derived from it (queue hooks, stream
+/// perturbations) draws from child generators seeded by the parent, so a
+/// single seed reproduces the entire fault schedule —
 /// the property the stress suite's reproducibility assertions rely on.
 ///
 /// Every decision is appended to a trace (a compact human-readable code),
@@ -51,21 +51,6 @@ class FaultInjector {
   std::shared_ptr<QueueFaultHooks> MakeQueueHooks(
       const QueueFaultProfile& enqueue, const QueueFaultProfile& dequeue);
 
-  // -- Kill schedules -----------------------------------------------------
-
-  /// One scripted machine fault: kill `node` at step `tick` (CrashInjector
-  /// reads them as a shard and a feed slice).
-  struct NodeKill {
-    uint64_t tick;
-    size_t node;
-  };
-
-  /// Draws `kills` node failures at distinct ticks in [1, horizon] over
-  /// distinct nodes in [0, num_nodes), sorted by tick. Requires
-  /// kills <= num_nodes and kills <= horizon.
-  std::vector<NodeKill> MakeKillSchedule(size_t kills, size_t num_nodes,
-                                         uint64_t horizon);
-
   // -- Stream ingress -----------------------------------------------------
 
   /// Perturbations applied to an ordered tuple sequence before it is fed
@@ -87,7 +72,7 @@ class FaultInjector {
   // -- Introspection ------------------------------------------------------
 
   /// All decisions drawn so far, in draw order, as compact codes (e.g.
-  /// "enq:drop", "kill:t=12,n=3", "stream:late@7"). Thread-safe snapshot.
+  /// "enq:drop", "stream:late@7"). Thread-safe snapshot.
   std::vector<std::string> Trace() const;
   size_t TraceSize() const;
 

@@ -477,8 +477,8 @@ TEST(DisorderShardedTest, LanesAndRetractionsSurviveFailover) {
   ASSERT_TRUE(engine.Quiesce().ok());
   // Kill and promote both shards: the standbys rebuild purely from the
   // changelog, lanes included.
-  CrashInjector::CrashAndRecover(&engine, 0);
-  CrashInjector::CrashAndRecover(&engine, 1);
+  CrashAndRecover(&engine, 0);
+  CrashAndRecover(&engine, 1);
   ASSERT_TRUE(engine
                   .PushBatch("S", {KVTuple(3, 13)}, IngressLane::kDelayed)
                   .ok());

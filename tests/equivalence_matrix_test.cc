@@ -549,8 +549,7 @@ std::string RunConfig(uint64_t seed, const Config& config, size_t* rows) {
       if (engine) {
         EXPECT_TRUE(engine->PushBatch(stream, slice).ok());
         if (config.crash && ++slices % 3 == 0) {
-          CrashInjector::CrashAndRecover(engine.get(),
-                                         (crashes++ + seed) % config.shards);
+          CrashAndRecover(engine.get(), (crashes++ + seed) % config.shards);
         }
       }
     }

@@ -305,9 +305,9 @@ TEST(FailoverTest, KillAndFailoverRecoversExactly) {
   };
 
   push(0, 40);
-  CrashInjector::CrashAndRecover(&engine, 0);
+  CrashAndRecover(&engine, 0);
   push(100, 40);
-  CrashInjector::CrashAndRecover(&engine, 1);
+  CrashAndRecover(&engine, 1);
   push(200, 40);
   ASSERT_TRUE(engine.Quiesce().ok());
 
@@ -344,7 +344,7 @@ TEST(FailoverTest, FailedOverWorkerParksOnTheShardWaker) {
   std::vector<Tuple> batch;
   for (int64_t i = 0; i < 16; ++i) batch.push_back(KVTuple(i, i, i + 1));
   ASSERT_TRUE(engine.PushBatch("S", std::move(batch)).ok());
-  CrashInjector::CrashAndRecover(&engine, 0);
+  CrashAndRecover(&engine, 0);
 
   const ShardedEngine::ShardStats before = engine.shard_stats()[0];
   for (int round = 0; round < 20; ++round) {
@@ -389,7 +389,7 @@ TEST(FailoverTest, TornCheckpointsFallBackToChangelogReplay) {
     }
     total += 20;
     ASSERT_TRUE(engine.PushBatch("S", std::move(batch)).ok());
-    if (round == 3) CrashInjector::CrashAndRecover(&engine, 0);
+    if (round == 3) CrashAndRecover(&engine, 0);
   }
   ASSERT_TRUE(engine.Quiesce().ok());
   EXPECT_EQ(ledger.hits(*q), total);
@@ -437,7 +437,7 @@ TEST(FailoverTest, MidMigrationShardFailsOverConsistently) {
   for (size_t bucket : owned) {
     ASSERT_TRUE(engine.MigrateBucket(bucket, 1).ok());
   }
-  CrashInjector::CrashAndRecover(&engine, 0);
+  CrashAndRecover(&engine, 0);
 
   // Probe every key: each must join exactly once — a resurrected bucket
   // on shard 0 would double keys, a lost one would drop them.
@@ -643,19 +643,6 @@ TEST(FailoverTest, QueryChangesTakeNoCheckpoint) {
   EXPECT_EQ(engine.ha_stats().checkpoints, before);
   EXPECT_EQ(engine.RemoveQuery(*q).code(), StatusCode::kNotFound);
   engine.Stop();
-}
-
-TEST(FailoverTest, CrashInjectorScheduleIsDeterministic) {
-  CrashInjector::Options copts;
-  copts.kills = 3;
-  copts.horizon = 10;
-  CrashInjector a(42, 4, copts);
-  CrashInjector b(42, 4, copts);
-  ASSERT_EQ(a.schedule().size(), 3u);
-  for (size_t i = 0; i < a.schedule().size(); ++i) {
-    EXPECT_EQ(a.schedule()[i].tick, b.schedule()[i].tick);
-    EXPECT_EQ(a.schedule()[i].node, b.schedule()[i].node);
-  }
 }
 
 }  // namespace

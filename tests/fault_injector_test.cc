@@ -37,27 +37,6 @@ TEST(FaultInjectorTest, SameSeedSameQueueDecisionTrace) {
   EXPECT_GT(a.TraceSize(), 0u);
 }
 
-TEST(FaultInjectorTest, KillScheduleDeterministicSortedAndDistinct) {
-  FaultInjector a(7), b(7);
-  const auto sa = a.MakeKillSchedule(3, 6, 40);
-  const auto sb = b.MakeKillSchedule(3, 6, 40);
-  ASSERT_EQ(sa.size(), 3u);
-  std::set<uint64_t> ticks;
-  std::set<size_t> nodes;
-  for (size_t i = 0; i < sa.size(); ++i) {
-    EXPECT_EQ(sa[i].tick, sb[i].tick);
-    EXPECT_EQ(sa[i].node, sb[i].node);
-    EXPECT_GE(sa[i].tick, 1u);
-    EXPECT_LE(sa[i].tick, 40u);
-    EXPECT_LT(sa[i].node, 6u);
-    ticks.insert(sa[i].tick);
-    nodes.insert(sa[i].node);
-    if (i > 0) EXPECT_GT(sa[i].tick, sa[i - 1].tick);  // Sorted.
-  }
-  EXPECT_EQ(ticks.size(), 3u);  // Distinct ticks.
-  EXPECT_EQ(nodes.size(), 3u);  // Distinct nodes.
-}
-
 TupleVector MakeStream(int n) {
   TupleVector v;
   for (int i = 1; i <= n; ++i) {

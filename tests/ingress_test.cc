@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include "fjords/scheduler.h"
 #include "ingress/sources.h"
@@ -174,6 +175,57 @@ TEST(ArchiveTest, ExplicitEviction) {
   }
   archive.EvictBefore(8);
   EXPECT_EQ(archive.size(), 3u);
+}
+
+TEST(ArchiveTest, StragglerBelowTheFloorIsDropped) {
+  // EvictBefore(8) says history below 8 is gone, so a straggler at 5 must
+  // not come back in scans; one at 9 is still placed in order.
+  Archive archive;
+  for (Timestamp ts = 1; ts <= 10; ++ts) {
+    archive.Append(Tuple::Make({Value::Int64(ts)}, ts));
+  }
+  archive.EvictBefore(8);
+  EXPECT_EQ(archive.floor(), 8);
+  archive.InsertOrdered(Tuple::Make({Value::Int64(5)}, 5));
+  EXPECT_EQ(archive.size(), 3u);
+  EXPECT_TRUE(archive.Scan(kMinTimestamp, 7).empty());
+  EXPECT_EQ(archive.min_timestamp(), 8);
+  archive.InsertOrdered(Tuple::Make({Value::Int64(9)}, 9));
+  EXPECT_EQ(archive.Scan(9, 9).size(), 2u);
+}
+
+TEST(ArchiveTest, ResidentBytesFollowTheResidentTuples) {
+  // Strings of growing length make every tuple's ApproxBytes distinct.
+  Archive archive(/*retention_span=*/20);
+  auto row = [](Timestamp ts) {
+    return Tuple::Make({Value::Int64(ts),
+                        Value::String(std::string(static_cast<size_t>(ts),
+                                                  'x'))},
+                       ts);
+  };
+  auto held = [&archive] {
+    int64_t bytes = 0;
+    for (const Tuple& t : archive.Scan(kMinTimestamp, kMaxTimestamp)) {
+      bytes += static_cast<int64_t>(t.ApproxBytes());
+    }
+    return bytes;
+  };
+  EXPECT_EQ(archive.resident_bytes(), 0);
+  for (Timestamp ts = 1; ts <= 30; ++ts) {
+    archive.Append(row(ts));
+    ASSERT_EQ(archive.resident_bytes(), held()) << "append " << ts;
+  }
+  archive.InsertOrdered(row(15));  // Straggler inside the span.
+  EXPECT_EQ(archive.resident_bytes(), held());
+  archive.InsertOrdered(row(3));  // Below the span floor: dropped.
+  EXPECT_EQ(archive.resident_bytes(), held());
+  EXPECT_TRUE(archive.CancelMatching(row(20)));
+  EXPECT_EQ(archive.resident_bytes(), held());
+  archive.EvictBefore(25);
+  EXPECT_EQ(archive.size(), 6u);
+  EXPECT_EQ(archive.resident_bytes(), held());
+  archive.EvictBefore(kMaxTimestamp);
+  EXPECT_EQ(archive.resident_bytes(), 0);
 }
 
 }  // namespace

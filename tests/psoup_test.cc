@@ -1,8 +1,16 @@
 #include "psoup/psoup.h"
 
 #include <gtest/gtest.h>
+#include <stdlib.h>
+
+#include <algorithm>
+#include <filesystem>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
+#include "spool/spool.h"
+#include "telemetry/metrics.h"
 
 namespace tcq {
 namespace {
@@ -196,6 +204,102 @@ TEST_P(PSoupPropertyTest, InvocationMatchesRecompute) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PSoupPropertyTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6));
+
+/// The rows of `rows` at or after `lo`, rendered.
+std::vector<std::string> RowsFrom(const TupleVector& rows, Timestamp lo) {
+  std::vector<std::string> out;
+  for (const Tuple& t : rows) {
+    if (t.timestamp() >= lo) out.push_back(t.ToString());
+  }
+  return out;
+}
+
+TEST(PSoupSpoolTest, SpooledHistoryMatchesInMemoryHistory) {
+  // One disordered feed (stragglers inside and below the span floor, one
+  // EvictBefore, a finite history_span) into a PSoup whose history keeps
+  // a 4-tuple resident tail over a spool and into one without a spool.
+  // EvictBefore frees history on the plain side but demotes it on the
+  // spooled side, where new queries still seed from it, so answers are
+  // compared from the evicted timestamp up.
+  Gauge* gauge =
+      MetricRegistry::Global().GetGauge("tcq.psoup.resident_bytes");
+  const int64_t gauge_before = gauge->value();
+  std::string dir = (std::filesystem::temp_directory_path() /
+                     "tcq-psoup-spool-XXXXXX")
+                        .string();
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  {
+    Spool::Options so;
+    so.dir = dir;
+    so.cache_pages = 2;
+    so.segment_bytes = 4 * 1024;
+    auto spool = Spool::Open(so);
+    ASSERT_TRUE(spool.ok()) << spool.status();
+
+    constexpr size_t kResident = 4;
+    PSoup::Options opts;
+    opts.history_span = 60;
+    PSoup plain(SensorSchema(), opts);
+    PSoup spooled(SensorSchema(), opts);
+    spooled.AttachSpool(spool->get(), "psoup.sensors", kResident);
+
+    Rng rng(11);
+    Timestamp now = 0;
+    Timestamp evicted = kMinTimestamp;
+    std::vector<QueryId> queries;  // Same ids on both sides.
+    auto expect_same = [&](size_t i, const char* when) {
+      auto a = plain.Invoke(queries[i], now);
+      auto b = spooled.Invoke(queries[i], now);
+      ASSERT_TRUE(a.ok() && b.ok());
+      EXPECT_EQ(RowsFrom(*a, evicted), RowsFrom(*b, evicted))
+          << when << " query " << i << " at " << now;
+    };
+    for (int step = 0; step < 600; ++step) {
+      Timestamp ts;
+      if (now > 1 && rng.NextBool(0.2)) {
+        // A straggler up to 80 ticks late: some land below the floor.
+        const Timestamp back = 1 + static_cast<Timestamp>(rng.NextBounded(80));
+        ts = std::max<Timestamp>(1, now - back);
+      } else {
+        now += static_cast<Timestamp>(rng.NextBounded(3));
+        ts = now;
+      }
+      const Tuple t = Reading(ts, static_cast<int64_t>(rng.NextBounded(3)),
+                              20.0 + static_cast<double>(rng.NextBounded(10)));
+      plain.OnData(t);
+      spooled.OnData(t);
+      ASSERT_LE(spooled.resident_history_size(), kResident) << step;
+      if (step == 300) {
+        evicted = now - 20;  // Inside the span.
+        plain.EvictBefore(evicted);
+        spooled.EvictBefore(evicted);
+      }
+      if (step % 40 == 0) {
+        ExprPtr pred =
+            rng.NextBool(0.5)
+                ? SensorEq(static_cast<int64_t>(rng.NextBounded(3)))
+                : TempGt(20.0 + static_cast<double>(rng.NextBounded(10)));
+        const Timestamp width =
+            1 + static_cast<Timestamp>(rng.NextBounded(100));
+        auto a = plain.Register(pred, width);
+        auto b = spooled.Register(pred, width);
+        ASSERT_TRUE(a.ok() && b.ok());
+        ASSERT_EQ(*a, *b);
+        queries.push_back(*a);
+        expect_same(queries.size() - 1, "seed");
+      }
+      if (step % 7 == 0) {
+        for (size_t i = 0; i < queries.size(); ++i) expect_same(i, "invoke");
+      }
+    }
+    EXPECT_GT(spooled.spooled_history_size(), 0u);
+    EXPECT_GE(spooled.history_size(), plain.history_size());
+  }
+  // Both PSoups gave back what they published.
+  EXPECT_EQ(gauge->value(), gauge_before);
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+}
 
 }  // namespace
 }  // namespace tcq

@@ -718,6 +718,17 @@ uint64_t WindowsMetric(const Server& server, const std::string& field) {
   return std::strtoull(snap.c_str() + at + field.size() + 3, nullptr, 10);
 }
 
+/// The first stream's "history" "resident_bytes" in SnapshotMetrics.
+int64_t HistoryBytes(const Server& server) {
+  const std::string snap = server.SnapshotMetrics();
+  const std::string key = "\"history\":{\"resident\":";
+  const size_t history = snap.find(key, snap.find("\"streams\":{"));
+  const size_t at = snap.find("\"resident_bytes\":", history);
+  EXPECT_NE(history, std::string::npos) << snap;
+  EXPECT_NE(at, std::string::npos) << snap;
+  return std::strtoll(snap.c_str() + at + 17, nullptr, 10);
+}
+
 /// A result set, doubles by their bits: equal strings are byte-identical
 /// sets.
 std::string RenderSet(const ResultSet& rs) {
@@ -1235,6 +1246,14 @@ TEST(ServerLandmarkTest, RetentionLeavesEachWindowTheRetainedHistory) {
     // At t = 40 ticks 32..40 are retained, and the straggler at 32.
     EXPECT_EQ(got[7].rows[0].cell(0).int64_value(), straggler ? 10 : 9);
     EXPECT_EQ(got[8].rows[0].cell(0).int64_value(), 9);
+    // The stream's history memory is counted: ten ticks of it, until a
+    // push far ahead trims all but that tuple.
+    const int64_t held = HistoryBytes(server);
+    EXPECT_GT(held, 0);
+    ASSERT_TRUE(server.Push("S", PaneRow(&rng, 100)).ok());
+    const int64_t trimmed = HistoryBytes(server);
+    EXPECT_GT(trimmed, 0);
+    EXPECT_LT(trimmed, held);
   }
 }
 

@@ -566,6 +566,30 @@ TEST(SpoolArchive, RetentionSpanKeepsExactLogicalFloor) {
             Fingerprint(split.Scan(kMinTimestamp, kMaxTimestamp)));
 }
 
+/// EvictBefore can demote the whole resident tail. New data then lands
+/// resident again (older stragglers still go to the spool), and the
+/// retention span keeps following the newest timestamp.
+TEST(SpoolArchive, NewDataAfterFullDemotionStaysResident) {
+  TempDir dir;
+  auto spool_or = Spool::Open(SmallOptions(dir.path()));
+  ASSERT_TRUE(spool_or.ok());
+  Archive split(/*retention_span=*/50);
+  split.AttachSpool(spool_or->get(), "stream.s", /*resident_limit=*/4);
+  for (int i = 1; i <= 10; ++i) split.Append(Row(i, i));
+  split.EvictBefore(kMaxTimestamp);
+  EXPECT_EQ(split.resident_size(), 0u);
+  EXPECT_EQ(split.resident_bytes(), 0);
+  split.InsertOrdered(Row(11, 11));
+  split.InsertOrdered(Row(5, 55));  // Straggler: spool late run.
+  EXPECT_EQ(split.resident_size(), 1u);
+  EXPECT_EQ(split.max_timestamp(), 11);
+  split.InsertOrdered(Row(70, 70));  // The span now starts at 21.
+  EXPECT_EQ(split.floor(), 21);
+  const TupleVector all = split.Scan(kMinTimestamp, kMaxTimestamp);
+  ASSERT_EQ(all.size(), 1u);
+  EXPECT_EQ(all[0].timestamp(), 70);
+}
+
 TEST(SpoolIndex, SeekMainProbesAndMaskCounts) {
   spool::StreamIndex idx;
   EXPECT_FALSE(idx.SeekMain(5).has_value());

@@ -84,7 +84,7 @@ TEST(StressFailoverTest, FailoversAgainstProducersAndMigrations) {
   // migration lock).
   std::thread killer([&engine] {
     for (size_t round = 0; round < kFailovers; ++round) {
-      CrashInjector::CrashAndRecover(&engine, round % kShards);
+      CrashAndRecover(&engine, round % kShards);
     }
   });
 
