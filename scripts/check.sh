@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full verification: tier-1 (fast unit suite) plus the fault-injection /
-# concurrency stress suite, the equivalence matrix and the history-spool
-# tests under ThreadSanitizer and ASan+UBSan, as CI runs them.
+# concurrency stress suite, the equivalence matrix, the history-spool tests
+# and the front-end tests under ThreadSanitizer and ASan+UBSan, as CI runs
+# them.
 #
 # Usage:
 #   scripts/check.sh            # tier-1 + one stress pass per sanitizer
@@ -19,10 +20,10 @@ cmake --build build -j "$JOBS" >/dev/null
 
 for SAN in thread address; do
   DIR="build-${SAN}san"
-  echo "==> sanitizer=${SAN}: stress + equivalence + spool x${STRESS_REPEAT} (${DIR})"
+  echo "==> sanitizer=${SAN}: stress + equivalence + spool + frontend x${STRESS_REPEAT} (${DIR})"
   cmake -B "$DIR" -S . -DTCQ_SANITIZE="$SAN" >/dev/null
   cmake --build "$DIR" -j "$JOBS" >/dev/null
-  (cd "$DIR" && ctest -L "stress|equivalence|spool" --output-on-failure \
+  (cd "$DIR" && ctest -L "stress|equivalence|spool|frontend" --output-on-failure \
       --repeat until-fail:"$STRESS_REPEAT")
 done
 

@@ -528,13 +528,17 @@ void ShardedEngine::ApplyChange(CacqEngine* engine,
 }
 
 Result<QueryId> ShardedEngine::AddQuery(const CacqQuerySpec& spec) {
-  // Inline: one shard holds every key, so no join can span shards, and
-  // with no standby there is no history to keep.
-  if (inline_) return shards_[0]->engine->AddQuery(spec);
-  // Every error is found here, on the calling thread: installing the plan
-  // on a shard cannot fail.
   TCQ_ASSIGN_OR_RETURN(CacqQueryPlan plan,
                        CacqEngine::PlanQuery(layout_, spec));
+  return AddQuery(std::move(plan));
+}
+
+Result<QueryId> ShardedEngine::AddQuery(CacqQueryPlan plan) {
+  // Inline: one shard holds every key, so no join can span shards, and
+  // with no standby there is no history to keep.
+  if (inline_) return shards_[0]->engine->InstallQuery(plan);
+  // Every error is found here, on the calling thread: installing the plan
+  // on a shard cannot fail.
   TCQ_RETURN_NOT_OK(ValidatePartitioning(plan));
   std::lock_guard<std::mutex> registry(registry_mu_);
   std::shared_lock<std::shared_mutex> route(route_mu_);

@@ -183,6 +183,9 @@ class ShardedEngine {
   /// Server's submission lock does): two racing registrations could
   /// interleave differently per shard and diverge the QueryIds.
   Result<QueryId> AddQuery(const CacqQuerySpec& spec);
+  /// The same for a plan already made against this engine's layout
+  /// (CacqEngine::PlanQuery, or the server's analysis).
+  Result<QueryId> AddQuery(CacqQueryPlan plan);
 
   /// Unregisters `q` on every shard, the same way: NotFound at once for an
   /// unknown or removed query, otherwise enqueued without waiting. The

@@ -1,7 +1,5 @@
 #include "core/analyzer.h"
 
-#include <set>
-
 #include "common/logging.h"
 #include "expr/predicates.h"
 
@@ -45,19 +43,19 @@ ValueType AggResultType(const AggregateSpec& spec) {
 
 }  // namespace
 
-Result<AnalyzedQuery> Analyze(const ParsedQuery& parsed,
-                              const Catalog& catalog) {
+Result<AnalyzedQuery> Analyze(ParsedQuery query, const Catalog& catalog) {
   AnalyzedQuery out;
-  out.parsed = parsed;
+  out.parsed = std::move(query);
+  const ParsedQuery& parsed = out.parsed;
   out.layout = std::make_shared<SourceLayout>();
 
   // --- FROM: resolve sources. -----------------------------------------
-  std::set<std::string> aliases;
   out.tables_only = true;
+  out.defs.reserve(parsed.from.size());
   for (const TableRef& ref : parsed.from) {
     TCQ_ASSIGN_OR_RETURN(StreamDef def, catalog.GetStream(ref.name));
     const std::string& alias = ref.EffectiveAlias();
-    if (!aliases.insert(alias).second) {
+    if (out.layout->SourceIndexOf(alias) != out.layout->num_sources()) {
       return Status::InvalidArgument("duplicate source alias: " + alias);
     }
     out.layout->AddSource(alias, def.schema);
@@ -72,7 +70,9 @@ Result<AnalyzedQuery> Analyze(const ParsedQuery& parsed,
   };
 
   // --- WHERE: classify boolean factors. ---------------------------------
-  for (const ExprPtr& factor : ExtractConjuncts(parsed.where)) {
+  const std::vector<ExprPtr> factors = ExtractConjuncts(parsed.where);
+  out.filters.reserve(factors.size());
+  for (const ExprPtr& factor : factors) {
     if (factor == nullptr) continue;
     TCQ_ASSIGN_OR_RETURN(FactorPlan plan, ClassifyFactor(factor, *schema));
     if (plan.kind == FactorPlan::Kind::kJoin) {
@@ -93,19 +93,25 @@ Result<AnalyzedQuery> Analyze(const ParsedQuery& parsed,
       return Status::TypeError("WHERE factor is not boolean: " +
                                factor->ToString());
     }
-    std::vector<std::string> cols;
-    factor->CollectColumns(&cols);
     filter.required.Resize(out.layout->num_sources());
-    for (const std::string& c : cols) {
-      TCQ_ASSIGN_OR_RETURN(size_t idx, schema->IndexOf(c));
-      filter.required.Set(source_of_column(idx));
+    if (filter.plan.kind == FactorPlan::Kind::kGrouped) {
+      filter.required.Set(source_of_column(filter.plan.column));
+    } else {
+      std::vector<std::string> cols;
+      factor->CollectColumns(&cols);
+      for (const std::string& c : cols) {
+        TCQ_ASSIGN_OR_RETURN(size_t idx, schema->IndexOf(c));
+        filter.required.Set(source_of_column(idx));
+      }
     }
     out.filters.push_back(std::move(filter));
   }
 
   // --- SELECT: projections vs aggregates. ------------------------------
+  // `projections` holds the bound non-aggregate items in either mode.
   std::vector<Field> output_fields;
-  std::vector<ExprPtr> plain_select;  // Bound non-aggregate select items.
+  output_fields.reserve(parsed.select.size());
+  out.output_names.reserve(parsed.select.size());
   for (size_t i = 0; i < parsed.select.size(); ++i) {
     const SelectItem& item = parsed.select[i];
     if (item.star) {
@@ -117,7 +123,6 @@ Result<AnalyzedQuery> Analyze(const ParsedQuery& parsed,
         }
         TCQ_ASSIGN_OR_RETURN(ExprPtr bound,
                              Expr::Column(f.QualifiedName())->Bind(*schema));
-        plain_select.push_back(bound);
         out.projections.push_back(bound);
         out.output_names.push_back(f.name);
         output_fields.push_back({f.name, f.type, ""});
@@ -137,10 +142,17 @@ Result<AnalyzedQuery> Analyze(const ParsedQuery& parsed,
             item.expr->ToString());
       }
       out.has_aggregates = true;
+      out.aggregates.reserve(parsed.select.size());
       AggregateSpec spec;
       spec.kind = item.expr->agg_kind();
       if (item.expr->agg_arg() != nullptr) {
         TCQ_ASSIGN_OR_RETURN(spec.arg, item.expr->agg_arg()->Bind(*schema));
+        const ValueType t = spec.arg->result_type();
+        if ((spec.kind == AggKind::kSum || spec.kind == AggKind::kAvg) &&
+            (t == ValueType::kString || t == ValueType::kBool)) {
+          return Status::TypeError(item.expr->ToString() +
+                                   " needs a numeric argument");
+        }
       }
       spec.output_name = DeriveName(item, i);
       out.output_names.push_back(spec.output_name);
@@ -149,7 +161,7 @@ Result<AnalyzedQuery> Analyze(const ParsedQuery& parsed,
       continue;
     }
     TCQ_ASSIGN_OR_RETURN(ExprPtr bound, item.expr->Bind(*schema));
-    plain_select.push_back(bound);
+    out.projections.reserve(parsed.select.size());
     out.projections.push_back(bound);
     const std::string name = DeriveName(item, i);
     out.output_names.push_back(name);
@@ -164,7 +176,7 @@ Result<AnalyzedQuery> Analyze(const ParsedQuery& parsed,
         out.group_by.push_back(bound);
       }
       // Plain select items must be grouping keys (checked syntactically).
-      for (const ExprPtr& sel : plain_select) {
+      for (const ExprPtr& sel : out.projections) {
         bool found = false;
         for (const ExprPtr& key : out.group_by) {
           if (key->ToString() == sel->ToString()) found = true;
@@ -176,14 +188,14 @@ Result<AnalyzedQuery> Analyze(const ParsedQuery& parsed,
         }
       }
     } else {
-      out.group_by = plain_select;
+      out.group_by = out.projections;
     }
     // Result rows come out of AggregateState as keys-then-aggregates:
     // require the select list in that order so output columns line up.
     for (size_t i = 0; i < parsed.select.size(); ++i) {
       const bool is_agg = !parsed.select[i].star &&
                           parsed.select[i].expr->ContainsAggregate();
-      const bool in_key_zone = i < plain_select.size();
+      const bool in_key_zone = i < out.projections.size();
       if (in_key_zone == is_agg) {
         return Status::NotImplemented(
             "with aggregates, list grouping keys before aggregate calls");
@@ -239,7 +251,7 @@ Result<AnalyzedQuery> Analyze(const ParsedQuery& parsed,
 Result<AnalyzedQuery> AnalyzeSql(const std::string& sql,
                                  const Catalog& catalog) {
   TCQ_ASSIGN_OR_RETURN(ParsedQuery parsed, ParseQuery(sql));
-  return Analyze(parsed, catalog);
+  return Analyze(std::move(parsed), catalog);
 }
 
 }  // namespace tcq

@@ -74,9 +74,9 @@ struct AnalyzedQuery {
   SchemaPtr output_schema;
 };
 
-/// Resolves and type-checks `parsed` against `catalog`.
-Result<AnalyzedQuery> Analyze(const ParsedQuery& parsed,
-                              const Catalog& catalog);
+/// Resolves and type-checks `query` against `catalog`; the result keeps
+/// it as `parsed`.
+Result<AnalyzedQuery> Analyze(ParsedQuery query, const Catalog& catalog);
 
 /// Convenience: parse + analyze.
 Result<AnalyzedQuery> AnalyzeSql(const std::string& sql,

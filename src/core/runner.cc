@@ -23,30 +23,37 @@ ForLoopSpec OnceSpec() {
 QueryRunner::QueryRunner(AnalyzedQuery analyzed,
                          std::vector<const Archive*> archives,
                          std::vector<TupleVector> table_rows, Options options)
+    : QueryRunner(std::make_shared<const AnalyzedQuery>(std::move(analyzed)),
+                  std::move(archives), std::move(table_rows),
+                  std::move(options)) {}
+
+QueryRunner::QueryRunner(std::shared_ptr<const AnalyzedQuery> analyzed,
+                         std::vector<const Archive*> archives,
+                         std::vector<TupleVector> table_rows, Options options)
     : analyzed_(std::move(analyzed)),
       archives_(std::move(archives)),
       table_rows_(std::move(table_rows)),
-      options_(options),
-      sequence_(analyzed_.window.has_value() ? &*analyzed_.window
+      options_(std::move(options)),
+      sequence_(analyzed_->window.has_value() ? &*analyzed_->window
                                              : nullptr,
-                options.start_time) {
-  TCQ_CHECK(archives_.size() == analyzed_.layout->num_sources());
-  TCQ_CHECK(table_rows_.size() == analyzed_.layout->num_sources());
-  if (!analyzed_.window.has_value()) {
+                options_.start_time) {
+  TCQ_CHECK(archives_.size() == analyzed_->layout->num_sources());
+  TCQ_CHECK(table_rows_.size() == analyzed_->layout->num_sources());
+  if (!analyzed_->window.has_value()) {
     // Table-only snapshot: run once over everything.
     static const ForLoopSpec* const kOnce = new ForLoopSpec(OnceSpec());
-    sequence_ = WindowSequence(kOnce, options.start_time);
+    sequence_ = WindowSequence(kOnce, options_.start_time);
   }
 
-  if (analyzed_.window.has_value() &&
-      analyzed_.window->windows.size() == 1 &&
-      analyzed_.layout->num_sources() == 1) {
+  if (analyzed_->window.has_value() &&
+      analyzed_->window->windows.size() == 1 &&
+      analyzed_->layout->num_sources() == 1) {
     auto shape = ClassifyWindow(sequence_, 0);
     if (shape.ok()) shape_ = *shape;
   }
-  shareable_ = !options_.speculative && analyzed_.window.has_value() &&
-               analyzed_.layout->num_sources() == 1 &&
-               !analyzed_.defs[0].is_table;
+  shareable_ = !options_.speculative && analyzed_->window.has_value() &&
+               analyzed_->layout->num_sources() == 1 &&
+               !analyzed_->defs[0].is_table;
 }
 
 size_t QueryRunner::TakeReady(Timestamp high_watermark,
@@ -66,8 +73,8 @@ size_t QueryRunner::TakeReady(Timestamp high_watermark,
     // one timestamp, that is only certain when a strictly *later*
     // timestamp has been seen (punctuation-by-progress).
     bool ready = true;
-    for (size_t s = 0; s < analyzed_.layout->num_sources(); ++s) {
-      const int clause = analyzed_.window_clause_of_source[s];
+    for (size_t s = 0; s < analyzed_->layout->num_sources(); ++s) {
+      const int clause = analyzed_->window_clause_of_source[s];
       if (clause < 0) continue;  // Static table: always ready.
       if (pending_step_->bounds[static_cast<size_t>(clause)].right >=
           high_watermark) {
@@ -116,8 +123,8 @@ size_t QueryRunner::Revise(Timestamp late_ts, std::vector<ResultSet>* out) {
     // floor may have changed. Re-execution is pure and the diff below is
     // empty for untouched windows, so over-selection only costs work.
     bool affected = false;
-    for (size_t s = 0; s < analyzed_.layout->num_sources(); ++s) {
-      const int clause = analyzed_.window_clause_of_source[s];
+    for (size_t s = 0; s < analyzed_->layout->num_sources(); ++s) {
+      const int clause = analyzed_->window_clause_of_source[s];
       if (clause < 0) continue;
       const WindowBounds& b = fw.step.bounds[static_cast<size_t>(clause)];
       if (late_ts <= b.right) {
@@ -171,9 +178,9 @@ ResultSet QueryRunner::ExecuteWindow(const WindowSequence::Step& step) {
 
   std::vector<Tuple> wide = RunDataflow(step);
 
-  if (analyzed_.has_aggregates) {
-    const auto& specs = analyzed_.aggregates;
-    const auto& keys = analyzed_.group_by;
+  if (analyzed_->has_aggregates) {
+    const auto& specs = analyzed_->aggregates;
+    const auto& keys = analyzed_->group_by;
     AggregateState agg(specs, keys);
     for (const Tuple& t : wide) agg.Add(specs, keys, t);
     result.rows = agg.Emit(specs, keys, step.t);
@@ -183,20 +190,20 @@ ResultSet QueryRunner::ExecuteWindow(const WindowSequence::Step& step) {
   result.rows.reserve(wide.size());
   for (const Tuple& t : wide) {
     std::vector<Value> cells;
-    cells.reserve(analyzed_.projections.size());
-    for (const ExprPtr& e : analyzed_.projections) cells.push_back(e->Eval(t));
+    cells.reserve(analyzed_->projections.size());
+    for (const ExprPtr& e : analyzed_->projections) cells.push_back(e->Eval(t));
     result.rows.push_back(Tuple::Make(std::move(cells), t.timestamp()));
   }
   return result;
 }
 
 std::vector<Tuple> QueryRunner::RunDataflow(const WindowSequence::Step& step) {
-  const SourceLayout& layout = *analyzed_.layout;
+  const SourceLayout& layout = *analyzed_->layout;
   const size_t n = layout.num_sources();
   Eddy eddy(&layout, MakePolicy(options_.policy, options_.seed));
 
   // Filters.
-  for (const auto& f : analyzed_.filters) {
+  for (const auto& f : analyzed_->filters) {
     eddy.AddOperator(
         std::make_shared<FilterOp>(f.expr->ToString(), f.expr, f.required));
   }
@@ -207,7 +214,7 @@ std::vector<Tuple> QueryRunner::RunDataflow(const WindowSequence::Step& step) {
   if (n > 1) {
     // Choose a key column per source: the first join edge touching it.
     std::vector<int> key_of(n, -1);
-    for (const auto& j : analyzed_.joins) {
+    for (const auto& j : analyzed_->joins) {
       if (key_of[j.src_a] == -1) key_of[j.src_a] = j.col_a;
       if (key_of[j.src_b] == -1) key_of[j.src_b] = j.col_b;
     }
@@ -225,7 +232,7 @@ std::vector<Tuple> QueryRunner::RunDataflow(const WindowSequence::Step& step) {
       for (size_t x = 0; x < n; ++x) {
         if (x == target) continue;
         int probe_key = -1;
-        for (const auto& j : analyzed_.joins) {
+        for (const auto& j : analyzed_->joins) {
           if (j.src_a == x && j.src_b == target &&
               j.col_b == key_of[target]) {
             probe_key = j.col_a;
@@ -252,11 +259,11 @@ std::vector<Tuple> QueryRunner::RunDataflow(const WindowSequence::Step& step) {
 
   // Inject every source's window contents (tables inject fully).
   for (size_t s = 0; s < n; ++s) {
-    if (analyzed_.defs[s].is_table) {
+    if (analyzed_->defs[s].is_table) {
       for (const Tuple& t : table_rows_[s]) eddy.Inject(s, t);
       continue;
     }
-    const int clause = analyzed_.window_clause_of_source[s];
+    const int clause = analyzed_->window_clause_of_source[s];
     TCQ_CHECK(clause >= 0);
     const WindowBounds& b = step.bounds[static_cast<size_t>(clause)];
     archives_[s]->ScanApply(b.left, b.right, [&](const Tuple& t) {
@@ -274,7 +281,7 @@ class SharedWindowScan::Query {
   Query(QueryRunner* r, size_t slot)
       : runner(r),
         slot(slot),
-        aq(r->analyzed_),
+        aq(*r->analyzed_),
         clause(static_cast<size_t>(aq.window_clause_of_source[0])) {
     const std::optional<WindowShape>& shape = r->window_shape();
     const bool forward =
@@ -584,7 +591,7 @@ SharedWindowScan::Query* SharedWindowScan::Add(QueryRunner* runner) {
     free_.pop_back();
   }
   queries_[slot] = std::make_unique<Query>(runner, slot);
-  for (const AnalyzedQuery::BoundFilter& bf : runner->analyzed_.filters) {
+  for (const AnalyzedQuery::BoundFilter& bf : runner->analyzed_->filters) {
     index_.Add(slot, {&bf.plan, 1});
   }
   return queries_[slot].get();

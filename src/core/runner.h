@@ -66,6 +66,11 @@ class QueryRunner {
   /// shared with the server, which appends arriving data.
   QueryRunner(AnalyzedQuery analyzed, std::vector<const Archive*> archives,
               std::vector<TupleVector> table_rows, Options options);
+  /// The same over an analysis shared with the caller (the server keeps
+  /// one per query).
+  QueryRunner(std::shared_ptr<const AnalyzedQuery> analyzed,
+              std::vector<const Archive*> archives,
+              std::vector<TupleVector> table_rows, Options options);
 
   QueryRunner(const QueryRunner&) = delete;
   QueryRunner& operator=(const QueryRunner&) = delete;
@@ -121,7 +126,7 @@ class QueryRunner {
     return status_.ok() ? sequence_.status() : status_;
   }
 
-  const AnalyzedQuery& analyzed() const { return analyzed_; }
+  const AnalyzedQuery& analyzed() const { return *analyzed_; }
 
   /// Cumulative number of eddy routing visits across fired windows (a
   /// work measure for benches).
@@ -140,7 +145,7 @@ class QueryRunner {
   /// Runs window contents through a fresh Eddy plan; returns wide tuples.
   std::vector<Tuple> RunDataflow(const WindowSequence::Step& step);
 
-  AnalyzedQuery analyzed_;
+  std::shared_ptr<const AnalyzedQuery> analyzed_;
   std::vector<const Archive*> archives_;
   std::vector<TupleVector> table_rows_;
   Options options_;

@@ -91,33 +91,6 @@ struct ServerMetrics {
 };
 #endif  // TCQ_METRICS_DISABLED
 
-/// Rewrites every column reference to its bare (unqualified) name. Used on
-/// the CACQ path: the shared engine's layout qualifies columns by stream
-/// name while queries may use private aliases; with a single source the
-/// bare names are unambiguous.
-ExprPtr StripQualifiers(const ExprPtr& e) {
-  if (e == nullptr) return nullptr;
-  switch (e->kind()) {
-    case ExprKind::kLiteral:
-    case ExprKind::kVariable:
-      return e;
-    case ExprKind::kColumn: {
-      const std::string& name = e->column_name();
-      const size_t dot = name.find('.');
-      return dot == std::string::npos ? e
-                                      : Expr::Column(name.substr(dot + 1));
-    }
-    case ExprKind::kUnary:
-      return Expr::Unary(e->unary_op(), StripQualifiers(e->left()));
-    case ExprKind::kBinary:
-      return Expr::Binary(e->binary_op(), StripQualifiers(e->left()),
-                          StripQualifiers(e->right()));
-    case ExprKind::kAggregate:
-      return Expr::Aggregate(e->agg_kind(), StripQualifiers(e->agg_arg()));
-  }
-  return e;
-}
-
 /// A tuple fits its stream when it has the schema's arity and every
 /// non-NULL cell has its column's declared type: filters, panes and the
 /// exact SUM read a cell as its column's type.
@@ -293,14 +266,17 @@ Result<QueryId> Server::Submit(const std::string& sql) {
 
 Result<QueryId> Server::Submit(const std::string& sql,
                                const SubmitOptions& opts) {
+  // Parsing reads no server state: ingest need not wait for it.
+  TCQ_ASSIGN_OR_RETURN(ParsedQuery parsed, ParseQuery(sql));
   std::lock_guard<std::mutex> lock(mu_);
-  TCQ_ASSIGN_OR_RETURN(AnalyzedQuery analyzed, AnalyzeSql(sql, catalog_));
+  TCQ_ASSIGN_OR_RETURN(AnalyzedQuery analyzed,
+                       Analyze(std::move(parsed), catalog_));
 
   const QueryId qid = static_cast<QueryId>(queries_.size());
   auto qs = std::make_unique<QueryState>();
   qs->consistency = opts.consistency;
-  qs->analyzed = std::move(analyzed);
-  const AnalyzedQuery& aq = qs->analyzed;
+  qs->analyzed = std::make_shared<const AnalyzedQuery>(std::move(analyzed));
+  const AnalyzedQuery& aq = *qs->analyzed;
   const bool speculative = opts.consistency == Consistency::kSpeculative;
 
   if (aq.cacq_eligible) {
@@ -342,6 +318,7 @@ Result<QueryId> Server::Submit(const std::string& sql,
     }
     // Set before the engine knows the query: from AddQuery on, the
     // egress thread may project its rows.
+    qs->column_projection.reserve(aq.projections.size());
     for (const ExprPtr& e : aq.projections) {
       if (e->kind() != ExprKind::kColumn || e->column_index() < 0) {
         qs->column_projection.clear();
@@ -349,11 +326,22 @@ Result<QueryId> Server::Submit(const std::string& sql,
       }
       qs->column_projection.push_back(static_cast<size_t>(e->column_index()));
     }
-    CacqQuerySpec spec;
-    spec.sources = {stream};
-    spec.where = StripQualifiers(aq.parsed.where);
-    spec.speculative = speculative;
-    TCQ_ASSIGN_OR_RETURN(QueryId engine_q, ss.engine->AddQuery(spec));
+    // The analysis classified every factor against the one source's
+    // schema, whose columns the engine's layout shares: install that.
+    CacqQueryPlan plan;
+    plan.footprint.Resize(1);
+    plan.footprint.Set(0);
+    plan.speculative = speculative;
+    if (!aq.filters.empty()) {
+      CacqQueryPlan::Selection& all =
+          plan.selections.emplace_back(plan.footprint);
+      all.factors.reserve(aq.filters.size());
+      for (const AnalyzedQuery::BoundFilter& f : aq.filters) {
+        all.factors.push_back(f.plan);
+      }
+    }
+    TCQ_ASSIGN_OR_RETURN(QueryId engine_q,
+                         ss.engine->AddQuery(std::move(plan)));
     {
       std::lock_guard<std::mutex> rlock(results_mu_);
       if (ss.cacq_owner.size() <= engine_q) {
@@ -399,8 +387,9 @@ Result<QueryId> Server::Submit(const std::string& sql,
     ropts.seed = options_.seed;
     ropts.start_time = start_time;
     ropts.speculative = speculative;
-    qs->runner = std::make_unique<QueryRunner>(aq, std::move(archives),
-                                               std::move(table_rows), ropts);
+    qs->runner =
+        std::make_unique<QueryRunner>(qs->analyzed, std::move(archives),
+                                      std::move(table_rows), ropts);
     StreamState* plan = nullptr;
     if (qs->runner->shareable()) {
       plan = &streams_.at(aq.defs[0].name);
@@ -502,7 +491,7 @@ Status Server::Cancel(QueryId q) {
       qs->window_stream->windowed_cancelled = true;
       qs->window_query = nullptr;
     } else if (qs->runner != nullptr) {
-      for (const StreamDef& def : qs->analyzed.defs) {
+      for (const StreamDef& def : qs->analyzed->defs) {
         if (!def.is_table) streams_.at(def.name).windowed_cancelled = true;
       }
     }
@@ -528,7 +517,7 @@ Status Server::Cancel(QueryId q) {
 Result<SchemaPtr> Server::OutputSchema(QueryId q) const {
   std::lock_guard<std::mutex> lock(mu_);
   if (q >= queries_.size()) return Status::NotFound("no such query");
-  return queries_[q]->analyzed.output_schema;
+  return queries_[q]->analyzed->output_schema;
 }
 
 Status Server::Push(const std::string& stream, const Tuple& tuple) {
@@ -563,7 +552,7 @@ Timestamp Server::RunnerWatermarkLocked(const QueryState& qs) const {
   // a table-only query.
   const bool speculative = qs.consistency == Consistency::kSpeculative;
   Timestamp hwm = kMaxTimestamp;
-  for (const StreamDef& def : qs.analyzed.defs) {
+  for (const StreamDef& def : qs.analyzed->defs) {
     if (def.is_table) continue;
     const StreamState& src = streams_.at(def.name);
     hwm = std::min(hwm, speculative ? std::max(src.watermark,
@@ -951,10 +940,10 @@ size_t Server::PumpHeartbeats() {
     for (const QueryState* qs : ss.windowed) {
       if (!qs->active) continue;
       const size_t stream_defs = static_cast<size_t>(
-          std::count_if(qs->analyzed.defs.begin(), qs->analyzed.defs.end(),
+          std::count_if(qs->analyzed->defs.begin(), qs->analyzed->defs.end(),
                         [](const StreamDef& def) { return !def.is_table; }));
       if (stream_defs < 2) continue;
-      for (const StreamDef& def : qs->analyzed.defs) {
+      for (const StreamDef& def : qs->analyzed->defs) {
         if (def.is_table || def.name == name) continue;
         target = std::max(target, streams_.at(def.name).watermark);
       }
@@ -1095,8 +1084,8 @@ Tuple Server::ProjectRow(const QueryState& qs, const Tuple& t) {
     return row;
   }
   std::vector<Value> cells;
-  cells.reserve(qs.analyzed.projections.size());
-  for (const ExprPtr& e : qs.analyzed.projections) cells.push_back(e->Eval(t));
+  cells.reserve(qs.analyzed->projections.size());
+  for (const ExprPtr& e : qs.analyzed->projections) cells.push_back(e->Eval(t));
   Tuple row = Tuple::Make(std::move(cells), t.timestamp());
   row.set_retraction(t.retraction());
   return row;

@@ -290,7 +290,7 @@ class Server {
     bool active = false;
     bool is_cacq = false;
     Consistency consistency = Consistency::kDelayed;
-    AnalyzedQuery analyzed;
+    std::shared_ptr<const AnalyzedQuery> analyzed;  ///< Shared with runner.
     std::unique_ptr<QueryRunner> runner;     ///< Windowed path.
     /// The runner's place in its stream's window plan (shareable only).
     SharedWindowScan::Query* window_query = nullptr;

@@ -1,5 +1,6 @@
 #include "expr/ast.h"
 
+#include <charconv>
 #include <cstdint>
 #include <sstream>
 
@@ -55,40 +56,42 @@ const char* AggKindToString(AggKind k) {
   return "?";
 }
 
+std::shared_ptr<Expr> Expr::Make(ExprKind kind) {
+  auto e = std::make_shared<Expr>(Key{});
+  e->kind_ = kind;
+  return e;
+}
+
 ExprPtr Expr::Literal(Value v) {
-  auto e = std::shared_ptr<Expr>(new Expr());
-  e->kind_ = ExprKind::kLiteral;
+  auto e = Make(ExprKind::kLiteral);
   e->result_type_ = v.type();
   e->literal_ = std::move(v);
   return e;
 }
 
 ExprPtr Expr::Column(std::string name) {
-  auto e = std::shared_ptr<Expr>(new Expr());
-  e->kind_ = ExprKind::kColumn;
+  auto e = Make(ExprKind::kColumn);
   e->name_ = std::move(name);
   return e;
 }
 
 ExprPtr Expr::Variable(std::string name) {
-  auto e = std::shared_ptr<Expr>(new Expr());
-  e->kind_ = ExprKind::kVariable;
+  auto e = Make(ExprKind::kVariable);
+  e->column_index_ = name == "ST" ? kStartTimeSlot : kLoopVarSlot;
   e->name_ = std::move(name);
   e->result_type_ = ValueType::kInt64;
   return e;
 }
 
 ExprPtr Expr::Unary(UnaryOp op, ExprPtr operand) {
-  auto e = std::shared_ptr<Expr>(new Expr());
-  e->kind_ = ExprKind::kUnary;
+  auto e = Make(ExprKind::kUnary);
   e->unary_op_ = op;
   e->left_ = std::move(operand);
   return e;
 }
 
 ExprPtr Expr::Binary(BinaryOp op, ExprPtr left, ExprPtr right) {
-  auto e = std::shared_ptr<Expr>(new Expr());
-  e->kind_ = ExprKind::kBinary;
+  auto e = Make(ExprKind::kBinary);
   e->binary_op_ = op;
   e->left_ = std::move(left);
   e->right_ = std::move(right);
@@ -96,8 +99,7 @@ ExprPtr Expr::Binary(BinaryOp op, ExprPtr left, ExprPtr right) {
 }
 
 ExprPtr Expr::Aggregate(AggKind kind, ExprPtr arg) {
-  auto e = std::shared_ptr<Expr>(new Expr());
-  e->kind_ = ExprKind::kAggregate;
+  auto e = Make(ExprKind::kAggregate);
   e->agg_kind_ = kind;
   e->left_ = std::move(arg);
   return e;
@@ -144,18 +146,17 @@ Result<ExprPtr> Expr::Bind(const Schema& schema) const {
   switch (kind_) {
     case ExprKind::kLiteral:
     case ExprKind::kVariable:
-      // Already self-contained; share the node.
-      return ExprPtr(new Expr(*this));
+      return shared_from_this();  // Already self-contained; share the node.
     case ExprKind::kColumn: {
       TCQ_ASSIGN_OR_RETURN(size_t idx, schema.IndexOf(name_));
-      auto e = std::shared_ptr<Expr>(new Expr(*this));
+      auto e = std::make_shared<Expr>(Key{}, *this);
       e->column_index_ = static_cast<int>(idx);
       e->result_type_ = schema.field(idx).type;
       return ExprPtr(e);
     }
     case ExprKind::kUnary: {
       TCQ_ASSIGN_OR_RETURN(ExprPtr operand, left_->Bind(schema));
-      auto e = std::shared_ptr<Expr>(new Expr(*this));
+      auto e = std::make_shared<Expr>(Key{}, *this);
       e->left_ = operand;
       if (unary_op_ == UnaryOp::kNot) {
         if (operand->result_type_ != ValueType::kBool) {
@@ -174,7 +175,7 @@ Result<ExprPtr> Expr::Bind(const Schema& schema) const {
     case ExprKind::kBinary: {
       TCQ_ASSIGN_OR_RETURN(ExprPtr l, left_->Bind(schema));
       TCQ_ASSIGN_OR_RETURN(ExprPtr r, right_->Bind(schema));
-      auto e = std::shared_ptr<Expr>(new Expr(*this));
+      auto e = std::make_shared<Expr>(Key{}, *this);
       e->left_ = l;
       e->right_ = r;
       const ValueType lt = l->result_type_;
@@ -217,7 +218,7 @@ Result<ExprPtr> Expr::Bind(const Schema& schema) const {
   return Status::Internal("unreachable expr kind");
 }
 
-Value Expr::EvalInternal(const Tuple* tuple, const VarEnv* env) const {
+Value Expr::EvalInternal(const Tuple* tuple, const LoopVars* vars) const {
   switch (kind_) {
     case ExprKind::kLiteral:
       return literal_;
@@ -225,14 +226,11 @@ Value Expr::EvalInternal(const Tuple* tuple, const VarEnv* env) const {
       TCQ_DCHECK(column_index_ >= 0) << "unbound column " << name_;
       TCQ_DCHECK(tuple != nullptr);
       return tuple->cell(static_cast<size_t>(column_index_));
-    case ExprKind::kVariable: {
-      TCQ_DCHECK(env != nullptr) << "variable " << name_ << " without env";
-      auto it = env->find(name_);
-      TCQ_DCHECK(it != env->end()) << "unbound variable " << name_;
-      return it->second;
-    }
+    case ExprKind::kVariable:
+      TCQ_DCHECK(vars != nullptr) << "variable " << name_ << " without vars";
+      return Value::Int64((*vars)[static_cast<size_t>(column_index_)]);
     case ExprKind::kUnary: {
-      const Value v = left_->EvalInternal(tuple, env);
+      const Value v = left_->EvalInternal(tuple, vars);
       if (v.is_null()) return Value::Null();
       if (unary_op_ == UnaryOp::kNot) return Value::Bool(!v.bool_value());
       if (v.type() == ValueType::kInt64) {
@@ -244,15 +242,15 @@ Value Expr::EvalInternal(const Tuple* tuple, const VarEnv* env) const {
     case ExprKind::kBinary: {
       // Short-circuit logical ops.
       if (binary_op_ == BinaryOp::kAnd || binary_op_ == BinaryOp::kOr) {
-        const Value l = left_->EvalInternal(tuple, env);
+        const Value l = left_->EvalInternal(tuple, vars);
         const bool lb = !l.is_null() && l.bool_value();
         if (binary_op_ == BinaryOp::kAnd && !lb) return Value::Bool(false);
         if (binary_op_ == BinaryOp::kOr && lb) return Value::Bool(true);
-        const Value r = right_->EvalInternal(tuple, env);
+        const Value r = right_->EvalInternal(tuple, vars);
         return Value::Bool(!r.is_null() && r.bool_value());
       }
-      const Value l = left_->EvalInternal(tuple, env);
-      const Value r = right_->EvalInternal(tuple, env);
+      const Value l = left_->EvalInternal(tuple, vars);
+      const Value r = right_->EvalInternal(tuple, vars);
       if (IsComparison(binary_op_)) {
         if (l.is_null() || r.is_null()) return Value::Bool(false);
         const int c = l.Compare(r);
@@ -323,12 +321,12 @@ Value Expr::EvalInternal(const Tuple* tuple, const VarEnv* env) const {
   return Value::Null();
 }
 
-Value Expr::Eval(const Tuple& tuple, const VarEnv* env) const {
-  return EvalInternal(&tuple, env);
+Value Expr::Eval(const Tuple& tuple, const LoopVars* vars) const {
+  return EvalInternal(&tuple, vars);
 }
 
-Value Expr::EvalConst(const VarEnv& env) const {
-  return EvalInternal(nullptr, &env);
+Value Expr::EvalConst(const LoopVars& vars) const {
+  return EvalInternal(nullptr, &vars);
 }
 
 bool Expr::ContainsAggregate() const {
@@ -344,16 +342,34 @@ void Expr::CollectColumns(std::vector<std::string>* out) const {
   if (right_) right_->CollectColumns(out);
 }
 
-void Expr::CollectVariables(std::vector<std::string>* out) const {
-  if (kind_ == ExprKind::kVariable) out->push_back(name_);
-  if (left_) left_->CollectVariables(out);
-  if (right_) right_->CollectVariables(out);
+
+namespace {
+/// A literal as the parser reads it back to the same value: quotes doubled
+/// inside strings, doubles in shortest fixed notation with a point.
+std::string LiteralToString(const Value& v) {
+  if (v.type() == ValueType::kString) {
+    std::string out = "'";
+    for (const char c : v.string_value()) {
+      out += c;
+      if (c == '\'') out += c;
+    }
+    return out + "'";
+  }
+  if (v.type() != ValueType::kDouble) return v.ToString();
+  char buf[400];  // The longest fixed double has 327 characters.
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf),
+                                       v.double_value(),
+                                       std::chars_format::fixed);
+  std::string out(buf, ec == std::errc() ? end : buf);
+  if (out.find_first_of(".na") == std::string::npos) out += ".0";  // inf, nan
+  return out;
 }
+}  // namespace
 
 std::string Expr::ToString() const {
   switch (kind_) {
     case ExprKind::kLiteral:
-      return literal_.ToString();
+      return LiteralToString(literal_);
     case ExprKind::kColumn:
       return name_;
     case ExprKind::kVariable:
@@ -377,18 +393,23 @@ std::string Expr::ToString() const {
   return "?";
 }
 
+namespace {
+void AppendConjuncts(const ExprPtr& expr, std::vector<ExprPtr>* out) {
+  if (expr->kind() == ExprKind::kBinary &&
+      expr->binary_op() == BinaryOp::kAnd) {
+    AppendConjuncts(expr->left(), out);
+    AppendConjuncts(expr->right(), out);
+  } else {
+    out->push_back(expr);
+  }
+}
+}  // namespace
+
 std::vector<ExprPtr> ExtractConjuncts(const ExprPtr& expr) {
   std::vector<ExprPtr> out;
   if (!expr) return out;
-  if (expr->kind() == ExprKind::kBinary &&
-      expr->binary_op() == BinaryOp::kAnd) {
-    auto l = ExtractConjuncts(expr->left());
-    auto r = ExtractConjuncts(expr->right());
-    out.insert(out.end(), l.begin(), l.end());
-    out.insert(out.end(), r.begin(), r.end());
-    return out;
-  }
-  out.push_back(expr);
+  out.reserve(4);
+  AppendConjuncts(expr, &out);
   return out;
 }
 

@@ -1,7 +1,7 @@
 #ifndef TCQ_EXPR_AST_H_
 #define TCQ_EXPR_AST_H_
 
-#include <map>
+#include <array>
 #include <memory>
 #include <string>
 #include <vector>
@@ -57,8 +57,12 @@ const char* AggKindToString(AggKind k);
 class Expr;
 using ExprPtr = std::shared_ptr<const Expr>;
 
-/// Variable bindings for window-bound expressions (t, ST, ...).
-using VarEnv = std::map<std::string, Value>;
+/// The values of a window-bound expression's two variables, by slot:
+/// kLoopVarSlot holds the for-loop variable, kStartTimeSlot holds `ST`,
+/// the query start time. Expr::Variable fixes a node's slot from its name.
+using LoopVars = std::array<int64_t, 2>;
+inline constexpr int kLoopVarSlot = 0;
+inline constexpr int kStartTimeSlot = 1;
 
 /// An expression tree node. Nodes are immutable and shared; Bind() produces
 /// a new tree with column references resolved against a schema, and the
@@ -69,11 +73,18 @@ using VarEnv = std::map<std::string, Value>;
 ///  * window bound expressions over the for-loop variable `t` (kVariable),
 ///  * aggregate calls (kAggregate) — evaluated incrementally by the
 ///    Aggregate module, never by Eval() directly.
-class Expr {
+class Expr : public std::enable_shared_from_this<Expr> {
+  /// Keeps construction to the factories.
+  struct Key {
+    explicit Key() = default;
+  };
+
  public:
   // -- Factories ------------------------------------------------------------
   static ExprPtr Literal(Value v);
   static ExprPtr Column(std::string name);
+  /// `ST` takes kStartTimeSlot, any other name kLoopVarSlot (a for-loop
+  /// names one variable, and ValidateForLoop rejects any other name).
   static ExprPtr Variable(std::string name);
   static ExprPtr Unary(UnaryOp op, ExprPtr operand);
   static ExprPtr Binary(BinaryOp op, ExprPtr left, ExprPtr right);
@@ -88,6 +99,8 @@ class Expr {
   const std::string& variable_name() const { return name_; }
   /// Resolved field index after Bind(); -1 when unbound.
   int column_index() const { return column_index_; }
+  /// kVariable: its LoopVars slot.
+  int variable_slot() const { return column_index_; }
   BinaryOp binary_op() const { return binary_op_; }
   UnaryOp unary_op() const { return unary_op_; }
   AggKind agg_kind() const { return agg_kind_; }
@@ -105,14 +118,14 @@ class Expr {
   /// before predicate/projection binding.
   Result<ExprPtr> Bind(const Schema& schema) const;
 
-  /// Evaluates a bound tree on a tuple. Variables are looked up in `env`
-  /// (pass nullptr when the tree has none). Type errors are caught at bind
-  /// time, so this never fails; NULL propagates through operators and makes
-  /// comparisons false (SQL-ish two-valued logic is sufficient here).
-  Value Eval(const Tuple& tuple, const VarEnv* env = nullptr) const;
+  /// Evaluates a bound tree on a tuple. Variables read their slot of
+  /// `vars` (pass nullptr when the tree has none). Type errors are caught
+  /// at bind time, so this never fails; NULL propagates through operators
+  /// and makes comparisons false (SQL-ish two-valued logic is sufficient).
+  Value Eval(const Tuple& tuple, const LoopVars* vars = nullptr) const;
 
   /// Evaluates a tuple-free tree (window bounds) against variables only.
-  Value EvalConst(const VarEnv& env) const;
+  Value EvalConst(const LoopVars& vars) const;
 
   // -- Analysis helpers ------------------------------------------------------
   /// True if any node in the tree is an aggregate call.
@@ -121,20 +134,23 @@ class Expr {
   /// Appends the (unbound) column names referenced anywhere in the tree.
   void CollectColumns(std::vector<std::string>* out) const;
 
-  /// Appends the variable names referenced anywhere in the tree.
-  void CollectVariables(std::vector<std::string>* out) const;
-
   std::string ToString() const;
 
- private:
-  Expr() = default;
+  explicit Expr(Key) {}
+  Expr(Key, const Expr& other) : Expr(other) {}
 
-  Value EvalInternal(const Tuple* tuple, const VarEnv* env) const;
+ private:
+  Expr(const Expr&) = default;
+
+  /// One allocation for the node and its control block.
+  static std::shared_ptr<Expr> Make(ExprKind kind);
+
+  Value EvalInternal(const Tuple* tuple, const LoopVars* vars) const;
 
   ExprKind kind_ = ExprKind::kLiteral;
   Value literal_;
   std::string name_;
-  int column_index_ = -1;
+  int column_index_ = -1;  ///< kColumn: the field; kVariable: the slot.
   BinaryOp binary_op_ = BinaryOp::kAdd;
   UnaryOp unary_op_ = UnaryOp::kNot;
   AggKind agg_kind_ = AggKind::kCount;

@@ -1,39 +1,64 @@
 #include "parser/lexer.h"
 
-#include <cctype>
-#include <cstdlib>
+#include <algorithm>
+#include <charconv>
+#include <string>
 
 namespace tcq {
 
-bool Token::IsKeyword(const char* keyword) const {
-  if (kind != TokenKind::kIdent) return false;
-  const char* p = keyword;
-  size_t i = 0;
-  for (; *p != '\0' && i < text.size(); ++p, ++i) {
-    if (std::toupper(static_cast<unsigned char>(text[i])) !=
-        std::toupper(static_cast<unsigned char>(*p))) {
-      return false;
-    }
-  }
-  return *p == '\0' && i == text.size();
+namespace {
+
+bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+bool IsIdentStart(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_';
+}
+bool IsIdentChar(char c) { return IsIdentStart(c) || IsDigit(c); }
+bool IsSpace(char c) {
+  return c == ' ' || (c >= '\t' && c <= '\r');  // \t \n \v \f \r
 }
 
-Result<std::vector<Token>> Lex(const std::string& input) {
-  std::vector<Token> tokens;
-  size_t i = 0;
-  const size_t n = input.size();
+Keyword KeywordOf(std::string_view word) {
+  static constexpr std::pair<std::string_view, Keyword> kKeywords[] = {
+      {"SELECT", Keyword::kSelect}, {"FROM", Keyword::kFrom},
+      {"WHERE", Keyword::kWhere},   {"AS", Keyword::kAs},
+      {"AND", Keyword::kAnd},       {"OR", Keyword::kOr},
+      {"NOT", Keyword::kNot},       {"FOR", Keyword::kFor},
+      {"WINDOWIS", Keyword::kWindowIs}, {"TRUE", Keyword::kTrue},
+      {"FALSE", Keyword::kFalse},   {"NULL", Keyword::kNull},
+      {"GROUP", Keyword::kGroup},   {"BY", Keyword::kBy},
+      {"COUNT", Keyword::kCount},   {"SUM", Keyword::kSum},
+      {"AVG", Keyword::kAvg},       {"MIN", Keyword::kMin},
+      {"MAX", Keyword::kMax}};
+  for (const auto& [name, keyword] : kKeywords) {
+    if (name.size() != word.size()) continue;
+    size_t i = 0;
+    // Keywords are upper-case letters; clearing bit 5 upper-cases a
+    // lower-case ASCII letter and never turns a digit or '_' into one.
+    while (i < word.size() && (word[i] & ~0x20) == name[i]) ++i;
+    if (i == word.size()) return keyword;
+  }
+  return Keyword::kNone;
+}
 
-  auto push = [&](TokenKind kind, size_t start, size_t len) {
-    Token t;
+}  // namespace
+
+Result<std::vector<Token>> Lex(std::string_view input) {
+  std::vector<Token> tokens;
+  const size_t n = input.size();
+  tokens.reserve(n / 2 + 2);  // Tokens plus separators, then kEnd.
+  size_t i = 0;
+
+  auto push = [&](TokenKind kind, size_t start, size_t len) -> Token& {
+    Token& t = tokens.emplace_back();
     t.kind = kind;
     t.text = input.substr(start, len);
     t.offset = start;
-    tokens.push_back(std::move(t));
+    return t;
   };
 
   while (i < n) {
     const char c = input[i];
-    if (std::isspace(static_cast<unsigned char>(c))) {
+    if (IsSpace(c)) {
       ++i;
       continue;
     }
@@ -43,162 +68,89 @@ Result<std::vector<Token>> Lex(const std::string& input) {
       continue;
     }
     // Identifier / keyword.
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-      size_t start = i;
-      while (i < n && (std::isalnum(static_cast<unsigned char>(input[i])) ||
-                       input[i] == '_')) {
-        ++i;
-      }
-      push(TokenKind::kIdent, start, i - start);
+    if (IsIdentStart(c)) {
+      const size_t start = i;
+      while (i < n && IsIdentChar(input[i])) ++i;
+      Token& t = push(TokenKind::kIdent, start, i - start);
+      t.keyword = KeywordOf(t.text);
       continue;
     }
     // Number.
-    if (std::isdigit(static_cast<unsigned char>(c))) {
-      size_t start = i;
+    if (IsDigit(c)) {
+      const size_t start = i;
       bool is_float = false;
-      while (i < n && std::isdigit(static_cast<unsigned char>(input[i]))) ++i;
-      if (i + 1 < n && input[i] == '.' &&
-          std::isdigit(static_cast<unsigned char>(input[i + 1]))) {
+      while (i < n && IsDigit(input[i])) ++i;
+      if (i + 1 < n && input[i] == '.' && IsDigit(input[i + 1])) {
         is_float = true;
         ++i;
-        while (i < n && std::isdigit(static_cast<unsigned char>(input[i]))) {
-          ++i;
-        }
+        while (i < n && IsDigit(input[i])) ++i;
       }
-      Token t;
-      t.offset = start;
-      t.text = input.substr(start, i - start);
-      if (is_float) {
-        t.kind = TokenKind::kFloat;
-        t.float_value = std::strtod(t.text.c_str(), nullptr);
-      } else {
-        t.kind = TokenKind::kInt;
-        t.int_value = std::strtoll(t.text.c_str(), nullptr, 10);
+      Token& t = push(is_float ? TokenKind::kFloat : TokenKind::kInt, start,
+                      i - start);
+      const char* first = input.data() + start;
+      const char* last = input.data() + i;
+      constexpr uint64_t kMinMagnitude = uint64_t{1} << 63;  // -INT64_MIN.
+      uint64_t v = 0;
+      if (is_float ? std::from_chars(first, last, t.float_value).ec !=
+                         std::errc()
+                   : std::from_chars(first, last, v).ec != std::errc() ||
+                         v > kMinMagnitude) {
+        return Status::ParseError(std::string(is_float ? "float" : "integer") +
+                                  " literal out of range at offset " +
+                                  std::to_string(start));
       }
-      tokens.push_back(std::move(t));
+      t.int_value = v == kMinMagnitude ? INT64_MIN : static_cast<int64_t>(v);
       continue;
     }
     // String literal.
     if (c == '\'') {
-      size_t start = ++i;
-      std::string value;
+      const size_t start = ++i;
       while (i < n) {
         if (input[i] == '\'') {
           if (i + 1 < n && input[i + 1] == '\'') {  // Escaped quote.
-            value += '\'';
             i += 2;
             continue;
           }
           break;
         }
-        value += input[i++];
+        ++i;
       }
       if (i >= n) {
         return Status::ParseError("unterminated string literal at offset " +
                                   std::to_string(start - 1));
       }
+      push(TokenKind::kString, start, i - start).offset = start - 1;
       ++i;  // Closing quote.
-      Token t;
-      t.kind = TokenKind::kString;
-      t.text = std::move(value);
-      t.offset = start - 1;
-      tokens.push_back(std::move(t));
       continue;
     }
-    // Operators and punctuation.
-    auto two = [&](char a, char b) {
-      return c == a && i + 1 < n && input[i + 1] == b;
-    };
-    if (two('=', '=')) {
-      push(TokenKind::kEq, i, 2);
-      i += 2;
-    } else if (two('!', '=')) {
-      push(TokenKind::kNe, i, 2);
-      i += 2;
-    } else if (two('<', '>')) {
-      push(TokenKind::kNe, i, 2);
-      i += 2;
-    } else if (two('<', '=')) {
-      push(TokenKind::kLe, i, 2);
-      i += 2;
-    } else if (two('>', '=')) {
-      push(TokenKind::kGe, i, 2);
-      i += 2;
-    } else if (two('+', '=')) {
-      push(TokenKind::kPlusEq, i, 2);
-      i += 2;
-    } else if (two('-', '=')) {
-      push(TokenKind::kMinusEq, i, 2);
-      i += 2;
-    } else if (two('+', '+')) {
-      push(TokenKind::kPlusPlus, i, 2);
-      i += 2;
-    } else if (two('-', '-')) {
-      push(TokenKind::kMinusMinus, i, 2);
-      i += 2;
-    } else {
-      TokenKind kind;
-      switch (c) {
-        case '(':
-          kind = TokenKind::kLParen;
-          break;
-        case ')':
-          kind = TokenKind::kRParen;
-          break;
-        case '{':
-          kind = TokenKind::kLBrace;
-          break;
-        case '}':
-          kind = TokenKind::kRBrace;
-          break;
-        case ',':
-          kind = TokenKind::kComma;
-          break;
-        case ';':
-          kind = TokenKind::kSemicolon;
-          break;
-        case '.':
-          kind = TokenKind::kDot;
-          break;
-        case '*':
-          kind = TokenKind::kStar;
-          break;
-        case '+':
-          kind = TokenKind::kPlus;
-          break;
-        case '-':
-          kind = TokenKind::kMinus;
-          break;
-        case '/':
-          kind = TokenKind::kSlash;
-          break;
-        case '%':
-          kind = TokenKind::kPercent;
-          break;
-        case '=':
-          kind = TokenKind::kEq;
-          break;
-        case '<':
-          kind = TokenKind::kLt;
-          break;
-        case '>':
-          kind = TokenKind::kGt;
-          break;
-        case '!':
-          return Status::ParseError("stray '!' at offset " +
-                                    std::to_string(i));
-        default:
-          return Status::ParseError(std::string("unexpected character '") +
-                                    c + "' at offset " + std::to_string(i));
-      }
-      push(kind, i, 1);
-      ++i;
+    // Operators and punctuation, two-character spellings first.
+    static constexpr std::pair<std::string_view, TokenKind> kOperators[] = {
+        {"==", TokenKind::kEq},       {"!=", TokenKind::kNe},
+        {"<>", TokenKind::kNe},       {"<=", TokenKind::kLe},
+        {">=", TokenKind::kGe},       {"+=", TokenKind::kPlusEq},
+        {"-=", TokenKind::kMinusEq},  {"++", TokenKind::kPlusPlus},
+        {"(", TokenKind::kLParen},    {")", TokenKind::kRParen},
+        {"{", TokenKind::kLBrace},    {"}", TokenKind::kRBrace},
+        {",", TokenKind::kComma},     {";", TokenKind::kSemicolon},
+        {".", TokenKind::kDot},       {"*", TokenKind::kStar},
+        {"+", TokenKind::kPlus},      {"-", TokenKind::kMinus},
+        {"/", TokenKind::kSlash},     {"%", TokenKind::kPercent},
+        {"=", TokenKind::kEq},        {"<", TokenKind::kLt},
+        {">", TokenKind::kGt}};
+    const std::string_view rest = input.substr(i);
+    const auto* op = std::find_if(
+        std::begin(kOperators), std::end(kOperators),
+        [&](const auto& o) { return rest.starts_with(o.first); });
+    if (op == std::end(kOperators)) {
+      return Status::ParseError(
+          (c == '!' ? std::string("stray '!'")
+                    : std::string("unexpected character '") + c + "'") +
+          " at offset " + std::to_string(i));
     }
+    push(op->second, i, op->first.size());
+    i += op->first.size();
   }
-  Token end;
-  end.kind = TokenKind::kEnd;
-  end.offset = n;
-  tokens.push_back(std::move(end));
+  push(TokenKind::kEnd, n, 0);
   return tokens;
 }
 

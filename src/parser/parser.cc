@@ -17,17 +17,17 @@ class Parser {
 
   Result<ParsedQuery> Parse() {
     ParsedQuery query;
-    TCQ_RETURN_NOT_OK(Expect("SELECT"));
+    TCQ_RETURN_NOT_OK(Expect(Keyword::kSelect, "SELECT"));
     TCQ_RETURN_NOT_OK(ParseSelectList(&query));
-    TCQ_RETURN_NOT_OK(Expect("FROM"));
+    TCQ_RETURN_NOT_OK(Expect(Keyword::kFrom, "FROM"));
     TCQ_RETURN_NOT_OK(ParseFromList(&query));
-    if (PeekKeyword("WHERE")) {
+    if (PeekKeyword(Keyword::kWhere)) {
       Advance();
       TCQ_ASSIGN_OR_RETURN(query.where, ParseExpr());
     }
-    if (PeekKeyword("GROUP")) {
+    if (PeekKeyword(Keyword::kGroup)) {
       Advance();
-      TCQ_RETURN_NOT_OK(Expect("BY"));
+      TCQ_RETURN_NOT_OK(Expect(Keyword::kBy, "BY"));
       while (true) {
         TCQ_ASSIGN_OR_RETURN(ExprPtr key, ParseExpr());
         query.group_by.push_back(std::move(key));
@@ -35,7 +35,7 @@ class Parser {
         Advance();
       }
     }
-    if (PeekKeyword("FOR")) {
+    if (PeekKeyword(Keyword::kFor)) {
       ForLoopSpec spec;
       TCQ_RETURN_NOT_OK(ParseForLoop(&spec));
       query.window = std::move(spec);
@@ -55,16 +55,16 @@ class Parser {
     return i < tokens_.size() ? tokens_[i] : tokens_.back();
   }
   const Token& Advance() { return tokens_[pos_++]; }
-  bool PeekKeyword(const char* kw) const { return Peek().IsKeyword(kw); }
+  bool PeekKeyword(Keyword kw) const { return Peek().keyword == kw; }
 
   Status Err(const std::string& msg) const {
     return Status::ParseError(msg + " (near offset " +
                               std::to_string(Peek().offset) + ")");
   }
 
-  Status Expect(const char* keyword) {
+  Status Expect(Keyword keyword, const char* spelling) {
     if (!PeekKeyword(keyword)) {
-      return Err(std::string("expected ") + keyword);
+      return Err(std::string("expected ") + spelling);
     }
     Advance();
     return Status::OK();
@@ -76,17 +76,9 @@ class Parser {
     return Status::OK();
   }
 
-  static bool IsReserved(const Token& t) {
-    for (const char* kw :
-         {"SELECT", "FROM", "WHERE", "AS", "AND", "OR", "NOT", "FOR",
-          "WINDOWIS", "TRUE", "FALSE", "NULL", "GROUP", "BY"}) {
-      if (t.IsKeyword(kw)) return true;
-    }
-    return false;
-  }
-
   // ---- Clauses ---------------------------------------------------------
   Status ParseSelectList(ParsedQuery* query) {
+    query->select.reserve(4);
     while (true) {
       SelectItem item;
       if (Peek().kind == TokenKind::kStar) {
@@ -101,7 +93,7 @@ class Parser {
         Advance();  // '*'
       } else {
         TCQ_ASSIGN_OR_RETURN(item.expr, ParseExpr());
-        if (PeekKeyword("AS")) {
+        if (PeekKeyword(Keyword::kAs)) {
           Advance();
           if (Peek().kind != TokenKind::kIdent) return Err("expected alias");
           item.alias = Advance().text;
@@ -117,7 +109,7 @@ class Parser {
 
   Status ParseFromList(ParsedQuery* query) {
     while (true) {
-      if (Peek().kind != TokenKind::kIdent || IsReserved(Peek())) {
+      if (Peek().kind != TokenKind::kIdent || Peek().IsReserved()) {
         return Err("expected stream or table name");
       }
       TableRef ref;
@@ -126,15 +118,16 @@ class Parser {
       // namespace lives alongside user streams in the catalog, so a
       // source name is `ident (. ident)*`.
       while (Peek().kind == TokenKind::kDot &&
-             Peek(1).kind == TokenKind::kIdent && !IsReserved(Peek(1))) {
+             Peek(1).kind == TokenKind::kIdent && !Peek(1).IsReserved()) {
         Advance();  // '.'
-        ref.name += "." + Advance().text;
+        ref.name += '.';
+        ref.name += Advance().text;
       }
-      if (PeekKeyword("AS")) {
+      if (PeekKeyword(Keyword::kAs)) {
         Advance();
         if (Peek().kind != TokenKind::kIdent) return Err("expected alias");
         ref.alias = Advance().text;
-      } else if (Peek().kind == TokenKind::kIdent && !IsReserved(Peek())) {
+      } else if (Peek().kind == TokenKind::kIdent && !Peek().IsReserved()) {
         ref.alias = Advance().text;  // Implicit alias: `Stream c1`.
       }
       query->from.push_back(std::move(ref));
@@ -145,151 +138,84 @@ class Parser {
   }
 
   // for (t = init; cond; step) { WindowIs(S, l, r); ... }
+  // Inside it identifiers are loop variables. An error ends the parse, so
+  // only the way out that succeeds resets the context.
   Status ParseForLoop(ForLoopSpec* spec) {
-    TCQ_RETURN_NOT_OK(Expect("FOR"));
+    TCQ_RETURN_NOT_OK(Expect(Keyword::kFor, "FOR"));
     TCQ_RETURN_NOT_OK(ExpectToken(TokenKind::kLParen, "'('"));
     in_window_context_ = true;
 
     // Init: `t = expr` or empty.
     if (Peek().kind != TokenKind::kSemicolon) {
       if (Peek().kind != TokenKind::kIdent) {
-        in_window_context_ = false;
         return Err("expected loop variable in for-loop init");
       }
       spec->var = Advance().text;
-      if (Peek().kind != TokenKind::kEq) {
-        in_window_context_ = false;
-        return Err("expected '=' in for-loop init");
-      }
-      Advance();
-      auto init = ParseExpr();
-      if (!init.ok()) {
-        in_window_context_ = false;
-        return init.status();
-      }
-      spec->init = *init;
+      TCQ_RETURN_NOT_OK(ExpectToken(TokenKind::kEq,
+                                    "'=' in for-loop init"));
+      TCQ_ASSIGN_OR_RETURN(spec->init, ParseExpr());
     }
-    TCQ_RETURN_NOT_OK(CloseOnError(
-        ExpectToken(TokenKind::kSemicolon, "';' after for-loop init")));
+    TCQ_RETURN_NOT_OK(
+        ExpectToken(TokenKind::kSemicolon, "';' after for-loop init"));
 
     // Condition (may be empty).
     if (Peek().kind != TokenKind::kSemicolon) {
-      auto cond = ParseExpr();
-      if (!cond.ok()) {
-        in_window_context_ = false;
-        return cond.status();
-      }
-      spec->condition = *cond;
+      TCQ_ASSIGN_OR_RETURN(spec->condition, ParseExpr());
     }
-    TCQ_RETURN_NOT_OK(CloseOnError(
-        ExpectToken(TokenKind::kSemicolon, "';' after for-loop condition")));
+    TCQ_RETURN_NOT_OK(
+        ExpectToken(TokenKind::kSemicolon, "';' after for-loop condition"));
 
     // Step: `t = expr`, `t += e`, `t -= e`, `t++`, or empty.
     if (Peek().kind != TokenKind::kRParen) {
       if (Peek().kind != TokenKind::kIdent) {
-        in_window_context_ = false;
         return Err("expected loop variable in for-loop step");
       }
-      const std::string var = Advance().text;
+      const std::string var(Advance().text);
       if (var != spec->var && spec->init != nullptr) {
-        in_window_context_ = false;
         return Err("for-loop step must update variable '" + spec->var + "'");
       }
       if (spec->init == nullptr) spec->var = var;
-      ExprPtr var_expr = Expr::Variable(var);
-      switch (Peek().kind) {
-        case TokenKind::kEq: {
-          Advance();
-          auto e = ParseExpr();
-          if (!e.ok()) {
-            in_window_context_ = false;
-            return e.status();
-          }
-          spec->step = *e;
-          break;
-        }
-        case TokenKind::kPlusEq: {
-          Advance();
-          auto e = ParseExpr();
-          if (!e.ok()) {
-            in_window_context_ = false;
-            return e.status();
-          }
-          spec->step = Expr::Binary(BinaryOp::kAdd, var_expr, *e);
-          break;
-        }
-        case TokenKind::kMinusEq: {
-          Advance();
-          auto e = ParseExpr();
-          if (!e.ok()) {
-            in_window_context_ = false;
-            return e.status();
-          }
-          spec->step = Expr::Binary(BinaryOp::kSub, var_expr, *e);
-          break;
-        }
-        case TokenKind::kPlusPlus:
-          Advance();
-          spec->step = Expr::Binary(BinaryOp::kAdd, var_expr,
-                                    Expr::Literal(Value::Int64(1)));
-          break;
-        default:
-          in_window_context_ = false;
-          return Err("expected '=', '+=', '-=' or '++' in for-loop step");
+      const TokenKind op = Peek().kind;
+      if (op == TokenKind::kPlusPlus) {
+        Advance();
+        spec->step = Expr::Binary(BinaryOp::kAdd, Expr::Variable(var),
+                                  Expr::Literal(Value::Int64(1)));
+      } else if (op == TokenKind::kEq || op == TokenKind::kPlusEq ||
+                 op == TokenKind::kMinusEq) {
+        Advance();
+        TCQ_ASSIGN_OR_RETURN(ExprPtr e, ParseExpr());
+        spec->step = op == TokenKind::kEq
+                         ? e
+                         : Expr::Binary(op == TokenKind::kPlusEq
+                                            ? BinaryOp::kAdd
+                                            : BinaryOp::kSub,
+                                        Expr::Variable(var), e);
+      } else {
+        return Err("expected '=', '+=', '-=' or '++' in for-loop step");
       }
     }
-    TCQ_RETURN_NOT_OK(
-        CloseOnError(ExpectToken(TokenKind::kRParen, "')'")));
-    TCQ_RETURN_NOT_OK(
-        CloseOnError(ExpectToken(TokenKind::kLBrace, "'{'")));
+    TCQ_RETURN_NOT_OK(ExpectToken(TokenKind::kRParen, "')'"));
+    TCQ_RETURN_NOT_OK(ExpectToken(TokenKind::kLBrace, "'{'"));
 
-    while (true) {
-      if (Peek().kind == TokenKind::kRBrace) break;
-      if (!PeekKeyword("WINDOWIS")) {
-        in_window_context_ = false;
-        return Err("expected WindowIs clause");
-      }
-      Advance();
-      TCQ_RETURN_NOT_OK(
-          CloseOnError(ExpectToken(TokenKind::kLParen, "'('")));
+    while (Peek().kind != TokenKind::kRBrace) {
+      TCQ_RETURN_NOT_OK(Expect(Keyword::kWindowIs, "WindowIs clause"));
+      TCQ_RETURN_NOT_OK(ExpectToken(TokenKind::kLParen, "'('"));
       if (Peek().kind != TokenKind::kIdent) {
-        in_window_context_ = false;
         return Err("expected stream name in WindowIs");
       }
       WindowIsClause clause;
       clause.stream = Advance().text;
-      TCQ_RETURN_NOT_OK(
-          CloseOnError(ExpectToken(TokenKind::kComma, "','")));
-      auto left = ParseExpr();
-      if (!left.ok()) {
-        in_window_context_ = false;
-        return left.status();
-      }
-      clause.left_end = *left;
-      TCQ_RETURN_NOT_OK(
-          CloseOnError(ExpectToken(TokenKind::kComma, "','")));
-      auto right = ParseExpr();
-      if (!right.ok()) {
-        in_window_context_ = false;
-        return right.status();
-      }
-      clause.right_end = *right;
-      TCQ_RETURN_NOT_OK(
-          CloseOnError(ExpectToken(TokenKind::kRParen, "')'")));
-      TCQ_RETURN_NOT_OK(
-          CloseOnError(ExpectToken(TokenKind::kSemicolon, "';'")));
+      TCQ_RETURN_NOT_OK(ExpectToken(TokenKind::kComma, "','"));
+      TCQ_ASSIGN_OR_RETURN(clause.left_end, ParseExpr());
+      TCQ_RETURN_NOT_OK(ExpectToken(TokenKind::kComma, "','"));
+      TCQ_ASSIGN_OR_RETURN(clause.right_end, ParseExpr());
+      TCQ_RETURN_NOT_OK(ExpectToken(TokenKind::kRParen, "')'"));
+      TCQ_RETURN_NOT_OK(ExpectToken(TokenKind::kSemicolon, "';'"));
       spec->windows.push_back(std::move(clause));
     }
-    TCQ_RETURN_NOT_OK(
-        CloseOnError(ExpectToken(TokenKind::kRBrace, "'}'")));
+    Advance();  // '}'
     in_window_context_ = false;
     return Status::OK();
-  }
-
-  /// Clears the window-context flag when propagating an error.
-  Status CloseOnError(Status s) {
-    if (!s.ok()) in_window_context_ = false;
-    return s;
   }
 
   // ---- Expressions ------------------------------------------------------
@@ -297,7 +223,7 @@ class Parser {
 
   Result<ExprPtr> ParseOr() {
     TCQ_ASSIGN_OR_RETURN(ExprPtr left, ParseAnd());
-    while (PeekKeyword("OR")) {
+    while (PeekKeyword(Keyword::kOr)) {
       Advance();
       TCQ_ASSIGN_OR_RETURN(ExprPtr right, ParseAnd());
       left = Expr::Binary(BinaryOp::kOr, left, right);
@@ -307,7 +233,7 @@ class Parser {
 
   Result<ExprPtr> ParseAnd() {
     TCQ_ASSIGN_OR_RETURN(ExprPtr left, ParseNot());
-    while (PeekKeyword("AND")) {
+    while (PeekKeyword(Keyword::kAnd)) {
       Advance();
       TCQ_ASSIGN_OR_RETURN(ExprPtr right, ParseNot());
       left = Expr::Binary(BinaryOp::kAnd, left, right);
@@ -316,7 +242,7 @@ class Parser {
   }
 
   Result<ExprPtr> ParseNot() {
-    if (PeekKeyword("NOT")) {
+    if (PeekKeyword(Keyword::kNot)) {
       Advance();
       TCQ_ASSIGN_OR_RETURN(ExprPtr operand, ParseNot());
       return Expr::Unary(UnaryOp::kNot, operand);
@@ -392,11 +318,17 @@ class Parser {
   Result<ExprPtr> ParseUnary() {
     if (Peek().kind == TokenKind::kMinus) {
       Advance();
+      // -9223372036854775808: the one literal only a minus makes valid.
+      if (Peek().kind == TokenKind::kInt && Peek().int_value == INT64_MIN) {
+        Advance();
+        return Expr::Literal(Value::Int64(INT64_MIN));
+      }
       TCQ_ASSIGN_OR_RETURN(ExprPtr operand, ParseUnary());
-      // Fold -literal for readable ASTs.
+      // Fold -literal for readable ASTs (-INT64_MIN stays a negation,
+      // which evaluates to NULL).
       if (operand->kind() == ExprKind::kLiteral) {
         const Value& v = operand->literal();
-        if (v.type() == ValueType::kInt64) {
+        if (v.type() == ValueType::kInt64 && v.int64_value() != INT64_MIN) {
           return Expr::Literal(Value::Int64(-v.int64_value()));
         }
         if (v.type() == ValueType::kDouble) {
@@ -409,27 +341,35 @@ class Parser {
   }
 
   static std::optional<AggKind> AggregateKindOf(const Token& t) {
-    if (t.IsKeyword("COUNT")) return AggKind::kCount;
-    if (t.IsKeyword("SUM")) return AggKind::kSum;
-    if (t.IsKeyword("AVG")) return AggKind::kAvg;
-    if (t.IsKeyword("MIN")) return AggKind::kMin;
-    if (t.IsKeyword("MAX")) return AggKind::kMax;
-    return std::nullopt;
+    static_assert(static_cast<int>(Keyword::kMax) -
+                      static_cast<int>(Keyword::kCount) ==
+                  static_cast<int>(AggKind::kMax));
+    if (t.keyword < Keyword::kCount) return std::nullopt;
+    return static_cast<AggKind>(static_cast<int>(t.keyword) -
+                                static_cast<int>(Keyword::kCount));
   }
 
   Result<ExprPtr> ParsePrimary() {
     const Token& t = Peek();
     switch (t.kind) {
       case TokenKind::kInt: {
-        const int64_t v = Advance().int_value;
-        return Expr::Literal(Value::Int64(v));
+        if (t.int_value == INT64_MIN) {  // 2^63 without a minus.
+          return Status::ParseError("integer literal out of range at offset " +
+                                    std::to_string(t.offset));
+        }
+        return Expr::Literal(Value::Int64(Advance().int_value));
       }
       case TokenKind::kFloat: {
         const double v = Advance().float_value;
         return Expr::Literal(Value::Double(v));
       }
       case TokenKind::kString: {
-        std::string v = Advance().text;
+        std::string v;
+        for (size_t i = 0; i < t.text.size(); ++i) {
+          v += t.text[i];
+          if (t.text[i] == '\'') ++i;  // '' is one quote.
+        }
+        Advance();
         return Expr::Literal(Value::String(std::move(v)));
       }
       case TokenKind::kLParen: {
@@ -439,17 +379,18 @@ class Parser {
         return inner;
       }
       case TokenKind::kIdent: {
-        if (t.IsKeyword("TRUE")) {
-          Advance();
-          return Expr::Literal(Value::Bool(true));
-        }
-        if (t.IsKeyword("FALSE")) {
-          Advance();
-          return Expr::Literal(Value::Bool(false));
-        }
-        if (t.IsKeyword("NULL")) {
-          Advance();
-          return Expr::Literal(Value::Null());
+        switch (t.keyword) {
+          case Keyword::kTrue:
+            Advance();
+            return Expr::Literal(Value::Bool(true));
+          case Keyword::kFalse:
+            Advance();
+            return Expr::Literal(Value::Bool(false));
+          case Keyword::kNull:
+            Advance();
+            return Expr::Literal(Value::Null());
+          default:
+            break;
         }
         // Aggregate call?
         if (auto agg = AggregateKindOf(t);
@@ -468,13 +409,16 @@ class Parser {
           TCQ_RETURN_NOT_OK(ExpectToken(TokenKind::kRParen, "')'"));
           return Expr::Aggregate(*agg, arg);
         }
-        if (IsReserved(t)) return Err("unexpected keyword " + t.text);
+        if (t.IsReserved()) {
+          return Err("unexpected keyword " + std::string(t.text));
+        }
         // Identifier, possibly qualified: ident | ident.ident.
-        std::string name = Advance().text;
+        std::string name(Advance().text);
         if (Peek().kind == TokenKind::kDot &&
             Peek(1).kind == TokenKind::kIdent) {
           Advance();
-          name += "." + Advance().text;
+          name += '.';
+          name += Advance().text;
           return Expr::Column(name);  // Qualified: always a column.
         }
         if (in_window_context_) return Expr::Variable(name);

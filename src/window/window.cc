@@ -30,9 +30,9 @@ WindowSequence::WindowSequence(const ForLoopSpec* spec, Timestamp st)
     done_ = true;
     return;
   }
-  env_["ST"] = Value::Int64(st);
+  vars_[kStartTimeSlot] = st;
   if (spec_->init != nullptr) {
-    env_[spec_->var] = Value::Int64(0);  // Init may not self-reference.
+    // The loop variable reads 0 here: init may not self-reference.
     EvalTimestamp(spec_->init, "for-loop init", &t_);
   } else {
     t_ = 0;
@@ -41,7 +41,7 @@ WindowSequence::WindowSequence(const ForLoopSpec* spec, Timestamp st)
 
 bool WindowSequence::EvalTimestamp(const ExprPtr& e, const char* what,
                                    Timestamp* out) {
-  const Value v = e->EvalConst(env_);
+  const Value v = e->EvalConst(vars_);
   if (v.type() != ValueType::kInt64) {
     // NULL-producing or non-integer bounds must not take down the engine
     // thread (int64_value() on the wrong alternative throws); the sequence
@@ -59,9 +59,9 @@ bool WindowSequence::EvalTimestamp(const ExprPtr& e, const char* what,
 
 std::optional<WindowSequence::Step> WindowSequence::Next() {
   if (done_) return std::nullopt;
-  env_[spec_->var] = Value::Int64(t_);
+  vars_[kLoopVarSlot] = t_;
   if (spec_->condition != nullptr) {
-    const Value cond = spec_->condition->EvalConst(env_);
+    const Value cond = spec_->condition->EvalConst(vars_);
     if (cond.is_null()) {
       done_ = true;
       return std::nullopt;
@@ -80,15 +80,13 @@ std::optional<WindowSequence::Step> WindowSequence::Next() {
   }
   Step step;
   step.t = t_;
-  step.bounds.reserve(spec_->windows.size());
   for (const WindowIsClause& clause : spec_->windows) {
     WindowBounds b;
-    b.stream = clause.stream;
     if (!EvalTimestamp(clause.left_end, "window left end", &b.left) ||
         !EvalTimestamp(clause.right_end, "window right end", &b.right)) {
       return std::nullopt;
     }
-    step.bounds.push_back(std::move(b));
+    step.bounds.push_back(b);
   }
   // Advance the loop variable.
   if (spec_->condition == nullptr) {
@@ -116,25 +114,45 @@ std::optional<WindowSequence::Step> WindowSequence::Next() {
   return step;
 }
 
+namespace {
+/// The first node of `e` no window bound may hold, or null: a column, an
+/// aggregate call, or a variable other than `var` and ST.
+const Expr* FirstForeignNode(const Expr& e, const std::string& var) {
+  switch (e.kind()) {
+    case ExprKind::kColumn:
+    case ExprKind::kAggregate:
+      return &e;
+    case ExprKind::kVariable:
+      return e.variable_name() == var || e.variable_name() == "ST" ? nullptr
+                                                                   : &e;
+    default:
+      break;
+  }
+  const Expr* bad =
+      e.left() == nullptr ? nullptr : FirstForeignNode(*e.left(), var);
+  if (bad == nullptr && e.right() != nullptr) {
+    bad = FirstForeignNode(*e.right(), var);
+  }
+  return bad;
+}
+}  // namespace
+
 Status ValidateForLoop(const ForLoopSpec& spec) {
+  if (spec.var == "ST") {
+    return Status::InvalidArgument(
+        "for-loop variable must not be named ST, the query start time");
+  }
   auto check_expr = [&](const ExprPtr& e, const char* what) -> Status {
-    if (e == nullptr) return Status::OK();
-    std::vector<std::string> columns;
-    e->CollectColumns(&columns);
-    if (!columns.empty()) {
-      return Status::InvalidArgument(
-          std::string(what) + " must not reference stream columns: " +
-          e->ToString());
+    const Expr* bad = e == nullptr ? nullptr : FirstForeignNode(*e, spec.var);
+    if (bad == nullptr) return Status::OK();
+    if (bad->kind() == ExprKind::kVariable) {
+      return Status::InvalidArgument(std::string(what) +
+                                     " references unknown variable " +
+                                     bad->variable_name());
     }
-    std::vector<std::string> vars;
-    e->CollectVariables(&vars);
-    for (const auto& v : vars) {
-      if (v != spec.var && v != "ST") {
-        return Status::InvalidArgument(std::string(what) +
-                                       " references unknown variable " + v);
-      }
-    }
-    return Status::OK();
+    return Status::InvalidArgument(
+        std::string(what) +
+        " must not reference stream columns or aggregates: " + e->ToString());
   };
   TCQ_RETURN_NOT_OK(check_expr(spec.init, "for-loop init"));
   TCQ_RETURN_NOT_OK(check_expr(spec.condition, "for-loop condition"));
@@ -166,37 +184,46 @@ Result<WindowShape> ClassifyWindow(const ForLoopSpec& spec,
 
 Result<WindowShape> ClassifyWindow(WindowSequence seq, size_t clause_index,
                                    size_t probe_steps) {
-  std::vector<WindowBounds> probes;
-  for (size_t i = 0; i < probe_steps; ++i) {
+  // Deltas between consecutive probes; one that overflows is no constant.
+  WindowBounds first{}, prev{};
+  size_t probes = 0;
+  int64_t dl0 = 0, dr0 = 0;
+  bool left_fixed = true;
+  bool constant_deltas = true;
+  for (; probes < probe_steps; ++probes) {
     auto step = seq.Next();
     if (!step.has_value()) break;
-    probes.push_back(step->bounds[clause_index]);
+    const WindowBounds& b = step->bounds[clause_index];
+    if (probes == 0) {
+      first = b;
+    } else {
+      int64_t dl = 0, dr = 0;
+      if (__builtin_sub_overflow(b.left, prev.left, &dl) ||
+          __builtin_sub_overflow(b.right, prev.right, &dr)) {
+        constant_deltas = left_fixed = false;
+      } else if (probes == 1) {
+        dl0 = dl;
+        dr0 = dr;
+      }
+      if (dl != 0) left_fixed = false;
+      if (dl != dl0 || dr != dr0) constant_deltas = false;
+    }
+    prev = b;
   }
   // A sequence that ended because a bound/init/step was NULL or mistyped is
   // a malformed query, not a kGeneral window — surface it to the caller.
   if (!seq.status().ok()) return seq.status();
   WindowShape shape;
-  if (probes.empty()) {
+  if (probes == 0) {
     shape.window_class = WindowClass::kGeneral;
     return shape;
   }
-  shape.width = probes[0].Width();
-  if (probes.size() == 1 && seq.done()) {
+  shape.width = first.Width();
+  if (probes == 1 && seq.done()) {
     shape.window_class = WindowClass::kSnapshot;
     shape.hop = 0;
     shape.requires_full_window_state = false;
     return shape;
-  }
-  // Examine deltas between consecutive probes.
-  bool left_fixed = true;
-  bool constant_deltas = true;
-  int64_t dl0 = probes.size() > 1 ? probes[1].left - probes[0].left : 0;
-  int64_t dr0 = probes.size() > 1 ? probes[1].right - probes[0].right : 0;
-  for (size_t i = 1; i < probes.size(); ++i) {
-    const int64_t dl = probes[i].left - probes[i - 1].left;
-    const int64_t dr = probes[i].right - probes[i - 1].right;
-    if (dl != 0) left_fixed = false;
-    if (dl != dl0 || dr != dr0) constant_deltas = false;
   }
   shape.hop = dr0;
   if (left_fixed && constant_deltas && dr0 > 0) {

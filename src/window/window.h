@@ -1,6 +1,7 @@
 #ifndef TCQ_WINDOW_WINDOW_H_
 #define TCQ_WINDOW_WINDOW_H_
 
+#include <array>
 #include <optional>
 #include <string>
 #include <vector>
@@ -42,18 +43,48 @@ struct ForLoopSpec {
   bool has_condition() const { return condition != nullptr; }
 };
 
-/// Concrete bounds of one stream's window at one loop iteration.
+/// Concrete bounds of one clause's window at one loop iteration.
 struct WindowBounds {
-  std::string stream;
   Timestamp left;   ///< Inclusive.
   Timestamp right;  ///< Inclusive.
 
   bool Contains(Timestamp ts) const { return ts >= left && ts <= right; }
-  /// Number of timestamps covered; 0 for an empty (inverted) window.
-  int64_t Width() const { return right >= left ? right - left + 1 : 0; }
-  bool operator==(const WindowBounds& o) const {
-    return stream == o.stream && left == o.left && right == o.right;
+  /// Number of timestamps covered; 0 for an empty (inverted) window,
+  /// INT64_MAX for one wider than that.
+  int64_t Width() const {
+    int64_t w = 0;
+    if (right < left) return 0;
+    return __builtin_sub_overflow(right, left, &w) || w == INT64_MAX
+               ? INT64_MAX
+               : w + 1;
   }
+  bool operator==(const WindowBounds&) const = default;
+};
+
+/// The bounds of every WindowIs clause at one step, in clause order. The
+/// first kInline are stored in place, so a step of a loop with at most
+/// that many clauses (one per source) allocates nothing.
+class StepBounds {
+ public:
+  static constexpr size_t kInline = 4;
+
+  size_t size() const { return size_; }
+  const WindowBounds& operator[](size_t i) const {
+    return i < kInline ? inline_[i] : spill_[i - kInline];
+  }
+  void push_back(const WindowBounds& b) {
+    if (size_ < kInline) {
+      inline_[size_] = b;
+    } else {
+      spill_.push_back(b);
+    }
+    ++size_;
+  }
+
+ private:
+  std::array<WindowBounds, kInline> inline_{};
+  std::vector<WindowBounds> spill_;
+  size_t size_ = 0;
 };
 
 /// Enumerates the window sequence a ForLoopSpec defines: each Next() call
@@ -63,10 +94,10 @@ class WindowSequence {
  public:
   struct Step {
     Timestamp t;
-    std::vector<WindowBounds> bounds;  ///< One per WindowIs clause, in order.
+    StepBounds bounds;  ///< One per WindowIs clause, in order.
   };
 
-  /// `st` is the query start time, bound to variable "ST".
+  /// `st` is the query start time, the value of variable `ST`.
   WindowSequence(const ForLoopSpec* spec, Timestamp st);
 
   /// Advances the loop. Returns nullopt once the condition is false.
@@ -83,13 +114,13 @@ class WindowSequence {
   const Status& status() const { return status_; }
 
  private:
-  /// Evaluates `e` against env_ and stores the integer result in `*out`.
+  /// Evaluates `e` against vars_ and stores the integer result in `*out`.
   /// On NULL or non-integer results, marks the sequence done, records a
   /// status naming `what`, and returns false.
   bool EvalTimestamp(const ExprPtr& e, const char* what, Timestamp* out);
 
   const ForLoopSpec* spec_;
-  VarEnv env_;
+  LoopVars vars_{};
   Timestamp t_ = 0;
   bool done_ = false;
   Status status_ = Status::OK();
@@ -131,7 +162,8 @@ Result<WindowShape> ClassifyWindow(WindowSequence seq, size_t clause_index,
                                    size_t probe_steps = 8);
 
 /// Validates that every bound expression only references the loop variable
-/// and ST, and that the clause list is non-empty for stream queries.
+/// and ST, that the loop variable is not named ST (it would hide the start
+/// time), and that every clause names a stream and both window ends.
 Status ValidateForLoop(const ForLoopSpec& spec);
 
 /// Convenience builders for the common window shapes (used by tests,

@@ -43,6 +43,33 @@ TEST_F(AnalyzerTest, SimpleWindowedSelect) {
   EXPECT_EQ(aq->output_schema->field(0).name, "closingPrice");
 }
 
+TEST_F(AnalyzerTest, SumAndAvgNeedNumericArguments) {
+  // Once accepted: the first window to fire threw bad_variant_access.
+  const std::string loop =
+      " FROM ClosingStockPrices "
+      "for (; t == 0; t = -1) { WindowIs(ClosingStockPrices, 1, 5); }";
+  for (const char* agg :
+       {"SUM(stockSymbol)", "AVG(stockSymbol)", "SUM(closingPrice > 1)"}) {
+    auto r = AnalyzeSql(std::string("SELECT ") + agg + loop, catalog_);
+    EXPECT_EQ(r.status().code(), StatusCode::kTypeError) << agg;
+  }
+  for (const char* agg : {"MIN(stockSymbol)", "MAX(stockSymbol)",
+                          "COUNT(stockSymbol)", "AVG(closingPrice)"}) {
+    auto r = AnalyzeSql(std::string("SELECT ") + agg + loop, catalog_);
+    EXPECT_TRUE(r.ok()) << agg << ": " << r.status();
+  }
+}
+
+TEST_F(AnalyzerTest, WindowBoundsRejectAggregateCalls) {
+  // Once accepted: the first step evaluated COUNT(*) as a row expression,
+  // which aborts the process.
+  auto r = AnalyzeSql(
+      "SELECT COUNT(*) FROM ClosingStockPrices for (t = ST; true; "
+      "t += COUNT(*)) { WindowIs(ClosingStockPrices, t - 1, t); }",
+      catalog_);
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST_F(AnalyzerTest, UnknownStreamFails) {
   EXPECT_FALSE(AnalyzeSql("SELECT a FROM Nope", catalog_).ok());
 }

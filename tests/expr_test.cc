@@ -168,29 +168,42 @@ TEST(ExprTest, NullComparisonIsFalse) {
   EXPECT_FALSE(e->Eval(Tuple()).bool_value());
 }
 
-TEST(ExprTest, VariablesEvaluateAgainstEnv) {
-  // t - 4 with t = 10 (a window bound expression).
+TEST(ExprTest, VariablesEvaluateAgainstTheirSlots) {
+  // t - ST with t = 10, ST = 4 (a window bound expression).
   ExprPtr e = Expr::Binary(BinaryOp::kSub, Expr::Variable("t"),
-                           Expr::Literal(Value::Int64(4)));
-  VarEnv env{{"t", Value::Int64(10)}};
-  EXPECT_EQ(e->EvalConst(env).int64_value(), 6);
+                           Expr::Variable("ST"));
+  EXPECT_EQ(e->left()->variable_slot(), kLoopVarSlot);
+  EXPECT_EQ(e->right()->variable_slot(), kStartTimeSlot);
+  LoopVars vars{};
+  vars[kLoopVarSlot] = 10;
+  vars[kStartTimeSlot] = 4;
+  EXPECT_EQ(e->EvalConst(vars).int64_value(), 6);
 }
 
-TEST(ExprTest, CollectColumnsAndVariables) {
+TEST(ExprTest, BindSharesLiteralAndVariableNodes) {
+  auto schema = Schema::Make({{"x", ValueType::kInt64, ""}});
+  ExprPtr lit = Expr::Literal(Value::Int64(3));
+  ExprPtr e = Expr::Binary(BinaryOp::kLt, Expr::Column("x"), lit);
+  auto bound = e->Bind(*schema);
+  ASSERT_TRUE(bound.ok());
+  EXPECT_EQ((*bound)->right(), lit);  // The same node, not a copy.
+  EXPECT_NE((*bound)->left(), e->left());  // A column binds to a new node.
+  EXPECT_EQ((*bound)->left()->column_index(), 0);
+  EXPECT_EQ(e->left()->column_index(), -1);  // The unbound tree is intact.
+}
+
+TEST(ExprTest, CollectColumnsSkipsVariables) {
   ExprPtr e = Expr::Binary(
       BinaryOp::kAnd,
       Expr::Binary(BinaryOp::kGt, Expr::Column("closingPrice"),
                    Expr::Literal(Value::Double(1))),
       Expr::Binary(BinaryOp::kLe, Expr::Column("timestamp"),
                    Expr::Variable("t")));
-  std::vector<std::string> cols, vars;
+  std::vector<std::string> cols;
   e->CollectColumns(&cols);
-  e->CollectVariables(&vars);
   ASSERT_EQ(cols.size(), 2u);
   EXPECT_EQ(cols[0], "closingPrice");
   EXPECT_EQ(cols[1], "timestamp");
-  ASSERT_EQ(vars.size(), 1u);
-  EXPECT_EQ(vars[0], "t");
 }
 
 TEST(ExprTest, ContainsAggregate) {
@@ -245,7 +258,16 @@ TEST(ExprTest, MakeConjunctionRoundTrip) {
 TEST(ExprTest, ToStringReadable) {
   ExprPtr e = Expr::Binary(BinaryOp::kGt, Expr::Column("closingPrice"),
                            Expr::Literal(Value::Double(50)));
-  EXPECT_EQ(e->ToString(), "(closingPrice > 50)");
+  EXPECT_EQ(e->ToString(), "(closingPrice > 50.0)");
+}
+
+TEST(ExprTest, LiteralsPrintAsTheParserReadsThem) {
+  EXPECT_EQ(Expr::Literal(Value::String("it's"))->ToString(), "'it''s'");
+  EXPECT_EQ(Expr::Literal(Value::Double(123456789.25))->ToString(),
+            "123456789.25");  // Not 1.23457e+08.
+  EXPECT_EQ(Expr::Literal(Value::Double(-0.5))->ToString(), "-0.5");
+  EXPECT_EQ(Expr::Literal(Value::Int64(INT64_MIN))->ToString(),
+            "-9223372036854775808");
 }
 
 }  // namespace

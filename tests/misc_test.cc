@@ -9,6 +9,7 @@
 #include "common/clock.h"
 #include "common/logging.h"
 #include "parser/lexer.h"
+#include "parser/parser.h"
 
 namespace tcq {
 namespace {
@@ -112,12 +113,32 @@ TEST(LexerTest, CompoundOperators) {
 }
 
 TEST(LexerTest, KeywordsCaseInsensitive) {
-  auto tokens = Lex("SeLeCt");
+  auto tokens = Lex("SeLeCt select SELECTX SELEC windowIS Count _by b_y");
   ASSERT_TRUE(tokens.ok());
-  EXPECT_TRUE((*tokens)[0].IsKeyword("SELECT"));
-  EXPECT_TRUE((*tokens)[0].IsKeyword("select"));
-  EXPECT_FALSE((*tokens)[0].IsKeyword("SELECTX"));
-  EXPECT_FALSE((*tokens)[0].IsKeyword("SELEC"));
+  ASSERT_EQ(tokens->size(), 9u);
+  EXPECT_EQ((*tokens)[0].keyword, Keyword::kSelect);
+  EXPECT_EQ((*tokens)[1].keyword, Keyword::kSelect);
+  EXPECT_EQ((*tokens)[2].keyword, Keyword::kNone);
+  EXPECT_EQ((*tokens)[3].keyword, Keyword::kNone);
+  EXPECT_EQ((*tokens)[4].keyword, Keyword::kWindowIs);
+  EXPECT_TRUE((*tokens)[4].IsReserved());
+  EXPECT_EQ((*tokens)[5].keyword, Keyword::kCount);
+  EXPECT_FALSE((*tokens)[5].IsReserved());  // Aggregates name columns too.
+  EXPECT_EQ((*tokens)[6].keyword, Keyword::kNone);
+  EXPECT_EQ((*tokens)[7].keyword, Keyword::kNone);
+}
+
+TEST(LexerTest, TokensPointIntoTheInput) {
+  const std::string input = "SELECT price FROM S WHERE s = 'it''s'";
+  auto tokens = Lex(input);
+  ASSERT_TRUE(tokens.ok());
+  const Token& price = (*tokens)[1];
+  EXPECT_EQ(price.text.data(), input.data() + 7);
+  EXPECT_EQ(price.offset, 7u);
+  const Token& str = (*tokens)[7];
+  EXPECT_EQ(str.kind, TokenKind::kString);
+  EXPECT_EQ(str.text, "it''s");  // Escapes are undone by the parser.
+  EXPECT_EQ(str.offset, 30u);
 }
 
 TEST(LexerTest, CommentsSkippedToEol) {
@@ -131,7 +152,10 @@ TEST(LexerTest, CommentsSkippedToEol) {
 TEST(LexerTest, EscapedQuoteInString) {
   auto tokens = Lex("'it''s'");
   ASSERT_TRUE(tokens.ok());
-  EXPECT_EQ((*tokens)[0].text, "it's");
+  EXPECT_EQ((*tokens)[0].text, "it''s");  // The input's bytes.
+  auto q = ParseQuery("SELECT a FROM S WHERE a = 'it''s'");
+  ASSERT_TRUE(q.ok());
+  EXPECT_EQ(q->where->right()->literal().string_value(), "it's");
 }
 
 TEST(LexerTest, Errors) {

@@ -100,10 +100,13 @@ Status Oracle::Submit(size_t label, const std::string& sql,
       st = std::max(st, streams_[s].safe + 1);
     }
     const ForLoopSpec& loop = *parsed.window;
-    q.env["ST"] = Value::Int64(st);
-    q.env[loop.var] = Value::Int64(0);  // The init may not name t; t = 0.
-    if (loop.init != nullptr) q.env[loop.var] = loop.init->EvalConst(q.env);
-    q.loop_done = q.env[loop.var].type() != ValueType::kInt64;
+    q.vars[kStartTimeSlot] = st;
+    q.vars[kLoopVarSlot] = 0;  // The init may not name t; t = 0.
+    if (loop.init != nullptr) {
+      const Value init = loop.init->EvalConst(q.vars);
+      q.loop_done = init.type() != ValueType::kInt64;
+      if (!q.loop_done) q.vars[kLoopVarSlot] = init.int64_value();
+    }
   }
   Query& stored = queries_.insert_or_assign(label, std::move(q)).first->second;
   if (stored.windowed) AdvanceQuery(&stored);
@@ -280,16 +283,15 @@ std::optional<Oracle::Step> Oracle::NextStep(Query* q) {
   // for (t = init; condition(t); t = step(t)) { WindowIs(...); ... }
   const ForLoopSpec& loop = *q->analyzed->window;
   if (q->loop_done) return std::nullopt;
-  Value& var = q->env[loop.var];
-  const Timestamp t = var.int64_value();
+  const Timestamp t = q->vars[kLoopVarSlot];
   const Value go = loop.condition == nullptr
                        ? Value::Bool(true)
-                       : loop.condition->EvalConst(q->env);
+                       : loop.condition->EvalConst(q->vars);
   Step step;
   step.t = t;
   for (const WindowIsClause& clause : loop.windows) {
-    const Value left = clause.left_end->EvalConst(q->env);
-    const Value right = clause.right_end->EvalConst(q->env);
+    const Value left = clause.left_end->EvalConst(q->vars);
+    const Value right = clause.right_end->EvalConst(q->vars);
     if (go.type() != ValueType::kBool || !go.bool_value() ||
         left.type() != ValueType::kInt64 ||
         right.type() != ValueType::kInt64) {
@@ -300,12 +302,12 @@ std::optional<Oracle::Step> Oracle::NextStep(Query* q) {
   }
   // No condition: the body runs once. A step that keeps t would repeat
   // this window forever.
-  const Value next = loop.step != nullptr ? loop.step->EvalConst(q->env)
+  const Value next = loop.step != nullptr ? loop.step->EvalConst(q->vars)
                      : t == kMaxTimestamp ? Value::Null()
                                           : Value::Int64(t + 1);
   q->loop_done = loop.condition == nullptr ||
                  next.type() != ValueType::kInt64 || next.int64_value() == t;
-  if (!q->loop_done) var = next;
+  if (!q->loop_done) q->vars[kLoopVarSlot] = next.int64_value();
   return step;
 }
 

@@ -91,7 +91,7 @@ class Oracle {
     ExprPtr where;  ///< Bound to the sources' concatenated schema.
     std::vector<std::vector<Tuple>> seen;  ///< Join state per source.
     // Windowed queries: the loop's variables and its next step.
-    VarEnv env;
+    LoopVars vars{};
     bool loop_done = false;
     std::optional<Step> next;
     std::vector<Step> fired;  ///< Speculative: answered at Results().

@@ -209,6 +209,41 @@ TEST(LexParserTest, ErrorCases) {
   EXPECT_FALSE(ParseQuery("SELECT MIN(*) FROM S").ok());
 }
 
+TEST(LexParserTest, OutOfRangeIntegerLiteralIsAnErrorAtItsOffset) {
+  // Once clamped silently to INT64_MAX.
+  auto q = ParseQuery("SELECT a FROM S WHERE a > 99999999999999999999");
+  ASSERT_FALSE(q.ok());
+  EXPECT_EQ(q.status().code(), StatusCode::kParseError);
+  EXPECT_NE(q.status().message().find("out of range at offset 26"),
+            std::string::npos)
+      << q.status();
+  // 2^63 is in range only as the magnitude of INT64_MIN.
+  auto plus = ParseQuery("SELECT a FROM S WHERE a > 9223372036854775808");
+  ASSERT_FALSE(plus.ok());
+  EXPECT_NE(plus.status().message().find("at offset 26"), std::string::npos)
+      << plus.status();
+  EXPECT_FALSE(ParseQuery("SELECT a FROM S WHERE a > 2 - 9223372036854775808")
+                   .ok());
+  EXPECT_FALSE(ParseQuery("SELECT a FROM S WHERE a > -9223372036854775809")
+                   .ok());
+}
+
+TEST(LexParserTest, Int64ExtremesParseExactly) {
+  auto min = ParseQuery("SELECT a FROM S WHERE a > -9223372036854775808");
+  ASSERT_TRUE(min.ok()) << min.status();
+  const ExprPtr& lit = min->where->right();
+  ASSERT_EQ(lit->kind(), ExprKind::kLiteral);
+  EXPECT_EQ(lit->literal().int64_value(), INT64_MIN);  // Was INT64_MIN + 1.
+  auto max = ParseQuery("SELECT a FROM S WHERE a < 9223372036854775807");
+  ASSERT_TRUE(max.ok()) << max.status();
+  EXPECT_EQ(max->where->right()->literal().int64_value(), INT64_MAX);
+  // Negating INT64_MIN again is no literal: it evaluates to NULL.
+  auto neg = ParseQuery("SELECT a FROM S WHERE a > - -9223372036854775808");
+  ASSERT_TRUE(neg.ok()) << neg.status();
+  EXPECT_EQ(neg->where->right()->kind(), ExprKind::kUnary);
+  EXPECT_TRUE(neg->where->right()->Eval(Tuple()).is_null());
+}
+
 TEST(LexParserTest, TrailingSemicolonAccepted) {
   EXPECT_TRUE(ParseQuery("SELECT a FROM S;").ok());
 }

@@ -438,7 +438,9 @@ TEST(ServerBudgetTest, RunawayLoopsEndOnTheWindowBudget) {
   std::string beside_snapshot;
   const std::string alone = run({}, &alone_snapshot);
   EXPECT_NE(alone.find("29:"), std::string::npos);
-  EXPECT_EQ(run({"for (t = ST - 9223372036854775808; true; t++) "
+  // INT64_MAX: the lexer once clamped 9223372036854775808 to it silently;
+  // that literal is now a ParseError.
+  EXPECT_EQ(run({"for (t = ST - 9223372036854775807; true; t++) "
                  "{ WindowIs(ClosingStockPrices, t, t); }",
                  "for (t = 1; true; t = 1 - t) "
                  "{ WindowIs(ClosingStockPrices, t, t); }"},

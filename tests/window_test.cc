@@ -111,13 +111,13 @@ TEST(WindowTest, ReverseWindowMovesBackward) {
 }
 
 TEST(WindowTest, WindowBoundsHelpers) {
-  WindowBounds b{"S", 10, 14};
+  WindowBounds b{10, 14};
   EXPECT_TRUE(b.Contains(10));
   EXPECT_TRUE(b.Contains(14));
   EXPECT_FALSE(b.Contains(9));
   EXPECT_FALSE(b.Contains(15));
   EXPECT_EQ(b.Width(), 5);
-  WindowBounds empty{"S", 5, 4};
+  WindowBounds empty{5, 4};
   EXPECT_EQ(empty.Width(), 0);
 }
 
@@ -217,6 +217,38 @@ TEST(WindowValidateTest, RejectsUnknownVariables) {
   spec.condition = Expr::Binary(BinaryOp::kLt, Expr::Variable("u"),
                                 Expr::Literal(Value::Int64(5)));
   EXPECT_EQ(ValidateForLoop(spec).code(), StatusCode::kInvalidArgument);
+}
+
+TEST(WindowValidateTest, RejectsALoopVariableNamedST) {
+  // for (ST = ST; true; ST += 1) { WindowIs(S, ST - 1, ST); } once wrote
+  // the variable over the start time before evaluating init, so it began
+  // at 0 and walked empty windows up to the start time.
+  ForLoopSpec spec;
+  spec.var = "ST";
+  spec.init = Expr::Variable("ST");
+  spec.condition = Expr::Literal(Value::Bool(true));
+  spec.step = Expr::Binary(BinaryOp::kAdd, Expr::Variable("ST"),
+                           Expr::Literal(Value::Int64(1)));
+  spec.windows.push_back(
+      {"S",
+       Expr::Binary(BinaryOp::kSub, Expr::Variable("ST"),
+                    Expr::Literal(Value::Int64(1))),
+       Expr::Variable("ST")});
+  EXPECT_EQ(ValidateForLoop(spec).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(ClassifyWindow(spec, 0, 1000).status().code(),
+            StatusCode::kInvalidArgument);
+  // Any other name, `st` included, is a loop variable like `t`.
+  spec.var = "st";
+  spec.init = Expr::Variable("ST");
+  spec.step = Expr::Binary(BinaryOp::kAdd, Expr::Variable("st"),
+                           Expr::Literal(Value::Int64(1)));
+  spec.windows[0].right_end = Expr::Variable("st");
+  ASSERT_TRUE(ValidateForLoop(spec).ok());
+  WindowSequence seq(&spec, 1000);
+  auto first = seq.Next();
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->t, 1000);
+  EXPECT_EQ(first->bounds[0].right, 1000);
 }
 
 TEST(WindowValidateTest, RejectsMissingEnds) {
