@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Full verification: tier-1 (fast unit suite) plus the fault-injection /
-# concurrency stress suite, the equivalence matrix, the history-spool tests
-# and the front-end tests under ThreadSanitizer and ASan+UBSan, as CI runs
-# them.
+# concurrency stress suite, the equivalence label (the matrix, the window
+# plan and CACQ's fixed route against the eddy route), the history-spool
+# tests and the front-end tests under ThreadSanitizer and ASan+UBSan, as CI
+# runs them.
 #
 # Usage:
 #   scripts/check.sh            # tier-1 + one stress pass per sanitizer

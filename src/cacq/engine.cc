@@ -12,7 +12,9 @@ CacqEngine::CacqEngine() : CacqEngine(Options()) {}
 CacqEngine::CacqEngine(Options options) : options_(std::move(options)) {
   eddy_ = std::make_unique<Eddy>(
       &layout_, MakePolicy(options_.policy, options_.seed), options_.eddy);
-  eddy_->SetPartialSink([this](RoutedTuple&& rt) { Deliver(std::move(rt)); });
+  eddy_->SetPartialSink([this](RoutedTuple&& rt) {
+    Deliver(rt.tuple, rt.sources, rt.queries);
+  });
 }
 
 Result<size_t> CacqEngine::AddStream(const std::string& name,
@@ -26,6 +28,11 @@ Result<size_t> CacqEngine::AddStream(const std::string& name,
   }
   const size_t idx = layout_.AddSource(name, std::move(schema));
   interested_.emplace_back();
+  routes_.emplace_back();
+  for (SourceRoute& route : routes_) {
+    route.sources.Resize(layout_.num_sources());
+  }
+  routes_.back().sources.Set(idx);
   return idx;
 }
 
@@ -62,7 +69,12 @@ CacqEngine::IndexOp& CacqEngine::IndexOpFor(const SmallBitset& required) {
     name += layout_.alias(s);
   });
   auto op = std::make_shared<IndexOp>(name + "]", required);
-  eddy_->AddOperator(op);
+  const size_t op_index = eddy_->AddOperator(op);
+  if (required.Count() == 1) {
+    SourceRoute& route = routes_[required.FirstSet()];
+    route.index = op.get();
+    route.op = op_index;
+  }
   index_ops_.push_back(op);
   return *op;
 }
@@ -82,6 +94,8 @@ void CacqEngine::EnsureJoin(size_t src_a, int col_a, size_t src_b,
   };
   SteMPtr stem_a = ensure_stem(src_a, col_a);
   SteMPtr stem_b = ensure_stem(src_b, col_b);
+  routes_[src_a].joined = true;
+  routes_[src_b].joined = true;
 
   auto ensure_probe = [&](size_t target, const SteMPtr& stem,
                           int stored_key, size_t probe_src, int probe_key) {
@@ -227,23 +241,7 @@ Status CacqEngine::Inject(const std::string& stream, const Tuple& tuple,
   if (s == layout_.num_sources()) {
     return Status::NotFound("unknown stream: " + stream);
   }
-  RoutedTuple rt;
-  rt.tuple = layout_.Widen(s, tuple);
-  rt.sources.Resize(layout_.num_sources());
-  rt.sources.Set(s);
-  rt.queries = interested_[s];
-  rt.queries.Resize(queries_.size());
-  if (lane != IngressLane::kAll) {
-    SmallBitset lane_set = lane == IngressLane::kSpeculative
-                               ? speculative_queries_
-                               : delayed_queries_;
-    lane_set.Resize(queries_.size());
-    rt.queries &= lane_set;
-  }
-  if (rt.queries.None()) return Status::OK();  // Nobody is listening.
-  eddy_->InjectRouted(std::move(rt));
-  eddy_->Drain();
-  return Status::OK();
+  return InjectBatch(s, std::span<const Tuple>(&tuple, 1), lane);
 }
 
 Status CacqEngine::InjectBatch(const std::string& stream,
@@ -256,7 +254,7 @@ Status CacqEngine::InjectBatch(const std::string& stream,
   return InjectBatch(s, batch, lane);
 }
 
-Status CacqEngine::InjectBatch(size_t s, const std::vector<Tuple>& batch,
+Status CacqEngine::InjectBatch(size_t s, std::span<const Tuple> batch,
                                IngressLane lane) {
   if (s >= layout_.num_sources()) {
     return Status::OutOfRange("source index out of range");
@@ -271,13 +269,16 @@ Status CacqEngine::InjectBatch(size_t s, const std::vector<Tuple>& batch,
     interested &= lane_set;
   }
   if (interested.None() || batch.empty()) return Status::OK();
+  if (!routes_[s].joined) {
+    RouteFixed(s, batch, interested);
+    return Status::OK();
+  }
   std::vector<RoutedTuple> rts;
   rts.reserve(batch.size());
   for (const Tuple& tuple : batch) {
     RoutedTuple rt;
     rt.tuple = layout_.Widen(s, tuple);
-    rt.sources.Resize(layout_.num_sources());
-    rt.sources.Set(s);
+    rt.sources = routes_[s].sources;
     rt.queries = interested;
     rts.push_back(std::move(rt));
   }
@@ -299,13 +300,46 @@ std::vector<CacqEngine::StemSnapshot> CacqEngine::stem_snapshots() const {
   return out;
 }
 
-void CacqEngine::Deliver(RoutedTuple&& rt) {
-  if (!sink_ || rt.queries.None()) return;
-  rt.queries.ForEachSet([&](size_t q) {
+void CacqEngine::RouteFixed(size_t s, std::span<const Tuple> batch,
+                            const SmallBitset& interested) {
+  const SourceRoute& route = routes_[s];
+  SmallBitset& lineage = lineage_scratch_;
+  std::vector<uint8_t>& passed = passed_scratch_;
+  passed.clear();
+  for (const Tuple& narrow : batch) {
+    Tuple t = layout_.Widen(s, narrow);
+    const uint64_t trace_id = eddy_->StampArrival(&t);
+    if (trace_id != 0) {
+      // Sampled: the eddy records its hops. The tuples before it are
+      // accounted first, so the policy observes in arrival order.
+      eddy_->RecordFixedVisits(route.op, passed);
+      passed.clear();
+      RoutedTuple rt;
+      rt.tuple = std::move(t);
+      rt.sources = route.sources;
+      rt.queries = interested;
+      rt.trace_id = trace_id;
+      eddy_->InjectRouted(std::move(rt));
+      eddy_->Drain();
+      continue;
+    }
+    lineage = interested;
+    if (route.index != nullptr) route.index->index().Narrow(t, &lineage);
+    const bool pass = !lineage.None();
+    passed.push_back(pass);
+    if (pass) Deliver(t, route.sources, lineage);
+  }
+  eddy_->RecordFixedVisits(route.op, passed);
+}
+
+void CacqEngine::Deliver(const Tuple& t, const SmallBitset& sources,
+                         const SmallBitset& queries) {
+  if (!sink_ || queries.None()) return;
+  queries.ForEachSet([&](size_t q) {
     if (q >= queries_.size() || !queries_[q].active) return;
     // Deliver when the tuple's composition is exactly the query footprint.
-    if (queries_[q].footprint == rt.sources) {
-      sink_(static_cast<QueryId>(q), rt.tuple);
+    if (queries_[q].footprint == sources) {
+      sink_(static_cast<QueryId>(q), t);
     }
   });
 }

@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -114,13 +115,21 @@ class CacqEngine {
   /// Feeds one tuple of `stream` and routes it (plus any join matches).
   /// `lane` restricts the seeded lineage to queries of that consistency
   /// level (kAll = every interested query — the classic single-feed path).
+  ///
+  /// A stream that no SteM reads takes the fixed route (DESIGN.md §14):
+  /// its tuples have one eligible operator, the stream's query index, so
+  /// the engine applies it directly instead of routing through the eddy,
+  /// with the same seqs, emissions and eddy counters. Its first join
+  /// moves it to the eddy for good; tuples the tracer samples always
+  /// take the eddy so their hops are recorded.
   Status Inject(const std::string& stream, const Tuple& tuple,
                 IngressLane lane = IngressLane::kAll);
 
   /// Feeds a whole same-stream batch through ONE stream lookup, one
-  /// lineage-seed snapshot and one Drain(). The eddy amortizes one routing
-  /// decision per stage over the batch; results are identical to injecting
-  /// each tuple alone (routing invariance), only cheaper.
+  /// lineage-seed snapshot and one Drain() (or one fixed-route pass). The
+  /// eddy amortizes one routing decision per stage over the batch;
+  /// results are identical to injecting each tuple alone (routing
+  /// invariance), only cheaper.
   Status InjectBatch(const std::string& stream,
                      const std::vector<Tuple>& batch,
                      IngressLane lane = IngressLane::kAll);
@@ -128,7 +137,7 @@ class CacqEngine {
   /// InjectBatch by source index (layout().SourceIndexOf order). The
   /// sharded exchange resolves the stream once at scatter time and feeds
   /// every shard by index, skipping the per-task name lookup.
-  Status InjectBatch(size_t source, const std::vector<Tuple>& batch,
+  Status InjectBatch(size_t source, std::span<const Tuple> batch,
                      IngressLane lane = IngressLane::kAll);
 
   /// Evicts join state older than `ts` (window maintenance).
@@ -207,7 +216,13 @@ class CacqEngine {
   /// ops in both directions for an equi-join pair.
   void EnsureJoin(size_t src_a, int col_a, size_t src_b, int col_b);
 
-  void Deliver(RoutedTuple&& rt);
+  /// Source `s`'s fixed route over a batch seeded with `interested`.
+  void RouteFixed(size_t s, std::span<const Tuple> batch,
+                  const SmallBitset& interested);
+  /// Hands `t` to every active query in `queries` whose footprint is
+  /// exactly `sources`.
+  void Deliver(const Tuple& t, const SmallBitset& sources,
+               const SmallBitset& queries);
 
   Options options_;
   SourceLayout layout_;
@@ -224,6 +239,21 @@ class CacqEngine {
   /// speculative queries never see the duplicate release feed.
   SmallBitset delayed_queries_;
   SmallBitset speculative_queries_;
+
+  /// How one source's base tuples are routed.
+  struct SourceRoute {
+    SmallBitset sources;  ///< The tuples' composition: this source alone.
+    /// The index over this source alone (the one operator its tuples
+    /// are eligible for) and its eddy operator index; null if none yet.
+    IndexOp* index = nullptr;
+    size_t op = Eddy::kNoOperator;
+    /// A SteM reads this source: its tuples take the eddy.
+    bool joined = false;
+  };
+  std::vector<SourceRoute> routes_;
+  /// RouteFixed's per-tuple lineage and per-batch pass flags, reused.
+  SmallBitset lineage_scratch_;
+  std::vector<uint8_t> passed_scratch_;
 
   std::vector<std::shared_ptr<IndexOp>> index_ops_;
   std::map<JoinKey, SteMPtr> stems_;

@@ -108,7 +108,7 @@ size_t QueryRunner::Advance(Timestamp high_watermark,
     if (options_.speculative) {
       // Retain the fired window for revision; bounded history.
       fired_.push_back(FiredWindow{std::move(step), out->back().rows});
-      if (fired_.size() > kMaxFiredHistory) fired_.pop_front();
+      if (fired_.size() > kMaxFiredHistory) fired_.erase(fired_.begin());
     }
   }
   return steps.size();
@@ -484,7 +484,9 @@ class SharedWindowScan::Query {
       rows = running.Emit(aq.aggregates, aq.group_by, steps[next_due].t);
       if (fed_since_checkpoint >= 64 + 4 * rows.size()) {
         checkpoints.push_back({right + 1, running});
-        if (checkpoints.size() > kCheckpoints) checkpoints.pop_front();
+        if (checkpoints.size() > kCheckpoints) {
+          checkpoints.erase(checkpoints.begin());
+        }
         fed_since_checkpoint = 0;
       }
     }
@@ -545,7 +547,9 @@ class SharedWindowScan::Query {
     AggregateState agg;
   };
   static constexpr size_t kCheckpoints = 16;
-  std::deque<Checkpoint> checkpoints;
+  /// A vector, not a deque: an empty one allocates nothing, and only
+  /// landmarks fill it.
+  std::vector<Checkpoint> checkpoints;
   uint64_t fed_since_checkpoint = 0;
 
   // --- One Advance.

@@ -1,7 +1,6 @@
 #ifndef TCQ_CORE_RUNNER_H_
 #define TCQ_CORE_RUNNER_H_
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -165,7 +164,9 @@ class QueryRunner {
     TupleVector rows;  ///< The rows as last delivered (or last revised).
   };
   static constexpr size_t kMaxFiredHistory = 64;
-  std::deque<FiredWindow> fired_;
+  /// A vector, not a deque: an empty one allocates nothing, and only
+  /// speculative queries fill it.
+  std::vector<FiredWindow> fired_;
 };
 
 /// The standing window plan of one stream (DESIGN.md §17): fires the

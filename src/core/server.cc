@@ -441,22 +441,22 @@ Status Server::SetCallback(QueryId q, Callback cb) {
     retired_callbacks_.push_back(std::move(replaced));
   }
   // Disconnect: sets buffer for Poll (queued ones too, when drained).
-  if (qs->callback == nullptr || qs->results.empty()) return Status::OK();
+  if (qs->callback == nullptr || qs->pending_sets() == 0) return Status::OK();
   // Connect: the backlog is older than any set of this query still in
   // the FIFO, so it goes in ahead of the first of them, in order.
   const auto pos = std::find_if(deliveries_.begin(), deliveries_.end(),
                                 [qs](const Delivery& d) { return d.qs == qs; });
-  std::vector<Delivery> backlog(qs->results.size());
+  std::vector<Delivery> backlog(qs->results->size());
   for (size_t i = 0; i < backlog.size(); ++i) {
     backlog[i].qs = qs;
     backlog[i].seq = ++enqueued_;
-    backlog[i].set = std::move(qs->results[i]);
+    backlog[i].set = std::move((*qs->results)[i]);
   }
   deliveries_.insert(pos, std::make_move_iterator(backlog.begin()),
                      std::make_move_iterator(backlog.end()));
   qs->queued += backlog.size();
   t_queued_sets += backlog.size();
-  qs->results.clear();
+  qs->results->clear();
   qs->buffered_rows = 0;
   return Status::OK();
 }
@@ -481,7 +481,7 @@ Status Server::Cancel(QueryId q) {
       std::lock_guard<std::mutex> rlock(results_mu_);
       qs->active = false;
       if (ss != nullptr) ss->cacq_owner[qs->cacq_id] = nullptr;
-      qs->results.clear();
+      qs->results.reset();
       qs->buffered_rows = 0;
       // A callback running on this thread is on our own stack.
       wait = qs->in_flight && drainer_ != std::this_thread::get_id();
@@ -1024,12 +1024,14 @@ void Server::CountSetLocked(QueryState* qs, size_t rows) {
 
 void Server::BufferLocked(QueryState* qs, ResultSet&& rs) {
   qs->buffered_rows += rs.rows.size();
-  qs->results.push_back(std::move(rs));
+  std::deque<ResultSet>& results =
+      qs->results ? *qs->results : qs->results.emplace();
+  results.push_back(std::move(rs));
   // Shed-oldest: the freshest results win, and a set is never split.
   size_t shed = 0;
-  while (qs->buffered_rows > kMaxBufferedRows && qs->results.size() > 1) {
-    const size_t n = qs->results.front().rows.size();
-    qs->results.pop_front();
+  while (qs->buffered_rows > kMaxBufferedRows && results.size() > 1) {
+    const size_t n = results.front().rows.size();
+    results.pop_front();
     qs->buffered_rows -= n;
     shed += n;
   }
@@ -1225,12 +1227,12 @@ void Server::DrainDeliveries(bool wait) {
 std::optional<ResultSet> Server::Poll(QueryId q) {
   std::lock_guard<std::mutex> lock(mu_);
   std::lock_guard<std::mutex> rlock(results_mu_);
-  if (q >= queries_.size() || queries_[q]->results.empty()) {
+  if (q >= queries_.size() || queries_[q]->pending_sets() == 0) {
     return std::nullopt;
   }
   QueryState* qs = queries_[q].get();
-  ResultSet rs = std::move(qs->results.front());
-  qs->results.pop_front();
+  ResultSet rs = std::move(qs->results->front());
+  qs->results->pop_front();
   qs->buffered_rows -= rs.rows.size();
   return rs;
 }
@@ -1241,9 +1243,10 @@ std::vector<ResultSet> Server::PollAll(QueryId q) {
   std::vector<ResultSet> out;
   if (q >= queries_.size()) return out;
   QueryState* qs = queries_[q].get();
-  out.assign(std::make_move_iterator(qs->results.begin()),
-             std::make_move_iterator(qs->results.end()));
-  qs->results.clear();
+  if (!qs->results) return out;
+  out.assign(std::make_move_iterator(qs->results->begin()),
+             std::make_move_iterator(qs->results->end()));
+  qs->results->clear();
   qs->buffered_rows = 0;
   return out;
 }
@@ -1436,7 +1439,7 @@ std::string Server::SnapshotMetrics() const {
              ",\"kind\":\"" + (qs.is_cacq ? "cacq" : "windowed") +
              "\",\"delivered_rows\":" + std::to_string(qs.rows_delivered) +
              ",\"result_sets\":" + std::to_string(qs.result_sets) +
-             ",\"pending_sets\":" + std::to_string(qs.results.size()) +
+             ",\"pending_sets\":" + std::to_string(qs.pending_sets()) +
              ",\"buffered_rows\":" + std::to_string(qs.buffered_rows) +
              ",\"shed_rows\":" + std::to_string(qs.shed_rows) + "}";
     }

@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <thread>
@@ -300,9 +301,12 @@ class Server {
     /// CACQ egress projection by cell index, when every select item is
     /// a bound column reference (empty: evaluate `analyzed.projections`).
     std::vector<size_t> column_projection;
-    std::deque<ResultSet> results;  ///< Buffered for Poll, bounded in rows.
-    size_t buffered_rows = 0;       ///< Rows in `results`.
-    uint64_t shed_rows = 0;         ///< Rows shed to honor the bound.
+    /// Buffered for Poll, bounded in rows. Built by the first buffered
+    /// set: an empty std::deque already holds two allocations.
+    std::optional<std::deque<ResultSet>> results;
+    size_t buffered_rows = 0;  ///< Rows in `results`.
+    uint64_t shed_rows = 0;    ///< Rows shed to honor the bound.
+    size_t pending_sets() const { return results ? results->size() : 0; }
     /// Called by the draining thread with results_mu_ released; one that
     /// SetCallback replaces during a drain lives until the drain ends.
     std::unique_ptr<const Callback> callback;

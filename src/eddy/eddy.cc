@@ -118,6 +118,34 @@ void Eddy::InjectRoutedBatch(std::vector<RoutedTuple>&& batch) {
   if (n > batch_hint_) batch_hint_ = n;
 }
 
+uint64_t Eddy::StampArrival(Tuple* t) {
+  if (t->seq() == 0) t->set_seq(next_seq_++);
+  uint64_t trace_id = 0;
+  TCQ_METRIC(trace_id = Tracer::Global().MaybeStartTrace());
+  return trace_id;
+}
+
+void Eddy::RecordFixedVisits(size_t op, std::span<const uint8_t> passed) {
+  if (passed.empty()) return;
+  uint64_t n_passed = 0;
+  if (op == kNoOperator) {
+    n_passed = passed.size();
+  } else {
+    for (const uint8_t p : passed) {
+      policy_->Observe(op, p != 0, &stats_);
+      n_passed += p;
+    }
+    visits_ += passed.size();
+    stats_[op].routed += passed.size();
+    stats_[op].passed += n_passed;
+  }
+  emitted_ += n_passed;
+#ifndef TCQ_METRICS_DISABLED
+  RoutingMetrics::Get().injected->Add(passed.size());
+  FlushMetrics();
+#endif
+}
+
 void Eddy::EligibleOps(const RoutedTuple& rt, std::vector<size_t>* out) {
   const size_t cap_before = out->capacity();
   out->clear();

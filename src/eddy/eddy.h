@@ -1,9 +1,11 @@
 #ifndef TCQ_EDDY_EDDY_H_
 #define TCQ_EDDY_EDDY_H_
 
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -91,6 +93,27 @@ class Eddy {
 
   /// Routes until the internal queue is empty.
   void Drain();
+
+  /// RecordFixedVisits' `op` for tuples that no operator is eligible for.
+  static constexpr size_t kNoOperator = SIZE_MAX;
+
+  /// The fixed route (§4.3): when the owner knows that a tuple's one
+  /// eligible operator is `op`, there is no decision to make, so it may
+  /// apply the operator itself instead of queueing the tuple. These two
+  /// calls keep the eddy's books exactly as InjectRouted + Drain would.
+  ///
+  /// StampArrival stamps `t` as InjectRouted does (the arrival seq when
+  /// `t` has none, one trace-sampling draw) and returns the trace id. A
+  /// nonzero id means the tracer sampled the tuple: the owner injects it
+  /// with that id so its hops are recorded.
+  uint64_t StampArrival(Tuple* t);
+
+  /// Accounts tuples applied directly to `op`, one pass flag each, in
+  /// arrival order: a visit and the op's routed/passed counts, the
+  /// policy's Observe, and an emission for each that passed. With
+  /// kNoOperator no operator was eligible: each tuple is emitted without
+  /// a visit. Flushes the routing telemetry as Drain does.
+  void RecordFixedVisits(size_t op, std::span<const uint8_t> passed);
 
   /// Turns the §4.3 knobs while running (used by the KnobController).
   void set_batch_size(size_t batch) {

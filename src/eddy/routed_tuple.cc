@@ -41,6 +41,8 @@ Tuple SourceLayout::Widen(size_t source, const Tuple& narrow) const {
   TCQ_DCHECK(source < num_sources());
   TCQ_DCHECK(narrow.arity() == arity(source))
       << "source " << aliases_[source] << " arity mismatch";
+  // One source: the narrow tuple already is full width.
+  if (aliases_.size() == 1) return narrow;
   const size_t base = offsets_[source];
   Tuple wide =
       Tuple::Build(total_arity_, narrow.timestamp(), [&](Value* cells) {

@@ -40,7 +40,9 @@ class SourceLayout {
   /// Index of the source with the given alias, or num_sources() if absent.
   size_t SourceIndexOf(const std::string& alias) const;
 
-  /// Widens a narrow source tuple into full-width canonical form.
+  /// Widens a narrow source tuple into full-width canonical form. On a
+  /// one-source layout that is the narrow tuple itself: the result shares
+  /// its cell block, timestamp, seq and sign.
   Tuple Widen(size_t source, const Tuple& narrow) const;
 
   /// Cell-wise union of two sparse full-width tuples: each cell takes the

@@ -1,8 +1,8 @@
 #include "tuple/value.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstring>
-#include <sstream>
 
 namespace tcq {
 
@@ -94,9 +94,10 @@ std::string Value::ToString() const {
     case ValueType::kInt64:
       return std::to_string(int64_value());
     case ValueType::kDouble: {
-      std::ostringstream os;
-      os << double_value();
-      return os.str();
+      // The shortest form that parses back to the same double.
+      char buf[32];
+      char* end = std::to_chars(buf, buf + sizeof(buf), double_value()).ptr;
+      return std::string(buf, end);
     }
     case ValueType::kString:
       return "'" + string_value() + "'";

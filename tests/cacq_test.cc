@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
+#include <tuple>
 
 #include "cacq/sharded_engine.h"
 #include "common/rng.h"
 #include "kv.h"
+#include "telemetry/trace.h"
 
 namespace tcq {
 namespace {
@@ -377,6 +380,278 @@ TEST_P(CacqSharingPropertyTest, MatchesIndependentEvaluation) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CacqSharingPropertyTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6));
+
+// ---- The fixed route ------------------------------------------------------
+//
+// A stream no SteM reads skips the eddy's routing (its tuples have one
+// eligible operator); a tuple the tracer samples takes the eddy. These
+// cases run the same traffic both ways and demand identical results and
+// books. ctest runs them again as route_equivalence_test (equivalence).
+
+/// One emission as the sink saw it: payload, sign and arrival seq.
+using Emitted = std::tuple<std::string, bool, int64_t>;
+
+/// What a run leaves behind, compared whole between routes.
+struct RouteRun {
+  std::map<QueryId, std::vector<Emitted>> rows;
+  int64_t next_seq = 0;
+  uint64_t visits = 0;
+  uint64_t emitted = 0;
+  /// Per operator: (name, routed, passed).
+  std::vector<std::tuple<std::string, uint64_t, uint64_t>> ops;
+
+  bool operator==(const RouteRun&) const = default;
+};
+
+void Collect(CacqEngine& engine, RouteRun* run) {
+  engine.SetSink([run](QueryId q, const Tuple& t) {
+    run->rows[q].emplace_back(t.ToString(), t.retraction(), t.seq());
+  });
+}
+
+void ReadBooks(const CacqEngine& engine, RouteRun* run) {
+  const Eddy& eddy = engine.eddy();
+  run->next_seq = eddy.next_seq();
+  run->visits = eddy.visits();
+  run->emitted = eddy.emitted();
+  for (size_t i = 0; i < eddy.num_operators(); ++i) {
+    run->ops.emplace_back(eddy.op(i)->name(), eddy.op_stats()[i].routed,
+                          eddy.op_stats()[i].passed);
+  }
+}
+
+/// Samples 1 in `sample_every` arrivals while alive (0 = tracer off), so
+/// sampled tuples take the eddy route.
+class ScopedTracing {
+ public:
+  explicit ScopedTracing(uint64_t sample_every) {
+    Tracer::Global().ResetForTest();
+    if (sample_every != 0) Tracer::Global().Enable(sample_every);
+  }
+  ~ScopedTracing() {
+    Tracer::Global().Disable();
+    Tracer::Global().ResetForTest();
+  }
+};
+
+/// Two streams (so widening builds real blocks), filters and residuals on
+/// both lanes, a query with no predicate, single and batched injection,
+/// and retractions of earlier assertions.
+RouteRun RunFilters(uint64_t sample_every, uint64_t* decisions) {
+  ScopedTracing tracing(sample_every);
+  CacqEngine engine;
+  EXPECT_TRUE(engine.AddStream("Stocks", StockSchema()).ok());
+  EXPECT_TRUE(engine.AddStream("Quotes", KV()).ok());
+  RouteRun run;
+  Collect(engine, &run);
+  Rng rng(11);
+  const char* symbols[] = {"MSFT", "IBM", "ORCL", "AAPL"};
+  for (int i = 0; i < 12; ++i) {
+    CacqQuerySpec spec;
+    spec.sources = {"Stocks"};
+    spec.speculative = i % 3 == 0;
+    std::vector<ExprPtr> conj;
+    if (i % 2 == 0) conj.push_back(SymEq(symbols[i % 4]));
+    conj.push_back(PriceGt(static_cast<double>(rng.NextInt(10, 90))));
+    if (i % 5 == 0) {  // A residual: price > timestamp.
+      conj.push_back(Expr::Binary(BinaryOp::kGt,
+                                  Expr::Column("closingPrice"),
+                                  Expr::Column("timestamp")));
+    }
+    spec.where = MakeConjunction(conj);
+    EXPECT_TRUE(engine.AddQuery(spec).ok());
+  }
+  CacqQuerySpec all;  // No predicate: sees every delayed tuple.
+  all.sources = {"Stocks"};
+  EXPECT_TRUE(engine.AddQuery(all).ok());
+  CacqQuerySpec quotes;  // The only query on Quotes: no operator at all.
+  quotes.sources = {"Quotes"};
+  EXPECT_TRUE(engine.AddQuery(quotes).ok());
+  // Both streams but no join: its Stocks filter narrows Stocks tuples,
+  // which never span its footprint, so it receives nothing.
+  CacqQuerySpec both;
+  both.sources = {"Stocks", "Quotes"};
+  both.where = PriceGt(30);
+  const QueryId q_both = *engine.AddQuery(both);
+
+  std::vector<Tuple> sent;
+  int64_t ts = 0;
+  for (int round = 0; round < 30; ++round) {
+    std::vector<Tuple> batch;
+    const size_t n = 1 + rng.NextBounded(40);
+    for (size_t i = 0; i < n; ++i) {
+      if (!sent.empty() && rng.NextBool(0.1)) {
+        Tuple r = sent[rng.NextBounded(sent.size())];
+        r.set_retraction(true);
+        batch.push_back(std::move(r));
+        continue;
+      }
+      batch.push_back(Stock(++ts, symbols[rng.NextBounded(4)],
+                            static_cast<double>(rng.NextInt(0, 100))));
+      sent.push_back(batch.back());
+    }
+    const IngressLane lane = round % 3 == 0   ? IngressLane::kAll
+                             : round % 3 == 1 ? IngressLane::kDelayed
+                                              : IngressLane::kSpeculative;
+    if (round % 4 == 3) {
+      for (const Tuple& t : batch) {
+        EXPECT_TRUE(engine.Inject("Stocks", t, lane).ok());
+      }
+    } else {
+      EXPECT_TRUE(engine.InjectBatch("Stocks", batch, lane).ok());
+    }
+    EXPECT_TRUE(
+        engine.InjectBatch("Quotes", {KVTuple(round, round, ts)}).ok());
+  }
+  ReadBooks(engine, &run);
+  *decisions = engine.eddy().decisions();
+  EXPECT_EQ(run.rows.count(q_both), 0u);
+  return run;
+}
+
+TEST(CacqRouteTest, FixedRouteMatchesTheEddyRoute) {
+  uint64_t fixed_decisions = 0, eddy_decisions = 0, mixed_decisions = 0;
+  const RouteRun fixed = RunFilters(/*sample_every=*/0, &fixed_decisions);
+  const RouteRun eddy = RunFilters(/*sample_every=*/1, &eddy_decisions);
+  const RouteRun mixed = RunFilters(/*sample_every=*/3, &mixed_decisions);
+  ASSERT_FALSE(fixed.rows.empty());
+  EXPECT_GT(fixed.visits, 0u);
+  // Only sampled tuples pay for routing decisions.
+  EXPECT_EQ(fixed_decisions, 0u);
+#ifndef TCQ_METRICS_DISABLED
+  EXPECT_GT(eddy_decisions, mixed_decisions);
+  EXPECT_GT(mixed_decisions, 0u);
+#endif
+  EXPECT_TRUE(fixed == eddy);
+  EXPECT_TRUE(fixed == mixed);
+  for (const auto& [q, rows] : fixed.rows) {
+    ASSERT_EQ(rows, eddy.rows.at(q)) << "query " << q;
+  }
+  EXPECT_EQ(fixed.ops, eddy.ops);
+}
+
+TEST(CacqRouteTest, FixedRouteMakesNoRoutingDecisions) {
+  ScopedTracing off(0);
+  CacqEngine engine;
+  ASSERT_TRUE(engine.AddStream("Stocks", StockSchema()).ok());
+  CacqQuerySpec spec;
+  spec.sources = {"Stocks"};
+  spec.where = PriceGt(50);
+  ASSERT_TRUE(engine.AddQuery(spec).ok());
+  ASSERT_TRUE(engine
+                  .InjectBatch("Stocks", {Stock(1, "A", 10), Stock(2, "A", 60),
+                                          Stock(3, "A", 70)})
+                  .ok());
+  EXPECT_EQ(engine.eddy().decisions(), 0u);
+  EXPECT_EQ(engine.eddy().visits(), 3u);
+  EXPECT_EQ(engine.eddy().emitted(), 2u);
+  EXPECT_EQ(engine.eddy().next_seq(), 4);
+}
+
+TEST(CacqRouteTest, AJoinMovesTheStreamToTheEddy) {
+  ScopedTracing off(0);
+  CacqEngine engine;
+  ASSERT_TRUE(engine.AddStream("A", KV()).ok());
+  ASSERT_TRUE(engine.AddStream("B", KV()).ok());
+  std::map<QueryId, std::multiset<std::string>> got;
+  engine.SetSink(
+      [&](QueryId q, const Tuple& t) { got[q].insert(t.ToString()); });
+  CacqQuerySpec filter;  // A.v > 3, from the start.
+  filter.sources = {"A"};
+  filter.where = Expr::Binary(BinaryOp::kGt, Expr::Column("A.v"),
+                              Expr::Literal(Value::Int64(3)));
+  const QueryId qf = *engine.AddQuery(filter);
+
+  std::map<QueryId, std::multiset<std::string>> want;
+  std::vector<Tuple> a_after, b_after;  // Arrivals the join sees.
+  auto feed = [&](int64_t from, bool joined) {
+    std::vector<Tuple> as, bs;
+    for (int64_t i = from; i < from + 10; ++i) {
+      as.push_back(KVTuple(i % 4, i, i));
+      bs.push_back(KVTuple(i % 3, 100 + i, i));
+    }
+    ASSERT_TRUE(engine.InjectBatch("A", as).ok());
+    ASSERT_TRUE(engine.InjectBatch("B", bs).ok());
+    for (const Tuple& a : as) {
+      const Tuple wide = engine.layout().Widen(0, a);
+      if (a.cell(1).int64_value() > 3) want[qf].insert(wide.ToString());
+    }
+    if (!joined) return;
+    a_after.insert(a_after.end(), as.begin(), as.end());
+    b_after.insert(b_after.end(), bs.begin(), bs.end());
+  };
+  feed(0, /*joined=*/false);
+  EXPECT_EQ(engine.eddy().decisions(), 0u);  // Fixed route only.
+
+  CacqQuerySpec join;
+  join.sources = {"A", "B"};
+  join.where =
+      Expr::Binary(BinaryOp::kEq, Expr::Column("A.k"), Expr::Column("B.k"));
+  const QueryId qj = *engine.AddQuery(join);
+  feed(10, /*joined=*/true);
+  feed(20, /*joined=*/true);
+  EXPECT_GT(engine.eddy().decisions(), 0u);  // Both streams route now.
+  // Every key-matching pair of arrivals after the join, exactly once.
+  for (const Tuple& a : a_after) {
+    for (const Tuple& b : b_after) {
+      if (a.cell(0) != b.cell(0)) continue;
+      want[qj].insert(engine.layout()
+                          .MergeSparse(engine.layout().Widen(0, a),
+                                       engine.layout().Widen(1, b))
+                          .ToString());
+    }
+  }
+  EXPECT_EQ(got[qf], want[qf]);
+  EXPECT_EQ(got[qj], want[qj]);
+  EXPECT_FALSE(got[qj].empty());
+}
+
+TEST(CacqRouteTest, RestoredStandbyStampsThePrimarysSeqs) {
+  ScopedTracing off(0);
+  auto build = [](CacqEngine& engine) {
+    ASSERT_TRUE(engine.AddStream("Stocks", StockSchema()).ok());
+    for (double p : {20.0, 50.0, 80.0}) {
+      CacqQuerySpec spec;
+      spec.sources = {"Stocks"};
+      spec.where = PriceGt(p);
+      ASSERT_TRUE(engine.AddQuery(spec).ok());
+    }
+  };
+  CacqEngine primary;
+  build(primary);
+  RouteRun p_run;
+  Collect(primary, &p_run);
+  Rng rng(5);
+  auto batch = [&](int64_t from) {
+    std::vector<Tuple> out;
+    for (int64_t i = from; i < from + 25; ++i) {
+      out.push_back(
+          Stock(i, "MSFT", static_cast<double>(rng.NextInt(0, 100))));
+    }
+    return out;
+  };
+  for (int64_t r = 0; r < 4; ++r) {
+    ASSERT_TRUE(primary.InjectBatch("Stocks", batch(r * 25)).ok());
+  }
+  const EngineCheckpoint ckpt = primary.CheckpointState();
+  EXPECT_EQ(ckpt.next_seq, 101);
+
+  CacqEngine standby;
+  build(standby);
+  ASSERT_TRUE(standby.RestoreCheckpoint(ckpt).ok());
+  RouteRun s_run;
+  Collect(standby, &s_run);
+  p_run.rows.clear();
+  for (int64_t r = 4; r < 8; ++r) {
+    const std::vector<Tuple> b = batch(r * 25);
+    ASSERT_TRUE(primary.InjectBatch("Stocks", b).ok());
+    ASSERT_TRUE(standby.InjectBatch("Stocks", b).ok());
+  }
+  ASSERT_FALSE(p_run.rows.empty());
+  EXPECT_EQ(s_run.rows, p_run.rows);
+  EXPECT_EQ(standby.eddy().next_seq(), primary.eddy().next_seq());
+  EXPECT_GT(std::get<2>(p_run.rows.begin()->second.front()), 100);
+}
 
 // ---- ShardedEngine ---------------------------------------------------------
 

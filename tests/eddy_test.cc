@@ -35,6 +35,30 @@ struct SingleSourceFixture {
   }
 };
 
+TEST(SourceLayoutTest, OneSourceWidenSharesTheCellBlock) {
+  SingleSourceFixture fx;
+  Tuple narrow = KVTuple(3, 4, 17);
+  narrow.set_seq(9);
+  narrow.set_retraction(true);
+  const Tuple wide = fx.layout.Widen(fx.s, narrow);
+  EXPECT_EQ(wide.cells().data(), narrow.cells().data());
+  EXPECT_EQ(wide.timestamp(), 17);
+  EXPECT_EQ(wide.seq(), 9);
+  EXPECT_TRUE(wide.retraction());
+
+  // Two sources: a fresh full-width block, NULL outside the source.
+  SourceLayout two;
+  two.AddSource("a", KV());
+  const size_t b = two.AddSource("b", KV());
+  const Tuple wide2 = two.Widen(b, narrow);
+  EXPECT_NE(wide2.cells().data(), narrow.cells().data());
+  ASSERT_EQ(wide2.arity(), 4u);
+  EXPECT_TRUE(wide2.cell(0).is_null());
+  EXPECT_EQ(wide2.cell(2), narrow.cell(0));
+  EXPECT_EQ(wide2.seq(), 9);
+  EXPECT_TRUE(wide2.retraction());
+}
+
 TEST(EddyTest, SingleFilterPassesAndDrops) {
   SingleSourceFixture fx;
   Eddy eddy(&fx.layout, std::make_unique<FixedPolicy>(std::vector<size_t>{}));

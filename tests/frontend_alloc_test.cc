@@ -50,14 +50,14 @@ constexpr const char* kWindowSql =
 
 // Ceilings, in allocations per call. Each test prints its counts; with
 // GCC 12's libstdc++ they read 12 and 21 (parse), 32 and 40 (analyze),
-// 43 and 54 (submit) for the filter and the windowed query. A ceiling
+// 41 and 48 (submit) for the filter and the windowed query. A ceiling
 // leaves a little room for another standard library.
 constexpr uint64_t kFilterParseMax = 14;
 constexpr uint64_t kWindowParseMax = 24;
 constexpr uint64_t kFilterAnalyzeMax = 36;
 constexpr uint64_t kWindowAnalyzeMax = 45;
-constexpr uint64_t kFilterSubmitMax = 50;
-constexpr uint64_t kWindowSubmitMax = 62;
+constexpr uint64_t kFilterSubmitMax = 47;
+constexpr uint64_t kWindowSubmitMax = 55;
 
 SchemaPtr TradesSchema() {
   return Schema::Make({{"ts", ValueType::kInt64, ""},

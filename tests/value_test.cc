@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdlib>
+#include <cstring>
+
+#include "common/rng.h"
+
 namespace tcq {
 namespace {
 
@@ -68,6 +74,23 @@ TEST(ValueTest, ToString) {
   EXPECT_EQ(Value::Bool(true).ToString(), "true");
   EXPECT_EQ(Value::Int64(42).ToString(), "42");
   EXPECT_EQ(Value::String("hi").ToString(), "'hi'");
+  EXPECT_EQ(Value::Double(123456789.25).ToString(), "123456789.25");
+  EXPECT_EQ(Value::Double(50.0).ToString(), "50");
+  EXPECT_EQ(Value::Double(-0.1).ToString(), "-0.1");
+}
+
+TEST(ValueTest, DoubleToStringRoundTrips) {
+  // Random bit patterns cover every exponent; each must print in a form
+  // that parses back to the same double.
+  Rng rng(2024);
+  for (int i = 0; i < 10000; ++i) {
+    const uint64_t bits = rng.Next();
+    double d = 0.0;
+    std::memcpy(&d, &bits, sizeof(d));
+    if (!std::isfinite(d)) continue;
+    const std::string text = Value::Double(d).ToString();
+    EXPECT_EQ(std::strtod(text.c_str(), nullptr), d) << text;
+  }
 }
 
 TEST(ValueTest, BoolOrdering) {
