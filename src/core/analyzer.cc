@@ -190,6 +190,7 @@ Result<AnalyzedQuery> Analyze(ParsedQuery query, const Catalog& catalog) {
     } else {
       out.group_by = out.projections;
     }
+    out.aggregate_plan = AggregatePlan(out.aggregates, out.group_by);
     // Result rows come out of AggregateState as keys-then-aggregates:
     // require the select list in that order so output columns line up.
     for (size_t i = 0; i < parsed.select.size(); ++i) {
@@ -252,6 +253,15 @@ Result<AnalyzedQuery> AnalyzeSql(const std::string& sql,
                                  const Catalog& catalog) {
   TCQ_ASSIGN_OR_RETURN(ParsedQuery parsed, ParseQuery(sql));
   return Analyze(std::move(parsed), catalog);
+}
+
+Tuple EvalSelectList(const AnalyzedQuery& aq, const Tuple& t) {
+  const std::vector<ExprPtr>& projections = aq.projections;
+  return Tuple::Build(projections.size(), t.timestamp(), [&](Value* cells) {
+    for (size_t i = 0; i < projections.size(); ++i) {
+      cells[i] = projections[i]->Eval(t);
+    }
+  });
 }
 
 }  // namespace tcq

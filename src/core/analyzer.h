@@ -56,6 +56,9 @@ struct AnalyzedQuery {
   std::vector<AggregateSpec> aggregates;
   std::vector<ExprPtr> group_by;
   bool has_aggregates = false;
+  /// `aggregates` and `group_by` resolved for evaluation, once per query
+  /// (empty without aggregates).
+  AggregatePlan aggregate_plan;
 
   /// The window clause; absent for pure-table snapshots and unwindowed
   /// continuous filter queries.
@@ -81,6 +84,10 @@ Result<AnalyzedQuery> Analyze(ParsedQuery query, const Catalog& catalog);
 /// Convenience: parse + analyze.
 Result<AnalyzedQuery> AnalyzeSql(const std::string& sql,
                                  const Catalog& catalog);
+
+/// A query's plain select list (`projections`) evaluated on `t`: one
+/// result row at t's timestamp, its cells built in place.
+Tuple EvalSelectList(const AnalyzedQuery& aq, const Tuple& t);
 
 }  // namespace tcq
 

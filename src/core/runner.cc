@@ -179,20 +179,16 @@ ResultSet QueryRunner::ExecuteWindow(const WindowSequence::Step& step) {
   std::vector<Tuple> wide = RunDataflow(step);
 
   if (analyzed_->has_aggregates) {
-    const auto& specs = analyzed_->aggregates;
-    const auto& keys = analyzed_->group_by;
-    AggregateState agg(specs, keys);
-    for (const Tuple& t : wide) agg.Add(specs, keys, t);
-    result.rows = agg.Emit(specs, keys, step.t);
+    const AggregatePlan& plan = analyzed_->aggregate_plan;
+    AggregateState agg(plan);
+    for (const Tuple& t : wide) agg.Add(plan, t);
+    result.rows = agg.Emit(plan, step.t);
     return result;
   }
 
   result.rows.reserve(wide.size());
   for (const Tuple& t : wide) {
-    std::vector<Value> cells;
-    cells.reserve(analyzed_->projections.size());
-    for (const ExprPtr& e : analyzed_->projections) cells.push_back(e->Eval(t));
-    result.rows.push_back(Tuple::Make(std::move(cells), t.timestamp()));
+    result.rows.push_back(EvalSelectList(*analyzed_, t));
   }
   return result;
 }
@@ -279,7 +275,9 @@ std::vector<Tuple> QueryRunner::RunDataflow(const WindowSequence::Step& step) {
 class SharedWindowScan::Query {
  public:
   Query(QueryRunner* r, size_t slot)
-      : runner(r),
+      : aggregates(r->analyzed_->has_aggregates),
+        plan(r->analyzed_->aggregate_plan),
+        runner(r),
         slot(slot),
         aq(*r->analyzed_),
         clause(static_cast<size_t>(aq.window_clause_of_source[0])) {
@@ -290,8 +288,8 @@ class SharedWindowScan::Query {
          shape->window_class == WindowClass::kHopping);
     // Group keys compare as a total order unless they are doubles (NaN).
     const bool merges =
-        !aq.has_aggregates ||
-        (Accumulator::Mergeable(aq.aggregates) &&
+        !aggregates ||
+        (plan.Mergeable() &&
          std::none_of(aq.group_by.begin(), aq.group_by.end(),
                       [](const ExprPtr& e) {
                         return e->result_type() == ValueType::kDouble;
@@ -301,10 +299,11 @@ class SharedWindowScan::Query {
       hop = shape->hop;
       pane = std::gcd(width, hop);
     }
-    landmark = aq.has_aggregates && shape.has_value() &&
+    landmark = aggregates && shape.has_value() &&
                shape->window_class == WindowClass::kLandmark &&
                shape->hop > 0;
-    if (landmark) running = AggregateState(aq.aggregates, aq.group_by);
+    if (landmark) running = AggregateState(plan);
+    if (pane > 0 && aggregates) merged = AggregateState(plan);
   }
 
   /// First pane of window k of the grid, and its left end.
@@ -343,6 +342,7 @@ class SharedWindowScan::Query {
 
   struct Pane {
     uint64_t index;
+    Timestamp start;  ///< PaneStart(index).
     AggregateState agg;
     TupleVector rows;
   };
@@ -381,8 +381,8 @@ class SharedWindowScan::Query {
     const Fire& f = fires[s];
     ResultSet rs;
     rs.t = steps[s].t;
-    if (f.kind == Fire::kUnit && aq.has_aggregates) {
-      rs.rows = unit_aggs[f.unit].Emit(aq.aggregates, aq.group_by, rs.t);
+    if (f.kind == Fire::kUnit && aggregates) {
+      rs.rows = unit_aggs[f.unit].Emit(plan, rs.t);
       return rs;
     }
     if (f.kind != Fire::kPanes) {
@@ -394,21 +394,21 @@ class SharedWindowScan::Query {
         [](const Pane& p, uint64_t index) { return p.index < index; });
     auto end = it;
     while (end != panes.end() && end->index <= f.last) ++end;
-    if (!aq.has_aggregates) {
+    if (!aggregates) {
+      size_t n = 0;
+      for (auto p = it; p != end; ++p) n += p->rows.size();
+      rs.rows.reserve(n);
       for (; it != end; ++it) {
         rs.rows.insert(rs.rows.end(), it->rows.begin(), it->rows.end());
       }
-    } else if (it == end) {
-      rs.rows = AggregateState(aq.aggregates, aq.group_by)
-                    .Emit(aq.aggregates, aq.group_by, rs.t);
-    } else if (std::next(it) == end) {
-      rs.rows = it->agg.Emit(aq.aggregates, aq.group_by, rs.t);
+    } else if (it != end && std::next(it) == end) {
+      rs.rows = it->agg.Emit(plan, rs.t);
     } else {
-      merged = it->agg;
-      for (++it; it != end; ++it) {
-        merged.Merge(aq.aggregates, aq.group_by, it->agg);
-      }
-      rs.rows = merged.Emit(aq.aggregates, aq.group_by, rs.t);
+      // No pane (no tuple passed), or several: merged behind nothing,
+      // in order, in one state kept for it.
+      merged.Clear();
+      for (; it != end; ++it) merged.Merge(plan, it->agg);
+      rs.rows = merged.Emit(plan, rs.t);
     }
     return rs;
   }
@@ -442,21 +442,63 @@ class SharedWindowScan::Query {
   /// fill in index order, each past every pane already kept but the
   /// last.
   Pane& PaneAt(Timestamp ts, uint64_t* built) {
-    const uint64_t index = PaneOf(ts);
-    if (panes.empty() || panes.back().index != index) {
-      if (spare.empty()) {
-        panes.push_back(Pane{
-            index, AggregateState(aq.aggregates, aq.group_by), {}});
-      } else {
-        panes.push_back(std::move(spare.back()));
-        spare.pop_back();
-        panes.back().index = index;
-        panes.back().agg.Clear();
-        panes.back().rows.clear();
-      }
-      ++*built;
+    if (!panes.empty() && ts >= panes.back().start &&
+        static_cast<uint64_t>(ts) -
+                static_cast<uint64_t>(panes.back().start) <
+            static_cast<uint64_t>(pane)) {
+      return panes.back();
     }
+    const uint64_t index = PaneOf(ts);
+    if (spare.empty()) {
+      panes.push_back(Pane{index, PaneStart(index), AggregateState(plan), {}});
+    } else {
+      panes.push_back(std::move(spare.back()));
+      spare.pop_back();
+      panes.back().index = index;
+      panes.back().start = PaneStart(index);
+      panes.back().agg.Clear();
+      panes.back().rows.clear();
+    }
+    ++*built;
     return panes.back();
+  }
+
+  /// Brings the builds open at `ts` up to date, emits the landmark
+  /// windows due before it, and notes the next timestamp at which either
+  /// changes: the scan passes timestamps in order, so until then each
+  /// passing tuple goes straight to the open builds.
+  void Reopen(Timestamp ts) {
+    while (next_open < builds.size() && builds[next_open].lo <= ts) {
+      open.push_back({builds[next_open].hi, builds[next_open].unit});
+      ++next_open;
+    }
+    std::erase_if(open, [ts](const Open& o) { return o.hi < ts; });
+    if (landmark) EmitRunning(ts);
+    // Every bound below ends before the watermark, so + 1 cannot wrap.
+    next_change = kMaxTimestamp;
+    if (next_open < builds.size()) next_change = builds[next_open].lo;
+    for (const Open& o : open) next_change = std::min(next_change, o.hi + 1);
+    if (landmark && next_due < fires.size()) {
+      next_change = std::min(next_change,
+                             steps[next_due].bounds[clause].right + 1);
+    }
+  }
+  /// Adds a passing tuple to every open build.
+  void Take(const Tuple& t, uint64_t* built) {
+    const Timestamp ts = t.timestamp();
+    if (aggregates) {
+      for (const Open& o : open) {
+        (o.unit >= 0   ? unit_aggs[o.unit]
+         : landmark ? Feed()
+                    : PaneAt(ts, built).agg)
+            .Add(plan, t);
+      }
+      return;
+    }
+    const Tuple row = EvalSelectList(aq, t);
+    for (const Open& o : open) {
+      (o.unit < 0 ? PaneAt(ts, built).rows : unit_rows[o.unit]).push_back(row);
+    }
   }
 
   /// Whether `b` continues the landmark, the running state being planned
@@ -481,7 +523,7 @@ class SharedWindowScan::Query {
       const Timestamp right = steps[next_due].bounds[clause].right;
       if (right >= ts) return;
       TupleVector& rows = unit_rows[f.unit];
-      rows = running.Emit(aq.aggregates, aq.group_by, steps[next_due].t);
+      rows = running.Emit(plan, steps[next_due].t);
       if (fed_since_checkpoint >= 64 + 4 * rows.size()) {
         checkpoints.push_back({right + 1, running});
         if (checkpoints.size() > kCheckpoints) {
@@ -516,16 +558,48 @@ class SharedWindowScan::Query {
     running.Clear();
     checkpoints.clear();
   }
+  /// Back to no advance in progress, keeping the storage.
+  void EndAdvance() {
+    steps.clear();
+    fires.clear();
+    unit_aggs.clear();
+    unit_rows.clear();
+    builds.clear();
+    next_open = 0;
+    next_due = 0;
+    open.clear();
+    next_change = kMinTimestamp;
+  }
+
+  // --- What the scan reads for each passing tuple, first.
+  /// Up to this timestamp, a passing tuple only goes to the open builds
+  /// (Reopen).
+  Timestamp next_change = kMinTimestamp;
+  const bool aggregates;  ///< The select list has aggregates.
+  /// A landmark aggregate's one pane: the state of the passing tuples in
+  /// [anchor, filled), fed in archive order, and copies of it, oldest
+  /// first, each as of its own `filled`.
+  bool landmark = false;
+  /// A build open at the scan's position: its right end and its unit (<
+  /// 0: the panes or the running state).
+  struct Open {
+    Timestamp hi;
+    int64_t unit;
+  };
+  std::vector<Open> open;
+  /// The pane grid; pane == 0 when every window is its own unit.
+  int64_t pane = 0;
+  std::vector<Pane> panes;  ///< The non-empty ones, by index.
+  /// The query's, copied next to the rest.
+  const AggregatePlan plan;
 
   QueryRunner* runner;
   const size_t slot;  ///< Its bit in the query index.
   const AnalyzedQuery& aq;
   const size_t clause;
 
-  /// The pane grid; pane == 0 when every window is its own unit.
   int64_t width = 0;
   int64_t hop = 0;
-  int64_t pane = 0;
   bool anchored = false;
   Timestamp anchor = 0;  ///< The first window's left end.
   uint64_t min_k = 0;    ///< A window before the last paned one is not.
@@ -533,15 +607,10 @@ class SharedWindowScan::Query {
   /// Every tuple below it that a later window covers is in its pane;
   /// the last pane may still be filling.
   Timestamp filled = kMinTimestamp;
-  std::vector<Pane> panes;  ///< The non-empty ones, by index.
   std::vector<Pane> spare;  ///< Dropped panes, for reuse.
-  AggregateState merged{{}, {}};  ///< A window's merge (reused).
+  AggregateState merged;  ///< A window's merge (reused).
 
-  /// A landmark aggregate's one pane: the state of the passing tuples in
-  /// [anchor, filled), fed in archive order, and copies of it, oldest
-  /// first, each as of its own `filled`.
-  bool landmark = false;
-  AggregateState running{{}, {}};
+  AggregateState running;
   struct Checkpoint {
     Timestamp filled;
     AggregateState agg;
@@ -575,7 +644,6 @@ class SharedWindowScan::Query {
   std::vector<Build> builds;  ///< By left end.
   size_t next_open = 0;
   size_t next_due = 0;  ///< The first fire EmitRunning has not passed.
-  std::vector<uint32_t> open;  ///< Builds opened, not yet seen closed.
   std::vector<ResultSet> results;
 };
 
@@ -714,9 +782,9 @@ SharedWindowScan::Stats SharedWindowScan::Advance(Timestamp high_watermark,
         continue;
       }
       uint32_t unit = 0;
-      if (q.aq.has_aggregates) {
+      if (q.aggregates) {
         unit = static_cast<uint32_t>(q.unit_aggs.size());
-        q.unit_aggs.emplace_back(q.aq.aggregates, q.aq.group_by);
+        q.unit_aggs.emplace_back(q.plan);
       } else {
         unit = static_cast<uint32_t>(q.unit_rows.size());
         q.unit_rows.emplace_back();
@@ -746,9 +814,14 @@ SharedWindowScan::Stats SharedWindowScan::Advance(Timestamp high_watermark,
     }
     if (!q.steps.empty() || !q.builds.empty()) busy.push_back(&q);
     if (q.builds.empty()) continue;
-    std::stable_sort(
-        q.builds.begin(), q.builds.end(),
-        [](const Query::Build& a, const Query::Build& b) { return a.lo < b.lo; });
+    // Usually one build, or already in order: then nothing to sort (and
+    // no buffer for stable_sort to allocate).
+    const auto by_lo = [](const Query::Build& a, const Query::Build& b) {
+      return a.lo < b.lo;
+    };
+    if (!std::is_sorted(q.builds.begin(), q.builds.end(), by_lo)) {
+      std::stable_sort(q.builds.begin(), q.builds.end(), by_lo);
+    }
     for (const Query::Build& b : q.builds) ranges.emplace_back(b.lo, b.hi);
     with_builds.Set(i);
   }
@@ -776,32 +849,8 @@ SharedWindowScan::Stats SharedWindowScan::Advance(Timestamp high_watermark,
     index_.Narrow(t, &candidates);
     candidates.ForEachSet([&](size_t i) {
       Query& q = *queries_[i];
-      while (q.next_open < q.builds.size() &&
-             q.builds[q.next_open].lo <= ts) {
-        q.open.push_back(static_cast<uint32_t>(q.next_open++));
-      }
-      std::erase_if(q.open, [&](uint32_t b) { return q.builds[b].hi < ts; });
-      if (q.landmark) q.EmitRunning(ts);
-      if (q.open.empty()) return;
-      if (q.aq.has_aggregates) {
-        for (const uint32_t b : q.open) {
-          const int64_t unit = q.builds[b].unit;
-          (unit >= 0     ? q.unit_aggs[unit]
-           : q.landmark ? q.Feed()
-                        : q.PaneAt(ts, &stats.panes).agg)
-              .Add(q.aq.aggregates, q.aq.group_by, t);
-        }
-        return;
-      }
-      std::vector<Value> cells;
-      cells.reserve(q.aq.projections.size());
-      for (const ExprPtr& e : q.aq.projections) cells.push_back(e->Eval(t));
-      const Tuple row = Tuple::Make(std::move(cells), ts);
-      for (const uint32_t b : q.open) {
-        const int64_t unit = q.builds[b].unit;
-        (unit < 0 ? q.PaneAt(ts, &stats.panes).rows : q.unit_rows[unit])
-            .push_back(row);
-      }
+      if (ts >= q.next_change) q.Reopen(ts);
+      if (!q.open.empty()) q.Take(t, &stats.panes);
     });
   };
   for (const auto& [lo, hi] : merged) archive_->ScanApply(lo, hi, visit);
@@ -829,20 +878,14 @@ SharedWindowScan::Stats SharedWindowScan::Advance(Timestamp high_watermark,
         q.DropBelow(q.FirstPane(q.min_k));
       }
     }
-    q.steps.clear();
-    q.fires.clear();
-    q.unit_aggs.clear();
-    q.unit_rows.clear();
-    q.builds.clear();
-    q.next_open = 0;
-    q.next_due = 0;
-    q.open.clear();
+    q.EndAdvance();
   }
   return stats;
 }
 
-std::vector<ResultSet> SharedWindowScan::TakeResults(Query* query) {
-  return std::move(query->results);
+void SharedWindowScan::TakeResults(Query* query, std::vector<ResultSet>* out) {
+  out->clear();
+  out->swap(query->results);
 }
 
 }  // namespace tcq

@@ -178,7 +178,7 @@ class QueryRunner {
 ///    compile lazily on the first scan after a change);
 ///  * for a query whose windows move forward with width w and hop h
 ///    (ClassifyWindow) and whose select list merges exactly — COUNT, MIN,
-///    MAX and INT64 SUM (Accumulator::Mergeable), or plain projections —
+///    MAX and INT64 SUM (AggregatePlan::Mergeable), or plain projections —
 ///    partials on a grid of panes of gcd(w, h) ticks, anchored at its
 ///    first window's left end. Each tuple is added to one pane; a window
 ///    on the grid is the in-order merge of its panes (for projections,
@@ -231,9 +231,10 @@ class SharedWindowScan {
   /// ready at `high_watermark`. Results wait in TakeResults.
   Stats Advance(Timestamp high_watermark, const Query* only = nullptr);
 
-  /// The query's result sets from the last Advance, one per fired
-  /// window, in firing order.
-  std::vector<ResultSet> TakeResults(Query* query);
+  /// Swaps the query's result sets from the last Advance, one per fired
+  /// window in firing order, into `out`, and `out`'s cleared storage
+  /// into the plan, so neither side allocates again in steady state.
+  void TakeResults(Query* query, std::vector<ResultSet>* out);
 
  private:
   /// Drops the removed queries' factors and frees their slots for reuse.

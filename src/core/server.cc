@@ -257,6 +257,8 @@ Status Server::DefineTable(const std::string& name, SchemaPtr schema,
   StreamDef def;
   def.name = name;
   def.schema = std::move(schema);
+  // Aggregates read a cell as its column's type, as for stream tuples.
+  for (const Tuple& row : rows) TCQ_RETURN_NOT_OK(CheckCells(def, row));
   return catalog_.RegisterTable(std::move(def), std::move(rows));
 }
 
@@ -446,17 +448,17 @@ Status Server::SetCallback(QueryId q, Callback cb) {
   // the FIFO, so it goes in ahead of the first of them, in order.
   const auto pos = std::find_if(deliveries_.begin(), deliveries_.end(),
                                 [qs](const Delivery& d) { return d.qs == qs; });
-  std::vector<Delivery> backlog(qs->results->size());
+  std::vector<Delivery> backlog(qs->results.size());
   for (size_t i = 0; i < backlog.size(); ++i) {
     backlog[i].qs = qs;
     backlog[i].seq = ++enqueued_;
-    backlog[i].set = std::move((*qs->results)[i]);
+    backlog[i].set = std::move(qs->results[i]);
   }
   deliveries_.insert(pos, std::make_move_iterator(backlog.begin()),
                      std::make_move_iterator(backlog.end()));
   qs->queued += backlog.size();
   t_queued_sets += backlog.size();
-  qs->results->clear();
+  qs->results.clear();
   qs->buffered_rows = 0;
   return Status::OK();
 }
@@ -481,7 +483,7 @@ Status Server::Cancel(QueryId q) {
       std::lock_guard<std::mutex> rlock(results_mu_);
       qs->active = false;
       if (ss != nullptr) ss->cacq_owner[qs->cacq_id] = nullptr;
-      qs->results.reset();
+      qs->results = Fifo<ResultSet>();
       qs->buffered_rows = 0;
       // A callback running on this thread is on our own stack.
       wait = qs->in_flight && drainer_ != std::this_thread::get_id();
@@ -582,23 +584,21 @@ void Server::AdvanceRunnersLocked(StreamState* ss,
   uint64_t scanned = stats.scanned;
   uint64_t budget_exceeded = stats.budget_exceeded;
   // Delivery in query order, as if each query had advanced on its own.
-  FiredSets sets;
   for (QueryState* qs : queries) {
-    std::vector<ResultSet> out;
     if (qs->window_query != nullptr) {
-      out = ss->windows->TakeResults(qs->window_query);
+      ss->windows->TakeResults(qs->window_query, &qs->fired);
     } else if (!qs->runner->done()) {
       const uint64_t before = qs->runner->tuples_scanned();
-      fired += qs->runner->Advance(RunnerWatermarkLocked(*qs), &out);
+      fired += qs->runner->Advance(RunnerWatermarkLocked(*qs), &qs->fired);
       scanned += qs->runner->tuples_scanned() - before;
       // Only live runners advance, so a budget stop counts once.
       if (qs->runner->status().code() == StatusCode::kResourceExhausted) {
         ++budget_exceeded;
       }
     }
-    if (!out.empty()) sets.emplace_back(qs, std::move(out));
+    if (!qs->fired.empty()) fired_.push_back(qs);
   }
-  DeliverResults(std::move(sets));
+  DeliverFired();
   if (budget_exceeded > 0) {
     windows_budget_exceeded_ += budget_exceeded;
     TCQ_METRIC(ServerMetrics::Get().window_budget_exceeded->Add(
@@ -619,16 +619,14 @@ void Server::AdvanceRunnersLocked(StreamState* ss,
 
 void Server::ReviseQueriesLocked(StreamState* ss, Timestamp late_ts) {
   if (num_speculative_ == 0) return;  // Per-batch call; skip the sweep.
-  FiredSets sets;
   for (QueryState* qs : ss->windowed) {
     if (!qs->active || qs->consistency != Consistency::kSpeculative) {
       continue;
     }
-    std::vector<ResultSet> out;
-    qs->runner->Revise(late_ts, &out);
-    if (!out.empty()) sets.emplace_back(qs, std::move(out));
+    qs->runner->Revise(late_ts, &qs->fired);
+    if (!qs->fired.empty()) fired_.push_back(qs);
   }
-  DeliverResults(std::move(sets));
+  DeliverFired();
 }
 
 Status Server::ApplyReleasedLocked(const std::string& stream,
@@ -1024,8 +1022,7 @@ void Server::CountSetLocked(QueryState* qs, size_t rows) {
 
 void Server::BufferLocked(QueryState* qs, ResultSet&& rs) {
   qs->buffered_rows += rs.rows.size();
-  std::deque<ResultSet>& results =
-      qs->results ? *qs->results : qs->results.emplace();
+  Fifo<ResultSet>& results = qs->results;
   results.push_back(std::move(rs));
   // Shed-oldest: the freshest results win, and a set is never split.
   size_t shed = 0;
@@ -1071,12 +1068,14 @@ void Server::AppendResultLocked(QueryState* qs, ResultSet&& rs) {
   EnqueueLocked(std::move(d));
 }
 
-void Server::DeliverResults(FiredSets&& fired) {
-  if (fired.empty()) return;
+void Server::DeliverFired() {
+  if (fired_.empty()) return;
   std::lock_guard<std::mutex> rlock(results_mu_);
-  for (auto& [qs, sets] : fired) {
-    for (ResultSet& rs : sets) AppendResultLocked(qs, std::move(rs));
+  for (QueryState* qs : fired_) {
+    for (ResultSet& rs : qs->fired) AppendResultLocked(qs, std::move(rs));
+    qs->fired.clear();
   }
+  fired_.clear();
 }
 
 Tuple Server::ProjectRow(const QueryState& qs, const Tuple& t) {
@@ -1085,10 +1084,7 @@ Tuple Server::ProjectRow(const QueryState& qs, const Tuple& t) {
     row.set_seq(0);  // Egress rows carry no engine arrival sequence.
     return row;
   }
-  std::vector<Value> cells;
-  cells.reserve(qs.analyzed->projections.size());
-  for (const ExprPtr& e : qs.analyzed->projections) cells.push_back(e->Eval(t));
-  Tuple row = Tuple::Make(std::move(cells), t.timestamp());
+  Tuple row = EvalSelectList(*qs.analyzed, t);
   row.set_retraction(t.retraction());
   return row;
 }
@@ -1231,8 +1227,8 @@ std::optional<ResultSet> Server::Poll(QueryId q) {
     return std::nullopt;
   }
   QueryState* qs = queries_[q].get();
-  ResultSet rs = std::move(qs->results->front());
-  qs->results->pop_front();
+  ResultSet rs = std::move(qs->results.front());
+  qs->results.pop_front();
   qs->buffered_rows -= rs.rows.size();
   return rs;
 }
@@ -1243,10 +1239,9 @@ std::vector<ResultSet> Server::PollAll(QueryId q) {
   std::vector<ResultSet> out;
   if (q >= queries_.size()) return out;
   QueryState* qs = queries_[q].get();
-  if (!qs->results) return out;
-  out.assign(std::make_move_iterator(qs->results->begin()),
-             std::make_move_iterator(qs->results->end()));
-  qs->results->clear();
+  out.assign(std::make_move_iterator(qs->results.begin()),
+             std::make_move_iterator(qs->results.end()));
+  qs->results.clear();
   qs->buffered_rows = 0;
   return out;
 }

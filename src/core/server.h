@@ -2,7 +2,6 @@
 #define TCQ_CORE_SERVER_H_
 
 #include <condition_variable>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -14,6 +13,7 @@
 #include <vector>
 
 #include "cacq/sharded_engine.h"
+#include "common/fifo.h"
 #include "core/analyzer.h"
 #include "core/runner.h"
 #include "ingress/wrapper.h"
@@ -131,6 +131,8 @@ class Server {
   /// on their partition fields.
   Status DefineStream(const std::string& name, SchemaPtr schema,
                       int timestamp_field = -1, int partition_field = -1);
+  /// A row of another arity, or with a non-NULL cell of another type
+  /// than its column's, is a TypeError/InvalidArgument, as on ingest.
   Status DefineTable(const std::string& name, SchemaPtr schema,
                      TupleVector rows);
 
@@ -301,12 +303,11 @@ class Server {
     /// CACQ egress projection by cell index, when every select item is
     /// a bound column reference (empty: evaluate `analyzed.projections`).
     std::vector<size_t> column_projection;
-    /// Buffered for Poll, bounded in rows. Built by the first buffered
-    /// set: an empty std::deque already holds two allocations.
-    std::optional<std::deque<ResultSet>> results;
+    /// Buffered for Poll, bounded in rows.
+    Fifo<ResultSet> results;
     size_t buffered_rows = 0;  ///< Rows in `results`.
     uint64_t shed_rows = 0;    ///< Rows shed to honor the bound.
-    size_t pending_sets() const { return results ? results->size() : 0; }
+    size_t pending_sets() const { return results.size(); }
     /// Called by the draining thread with results_mu_ released; one that
     /// SetCallback replaces during a drain lives until the drain ends.
     std::unique_ptr<const Callback> callback;
@@ -319,6 +320,9 @@ class Server {
     bool in_flight = false;  ///< Its callback is running now.
     /// Emission indexes of the engine batch being grouped (reused).
     std::vector<uint32_t> gather;
+    /// Window sets of one advance or revision pass, in firing order; its
+    /// storage is reused (swapped with the window plan's).
+    std::vector<ResultSet> fired;
   };
 
   struct StreamState {
@@ -413,11 +417,9 @@ class Server {
   void AppendResultLocked(QueryState* qs, ResultSet&& rs);
   /// Appends `d` to the delivery FIFO.
   void EnqueueLocked(Delivery&& d);
-  /// Window sets of one advance or revision pass, per query in query order.
-  using FiredSets =
-      std::vector<std::pair<QueryState*, std::vector<ResultSet>>>;
-  /// Appends every fired set under one results_mu_ acquisition.
-  void DeliverResults(FiredSets&& fired);
+  /// Appends the `fired` sets of every query in fired_, in order, under
+  /// one results_mu_ acquisition, and empties them and fired_.
+  void DeliverFired();
   /// Groups one emission batch of a stream's engine by query, in arrival
   /// order: one set per query. Sets bound for a callback are queued as
   /// emission indexes and projected at delivery; the rest are projected
@@ -484,7 +486,7 @@ class Server {
   /// blocked on a full exchange while holding mu_.
   mutable std::mutex results_mu_;
   /// The ordered delivery FIFO and its drain state (under results_mu_).
-  std::deque<Delivery> deliveries_;
+  Fifo<Delivery> deliveries_;
   bool draining_ = false;
   std::thread::id drainer_;  ///< The draining thread, while draining_.
   uint64_t enqueued_ = 0;    ///< Sets ever queued: the last `seq`.
@@ -498,6 +500,9 @@ class Server {
   std::vector<std::unique_ptr<const Callback>> retired_callbacks_;
   /// Queries touched by the emission batch being grouped (reused).
   std::vector<QueryState*> touched_;
+  /// Queries with window sets to deliver from one advance or revision
+  /// pass, in query order (under mu_; reused).
+  std::vector<QueryState*> fired_;
   Options options_;
   Catalog catalog_;
   /// Shared disk spool (Options::spool_dir; null = off). Declared before

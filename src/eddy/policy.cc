@@ -74,9 +74,14 @@ void LotteryPolicy::Observe(size_t op, bool passed,
   if (passed) s.tickets -= 1.0;
   if (s.tickets < 0.0) s.tickets = 0.0;
   if (s.tickets > options_.max_tickets) s.tickets = options_.max_tickets;
-  if (options_.decay_interval > 0 && decisions_ > 0 &&
-      decisions_ % options_.decay_interval == 0) {
-    for (EddyOpStats& t : *stats) t.tickets *= options_.decay;
+  // Once per multiple of decay_interval the decision count has passed:
+  // decisions served from a cache, and fixed-route visits, observe
+  // without deciding, so several calls may see the count on one multiple.
+  if (options_.decay_interval > 0) {
+    const uint64_t interval = decisions_ / options_.decay_interval;
+    for (; decayed_ < interval; ++decayed_) {
+      for (EddyOpStats& t : *stats) t.tickets *= options_.decay;
+    }
   }
 }
 

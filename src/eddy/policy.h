@@ -98,6 +98,9 @@ class LotteryPolicy : public RoutingPolicy {
   Rng rng_;
   Options options_;
   uint64_t decisions_ = 0;
+  /// Decay intervals applied: decisions_ / decay_interval, as of the last
+  /// Observe.
+  uint64_t decayed_ = 0;
   /// Reused across Choose calls — one routing decision per tuple (or per
   /// batch) must not cost a heap allocation.
   std::vector<double> weights_scratch_;

@@ -19,79 +19,130 @@ struct AggregateSpec {
   std::string output_name;
 };
 
-/// A streaming accumulator for one group: COUNT, SUM, AVG, MIN and MAX
-/// over the tuples added, in the order added.
-class Accumulator {
+/// A query's aggregates and group keys, resolved once for evaluation:
+/// each spec becomes an op chosen by its kind and its argument's type,
+/// reading a bare column's cell in place or evaluating any other
+/// argument. Built from the specs alone, so specs made by hand resolve
+/// as the analyzer's do. A query keeps one plan however many windows,
+/// panes and landmarks it holds; every state call passes it.
+class AggregatePlan {
  public:
-  explicit Accumulator(size_t num_aggs) : states_(num_aggs) {}
+  AggregatePlan() = default;
+  AggregatePlan(const std::vector<AggregateSpec>& specs,
+                std::vector<ExprPtr> group_by);
 
-  void Add(const std::vector<AggregateSpec>& specs, const Tuple& t);
-  /// Folds in the accumulator of tuples that follow this one's in order:
-  /// the result is the accumulator of the concatenation. Only exact when
-  /// Mergeable(specs).
-  void Merge(const std::vector<AggregateSpec>& specs, const Accumulator& later);
-
-  Value Final(const AggregateSpec& spec, size_t i) const;
-
-  /// Back to no inputs, keeping its storage.
-  void Clear();
+  size_t size() const { return ops_.size(); }
+  const std::vector<ExprPtr>& group_by() const { return group_by_; }
 
   /// True when Merge gives bit for bit what Add over the concatenation
   /// gives: COUNT, MIN, MAX and INT64 SUM. A double sum depends on its
   /// accumulation order, so DOUBLE SUM and AVG are not.
-  static bool Mergeable(const std::vector<AggregateSpec>& specs);
+  bool Mergeable() const;
 
  private:
-  struct State {
-    int64_t count = 0;     ///< Non-null inputs.
-    /// DOUBLE SUM and every AVG. For MIN/MAX, the NaN that `pinned` it.
-    double sum = 0.0;
-    /// INT64 SUM, exact: 128 bits cannot overflow on 2^64 int64 inputs,
-    /// so a sum passing out of range and back ends exact.
-    __int128 int_sum = 0;
-    bool has_extreme = false;
-    /// A MIN or MAX whose first input was NaN is NaN, whatever follows:
-    /// NaN compares equal to every value. `extreme` then holds the
-    /// extreme of the inputs after it, which is what the state adds
-    /// when merged behind another.
-    bool pinned = false;
-    Value extreme;         ///< Running MIN or MAX.
+  friend class Accumulator;
 
-    /// Folds `v` into a running MIN, or MAX when `max`: only a strictly
-    /// better value replaces the extreme, so ties keep the first.
-    void FoldExtreme(const Value& v, bool max);
-    /// Folds in the extreme of inputs that follow this state's own.
-    void MergeExtreme(const State& later, bool max);
+  enum class Code : uint8_t {
+    kCountStar,
+    kCount,    ///< COUNT(arg): the non-NULL inputs.
+    kSumInt,   ///< INT64 SUM, exact.
+    kSumReal,  ///< DOUBLE SUM, and AVG of either type.
+    kMinInt,
+    kMaxInt,
+    kMinReal,  ///< DOUBLE MIN/MAX, with NaN pinning.
+    kMaxReal,
+    kMinValue,  ///< STRING, BOOL (or NULL-typed) MIN/MAX.
+    kMaxValue,
   };
+  struct Op {
+    Code code;
+    AggKind kind;
+    int column = -1;     ///< A bare column argument's cell, or -1.
+    uint32_t value = 0;  ///< kMin/kMaxValue: its Value slot.
+    ExprPtr arg;         ///< Evaluated when not a bare column.
+  };
+
+  std::vector<Op> ops_;
+  std::vector<ExprPtr> group_by_;
+  uint32_t num_values_ = 0;  ///< Value slots (STRING/BOOL extremes).
+};
+
+/// A streaming accumulator for one group: COUNT, SUM, AVG, MIN and MAX
+/// over the tuples added, in the order added. INT64 and DOUBLE state is
+/// kept as plain numbers; only a STRING or BOOL MIN/MAX keeps a Value.
+class Accumulator {
+ public:
+  Accumulator() = default;
+  explicit Accumulator(const AggregatePlan& plan)
+      : states_(plan.size()), values_(plan.num_values_) {}
+
+  void Add(const AggregatePlan& plan, const Tuple& t);
+  /// Folds in the accumulator of tuples that follow this one's in order:
+  /// the result is the accumulator of the concatenation. Only exact when
+  /// plan.Mergeable().
+  void Merge(const AggregatePlan& plan, const Accumulator& later);
+
+  /// Aggregate i's result.
+  Value Final(const AggregatePlan& plan, size_t i) const;
+
+  /// Back to no inputs, keeping its storage.
+  void Clear();
+
+ private:
+  using Code = AggregatePlan::Code;
+  /// Trivially copyable, so clearing and copying is plain memory; 32
+  /// bytes, two to a cache line.
+  struct State {
+    int64_t count = 0;  ///< Non-null inputs.
+    bool has_extreme = false;
+    /// A DOUBLE MIN or MAX whose first input was NaN is NaN, whatever
+    /// follows: NaN compares equal to every value. `real.extreme` then
+    /// holds the extreme of the inputs after it, which is what the state
+    /// adds when merged behind another.
+    bool pinned = false;
+    /// By the op's Code; each member is written before it is read.
+    union {
+      /// INT64 SUM, exact: 128 bits cannot overflow on 2^64 int64
+      /// inputs, so a sum passing out of range and back ends exact.
+      __int128 int_sum = 0;
+      double sum;           ///< DOUBLE SUM and every AVG.
+      int64_t int_extreme;  ///< INT64 MIN/MAX.
+      struct {
+        double extreme;
+        double nan;  ///< The NaN that pinned it.
+      } real;        ///< DOUBLE MIN/MAX.
+    };
+  };
+
+  /// Folds one non-NULL input of op `op` into its state.
+  void Fold(const AggregatePlan::Op& op, State& s, const Value& v);
+
   std::vector<State> states_;
+  std::vector<Value> values_;  ///< STRING/BOOL MIN/MAX extremes.
 };
 
 /// The aggregate state of a set of tuples — one window, one pane of a
-/// query's windows, or a landmark's running state — without its specs: every call passes them, so a
-/// query keeps one copy however many windows and panes it holds. One
-/// Accumulator when ungrouped, one per group key otherwise.
+/// query's windows, or a landmark's running state — without its plan:
+/// every call passes it. One Accumulator when ungrouped, one per group
+/// key otherwise.
 class AggregateState {
  public:
-  AggregateState(const std::vector<AggregateSpec>& specs,
-                 const std::vector<ExprPtr>& group_by)
-      : single_(group_by.empty() ? specs.size() : 0) {}
+  AggregateState() = default;
+  explicit AggregateState(const AggregatePlan& plan)
+      : single_(plan.group_by().empty() ? Accumulator(plan) : Accumulator()) {}
 
-  void Add(const std::vector<AggregateSpec>& specs,
-           const std::vector<ExprPtr>& group_by, const Tuple& t);
+  void Add(const AggregatePlan& plan, const Tuple& t);
   /// Folds in the state of tuples that follow this state's own in
   /// order (Accumulator::Merge, per group).
-  void Merge(const std::vector<AggregateSpec>& specs,
-             const std::vector<ExprPtr>& group_by,
-             const AggregateState& later);
+  void Merge(const AggregatePlan& plan, const AggregateState& later);
   /// Back to no tuples, keeping what storage it can.
   void Clear();
   /// Result rows: group-by values then one value per aggregate, in spec
-  /// order, one row per group sorted by key. An ungrouped state gives
-  /// one row even when empty (COUNT = 0, the rest NULL); a grouped one
-  /// gives none.
-  TupleVector Emit(const std::vector<AggregateSpec>& specs,
-                   const std::vector<ExprPtr>& group_by,
-                   Timestamp result_ts) const;
+  /// order, one row per group sorted by key, each built in place. An
+  /// ungrouped state gives one row even when empty (COUNT = 0, the rest
+  /// NULL); a grouped one gives none. The rows vector is the one heap
+  /// allocation of an ungrouped Emit.
+  TupleVector Emit(const AggregatePlan& plan, Timestamp result_ts) const;
 
  private:
   Accumulator single_;  ///< Ungrouped.

@@ -98,6 +98,30 @@ TEST(PolicyTest, DecayForgetsHistory) {
   EXPECT_LT(stats[0].tickets, 10.0);
 }
 
+// Decisions served from a decision cache, and fixed-route visits, call
+// Observe without a Choose. Tickets decay once per decay interval the
+// decision count passes, however many Observe calls follow.
+TEST(PolicyTest, DecayOncePerIntervalWhateverTheObserveCalls) {
+  LotteryPolicy policy(3);  // Decay 0.9 every 128 decisions.
+  auto stats = MakeStats(2);
+  const std::vector<double> costs{1, 1};
+  for (int i = 0; i < 128; ++i) policy.Choose({0, 1}, stats, costs);
+  stats[0].tickets = 100.0;
+  stats[1].tickets = 50.0;
+  // 64 Observe calls with the count on 128. A passing tuple leaves its
+  // op's balance unchanged, so only decay moves them.
+  for (int i = 0; i < 64; ++i) policy.Observe(1, /*passed=*/true, &stats);
+  EXPECT_DOUBLE_EQ(stats[0].tickets, 100.0 * 0.9);
+  EXPECT_DOUBLE_EQ(stats[1].tickets, 50.0 * 0.9);
+  // The next multiple decays once more.
+  for (int i = 0; i < 128; ++i) {
+    policy.Choose({0, 1}, stats, costs);
+    policy.Observe(1, /*passed=*/true, &stats);
+  }
+  EXPECT_DOUBLE_EQ(stats[0].tickets, 100.0 * 0.9 * 0.9);
+  EXPECT_DOUBLE_EQ(stats[1].tickets, 50.0 * 0.9 * 0.9);
+}
+
 TEST(PolicyTest, ExplorationFloorKeepsStarvedOpAlive) {
   LotteryPolicy policy(13);
   auto stats = MakeStats(2);

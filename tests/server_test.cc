@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -270,6 +271,32 @@ TEST_F(ServerTest, TableSnapshotAnswersImmediately) {
   ASSERT_EQ(sets.size(), 1u);
   ASSERT_EQ(sets[0].rows.size(), 1u);
   EXPECT_EQ(sets[0].rows[0].cell(0).string_value(), "MSFT");
+}
+
+// Table rows are checked as stream tuples are: aggregates read each cell
+// as its column's type.
+TEST_F(ServerTest, DefineTableRejectsMistypedRows) {
+  SchemaPtr schema = Schema::Make({{"id", ValueType::kInt64, ""},
+                                   {"v", ValueType::kInt64, ""}});
+  EXPECT_EQ(server_
+                .DefineTable("Bad", schema,
+                             {Tuple::Make({Value::Int64(1), Value::Double(2.5)})})
+                .code(),
+            StatusCode::kTypeError);
+  EXPECT_EQ(server_.DefineTable("Short", schema, {Tuple::Make({Value::Int64(1)})})
+                .code(),
+            StatusCode::kInvalidArgument);
+  ASSERT_TRUE(server_
+                  .DefineTable("Good", schema,
+                               {Tuple::Make({Value::Int64(1), Value::Null()}),
+                                Tuple::Make({Value::Int64(2), Value::Int64(7)})})
+                  .ok());
+  auto q = server_.Submit("SELECT MAX(v), COUNT(*) FROM Good");
+  ASSERT_TRUE(q.ok()) << q.status();
+  auto sets = server_.PollAll(*q);
+  ASSERT_EQ(sets.size(), 1u);
+  EXPECT_EQ(sets[0].rows[0].cell(0).int64_value(), 7);
+  EXPECT_EQ(sets[0].rows[0].cell(1).int64_value(), 2);
 }
 
 TEST_F(ServerTest, StreamTableJoin) {
@@ -995,6 +1022,64 @@ TEST(ServerPaneTest, MatchesStandaloneRunnersOverRandomShapes) {
   }
   EXPECT_GT(panes, 0u);
   EXPECT_GT(rewrites, 0u);
+}
+
+// Typed MIN/MAX state (INT64 and DOUBLE kept as plain numbers) through the
+// three paths a window takes: panes merged in order, units scanned whole
+// (a double group key never takes panes) and the running state of a
+// landmark, against standalone runners byte for byte. Cells reach both
+// INT64 ends, NaN (first, last and between), signed zeros and infinities.
+TEST(ServerPaneTest, TypedExtremesMatchStandaloneRunners) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const int64_t ints[] = {INT64_MIN, INT64_MIN + 1, -1, 0, 1, INT64_MAX - 1,
+                          INT64_MAX};
+  const double doubles[] = {nan, -0.0, 0.0, -1.5, 2.25, 1e308, -inf, inf};
+  const char* const kWheres[] = {"", " WHERE k = 1", " WHERE v > 0"};
+  uint64_t panes = 0;
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    Rng rng(seed);
+    PaneRig rig(seed > 20 ? 20 : kMaxTimestamp);
+    auto where = [&] { return kWheres[rng.NextBounded(std::size(kWheres))]; };
+    for (int q = 0; q < 4; ++q) {
+      const int64_t width = 1 + static_cast<int64_t>(rng.NextBounded(10));
+      const int64_t hop = 1 + static_cast<int64_t>(rng.NextBounded(
+                                  static_cast<uint64_t>(width) + 2));
+      rig.Submit(SlidingSql("MIN(v), MAX(v), MIN(p), MAX(p)", where(), width,
+                            hop));
+      rig.Submit(SlidingSql("k, MAX(v), MIN(p), COUNT(*)", where(), width,
+                            hop));
+      // Units: a DOUBLE group key takes no panes.
+      rig.Submit("SELECT p, MIN(v), MAX(v) FROM S" + std::string(where()) +
+                 " GROUP BY p for (t = ST; true; t += " + std::to_string(hop) +
+                 ") { WindowIs(S, t - " + std::to_string(width - 1) +
+                 ", t); }");
+    }
+    rig.Submit(LandmarkSql("MIN(v), MAX(v), MIN(p), MAX(p)", where(), "ST",
+                           1 + static_cast<int64_t>(rng.NextBounded(5))));
+    Timestamp ts = 1;
+    for (int batch = 0; batch < 30; ++batch) {
+      std::vector<Tuple> tuples;
+      for (uint64_t i = 0, n = 1 + rng.NextBounded(10); i < n; ++i) {
+        ts += static_cast<Timestamp>(rng.NextBounded(3));
+        auto maybe_null = [&rng](Value v) {
+          return rng.NextBounded(10) == 0 ? Value::Null() : std::move(v);
+        };
+        tuples.push_back(Tuple::Make(
+            {Value::Int64(ts),
+             maybe_null(Value::Int64(rng.NextInt(0, 3))),
+             maybe_null(Value::Int64(ints[rng.NextBounded(std::size(ints))])),
+             maybe_null(Value::Double(
+                 doubles[rng.NextBounded(std::size(doubles))]))},
+            ts));
+      }
+      rig.Push(tuples);
+    }
+    rig.Heartbeat(ts + 30);
+    rig.ExpectSameSets("seed " + std::to_string(seed));
+    panes += WindowsMetric(rig.server(), "panes");
+  }
+  EXPECT_GT(panes, 0u);
 }
 
 TEST(ServerPaneTest, StragglerAndRetractionRebuildOnlyTheirPanes) {
