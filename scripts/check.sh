@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Full verification: tier-1 (fast unit suite) plus the fault-injection /
 # concurrency stress suite, the equivalence label (the matrix, the window
-# plan, CACQ's fixed route against the eddy route and the typed aggregate
-# state), the history-spool
+# plan, CACQ's fixed route against the eddy route, the typed aggregate
+# state and the per-window runner's linear loops), the history-spool
 # tests and the front-end tests under ThreadSanitizer and ASan+UBSan, as CI
 # runs them.
 #

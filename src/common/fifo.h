@@ -21,11 +21,14 @@ class Fifo {
   bool empty() const { return head_ == items_.size(); }
   size_t size() const { return items_.size() - head_; }
   T& front() { return items_[head_]; }
+  T& back() { return items_.back(); }
   T& operator[](size_t i) { return items_[head_ + i]; }
   iterator begin() { return items_.begin() + static_cast<std::ptrdiff_t>(head_); }
   iterator end() { return items_.end(); }
 
   void push_back(T&& v) { items_.push_back(std::move(v)); }
+  /// Inserts `v` ahead of `pos`, an iterator of this queue.
+  void insert(iterator pos, T&& v) { items_.insert(pos, std::move(v)); }
   /// Inserts [first, last) ahead of `pos`, an iterator of this queue.
   template <typename It>
   void insert(iterator pos, It first, It last) {

@@ -57,9 +57,40 @@ QueryRunner::QueryRunner(std::shared_ptr<const AnalyzedQuery> analyzed,
 }
 
 size_t QueryRunner::TakeReady(Timestamp high_watermark,
-                              std::vector<WindowSequence::Step>* steps) {
+                              std::vector<WindowSequence::Step>* steps,
+                              Run* run) {
   const size_t first = steps->size();
   size_t taken = 0;
+  auto exhausted = [&] {
+    steps->resize(first);
+    if (run != nullptr) run->count = 0;
+    pending_step_.reset();
+    done_ = true;
+    status_ = Status::ResourceExhausted(
+        "for-loop makes more than " + std::to_string(kMaxStepsPerAdvance) +
+        " windows ready in one advance");
+    return 0;
+  };
+  if (run != nullptr) *run = Run{sequence_.index(), 0};
+  if (run != nullptr && !done_ && !pending_step_.has_value() &&
+      sequence_.linear() != nullptr) {
+    // The same rule by arithmetic: the windows whose every stream clause
+    // ends below the watermark, up to the loop's end.
+    const uint64_t safe = sequence_.safe_steps();
+    uint64_t n = safe;
+    for (size_t s = 0; s < analyzed_->layout->num_sources(); ++s) {
+      const int clause = analyzed_->window_clause_of_source[s];
+      if (clause < 0) continue;
+      n = std::min(n, sequence_.StepsEndingBelow(
+                          static_cast<size_t>(clause), high_watermark));
+    }
+    if (n > kMaxStepsPerAdvance) return exhausted();
+    sequence_.Skip(n);
+    run->count = n;
+    taken = n;
+    // Short of the loop's end, window n is whole and not ready.
+    if (n < safe) return taken;
+  }
   while (!done_) {
     if (!pending_step_.has_value()) {
       pending_step_ = sequence_.Next();
@@ -83,15 +114,7 @@ size_t QueryRunner::TakeReady(Timestamp high_watermark,
       }
     }
     if (!ready) break;
-    if (taken == kMaxStepsPerAdvance) {
-      steps->resize(first);
-      pending_step_.reset();
-      done_ = true;
-      status_ = Status::ResourceExhausted(
-          "for-loop makes more than " + std::to_string(kMaxStepsPerAdvance) +
-          " windows ready in one advance");
-      return 0;
-    }
+    if (taken == kMaxStepsPerAdvance) return exhausted();
     steps->push_back(std::move(*pending_step_));
     pending_step_.reset();
     ++taken;
@@ -281,11 +304,6 @@ class SharedWindowScan::Query {
         slot(slot),
         aq(*r->analyzed_),
         clause(static_cast<size_t>(aq.window_clause_of_source[0])) {
-    const std::optional<WindowShape>& shape = r->window_shape();
-    const bool forward =
-        shape.has_value() && shape->width > 0 && shape->hop > 0 &&
-        (shape->window_class == WindowClass::kSliding ||
-         shape->window_class == WindowClass::kHopping);
     // Group keys compare as a total order unless they are doubles (NaN).
     const bool merges =
         !aggregates ||
@@ -294,124 +312,152 @@ class SharedWindowScan::Query {
                       [](const ExprPtr& e) {
                         return e->result_type() == ValueType::kDouble;
                       }));
-    if (forward && merges) {
-      width = shape->width;
-      hop = shape->hop;
-      pane = std::gcd(width, hop);
+    // Panes need a linear loop whose one window moves forward with a
+    // constant width, and a ring that holds a window's panes.
+    const LinearLoop* loop = r->sequence_.linear();
+    int64_t span = 0;
+    if (merges && loop != nullptr && loop->clauses == 1 && loop->steps > 0 &&
+        loop->left(0).moves && loop->right(0).moves &&
+        !__builtin_sub_overflow(loop->right(0).offset, loop->left(0).offset,
+                                &span) &&
+        span >= 0 && span < INT64_MAX) {
+      const int64_t w = span + 1;
+      const int64_t g = std::gcd(w, loop->hop);
+      if (static_cast<uint64_t>(w / g) <= kMaxRingPanes) {
+        width = w;
+        hop = loop->hop;
+        pane = g;
+        per_window = static_cast<uint64_t>(w / g);
+        // Past a hop wider than the window, slots skip the gaps.
+        per_hop = hop > width ? per_window : static_cast<uint64_t>(hop / g);
+        linear = loop;
+        anchor = loop->left(0).At(loop->t0);
+        filled = anchor;
+        anchored = true;
+        merged = AggregateState(plan);
+      }
     }
+    const std::optional<WindowShape>& shape = r->window_shape();
     landmark = aggregates && shape.has_value() &&
                shape->window_class == WindowClass::kLandmark &&
                shape->hop > 0;
     if (landmark) running = AggregateState(plan);
-    if (pane > 0 && aggregates) merged = AggregateState(plan);
   }
 
-  /// First pane of window k of the grid, and its left end.
-  uint64_t FirstPane(uint64_t k) const {
-    return k * static_cast<uint64_t>(hop / pane);
-  }
+  /// Panes one ring may span: a window of more panes is its own unit.
+  static constexpr uint64_t kMaxRingPanes = 1 << 14;
+
+  // --- The pane grid of window k: its left end anchor + k*hop, its
+  // panes `pane` ticks each from there. A pane's slot numbers the panes
+  // some window covers, in order: every pane when the hop is at most the
+  // width, else per_window panes per window and none in the gaps.
   Timestamp WindowLeft(uint64_t k) const {
     return static_cast<Timestamp>(static_cast<uint64_t>(anchor) +
                                   k * static_cast<uint64_t>(hop));
   }
-  uint64_t PaneOf(Timestamp ts) const {
-    return (static_cast<uint64_t>(ts) - static_cast<uint64_t>(anchor)) /
-           static_cast<uint64_t>(pane);
-  }
-  Timestamp PaneStart(uint64_t index) const {
-    return static_cast<Timestamp>(static_cast<uint64_t>(anchor) +
-                                  index * static_cast<uint64_t>(pane));
-  }
-  /// Whether `b` is window k >= min_k of the grid, with its panes still
-  /// kept; sets k and its pane range [first, last].
-  bool OnGrid(const WindowBounds& b, uint64_t* k, uint64_t* first,
-              uint64_t* last) const {
-    if (pane == 0 || b.left < anchor || b.right < b.left ||
-        static_cast<uint64_t>(b.right) - static_cast<uint64_t>(b.left) !=
-            static_cast<uint64_t>(width - 1)) {
-      return false;
-    }
+  uint64_t FirstSlot(uint64_t k) const { return k * per_hop; }
+  /// The slot holding `ts` >= anchor or, in a gap between windows, the
+  /// first slot after it (`*inside` false).
+  uint64_t SlotAt(Timestamp ts, bool* inside) const {
     const uint64_t d =
-        static_cast<uint64_t>(b.left) - static_cast<uint64_t>(anchor);
-    if (d % static_cast<uint64_t>(hop) != 0) return false;
-    *k = d / static_cast<uint64_t>(hop);
-    *first = FirstPane(*k);
-    *last = *first + static_cast<uint64_t>(width / pane) - 1;
-    return *k >= min_k && *first >= base;
+        static_cast<uint64_t>(ts) - static_cast<uint64_t>(anchor);
+    const uint64_t p = static_cast<uint64_t>(pane);
+    *inside = true;
+    if (hop <= width) return d / p;
+    const uint64_t k = d / static_cast<uint64_t>(hop);
+    const uint64_t r = d % static_cast<uint64_t>(hop);
+    *inside = r < static_cast<uint64_t>(width);
+    return *inside ? k * per_window + r / p : (k + 1) * per_window;
+  }
+  Timestamp SlotStart(uint64_t s) const {
+    const uint64_t p = static_cast<uint64_t>(pane);
+    const uint64_t d =
+        hop <= width ? s * p
+                     : s / per_window * static_cast<uint64_t>(hop) +
+                           s % per_window * p;
+    return static_cast<Timestamp>(static_cast<uint64_t>(anchor) + d);
+  }
+  /// Whether window k merges from the ring: its panes are kept (none
+  /// below `base`) and the ring can hold them with those kept before.
+  bool OnRing(uint64_t k) const {
+    return FirstSlot(k) >= base &&
+           FirstSlot(k) + per_window - base <= kMaxRingPanes;
   }
 
   struct Pane {
-    uint64_t index;
-    Timestamp start;  ///< PaneStart(index).
+    bool used = false;  ///< Holds at least one tuple.
     AggregateState agg;
     TupleVector rows;
   };
-  /// Drops the panes below `index`, for good; returns how many.
-  uint64_t DropBelow(uint64_t index) {
-    const auto end = std::lower_bound(
-        panes.begin(), panes.end(), index,
-        [](const Pane& p, uint64_t i) { return p.index < i; });
-    const uint64_t dropped = static_cast<uint64_t>(end - panes.begin());
-    Recycle(panes.begin(), end);
-    base = std::max(base, index);
+  Pane& Slot(uint64_t s) { return ring[s & (ring.size() - 1)]; }
+  /// Back to empty, keeping the storage; whether it held anything.
+  static bool Clean(Pane& p) {
+    if (!p.used) return false;
+    p.used = false;
+    p.agg.Clear();
+    p.rows.clear();
+    return true;
+  }
+  /// Drops the panes below slot `s`, for good; returns how many held
+  /// tuples.
+  uint64_t DropBelow(uint64_t s) {
+    uint64_t dropped = 0;
+    for (uint64_t i = base; i < std::min(s, top); ++i) {
+      dropped += Clean(Slot(i));
+    }
+    base = std::max(base, s);
+    top = std::max(top, base);
+    last_len = 0;
     return dropped;
   }
-  /// Drops the panes from `index` on; returns how many.
-  uint64_t DropFrom(uint64_t index) {
-    const auto begin = std::lower_bound(
-        panes.begin(), panes.end(), index,
-        [](const Pane& p, uint64_t i) { return p.index < i; });
-    const uint64_t dropped = static_cast<uint64_t>(panes.end() - begin);
-    Recycle(begin, panes.end());
+  /// Drops the panes from slot `s` on; returns how many held tuples.
+  uint64_t DropFrom(uint64_t s) {
+    uint64_t dropped = 0;
+    const uint64_t from = std::max(s, base);
+    for (uint64_t i = from; i < top; ++i) dropped += Clean(Slot(i));
+    top = std::min(top, from);
+    last_len = 0;
     return dropped;
   }
-  /// Moves dropped panes to `spare`, so a pane's storage is reused
-  /// rather than freed and allocated again for every pane.
-  void Recycle(std::vector<Pane>::iterator begin,
-               std::vector<Pane>::iterator end) {
-    spare.insert(spare.end(), std::make_move_iterator(begin),
-                 std::make_move_iterator(end));
-    panes.erase(begin, end);
+  /// The pane `ts` falls in: the scan passes timestamps in order, so
+  /// usually the last one reached.
+  Pane& PaneAt(Timestamp ts, uint64_t* built) {
+    if (static_cast<uint64_t>(ts) - static_cast<uint64_t>(last_start) <
+        last_len) {
+      return Slot(last_slot);
+    }
+    bool inside = false;
+    const uint64_t s = SlotAt(ts, &inside);
+    TCQ_DCHECK(inside && s >= base && s - base < kMaxRingPanes);
+    if (s - base >= ring.size()) Grow(s - base + 1);
+    Pane& p = Slot(s);
+    if (!p.used) {
+      p.used = true;
+      ++*built;
+    }
+    top = std::max(top, s + 1);
+    last_slot = s;
+    last_start = SlotStart(s);
+    last_len = static_cast<uint64_t>(pane);
+    return p;
   }
-  /// The result set of fired step `s`: a grid window is the in-order
+  /// Re-places the kept panes in a ring of at least `need` slots.
+  void Grow(uint64_t need) {
+    size_t size = std::max<size_t>(ring.size(), 8);
+    while (size < need) size *= 2;
+    std::vector<Pane> grown(size);
+    for (Pane& p : grown) p.agg = AggregateState(plan);
+    for (uint64_t s = base; s < top; ++s) {
+      std::swap(grown[s & (size - 1)], Slot(s));
+    }
+    ring.swap(grown);
+  }
+
+  /// The result set of fired window `i`: a grid window is the in-order
   /// merge of its panes (projections: their rows concatenated), a
-  /// landmark window what the running state emitted, any other window
-  /// its own unit.
-  ResultSet Emit(size_t s) {
-    const Fire& f = fires[s];
-    ResultSet rs;
-    rs.t = steps[s].t;
-    if (f.kind == Fire::kUnit && aggregates) {
-      rs.rows = unit_aggs[f.unit].Emit(plan, rs.t);
-      return rs;
-    }
-    if (f.kind != Fire::kPanes) {
-      rs.rows = std::move(unit_rows[f.unit]);
-      return rs;
-    }
-    auto it = std::lower_bound(
-        panes.begin(), panes.end(), f.first,
-        [](const Pane& p, uint64_t index) { return p.index < index; });
-    auto end = it;
-    while (end != panes.end() && end->index <= f.last) ++end;
-    if (!aggregates) {
-      size_t n = 0;
-      for (auto p = it; p != end; ++p) n += p->rows.size();
-      rs.rows.reserve(n);
-      for (; it != end; ++it) {
-        rs.rows.insert(rs.rows.end(), it->rows.begin(), it->rows.end());
-      }
-    } else if (it != end && std::next(it) == end) {
-      rs.rows = it->agg.Emit(plan, rs.t);
-    } else {
-      // No pane (no tuple passed), or several: merged behind nothing,
-      // in order, in one state kept for it.
-      merged.Clear();
-      for (; it != end; ++it) merged.Merge(plan, it->agg);
-      rs.rows = merged.Emit(plan, rs.t);
-    }
-    return rs;
-  }
+  /// landmark window what the running state emitted, any other window its
+  /// own unit.
+  ResultSet Emit(size_t i);
   /// Schedules the tuples in [filled, through] that windows from k on
   /// cover (all of them unless the hop exceeds the width) for their
   /// panes.
@@ -438,29 +484,84 @@ class SharedWindowScan::Query {
     }
     filled = std::max(filled, through + 1);
   }
-  /// The pane `ts` falls in, made when the scan first reaches it: panes
-  /// fill in index order, each past every pane already kept but the
-  /// last.
-  Pane& PaneAt(Timestamp ts, uint64_t* built) {
-    if (!panes.empty() && ts >= panes.back().start &&
-        static_cast<uint64_t>(ts) -
-                static_cast<uint64_t>(panes.back().start) <
-            static_cast<uint64_t>(pane)) {
-      return panes.back();
-    }
-    const uint64_t index = PaneOf(ts);
-    if (spare.empty()) {
-      panes.push_back(Pane{index, PaneStart(index), AggregateState(plan), {}});
+  /// A window scanned whole for its own state.
+  void AddUnit(Timestamp t, Timestamp left, Timestamp right) {
+    uint32_t unit = 0;
+    if (aggregates) {
+      unit = static_cast<uint32_t>(unit_aggs.size());
+      unit_aggs.emplace_back(plan);
     } else {
-      panes.push_back(std::move(spare.back()));
-      spare.pop_back();
-      panes.back().index = index;
-      panes.back().start = PaneStart(index);
-      panes.back().agg.Clear();
-      panes.back().rows.clear();
+      unit = static_cast<uint32_t>(unit_rows.size());
+      unit_rows.emplace_back();
     }
-    ++*built;
-    return panes.back();
+    fires.push_back({Fire::kUnit, unit, 0, t, right});
+    if (left <= right) builds.push_back({left, right, unit});
+  }
+
+  /// Plans a grid query's fired windows, the run and then the loop's end
+  /// in `steps`: each window the ring holds from its panes, any other
+  /// whole. In a full advance it also fills the panes the watermark
+  /// completed for the next window.
+  void PlanGrid(const QueryRunner::Run& run, Timestamp hwm, bool full) {
+    std::optional<uint64_t> first_k;
+    Timestamp through = kMinTimestamp;
+    for (uint64_t k = run.first; k < run.first + run.count; ++k) {
+      const Timestamp left = WindowLeft(k);
+      if (OnRing(k)) {
+        fires.push_back({Fire::kPanes, 0, k, linear->TimeAt(k), 0});
+        if (!first_k) first_k = k;
+        through = left + (width - 1);
+      } else {
+        AddUnit(linear->TimeAt(k), left, left + (width - 1));
+      }
+    }
+    for (const WindowSequence::Step& step : steps) {
+      AddUnit(step.t, step.bounds[clause].left, step.bounds[clause].right);
+    }
+    next_k = run.first + run.count + steps.size();
+    if (full && runner->sequence_.safe_steps() > 0 && hwm > anchor &&
+        OnRing(next_k)) {
+      if (!first_k) first_k = next_k;
+      through = hwm - 1;
+    }
+    if (first_k) FillPanes(*first_k, through);
+  }
+  /// Plans the fired steps of any other query: a landmark's windows from
+  /// its running state (fed, in a full advance, through everything the
+  /// watermark completed for the next one), every other window whole.
+  void PlanSteps(Timestamp hwm, bool full, Timestamp floor) {
+    const std::optional<WindowSequence::Step>& next = runner->pending_step_;
+    if (landmark && !anchored && (!steps.empty() || next)) {
+      anchor = (steps.empty() ? *next : steps.front()).bounds[clause].left;
+      filled = anchor;
+      anchored = true;
+    }
+    // Once history from L on is no longer whole, every landmark window
+    // sees only what is retained, as its own scan would: a unit.
+    if (landmark && floor > anchor) Release();
+    // The first timestamp the running state is not planned to hold.
+    Timestamp running_to = filled;
+    for (const WindowSequence::Step& step : steps) {
+      const WindowBounds& b = step.bounds[clause];
+      if (landmark && OnLandmark(b, running_to)) {
+        fires.push_back({Fire::kRunning,
+                         static_cast<uint32_t>(unit_rows.size()), 0, step.t,
+                         b.right});
+        unit_rows.emplace_back();
+        running_to = b.right + 1;
+        continue;
+      }
+      AddUnit(step.t, b.left, b.right);
+    }
+    if (!landmark) return;
+    if (full && next.has_value() &&
+        OnLandmark(next->bounds[clause], running_to) && hwm > running_to) {
+      running_to = hwm;
+    }
+    if (running_to > filled) {
+      builds.push_back({filled, running_to - 1, -1});
+      filled = running_to;
+    }
   }
 
   /// Brings the builds open at `ts` up to date, emits the landmark
@@ -479,8 +580,7 @@ class SharedWindowScan::Query {
     if (next_open < builds.size()) next_change = builds[next_open].lo;
     for (const Open& o : open) next_change = std::min(next_change, o.hi + 1);
     if (landmark && next_due < fires.size()) {
-      next_change = std::min(next_change,
-                             steps[next_due].bounds[clause].right + 1);
+      next_change = std::min(next_change, fires[next_due].right + 1);
     }
   }
   /// Adds a passing tuple to every open build.
@@ -520,12 +620,11 @@ class SharedWindowScan::Query {
     for (; next_due < fires.size(); ++next_due) {
       const Fire& f = fires[next_due];
       if (f.kind != Fire::kRunning) continue;
-      const Timestamp right = steps[next_due].bounds[clause].right;
-      if (right >= ts) return;
+      if (f.right >= ts) return;
       TupleVector& rows = unit_rows[f.unit];
-      rows = running.Emit(plan, steps[next_due].t);
+      rows = running.Emit(plan, f.t);
       if (fed_since_checkpoint >= 64 + 4 * rows.size()) {
-        checkpoints.push_back({right + 1, running});
+        checkpoints.push_back({f.right + 1, running});
         if (checkpoints.size() > kCheckpoints) {
           checkpoints.erase(checkpoints.begin());
         }
@@ -551,8 +650,10 @@ class SharedWindowScan::Query {
   /// Frees the standing state: the query fires no more, or (a landmark
   /// the archive floor has passed) its windows are units from now on.
   void Release() {
-    panes.clear();
-    spare.clear();
+    ring = {};
+    base = top = 0;
+    last_len = 0;
+    pane = 0;
     landmark = false;
     anchored = false;
     running.Clear();
@@ -589,7 +690,16 @@ class SharedWindowScan::Query {
   std::vector<Open> open;
   /// The pane grid; pane == 0 when every window is its own unit.
   int64_t pane = 0;
-  std::vector<Pane> panes;  ///< The non-empty ones, by index.
+  /// The last pane PaneAt reached: its slot and its ticks from
+  /// last_start (0 after a drop).
+  uint64_t last_slot = 0;
+  Timestamp last_start = 0;
+  uint64_t last_len = 0;
+  /// The panes by slot: slot s at Slot(s) for s in [base, top); every
+  /// other entry is empty. Its size is a power of two.
+  std::vector<Pane> ring;
+  uint64_t base = 0;  ///< Panes below it are gone.
+  uint64_t top = 0;   ///< No pane from it on holds anything yet.
   /// The query's, copied next to the rest.
   const AggregatePlan plan;
 
@@ -600,14 +710,14 @@ class SharedWindowScan::Query {
 
   int64_t width = 0;
   int64_t hop = 0;
+  uint64_t per_window = 0;  ///< Panes per window.
+  uint64_t per_hop = 0;     ///< Slots from one window's first to the next.
+  const LinearLoop* linear = nullptr;  ///< The runner's loop.
   bool anchored = false;
   Timestamp anchor = 0;  ///< The first window's left end.
-  uint64_t min_k = 0;    ///< A window before the last paned one is not.
-  uint64_t base = 0;     ///< Panes below it are gone.
   /// Every tuple below it that a later window covers is in its pane;
   /// the last pane may still be filling.
   Timestamp filled = kMinTimestamp;
-  std::vector<Pane> spare;  ///< Dropped panes, for reuse.
   AggregateState merged;  ///< A window's merge (reused).
 
   AggregateState running;
@@ -623,13 +733,14 @@ class SharedWindowScan::Query {
 
   // --- One Advance.
   std::vector<WindowSequence::Step> steps;
-  /// Per step: its pane range, its own unit, or the running state (its
-  /// rows, once emitted, in unit_rows[unit]).
+  /// Per fired window: its grid index, its own unit, or the running state
+  /// (its rows, once emitted, in unit_rows[unit]).
   struct Fire {
     enum Kind : uint8_t { kPanes, kUnit, kRunning } kind;
-    uint64_t first;
-    uint64_t last;
     uint32_t unit;
+    uint64_t k;       ///< kPanes: the window's index.
+    Timestamp t;      ///< The loop variable.
+    Timestamp right;  ///< kRunning: the right end.
   };
   std::vector<Fire> fires;
   std::vector<AggregateState> unit_aggs;
@@ -644,8 +755,55 @@ class SharedWindowScan::Query {
   std::vector<Build> builds;  ///< By left end.
   size_t next_open = 0;
   size_t next_due = 0;  ///< The first fire EmitRunning has not passed.
+  uint64_t next_k = 0;  ///< Grid: the first window not fired.
   std::vector<ResultSet> results;
 };
+
+ResultSet SharedWindowScan::Query::Emit(size_t i) {
+  const Fire& f = fires[i];
+  ResultSet rs;
+  rs.t = f.t;
+  if (f.kind == Fire::kUnit && aggregates) {
+    rs.rows = unit_aggs[f.unit].Emit(plan, rs.t);
+    return rs;
+  }
+  if (f.kind != Fire::kPanes) {
+    rs.rows = std::move(unit_rows[f.unit]);
+    return rs;
+  }
+  const uint64_t first = FirstSlot(f.k);
+  const uint64_t end = std::min(first + per_window, top);
+  if (!aggregates) {
+    size_t n = 0;
+    for (uint64_t s = first; s < end; ++s) n += Slot(s).rows.size();
+    rs.rows.reserve(n);
+    for (uint64_t s = first; s < end; ++s) {
+      const TupleVector& rows = Slot(s).rows;
+      rs.rows.insert(rs.rows.end(), rows.begin(), rows.end());
+    }
+    return rs;
+  }
+  // One pane holding tuples emits itself; none, or several, are merged
+  // behind nothing, in order, in one state kept for it.
+  const Pane* single = nullptr;
+  size_t used = 0;
+  for (uint64_t s = first; s < end; ++s) {
+    const Pane& p = Slot(s);
+    if (!p.used) continue;
+    if (++used == 1) {
+      single = &p;
+      continue;
+    }
+    if (used == 2) {
+      merged.Clear();
+      merged.Merge(plan, single->agg);
+    }
+    merged.Merge(plan, p.agg);
+  }
+  if (used == 0) merged.Clear();
+  rs.rows = (used == 1 ? single->agg : merged).Emit(plan, rs.t);
+  return rs;
+}
 
 SharedWindowScan::SharedWindowScan(const Archive* archive)
     : archive_(archive), rewrite_mark_(archive->WatchRewrites()) {}
@@ -694,19 +852,18 @@ uint64_t SharedWindowScan::DropStalePanes() {
       if (mark < q->filled) q->Rewind(mark);
       continue;
     }
+    bool inside = true;
     if (mark != kMaxTimestamp) {
       // Every pane from the rewritten one on is rebuilt when needed.
-      const uint64_t from = mark <= q->anchor ? 0 : q->PaneOf(mark);
+      const uint64_t from = mark <= q->anchor ? 0 : q->SlotAt(mark, &inside);
       dropped += q->DropFrom(from);
-      q->filled = std::min(q->filled, q->PaneStart(from));
+      q->filled = std::min(q->filled, inside ? q->SlotStart(from) : mark);
     }
     if (evicted && floor > q->anchor) {
       // Panes starting below the floor lost tuples: windows over them
       // are their own units from now on.
-      const uint64_t d =
-          static_cast<uint64_t>(floor) - static_cast<uint64_t>(q->anchor);
-      const uint64_t whole = d / static_cast<uint64_t>(q->pane) +
-                             (d % static_cast<uint64_t>(q->pane) != 0);
+      uint64_t whole = q->SlotAt(floor, &inside);
+      if (inside && q->SlotStart(whole) < floor) ++whole;
       dropped += q->DropBelow(whole);
     }
   }
@@ -725,94 +882,38 @@ SharedWindowScan::Stats SharedWindowScan::Advance(Timestamp high_watermark,
   ranges.clear();
   busy.clear();
 
-  // 1. Each query's ready steps, and what the scan must build: the panes
-  // of its grid windows not built yet (or a landmark's running state up
-  // to its last window), every other window whole, and the panes (or
-  // running state) of its next window the watermark has completed.
+  // 1. Each query's ready windows, and what the scan must build: the
+  // panes of its grid windows not built yet (or a landmark's running
+  // state up to its last window), every other window whole, and the
+  // panes (or running state) of its next window the watermark has
+  // completed. A grid query's windows come as a run of indexes.
   for (size_t i = only == nullptr ? 0 : only->slot; i < n; ++i) {
     if (queries_[i] == nullptr) continue;
     Query& q = *queries_[i];
     if (only != nullptr && &q != only) break;
     QueryRunner* runner = q.runner;
     if (runner->done()) continue;
-    runner->TakeReady(high_watermark, &q.steps);
+    QueryRunner::Run run;
+    runner->TakeReady(high_watermark, &q.steps, q.pane > 0 ? &run : nullptr);
     if (runner->status().code() == StatusCode::kResourceExhausted) {
       ++stats.budget_exceeded;
     }
-    if (q.steps.empty() && runner->done()) {
+    if (run.count == 0 && q.steps.empty() && runner->done()) {
       q.Release();
       continue;
     }
-    stats.fired += q.steps.size();
-    const std::optional<WindowSequence::Step>& next = runner->pending_step_;
-    if ((q.pane > 0 || q.landmark) && !q.anchored &&
-        (!q.steps.empty() || next)) {
-      q.anchor = (q.steps.empty() ? *next : q.steps.front())
-                     .bounds[q.clause]
-                     .left;
-      q.filled = q.anchor;
-      q.anchored = true;
+    stats.fired += run.count + q.steps.size();
+    // Panes and the running state are filled as the watermark passes
+    // their tuples: through the ready windows, and in a full advance
+    // through everything the watermark completed for the next one, so
+    // each tuple is read once. (A query's first advance, at Submit, reads
+    // only what it fires.)
+    if (q.pane > 0) {
+      q.PlanGrid(run, high_watermark, only == nullptr);
+    } else {
+      q.PlanSteps(high_watermark, only == nullptr, archive_->floor());
     }
-    // Once history from L on is no longer whole, every landmark window
-    // sees only what is retained, as its own scan would: a unit.
-    if (q.landmark && archive_->floor() > q.anchor) q.Release();
-    // The first timestamp the running state is not planned to hold.
-    Timestamp running_to = q.filled;
-    // Panes are filled as the watermark passes their tuples: through the
-    // ready windows, and in a full advance through everything the
-    // watermark completed for the next one, so each tuple is read once.
-    // (A query's first advance, at Submit, reads only what it fires.)
-    uint64_t k = 0, first = 0, last = 0;
-    std::optional<uint64_t> first_k;
-    Timestamp through = kMinTimestamp;
-    for (const WindowSequence::Step& step : q.steps) {
-      const WindowBounds& b = step.bounds[q.clause];
-      if (q.landmark && q.OnLandmark(b, running_to)) {
-        q.fires.push_back({Query::Fire::kRunning, 0, 0,
-                           static_cast<uint32_t>(q.unit_rows.size())});
-        q.unit_rows.emplace_back();
-        running_to = b.right + 1;
-        continue;
-      }
-      if (q.OnGrid(b, &k, &first, &last)) {
-        q.fires.push_back({Query::Fire::kPanes, first, last, 0});
-        q.min_k = k;
-        if (!first_k) first_k = k;
-        through = b.right;
-        continue;
-      }
-      uint32_t unit = 0;
-      if (q.aggregates) {
-        unit = static_cast<uint32_t>(q.unit_aggs.size());
-        q.unit_aggs.emplace_back(q.plan);
-      } else {
-        unit = static_cast<uint32_t>(q.unit_rows.size());
-        q.unit_rows.emplace_back();
-      }
-      q.fires.push_back({Query::Fire::kUnit, 0, 0, unit});
-      if (b.left <= b.right) q.builds.push_back({b.left, b.right, unit});
-    }
-    if (only == nullptr && next.has_value() && high_watermark > q.anchor &&
-        q.OnGrid(next->bounds[q.clause], &k, &first, &last)) {
-      if (!first_k) first_k = k;
-      through = high_watermark - 1;
-    }
-    if (first_k) q.FillPanes(*first_k, through);
-    if (q.landmark) {
-      // The running state is fed through the fired landmark windows, and
-      // in a full advance through everything the watermark completed for
-      // the next one.
-      if (only == nullptr && next.has_value() &&
-          q.OnLandmark(next->bounds[q.clause], running_to) &&
-          high_watermark > running_to) {
-        running_to = high_watermark;
-      }
-      if (running_to > q.filled) {
-        q.builds.push_back({q.filled, running_to - 1, -1});
-        q.filled = running_to;
-      }
-    }
-    if (!q.steps.empty() || !q.builds.empty()) busy.push_back(&q);
+    if (!q.fires.empty() || !q.builds.empty()) busy.push_back(&q);
     if (q.builds.empty()) continue;
     // Usually one build, or already in order: then nothing to sort (and
     // no buffer for stable_sort to allocate).
@@ -856,27 +957,18 @@ SharedWindowScan::Stats SharedWindowScan::Advance(Timestamp high_watermark,
   for (const auto& [lo, hi] : merged) archive_->ScanApply(lo, hi, visit);
 
   // 3. Emit every fired window (the landmark windows the scan did not
-  // pass yet first), then drop the panes no later window covers: the
-  // next one is the runner's pending step, and every window after it
-  // starts no earlier on the grid.
+  // pass yet first), then drop the panes no later window covers: every
+  // window from the next one on starts no earlier on the grid.
   for (Query* qp : busy) {
     Query& q = *qp;
     if (q.landmark) q.EmitRunning(kMaxTimestamp);
-    for (size_t s = 0; s < q.steps.size(); ++s) {
-      q.results.push_back(q.Emit(s));
+    for (size_t f = 0; f < q.fires.size(); ++f) {
+      q.results.push_back(q.Emit(f));
     }
     if (q.runner->done()) {
       q.Release();
-    } else if (q.pane > 0 && !q.steps.empty()) {
-      const std::optional<WindowSequence::Step>& next =
-          q.runner->pending_step_;
-      uint64_t k = 0, first = 0, last = 0;
-      if (next.has_value() &&
-          q.OnGrid(next->bounds[q.clause], &k, &first, &last)) {
-        q.DropBelow(first);
-      } else {
-        q.DropBelow(q.FirstPane(q.min_k));
-      }
+    } else if (q.pane > 0 && !q.fires.empty()) {
+      q.DropBelow(q.FirstSlot(q.next_k));
     }
     q.EndAdvance();
   }

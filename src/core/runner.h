@@ -79,17 +79,28 @@ class QueryRunner {
   /// ResultSet per fired window to `out`. Returns the number fired.
   size_t Advance(Timestamp high_watermark, std::vector<ResultSet>* out);
 
+  /// Windows of a linear loop taken by index: window k is the loop's k-th
+  /// step (LinearLoop::TimeAt).
+  struct Run {
+    uint64_t first = 0;
+    uint64_t count = 0;
+  };
+
   /// The readiness half of Advance: moves every window step ready at
   /// `high_watermark` to `steps`, in firing order, without executing it.
   /// The caller owns their execution (SharedWindowScan). Returns the
-  /// number taken.
+  /// number taken. With `run`, a linear loop's ready windows are taken by
+  /// arithmetic as a run of indexes instead, and `steps` only receives
+  /// what follows the run at the loop's end (a window whose step or next
+  /// end overflows).
   ///
   /// At most kMaxStepsPerAdvance steps become ready in one call. A
   /// for-loop that makes more ready at once (one that walks ~2^63 empty
   /// windows, or cycles forever) takes none: the query ends with a
   /// ResourceExhausted status() instead of exhausting memory.
   size_t TakeReady(Timestamp high_watermark,
-                   std::vector<WindowSequence::Step>* steps);
+                   std::vector<WindowSequence::Step>* steps,
+                   Run* run = nullptr);
 
   /// Window steps one advance may fire. Far above any real per-advance
   /// count (the largest in the test suite, examples and benchmarks is
@@ -176,13 +187,14 @@ class QueryRunner {
 ///
 ///  * a QueryIndex over the queries' WHERE factors (its grouped filters
 ///    compile lazily on the first scan after a change);
-///  * for a query whose windows move forward with width w and hop h
-///    (ClassifyWindow) and whose select list merges exactly — COUNT, MIN,
-///    MAX and INT64 SUM (AggregatePlan::Mergeable), or plain projections —
-///    partials on a grid of panes of gcd(w, h) ticks, anchored at its
-///    first window's left end. Each tuple is added to one pane; a window
-///    on the grid is the in-order merge of its panes (for projections,
-///    their rows concatenated);
+///  * for a query whose loop is linear (LinearLoop) with one window of
+///    width w moving by hop h, and whose select list merges exactly —
+///    COUNT, MIN, MAX and INT64 SUM (AggregatePlan::Mergeable), or plain
+///    projections — partials on a grid of panes of gcd(w, h) ticks,
+///    anchored at its first window's left end, in a ring indexed by pane
+///    slot. Its ready windows are taken as a run of indexes. Each tuple is
+///    added to one pane; window k is the in-order merge of the panes from
+///    its first slot (for projections, their rows concatenated);
 ///  * for a landmark aggregate (fixed left end L, right end moving
 ///    forward), the one-pane case: one running aggregate state fed from
 ///    L in archive order, each window emitted from it as the scan passes

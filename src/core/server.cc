@@ -1134,8 +1134,15 @@ void Server::DeliverShardEmissions(
       continue;
     }
     if (shared == nullptr) {
-      shared = std::make_shared<EmissionBatch>();
-      shared->emissions = std::move(batch);
+      // A spare batch's storage goes back to the engine in its place
+      // (with its delivered emissions, which the engine clears).
+      if (spare_batches_.empty()) {
+        shared = std::make_shared<EmissionBatch>();
+      } else {
+        shared = std::move(spare_batches_.back());
+        spare_batches_.pop_back();
+      }
+      shared->emissions.swap(batch);
     }
     Delivery d;
     d.qs = qs;
@@ -1148,6 +1155,19 @@ void Server::DeliverShardEmissions(
     EnqueueLocked(std::move(d));
   }
   touched_.clear();
+}
+
+void Server::RecycleBatchLocked(std::shared_ptr<EmissionBatch>* batch) {
+  // Every reference is taken and dropped under results_mu_, so the count
+  // is exact: at 1, no queued set reads the batch any more. Its emissions
+  // stay until the batch is reused: they go back to the engine, which
+  // frees them outside results_mu_.
+  if (*batch != nullptr && batch->use_count() == 1 &&
+      spare_batches_.size() < kSpareBatches) {
+    (*batch)->order.clear();
+    spare_batches_.push_back(std::move(*batch));
+  }
+  batch->reset();
 }
 
 void Server::DrainDeliveries(bool wait) {
@@ -1202,11 +1222,11 @@ void Server::DrainDeliveries(bool wait) {
       } catch (...) {
         thrown = std::current_exception();
       }
-      d = Delivery();  // Free the rows before the next set is built.
       lock.lock();
       qs->in_flight = false;
       in_flight_seq_ = 0;
     }
+    RecycleBatchLocked(&d.batch);
     if (delivery_waiters_ > 0) delivered_cv_.notify_all();
     if (thrown != nullptr) {
       // The set counts as delivered; the rest wait for the next drain,

@@ -40,11 +40,15 @@ namespace tcq {
 ///    is bounded: past 65,536 buffered rows its oldest result sets are
 ///    shed and counted (the §4.3 QoS decision of what to drop).
 ///
-/// Thread-safety: Push/Submit/Poll are serialized by one mutex; the
-/// heavy lifting stays single-threaded per call (wrap the server in
-/// ExecutionObject modules to scale across streams). Callbacks run with
-/// no server lock held, so a callback may call any Server method except
-/// Quiesce and Rebalance (delivery contract: DESIGN.md §11).
+/// Thread-safety: every public call may come from any thread. One mutex
+/// (`mu_`) serializes Push, PushBatch, Submit, Cancel, Heartbeat and Poll
+/// across all streams, so calls on different streams do not run in
+/// parallel, and wrapping the server in more threads or ExecutionObject
+/// modules does not change that. Parallelism comes from a stream's
+/// `cacq_shards`: its standing filters run on shard threads behind the
+/// exchange. Callbacks run with no server lock held, so a callback may
+/// call any Server method except Quiesce and Rebalance (delivery
+/// contract: DESIGN.md §11).
 class Server {
  public:
   struct Options {
@@ -389,7 +393,7 @@ class Server {
     QueryState* qs = nullptr;
     uint64_t seq = 0;  ///< Order of queueing (not always FIFO position).
     ResultSet set;
-    std::shared_ptr<const EmissionBatch> batch;
+    std::shared_ptr<EmissionBatch> batch;
     uint32_t begin = 0;  ///< The set's run in batch->order.
     uint32_t count = 0;
   };
@@ -407,6 +411,9 @@ class Server {
     uint64_t queued;  ///< The thread's count of queued sets at entry.
   };
 
+  /// Drops a delivered set's reference to its emission batch, keeping
+  /// the batch as a spare when it was the last (under results_mu_).
+  void RecycleBatchLocked(std::shared_ptr<EmissionBatch>* batch);
   /// Counts one egress set of `rows` rows (per-query and registry).
   void CountSetLocked(QueryState* qs, size_t rows);
   /// Buffers `rs` for Poll and sheds whole oldest sets past the row bound
@@ -487,6 +494,10 @@ class Server {
   mutable std::mutex results_mu_;
   /// The ordered delivery FIFO and its drain state (under results_mu_).
   Fifo<Delivery> deliveries_;
+  /// Emission batches whose sets were all delivered, kept with their
+  /// storage for the next engine batch (under results_mu_).
+  static constexpr size_t kSpareBatches = 4;
+  std::vector<std::shared_ptr<EmissionBatch>> spare_batches_;
   bool draining_ = false;
   std::thread::id drainer_;  ///< The draining thread, while draining_.
   uint64_t enqueued_ = 0;    ///< Sets ever queued: the last `seq`.

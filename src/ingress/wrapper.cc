@@ -95,10 +95,8 @@ void ReorderBuffer::Punctuate(Timestamp ts, std::vector<Tuple>* released) {
 }
 
 void ReorderBuffer::Flush(std::vector<Tuple>* released) {
-  while (!buffer_.empty()) {
-    released->push_back(std::move(buffer_.front()));
-    buffer_.pop_front();
-  }
+  for (Tuple& t : buffer_) released->push_back(std::move(t));
+  buffer_.clear();
 }
 
 void ReorderBuffer::ReleaseThrough(Timestamp ts,

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/clock.h"
+#include "common/fifo.h"
 #include "fjords/module.h"
 #include "ingress/sources.h"
 
@@ -104,7 +105,9 @@ class ReorderBuffer {
 
   Timestamp max_disorder_ = 0;
   Timestamp raw_ = kMinTimestamp;
-  std::deque<Tuple> buffer_;  ///< Timestamp-ordered, ties in arrival order.
+  /// Timestamp-ordered, ties in arrival order. A Fifo keeps its storage
+  /// as tuples pass through; a straggler is inserted near the tail.
+  Fifo<Tuple> buffer_;
 };
 
 class Spool;

@@ -87,9 +87,59 @@ class StepBounds {
   size_t size_ = 0;
 };
 
+/// A for-loop whose windows follow from arithmetic alone (DESIGN.md §17
+/// "Linear loops"): its step is `t + h` with h >= 1 constant, every window
+/// end is `t + c` or a constant c (affine in t with coefficient 1 or 0, c
+/// constant in ST), and its condition is absent, `true`, `t < C` or
+/// `t <= C` with C constant in ST. Window k's t is t0 + k*h. Each end
+/// records the t for which its expression evaluates; outside them the
+/// expression overflows to NULL, and the sequence ends as it would
+/// evaluating the tree.
+struct LinearLoop {
+  struct End {
+    bool moves = false;  ///< `t + offset`; else the constant `offset`.
+    int64_t offset = 0;
+    Timestamp lo = kMinTimestamp;  ///< The t for which the end evaluates.
+    Timestamp hi = kMaxTimestamp;
+    /// The end at `t`, for t in [lo, hi].
+    Timestamp At(Timestamp t) const { return moves ? t + offset : offset; }
+  };
+  /// How the condition ends the loop.
+  enum class Until : uint8_t {
+    kOnce,   ///< No condition: one window.
+    kNever,  ///< `true`.
+    kLast,   ///< While t <= last.
+  };
+
+  Timestamp t0 = 0;  ///< t of window 0 (the init).
+  int64_t hop = 1;
+  Until until = Until::kNever;
+  Timestamp last = 0;
+  /// The t for which the step evaluates (the implicit `t + 1` below
+  /// INT64_MAX).
+  Timestamp step_lo = kMinTimestamp;
+  Timestamp step_hi = kMaxTimestamp;
+  size_t clauses = 0;
+  std::array<End, 2 * StepBounds::kInline> ends{};  ///< Left, right, ...
+  /// Windows k < steps fire and advance by arithmetic alone: the condition
+  /// holds and every end and the step evaluate.
+  uint64_t steps = 0;
+
+  const End& left(size_t clause) const { return ends[2 * clause]; }
+  const End& right(size_t clause) const { return ends[2 * clause + 1]; }
+  /// t of window k, for k <= steps.
+  Timestamp TimeAt(uint64_t k) const {
+    return static_cast<Timestamp>(static_cast<uint64_t>(t0) +
+                                  k * static_cast<uint64_t>(hop));
+  }
+};
+
 /// Enumerates the window sequence a ForLoopSpec defines: each Next() call
 /// produces the loop variable's value plus the bounds of every WindowIs
-/// clause at that iteration, until the continue-condition fails.
+/// clause at that iteration, until the continue-condition fails. A linear
+/// loop (LinearLoop, recognised at construction) steps by checked
+/// arithmetic; any other evaluates its expression trees. Both give the
+/// same windows and the same final status.
 class WindowSequence {
  public:
   struct Step {
@@ -99,6 +149,10 @@ class WindowSequence {
 
   /// `st` is the query start time, the value of variable `ST`.
   WindowSequence(const ForLoopSpec* spec, Timestamp st);
+  /// The same sequence, stepped by evaluating the expression trees even
+  /// when the loop is linear: the reference the arithmetic is checked
+  /// against.
+  static WindowSequence Interpreted(const ForLoopSpec* spec, Timestamp st);
 
   /// Advances the loop. Returns nullopt once the condition is false.
   std::optional<Step> Next();
@@ -106,6 +160,26 @@ class WindowSequence {
   /// Loop variable value the *next* Next() will evaluate at.
   Timestamp current_t() const { return t_; }
   bool done() const { return done_; }
+
+  /// The loop's arithmetic form, or null when it is not linear.
+  const LinearLoop* linear() const {
+    return linear_.has_value() ? &*linear_ : nullptr;
+  }
+  /// Steps produced so far: the index of the next one.
+  uint64_t index() const { return k_; }
+  /// Linear loops: how many of the next steps are whole windows that
+  /// advance by arithmetic alone (LinearLoop::steps from index()).
+  uint64_t safe_steps() const {
+    return linear_.has_value() && !done_ && k_ < linear_->steps
+               ? linear_->steps - k_
+               : 0;
+  }
+  /// Linear loops: how many of the next safe_steps() windows end clause
+  /// `clause` below `bound`.
+  uint64_t StepsEndingBelow(size_t clause, Timestamp bound) const;
+  /// Linear loops: passes over the next `n` <= safe_steps() windows as
+  /// Next() would, without making them.
+  void Skip(uint64_t n);
 
   /// OK while the sequence is well-formed. A bound, init or step that
   /// evaluates to NULL or a non-integer (or a non-boolean condition) ends
@@ -118,12 +192,16 @@ class WindowSequence {
   /// On NULL or non-integer results, marks the sequence done, records a
   /// status naming `what`, and returns false.
   bool EvalTimestamp(const ExprPtr& e, const char* what, Timestamp* out);
+  /// Next() of a linear loop.
+  std::optional<Step> NextLinear();
 
   const ForLoopSpec* spec_;
   LoopVars vars_{};
   Timestamp t_ = 0;
+  uint64_t k_ = 0;
   bool done_ = false;
   Status status_ = Status::OK();
+  std::optional<LinearLoop> linear_;
 };
 
 /// Window shape taxonomy from §4.1/§4.1.2. Determined by probing the first

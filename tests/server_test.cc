@@ -1202,6 +1202,130 @@ TEST(ServerPaneTest, CancellingOneOfTwoQueriesOnAKey) {
   EXPECT_GT(rig.got(stays).size(), delivered);
 }
 
+// ---- The pane ring (DESIGN.md §17 "Panes") ---------------------------------
+// A grid query keeps its panes in a ring indexed by pane slot, 8 slots at
+// first; these cases drive it past that, around it, over gaps, through
+// rewrites and under eviction, each against standalone runners.
+
+TEST(ServerPaneTest, RingWrapsAndGrows) {
+  // 40, 15 and 9 panes per window, more than the ring's first 8 slots; a
+  // mid-stream Submit and a heartbeat jump fire many windows at once, so
+  // the ring holds the panes of all of them.
+  PaneRig rig;
+  Rng rng(21);
+  rig.Submit(SlidingSql("COUNT(*), SUM(v), MAX(p)", "", 40, 1));
+  rig.Submit(SlidingSql("ts, v", " WHERE k < 4", 30, 2));
+  rig.Submit(SlidingSql("k, COUNT(*), MIN(v)", "", 36, 4));
+  Timestamp ts = 1;
+  for (int batch = 0; batch < 60; ++batch) {
+    std::vector<Tuple> tuples;
+    for (uint64_t i = 0, n = 1 + rng.NextBounded(8); i < n; ++i) {
+      ts += static_cast<Timestamp>(rng.NextBounded(3));
+      tuples.push_back(PaneRow(&rng, ts));
+    }
+    rig.Push(tuples);
+    if (batch == 30) {
+      rig.Submit(SlidingSql("MIN(v), MAX(v), COUNT(*)", " WHERE v > 0", 24,
+                            3, "5"));
+    }
+  }
+  rig.Heartbeat(ts + 200);
+  for (int i = 0; i < 20; ++i) rig.Push({PaneRow(&rng, ts + 200 + i)});
+  rig.Heartbeat(ts + 400);
+  rig.ExpectSameSets("ring wraps and grows");
+  EXPECT_GT(WindowsMetric(rig.server(), "panes"), 0u);
+  EXPECT_EQ(WindowsMetric(rig.server(), "pane_rewrites"), 0u);
+  // Each tuple read once (the Submit over history aside): the windows
+  // merged panes rather than scanning themselves whole.
+  EXPECT_LE(WindowsMetric(rig.server(), "scanned"), 2 * rig.history());
+}
+
+TEST(ServerPaneTest, HopsWiderThanTheWindowSkipTheGaps) {
+  // Slots number only the panes inside windows: a gap holds none, and a
+  // tuple in it is never read. Stragglers land in kept panes and in gaps.
+  PaneRig rig;
+  Rng rng(22);
+  rig.Submit(SlidingSql("COUNT(*), SUM(v), MAX(p)", "", 3, 7));
+  rig.Submit(SlidingSql("ts, k, v", "", 4, 10));
+  rig.Submit(SlidingSql("k, COUNT(*), MIN(v)", " WHERE v > 5", 6, 9));
+  rig.Submit(SlidingSql("MAX(v), COUNT(v)", "", 1, 5));
+  for (Timestamp ts = 1; ts <= 200; ++ts) {
+    std::vector<Tuple> tuples = {PaneRow(&rng, ts)};
+    if (ts > 20 && rng.NextBounded(6) == 0) {
+      tuples.push_back(
+          PaneRow(&rng, ts - 1 - static_cast<Timestamp>(rng.NextBounded(8))));
+    }
+    rig.Push(tuples);
+  }
+  rig.Heartbeat(260);
+  rig.ExpectSameSets("hop wider than the width");
+  EXPECT_GT(WindowsMetric(rig.server(), "panes"), 0u);
+  EXPECT_GT(WindowsMetric(rig.server(), "pane_rewrites"), 0u);
+}
+
+TEST(ServerPaneTest, StragglerAfterTheRingWrappedDropsFromItsPane) {
+  // Width 40, hop 1: one pane per tick. At watermark 300 the windows up to
+  // t = 299 have fired and the ring (64 slots, wrapped several times)
+  // keeps the panes of [261, 299] for the window of t = 300. A straggler
+  // at 290 drops the panes of 290..299, and only those are rebuilt.
+  PaneRig rig;
+  Rng rng(23);
+  rig.Submit(SlidingSql("COUNT(*), SUM(v), MAX(p)", "", 40, 1));
+  for (Timestamp ts = 1; ts <= 300; ++ts) rig.Push({PaneRow(&rng, ts)});
+  const uint64_t built = WindowsMetric(rig.server(), "panes");
+  const uint64_t scanned = WindowsMetric(rig.server(), "scanned");
+  EXPECT_EQ(scanned, 299u);
+  rig.Push({PaneRow(&rng, 290)});
+  EXPECT_EQ(WindowsMetric(rig.server(), "pane_rewrites"), 10u);
+  rig.Push({PaneRow(&rng, 301)});
+  // Ticks 290 (two tuples now) to 300 read again.
+  EXPECT_EQ(WindowsMetric(rig.server(), "scanned"), scanned + 12u);
+  EXPECT_EQ(WindowsMetric(rig.server(), "panes"), built + 11u);
+  rig.Heartbeat(400);
+  rig.ExpectSameSets("straggler after the ring wrapped");
+}
+
+TEST(ServerPaneTest, EvictionDropsRingPanesBelowTheFloor) {
+  // Retention keeps 30 ticks; windows reach 60 back, over gaps too. Panes
+  // starting below the floor are dropped, and windows over them are units
+  // that see only what is retained.
+  PaneRig rig(/*retention_span=*/30);
+  Rng rng(24);
+  rig.Submit(SlidingSql("COUNT(*), SUM(v), MAX(p)", "", 60, 2));
+  rig.Submit(SlidingSql("ts, v", "", 45, 50));
+  rig.Submit(SlidingSql("k, COUNT(*), MAX(v)", " WHERE k != 2", 20, 33));
+  for (Timestamp ts = 1; ts <= 400; ++ts) {
+    rig.Push({PaneRow(&rng, ts), PaneRow(&rng, ts)});
+  }
+  rig.Heartbeat(500);
+  rig.ExpectSameSets("eviction");
+  EXPECT_GT(WindowsMetric(rig.server(), "pane_rewrites"), 0u);
+}
+
+TEST(ServerPaneTest, BurstPastTheRingBoundFiresUnits) {
+  // A Submit over 18,000 ticks of history fires ~18,000 windows of 1,000
+  // one-tick panes at once: the ring holds the panes of the first ones,
+  // up to its bound, and the rest are units scanned whole.
+  PaneRig rig;
+  Rng rng(25);
+  std::vector<Tuple> history;
+  for (Timestamp ts = 1; ts <= 18000; ts += 25) {
+    history.push_back(PaneRow(&rng, ts));
+  }
+  rig.Push(history);
+  rig.Submit(SlidingSql("COUNT(*), MAX(v), MIN(p)", "", 1000, 1, "1"));
+  EXPECT_GT(rig.got(0).size(), 17000u);
+  for (Timestamp ts = 18001; ts <= 18100; ++ts) {
+    rig.Push({PaneRow(&rng, ts)});
+  }
+  rig.ExpectSameSets("burst");
+  // Units build no panes: the ~60 tuples between the last window the
+  // ring held and the first after the burst are in none (one tuple per
+  // pane otherwise).
+  EXPECT_GT(WindowsMetric(rig.server(), "panes"), 0u);
+  EXPECT_LT(WindowsMetric(rig.server(), "panes"), rig.history() - 50);
+}
+
 // ---- Landmarks on the window plan (DESIGN.md §17) --------------------------
 
 TEST_F(ServerTest, LandmarkMaxReadsEachTupleOnce) {
@@ -1636,6 +1760,51 @@ TEST_P(ServerReentrancyTest, CallbackPushesIntoASecondStream) {
   EXPECT_TRUE(pushed);
   EXPECT_EQ(other_rows.load(), 10u);
   EXPECT_FALSE(overlapped.load()) << "callbacks overlapped";
+}
+
+TEST_P(ServerReentrancyTest, CallbackPushIntoItsStreamLeavesQueuedSetsWhole) {
+  // Three queries share each engine batch. The second one's callback
+  // pushes another batch into the same stream while the third's set of
+  // the first batch still waits; the new batch must not reuse the storage
+  // that set reads (spare emission batches are only those no set reads).
+  const QueryId a = Standing();
+  const QueryId b = Standing();
+  const QueryId c = Standing();
+  bool pushed = false;
+  std::vector<double> got;
+  ASSERT_TRUE(server_->SetCallback(a, [](const ResultSet&) {}).ok());
+  ASSERT_TRUE(server_
+                  ->SetCallback(b,
+                                [&](const ResultSet&) {
+                                  if (pushed) return;
+                                  pushed = true;
+                                  std::vector<Tuple> batch;
+                                  for (int64_t d = 11; d <= 20; ++d) {
+                                    batch.push_back(Stock(
+                                        d, "MSFT",
+                                        40.0 + static_cast<double>(d)));
+                                  }
+                                  EXPECT_TRUE(server_
+                                                  ->PushBatch(
+                                                      "ClosingStockPrices",
+                                                      std::move(batch))
+                                                  .ok());
+                                })
+                  .ok());
+  ASSERT_TRUE(server_
+                  ->SetCallback(c,
+                                [&](const ResultSet& rs) {
+                                  for (const Tuple& row : rs.rows) {
+                                    got.push_back(row.cell(0).double_value());
+                                  }
+                                })
+                  .ok());
+  Feed(1, 10);
+  server_->Quiesce();
+  std::vector<double> want;
+  for (int64_t d = 6; d <= 20; ++d) want.push_back(40.0 + d);
+  EXPECT_TRUE(pushed);
+  EXPECT_EQ(got, want);
 }
 
 TEST_P(ServerReentrancyTest, CancelWaitsForTheInFlightCallback) {

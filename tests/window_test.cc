@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <random>
+#include <string>
+#include <vector>
+
 namespace tcq {
 namespace {
 
@@ -422,6 +428,280 @@ TEST(WindowMalformedTest, OverflowingStepExpressionEndsWithStatus) {
   EXPECT_FALSE(seq.Next().has_value());
   EXPECT_EQ(seq.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(seq.status().message().find("NULL"), std::string::npos);
+}
+
+
+// --- Linear loops: arithmetic against the expression trees -------------------
+
+ExprPtr T() { return Expr::Variable("t"); }
+ExprPtr ST() { return Expr::Variable("ST"); }
+ExprPtr Lit(int64_t v) { return Expr::Literal(Value::Int64(v)); }
+ExprPtr Add(ExprPtr a, ExprPtr b) {
+  return Expr::Binary(BinaryOp::kAdd, std::move(a), std::move(b));
+}
+ExprPtr Sub(ExprPtr a, ExprPtr b) {
+  return Expr::Binary(BinaryOp::kSub, std::move(a), std::move(b));
+}
+ExprPtr Mul(ExprPtr a, ExprPtr b) {
+  return Expr::Binary(BinaryOp::kMul, std::move(a), std::move(b));
+}
+ExprPtr Neg(ExprPtr a) { return Expr::Unary(UnaryOp::kNeg, std::move(a)); }
+
+/// Random linear for-loops: ST offsets, hops 1-20, empty and inverted
+/// windows, `t < C`, `t <= C`, `true` and no condition, and values near
+/// INT64_MIN and INT64_MAX, so ends, steps and conditions overflow.
+class LinearLoopGen {
+ public:
+  explicit LinearLoopGen(uint64_t seed) : rng_(seed) {}
+
+  int64_t Below(int64_t n) {
+    return static_cast<int64_t>(rng_() % static_cast<uint64_t>(n));
+  }
+  /// A small value, or one near either end of the range.
+  int64_t Value64() {
+    switch (Below(4)) {
+      case 0:
+        return INT64_MIN + Below(60);
+      case 1:
+        return INT64_MAX - Below(60);
+      default:
+        return Below(200) - 100;
+    }
+  }
+  Timestamp St() { return Below(3) == 0 ? Value64() : 1 + Below(50); }
+
+  /// A constant in ST: `c`, `ST + c`, `ST - c`, `c * 2 - c`.
+  ExprPtr Constant() {
+    const int64_t c = Below(3) == 0 ? Value64() : Below(40) - 20;
+    switch (Below(4)) {
+      case 0:
+        return Lit(c);
+      case 1:
+        return Add(ST(), Lit(c));
+      case 2:
+        return Sub(ST(), Lit(c));
+      default:
+        return Sub(Mul(Lit(c), Lit(2)), Lit(c));
+    }
+  }
+  /// t plus a constant, in one of several spellings.
+  ExprPtr Moving() {
+    const int64_t c = Below(4) == 0 ? Value64() : Below(30) - 20;
+    switch (Below(7)) {
+      case 0:
+        return T();
+      case 1:
+        return Add(T(), Lit(c));
+      case 2:
+        return Sub(T(), Lit(c));
+      case 3:
+        return Add(Lit(c), T());
+      case 4:
+        return Sub(Mul(Lit(2), T()), Add(T(), Lit(c)));  // 2t - (t + c).
+      case 5:
+        return Neg(Sub(Lit(c), T()));  // -(c - t).
+      default:
+        return Add(Sub(T(), ST()), Add(ST(), Lit(c)));
+    }
+  }
+
+  ForLoopSpec Loop() {
+    ForLoopSpec spec;
+    switch (Below(3)) {
+      case 0:
+        spec.init = ST();
+        break;
+      case 1:
+        spec.init = Lit(Value64());
+        break;
+      default:
+        spec.init = Add(ST(), Lit(Below(40) - 20));
+    }
+    switch (Below(5)) {
+      case 0:
+        break;  // Once.
+      case 1:
+        spec.condition = Expr::Literal(Value::Bool(true));
+        break;
+      case 2:
+        spec.condition = Expr::Binary(BinaryOp::kLt, T(), Constant());
+        break;
+      default:
+        spec.condition = Expr::Binary(BinaryOp::kLe, T(), Constant());
+    }
+    const int64_t hop = 1 + Below(20);
+    switch (Below(5)) {
+      case 0:
+        break;  // The implicit t + 1.
+      case 1:
+        spec.step = Add(Lit(hop), T());
+        break;
+      case 2:
+        spec.step = Sub(T(), Lit(-hop));
+        break;
+      default:
+        spec.step = Add(T(), Lit(hop));
+    }
+    const int64_t clauses = 1 + Below(3);
+    for (int64_t c = 0; c < clauses; ++c) {
+      // Sliding, landmark (a fixed left end), fixed, or inverted (left
+      // end after the right).
+      ExprPtr left = Below(4) == 0 ? Constant() : Moving();
+      ExprPtr right = Below(6) == 0 ? Constant() : Moving();
+      if (Below(6) == 0) std::swap(left, right);
+      spec.windows.push_back({"S" + std::to_string(c), left, right});
+    }
+    return spec;
+  }
+
+ private:
+  std::mt19937_64 rng_;
+};
+
+void ExpectSameStep(const std::optional<WindowSequence::Step>& a,
+                    const std::optional<WindowSequence::Step>& b,
+                    const std::string& where) {
+  ASSERT_EQ(a.has_value(), b.has_value()) << where;
+  if (!a.has_value()) return;
+  ASSERT_EQ(a->t, b->t) << where;
+  ASSERT_EQ(a->bounds.size(), b->bounds.size()) << where;
+  for (size_t i = 0; i < a->bounds.size(); ++i) {
+    ASSERT_EQ(a->bounds[i], b->bounds[i]) << where << " clause " << i;
+  }
+}
+
+TEST(LinearLoopTest, ArithmeticMatchesTheExpressionTrees) {
+  constexpr int kLoops = 4000;
+  constexpr int kSteps = 40;
+  int recognised = 0, overflowed = 0;
+  for (uint64_t seed = 1; seed <= kLoops; ++seed) {
+    LinearLoopGen gen(seed);
+    const Timestamp st = gen.St();
+    const ForLoopSpec spec = gen.Loop();
+    ASSERT_TRUE(ValidateForLoop(spec).ok());
+    WindowSequence fast(&spec, st);
+    WindowSequence slow = WindowSequence::Interpreted(&spec, st);
+    ASSERT_EQ(slow.linear(), nullptr);
+    if (fast.linear() != nullptr) ++recognised;
+    // A third copy skips ahead by arithmetic and must land where the
+    // others step to.
+    WindowSequence skip = fast;
+    const uint64_t skip_to =
+        skip.linear() == nullptr
+            ? 0
+            : std::min<uint64_t>(skip.safe_steps(),
+                                 static_cast<uint64_t>(gen.Below(kSteps)));
+    if (skip_to > 0) {
+      // Of the skipped windows, those ending each clause below a bound.
+      const Timestamp bound = gen.Value64();
+      uint64_t expect_below = 0;
+      WindowSequence walk = fast;
+      const uint64_t safe = walk.safe_steps();
+      bool counted_all = true;
+      for (uint64_t j = 0; j < safe; ++j) {
+        if (j == 64) {
+          counted_all = false;
+          break;
+        }
+        auto s = walk.Next();
+        ASSERT_TRUE(s.has_value());
+        if (s->bounds[0].right < bound) ++expect_below;
+      }
+      if (counted_all) {
+        EXPECT_EQ(fast.StepsEndingBelow(0, bound), expect_below)
+            << "seed " << seed;
+      }
+      skip.Skip(skip_to);
+    }
+    const std::string where = "seed " + std::to_string(seed);
+    for (int i = 0; i < kSteps; ++i) {
+      const auto a = fast.Next();
+      const auto b = slow.Next();
+      ExpectSameStep(a, b, where + " step " + std::to_string(i));
+      if (static_cast<uint64_t>(i) >= skip_to && skip_to > 0) {
+        ExpectSameStep(skip.Next(), a,
+                       where + " skipped to " + std::to_string(skip_to));
+      }
+      ASSERT_EQ(fast.done(), slow.done()) << where;
+      ASSERT_EQ(fast.current_t(), slow.current_t()) << where;
+      ASSERT_EQ(fast.index(), slow.index()) << where;
+      if (!a.has_value()) break;
+    }
+    ASSERT_EQ(fast.status().code(), slow.status().code()) << where;
+    ASSERT_EQ(fast.status().message(), slow.status().message()) << where;
+    if (!fast.status().ok()) ++overflowed;
+  }
+  // Most generated loops are linear; some end on an overflow.
+  std::printf("%d of %d loops linear, %d ended on an overflow\n", recognised,
+              kLoops, overflowed);
+  EXPECT_GT(recognised, kLoops * 3 / 4);
+  EXPECT_GT(overflowed, kLoops / 20);
+}
+
+TEST(LinearLoopTest, StandingSlidingLoopIsLinear) {
+  // for (t = ST; true; t += 5) { WindowIs(S, t - 9, t); }, ST = 100.
+  ForLoopSpec spec = MakeSlidingWindow("S", 10, 5, 100, std::nullopt);
+  WindowSequence seq(&spec, 100);
+  const LinearLoop* loop = seq.linear();
+  ASSERT_NE(loop, nullptr);
+  EXPECT_EQ(loop->t0, 100);
+  EXPECT_EQ(loop->hop, 5);
+  EXPECT_TRUE(loop->left(0).moves);
+  EXPECT_EQ(loop->left(0).offset, -9);
+  EXPECT_EQ(loop->right(0).offset, 0);
+  // Until t + 5 would pass INT64_MAX.
+  EXPECT_EQ(loop->steps, static_cast<uint64_t>((kMaxTimestamp - 5 - 100) /
+                                               5) + 1);
+  // Windows [91, 100], [96, 105], [101, 110] end below 111.
+  EXPECT_EQ(seq.StepsEndingBelow(0, 111), 3u);
+  seq.Skip(3);
+  auto step = seq.Next();
+  ASSERT_TRUE(step.has_value());
+  EXPECT_EQ(step->t, 115);
+  EXPECT_EQ(step->bounds[0], (WindowBounds{106, 115}));
+}
+
+TEST(LinearLoopTest, NonLinearLoopsAreNotRecognised) {
+  auto loop = [](ExprPtr condition, ExprPtr step, ExprPtr left,
+                 ExprPtr right) {
+    ForLoopSpec spec;
+    spec.init = Lit(1);
+    spec.condition = std::move(condition);
+    spec.step = std::move(step);
+    spec.windows.push_back({"S", std::move(left), std::move(right)});
+    return spec;
+  };
+  const ExprPtr yes = Expr::Literal(Value::Bool(true));
+  const std::vector<ForLoopSpec> specs = {
+      loop(yes, Mul(Lit(2), T()), Sub(T(), Lit(4)), T()),  // t = 2*t.
+      loop(yes, Add(T(), T()), T(), T()),                   // t = t + t.
+      loop(yes, Sub(T(), Lit(1)), T(), T()),                // t -= 1.
+      loop(yes, Add(T(), Lit(0)), T(), T()),                // t += 0.
+      loop(yes, Add(T(), Lit(1)), Mul(Lit(2), T()), T()),   // Bound 2*t.
+      loop(yes, Add(T(), Lit(1)), T(), Neg(T())),           // Bound -t.
+      loop(yes, Add(T(), Lit(1)),
+           Expr::Binary(BinaryOp::kDiv, T(), Lit(2)), T()),  // Bound t/2.
+      loop(yes, Add(T(), Lit(1)), T(), Mul(T(), T())),       // Bound t*t.
+      loop(yes, Add(T(), Expr::Literal(Value::Double(1.5))), T(), T()),
+      loop(Expr::Binary(BinaryOp::kGe, T(), Lit(0)), Add(T(), Lit(1)), T(),
+           T()),  // t >= 0.
+      loop(Expr::Binary(BinaryOp::kLt, Add(T(), Lit(1)), Lit(9)),
+           Add(T(), Lit(1)), T(), T()),  // t + 1 < 9.
+      loop(Expr::Binary(BinaryOp::kLt, T(), T()), Add(T(), Lit(1)), T(),
+           T()),  // t < t.
+      loop(Expr::Literal(Value::Bool(false)), Add(T(), Lit(1)), T(), T()),
+      loop(Expr::Binary(BinaryOp::kLt, T(), Lit(INT64_MIN)),
+           Add(T(), Lit(1)), T(), T()),  // Never true.
+  };
+  for (size_t i = 0; i < specs.size(); ++i) {
+    WindowSequence seq(&specs[i], 0);
+    EXPECT_EQ(seq.linear(), nullptr) << "loop " << i;
+    // They still step, by the trees.
+    WindowSequence ref = WindowSequence::Interpreted(&specs[i], 0);
+    for (int s = 0; s < 5; ++s) {
+      ExpectSameStep(seq.Next(), ref.Next(), "loop " + std::to_string(i));
+    }
+  }
 }
 
 }  // namespace
