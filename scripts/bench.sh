@@ -22,7 +22,10 @@
 # queries (bench_cacq_sharing, BM_SharedJoin) and the per-window
 # symmetric-hash/index hybrid (bench_stem_hybrid_join), and the other two
 # users of the query index: PSoup's Query SteM (bench_psoup) and the
-# grouped filter inside it (bench_grouped_filter). Add binaries via
+# grouped filter inside it (bench_grouped_filter), and the E8 windows on
+# all three window-plan kinds: a landmark's running state, sliding panes
+# and units (bench_windows: BM_LandmarkMax, BM_SlidingMax,
+# BM_SlidingSumDouble, BM_ServerSlidingAvgHop). Add binaries via
 # $BENCHES.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -31,7 +34,7 @@ JOBS="${JOBS:-$(nproc)}"
 BUILD_DIR="${BUILD_DIR:-build}"
 SHA="$(git rev-parse --short HEAD)"
 OUT="${OUT:-BENCH_${SHA}.json}"
-BENCHES="${BENCHES:-bench_executor bench_fjords_queues bench_many_queries bench_disorder bench_spool bench_cacq_sharing bench_stem_hybrid_join bench_psoup bench_grouped_filter}"
+BENCHES="${BENCHES:-bench_executor bench_fjords_queues bench_many_queries bench_disorder bench_spool bench_cacq_sharing bench_stem_hybrid_join bench_psoup bench_grouped_filter bench_windows}"
 
 EXTRA_ARGS=()
 if [[ "${1:-}" == "--quick" ]]; then

@@ -46,8 +46,8 @@ enum class Consistency : uint8_t {
 ///
 /// Every window is evaluated whole, which is always correct: this is the
 /// reference the server's standing window plan (SharedWindowScan) must
-/// match byte for byte, and the path of joins, table sources and
-/// speculative queries.
+/// match byte for byte, and the path of joins, table sources,
+/// speculative queries and loops that are not linear.
 class QueryRunner {
  public:
   struct Options {
@@ -79,28 +79,30 @@ class QueryRunner {
   /// ResultSet per fired window to `out`. Returns the number fired.
   size_t Advance(Timestamp high_watermark, std::vector<ResultSet>* out);
 
-  /// Windows of a linear loop taken by index: window k is the loop's k-th
-  /// step (LinearLoop::TimeAt).
-  struct Run {
-    uint64_t first = 0;
-    uint64_t count = 0;
-  };
-
   /// The readiness half of Advance: moves every window step ready at
   /// `high_watermark` to `steps`, in firing order, without executing it.
-  /// The caller owns their execution (SharedWindowScan). Returns the
-  /// number taken. With `run`, a linear loop's ready windows are taken by
-  /// arithmetic as a run of indexes instead, and `steps` only receives
-  /// what follows the run at the loop's end (a window whose step or next
-  /// end overflows).
+  /// Returns the number taken.
   ///
   /// At most kMaxStepsPerAdvance steps become ready in one call. A
   /// for-loop that makes more ready at once (one that walks ~2^63 empty
   /// windows, or cycles forever) takes none: the query ends with a
   /// ResourceExhausted status() instead of exhausting memory.
   size_t TakeReady(Timestamp high_watermark,
-                   std::vector<WindowSequence::Step>* steps,
-                   Run* run = nullptr);
+                   std::vector<WindowSequence::Step>* steps);
+
+  /// Windows of a linear loop taken by index: window k is the loop's k-th
+  /// (LinearLoop::TimeAt).
+  struct Run {
+    uint64_t first = 0;
+    uint64_t count = 0;
+  };
+
+  /// TakeReady for a linear loop (a shareable query's), by arithmetic:
+  /// takes the ready windows as a run of indexes, for the caller
+  /// (SharedWindowScan) to execute. Taking the loop's last window ends
+  /// the query with the status the expression trees give; the same step
+  /// budget applies.
+  Run TakeRun(Timestamp high_watermark);
 
   /// Window steps one advance may fire. Far above any real per-advance
   /// count (the largest in the test suite, examples and benchmarks is
@@ -108,14 +110,11 @@ class QueryRunner {
   static constexpr size_t kMaxStepsPerAdvance = 1 << 16;
 
   /// True when the query's windows can fire through a SharedWindowScan:
-  /// it reads one stream and no table, and is not speculative (its
-  /// windows are final when they fire, so none is ever re-executed). A
+  /// it reads one stream and no table, is not speculative (its windows
+  /// are final when they fire, so none is ever re-executed), and its loop
+  /// is linear (LinearLoop), so every window follows from its index. A
   /// property of the query.
   bool shareable() const { return shareable_; }
-
-  /// ClassifyWindow's probe of the query's one window clause (absent for
-  /// joins, tables-only snapshots and malformed loops).
-  const std::optional<WindowShape>& window_shape() const { return shape_; }
 
   /// Speculative revision (DESIGN.md §15): a tuple with timestamp
   /// `late_ts` landed in (or left) the archives after windows covering it
@@ -155,6 +154,9 @@ class QueryRunner {
   /// Runs window contents through a fresh Eddy plan; returns wide tuples.
   std::vector<Tuple> RunDataflow(const WindowSequence::Step& step);
 
+  /// Ends the query on the per-advance step budget.
+  void EndOnBudget();
+
   std::shared_ptr<const AnalyzedQuery> analyzed_;
   std::vector<const Archive*> archives_;
   std::vector<TupleVector> table_rows_;
@@ -167,7 +169,6 @@ class QueryRunner {
   uint64_t total_visits_ = 0;
   uint64_t tuples_scanned_ = 0;
   bool shareable_ = false;
-  std::optional<WindowShape> shape_;
 
   /// Speculative mode: fired windows retained for revision, oldest first.
   struct FiredWindow {
@@ -187,21 +188,23 @@ class QueryRunner {
 ///
 ///  * a QueryIndex over the queries' WHERE factors (its grouped filters
 ///    compile lazily on the first scan after a change);
-///  * for a query whose loop is linear (LinearLoop) with one window of
-///    width w moving by hop h, and whose select list merges exactly —
-///    COUNT, MIN, MAX and INT64 SUM (AggregatePlan::Mergeable), or plain
-///    projections — partials on a grid of panes of gcd(w, h) ticks,
-///    anchored at its first window's left end, in a ring indexed by pane
-///    slot. Its ready windows are taken as a run of indexes. Each tuple is
-///    added to one pane; window k is the in-order merge of the panes from
-///    its first slot (for projections, their rows concatenated);
-///  * for a landmark aggregate (fixed left end L, right end moving
-///    forward), the one-pane case: one running aggregate state fed from
-///    L in archive order, each window emitted from it as the scan passes
-///    the window's right end. Nothing is merged, so every aggregate is
-///    exact, AVG and double SUM included.
-///
-/// Every other query and step is its own unit, scanned when it fires.
+///  * per query, one decision made at Add from its LinearLoop. Every fired
+///    window comes as an index k in a run (QueryRunner::TakeRun), its t
+///    and ends computed from k:
+///    - a grid, when both ends move (width w, hop h), the select list
+///      merges exactly — COUNT, MIN, MAX and INT64 SUM
+///      (AggregatePlan::Mergeable), or plain projections — and a ring
+///      holds a window's panes: partials on panes of gcd(w, h) ticks,
+///      anchored at window 0's left end, in a ring indexed by pane slot.
+///      Each tuple is added to one pane; window k is the in-order merge
+///      of the panes from its first slot (for projections, their rows
+///      concatenated);
+///    - a landmark, when the query has aggregates, the left end is a
+///      constant L and the right end moves: one running aggregate state
+///      fed from L in archive order, each window emitted from it as the
+///      scan passes the window's right end. Nothing is merged, so every
+///      aggregate is exact, AVG and double SUM included;
+///    - units otherwise: each window scanned whole when it fires.
 ///
 /// The archive stays the source of truth: a kIngestLate insert or a
 /// matched retraction (Archive::WatchRewrites) drops every pane from the

@@ -148,13 +148,13 @@ TEST_F(IntegrationTest, MixedPopulationOverTwoStreams) {
 }
 
 TEST_F(IntegrationTest, HoppingWindowSkipsDataEndToEnd) {
-  // §4.1.2 hopping windows through the full parse -> classify -> execute
+  // §4.1.2 hopping windows through the full parse -> analyze -> execute
   // path: width 5, hop 10, so half the stream never participates.
   const std::string sql =
       "SELECT MAX(price) FROM Quotes "
       "for (t = 10; t <= 40; t += 10) { WindowIs(Quotes, t - 4, t); }";
 
-  // The parsed for-loop classifies as a data-skipping hopping window.
+  // The parsed for-loop is linear: both ends move, by more than the width.
   Catalog catalog;
   StreamDef def;
   def.name = "Quotes";
@@ -164,12 +164,14 @@ TEST_F(IntegrationTest, HoppingWindowSkipsDataEndToEnd) {
   auto aq = AnalyzeSql(sql, catalog);
   ASSERT_TRUE(aq.ok()) << aq.status();
   ASSERT_TRUE(aq->window.has_value());
-  auto shape = ClassifyWindow(*aq->window, 0, /*st=*/0);
-  ASSERT_TRUE(shape.ok()) << shape.status();
-  EXPECT_EQ(shape->window_class, WindowClass::kHopping);
-  EXPECT_EQ(shape->hop, 10);
-  EXPECT_EQ(shape->width, 5);
-  EXPECT_TRUE(shape->skips_data);
+  WindowSequence seq(&*aq->window, /*st=*/0);
+  const LinearLoop* loop = seq.linear();
+  ASSERT_NE(loop, nullptr);
+  EXPECT_TRUE(loop->left(0).moves && loop->right(0).moves);
+  const int64_t width = loop->right(0).offset - loop->left(0).offset + 1;
+  EXPECT_EQ(width, 5);
+  EXPECT_EQ(loop->hop, 10);
+  EXPECT_GT(loop->hop, width);  // The windows skip data.
 
   auto q = server_.Submit(sql);
   ASSERT_TRUE(q.ok()) << q.status();
@@ -211,9 +213,9 @@ TEST_F(IntegrationTest, ReverseWindowBrowsesHistoryEndToEnd) {
   auto aq = AnalyzeSql(sql, catalog);
   ASSERT_TRUE(aq.ok()) << aq.status();
   ASSERT_TRUE(aq->window.has_value());
-  auto shape = ClassifyWindow(*aq->window, 0, /*st=*/0);
-  ASSERT_TRUE(shape.ok()) << shape.status();
-  EXPECT_EQ(shape->window_class, WindowClass::kReverse);
+  // A loop that steps backwards is not linear: the server evaluates each
+  // window whole through its own runner.
+  EXPECT_EQ(WindowSequence(&*aq->window, /*st=*/0).linear(), nullptr);
 
   auto q = server_.Submit(sql);
   ASSERT_TRUE(q.ok()) << q.status();
