@@ -129,20 +129,20 @@ class SmallBitset {
     return *this;
   }
 
-  /// Removes from *this every bit set in `other`, where `other` may be
-  /// narrower than *this (bits of *this past other.size_bits() are
-  /// untouched — they cannot be set in `other`). This is the hot-path
-  /// form used by GroupedFilter::Apply when the candidate lineage bitmap
-  /// is wider than the filter's query table: operator-= DCHECKs equal
-  /// widths and would force a per-tuple Resize of a scratch copy.
-  /// Sound because ClearTail keeps bits >= size_bits() zero in every
-  /// word, so subtracting over other's words alone is exact.
-  SmallBitset& SubtractPrefix(const SmallBitset& other) {
-    TCQ_DCHECK(other.nbits_ <= nbits_);
-    for (size_t w = 0; w < WordsFor(other.nbits_); ++w) {
-      WordAt(w) &= ~other.WordAt(w);
+  /// Ands each of the first `words` words of *this (at most its own)
+  /// with `mask(w)`; the words past them are untouched. The hot form of
+  /// GroupedFilter::Apply: one fused pass over the filter's words, where
+  /// the candidate lineage bitmap may be wider than the filter's query
+  /// table. An and never sets a bit, so bits >= size_bits() stay zero.
+  template <typename MaskFn>
+  void AndWords(size_t words, MaskFn&& mask) {
+    TCQ_DCHECK(words <= WordsFor(nbits_));
+    const size_t inline_words = words < kInlineWords ? words : kInlineWords;
+    for (size_t w = 0; w < inline_words; ++w) inline_[w] &= mask(w);
+    uint64_t* spill = overflow_.data();
+    for (size_t w = kInlineWords; w < words; ++w) {
+      spill[w - kInlineWords] &= mask(w);
     }
-    return *this;
   }
 
   bool operator==(const SmallBitset& other) const {

@@ -318,16 +318,6 @@ Result<QueryId> Server::Submit(const std::string& sql,
       engine->Start();
       ss.engine = std::move(engine);
     }
-    // Set before the engine knows the query: from AddQuery on, the
-    // egress thread may project its rows.
-    qs->column_projection.reserve(aq.projections.size());
-    for (const ExprPtr& e : aq.projections) {
-      if (e->kind() != ExprKind::kColumn || e->column_index() < 0) {
-        qs->column_projection.clear();
-        break;
-      }
-      qs->column_projection.push_back(static_cast<size_t>(e->column_index()));
-    }
     // The analysis classified every factor against the one source's
     // schema, whose columns the engine's layout shares: install that.
     CacqQueryPlan plan;
@@ -349,6 +339,8 @@ Result<QueryId> Server::Submit(const std::string& sql,
       if (ss.cacq_owner.size() <= engine_q) {
         ss.cacq_owner.resize(engine_q + 1, nullptr);
       }
+      // The egress thread projects a query's rows from here on.
+      qs->select_list = InternSelectListLocked(&ss, qs->analyzed);
       ss.cacq_owner[engine_q] = qs.get();
     }
     ++(speculative ? ss.cacq_speculative : ss.cacq_delayed);
@@ -482,7 +474,10 @@ Status Server::Cancel(QueryId q) {
       // drain starts no callback of an inactive query.
       std::lock_guard<std::mutex> rlock(results_mu_);
       qs->active = false;
-      if (ss != nullptr) ss->cacq_owner[qs->cacq_id] = nullptr;
+      if (ss != nullptr) {
+        ss->cacq_owner[qs->cacq_id] = nullptr;
+        ReleaseSelectListLocked(ss, qs->select_list);
+      }
       qs->results = Fifo<ResultSet>();
       qs->buffered_rows = 0;
       // A callback running on this thread is on our own stack.
@@ -1078,29 +1073,86 @@ void Server::DeliverFired() {
   fired_.clear();
 }
 
-Tuple Server::ProjectRow(const QueryState& qs, const Tuple& t) {
-  if (!qs.column_projection.empty()) {
-    Tuple row = t.Project(qs.column_projection);
+Tuple Server::SelectList::Project(const Tuple& t) const {
+  if (evaluated == nullptr) {
+    Tuple row = t.Project(columns);
     row.set_seq(0);  // Egress rows carry no engine arrival sequence.
     return row;
   }
-  Tuple row = EvalSelectList(*qs.analyzed, t);
+  Tuple row = EvalSelectList(*evaluated, t);
   row.set_retraction(t.retraction());
   return row;
 }
 
+uint32_t Server::InternSelectListLocked(
+    StreamState* ss, const std::shared_ptr<const AnalyzedQuery>& aq) {
+  std::vector<size_t> columns;
+  for (const ExprPtr& e : aq->projections) {
+    if (e->kind() != ExprKind::kColumn || e->column_index() < 0) {
+      columns.clear();
+      break;
+    }
+    columns.push_back(static_cast<size_t>(e->column_index()));
+  }
+  const bool evaluated = columns.size() != aq->projections.size();
+  // A row depends only on the list, so lists with one key share rows.
+  // Each item's text is length-prefixed: no item can run into the next.
+  std::string key = evaluated ? "e" : "c";
+  if (evaluated) {
+    for (const ExprPtr& e : aq->projections) {
+      const std::string text = e->ToString();
+      key += std::to_string(text.size()) + ":" + text;
+    }
+  } else {
+    for (const size_t c : columns) key += std::to_string(c) + ",";
+  }
+  if (auto it = ss->select_list_ids.find(key);
+      it != ss->select_list_ids.end()) {
+    ++ss->select_lists[it->second].refs;
+    return it->second;
+  }
+  uint32_t id;
+  if (ss->free_select_lists.empty()) {
+    id = static_cast<uint32_t>(ss->select_lists.size());
+    ss->select_lists.emplace_back();
+  } else {
+    id = ss->free_select_lists.back();
+    ss->free_select_lists.pop_back();
+  }
+  SelectList& list = ss->select_lists[id];
+  list.key = key;
+  list.refs = 1;
+  list.columns = std::move(columns);
+  if (evaluated) list.evaluated = aq;
+  ss->select_list_ids.emplace(std::move(key), id);
+  return id;
+}
+
+void Server::ReleaseSelectListLocked(StreamState* ss, uint32_t id) {
+  SelectList& list = ss->select_lists[id];
+  if (--list.refs > 0) return;
+  ss->select_list_ids.erase(list.key);
+  list = SelectList();  // Stamp 0: no batch's memo matches it.
+  ss->free_select_lists.push_back(id);
+}
+
 namespace {
 
-/// One query's set out of an emission batch: the emissions at `rows`, in
-/// arrival order, `t` the last row's timestamp.
-template <typename ProjectFn>
-ResultSet BuildSet(const std::vector<ShardedEngine::Emission>& batch,
-                   std::span<const uint32_t> rows, ProjectFn&& project) {
-  ResultSet rs;
-  rs.rows.reserve(rows.size());
-  for (const uint32_t i : rows) rs.rows.push_back(project(batch[i].second));
-  rs.t = rs.rows.back().timestamp();
-  return rs;
+/// Appends the batch rows at `run` to `set`, in order; `t` is the last
+/// row's timestamp. Rows are copies that alias the batch's cells.
+void FillSet(const std::vector<Tuple>& rows, std::span<const uint32_t> run,
+             ResultSet* set) {
+  set->rows.reserve(set->rows.size() + run.size());
+  for (const uint32_t i : run) set->rows.push_back(rows[i]);
+  set->t = set->rows.back().timestamp();
+}
+
+/// Whether two emissions are one input tuple: the engine emits a tuple's
+/// queries back to back, each aliasing its cell block with its timestamp
+/// and sign — all that a projection reads.
+bool SameInput(const Tuple& a, const Tuple& b) {
+  return a.cells().data() == b.cells().data() &&
+         a.timestamp() == b.timestamp() && a.retraction() == b.retraction();
 }
 
 }  // namespace
@@ -1111,38 +1163,45 @@ void Server::DeliverShardEmissions(
   // blocked on a full exchange queue — taking it here would deadlock.
   // Inline, the pushing thread already holds mu_.
   std::lock_guard<std::mutex> rlock(results_mu_);
-  for (size_t i = 0; i < batch.size(); ++i) {
-    const QueryId engine_q = batch[i].first;
+  std::shared_ptr<EmissionBatch> shared;
+  if (spare_batches_.empty()) {
+    shared = std::make_shared<EmissionBatch>();
+  } else {
+    shared = std::move(spare_batches_.back());
+    spare_batches_.pop_back();
+  }
+  // Project each input tuple once per select list; its queries' sets
+  // all alias that row.
+  std::vector<Tuple>& rows = shared->rows;
+  const Tuple* input = nullptr;
+  for (const auto& [engine_q, t] : batch) {
     QueryState* owner =
         engine_q < ss->cacq_owner.size() ? ss->cacq_owner[engine_q] : nullptr;
     if (owner == nullptr) continue;  // Canceled mid-flight.
+    if (input == nullptr || !SameInput(*input, t)) {
+      ++projection_stamp_;
+      input = &t;
+    }
+    SelectList& list = ss->select_lists[owner->select_list];
+    if (list.stamp != projection_stamp_) {
+      list.stamp = projection_stamp_;
+      list.row = static_cast<uint32_t>(rows.size());
+      rows.push_back(list.Project(t));
+    }
     if (owner->gather.empty()) touched_.push_back(owner);
-    owner->gather.push_back(static_cast<uint32_t>(i));
+    owner->gather.push_back(list.row);
   }
-  // Sets bound for a callback keep only indexes into the shared batch:
-  // each is projected just before its callback and freed after it, so at
-  // most one set's rows are alive at a time.
-  std::shared_ptr<EmissionBatch> shared;
+  // Sets bound for a callback keep only row indexes into the shared
+  // batch; the drain lends each callback a set of copies and the batch
+  // is spare again once its last set is delivered.
   for (QueryState* qs : touched_) {
     CountSetLocked(qs, qs->gather.size());
     if (qs->callback == nullptr && qs->queued == 0) {
-      BufferLocked(qs, BuildSet(shared ? shared->emissions : batch,
-                                qs->gather, [qs](const Tuple& t) {
-                                  return ProjectRow(*qs, t);
-                                }));
+      ResultSet rs;
+      FillSet(rows, qs->gather, &rs);
+      BufferLocked(qs, std::move(rs));
       qs->gather.clear();
       continue;
-    }
-    if (shared == nullptr) {
-      // A spare batch's storage goes back to the engine in its place
-      // (with its delivered emissions, which the engine clears).
-      if (spare_batches_.empty()) {
-        shared = std::make_shared<EmissionBatch>();
-      } else {
-        shared = std::move(spare_batches_.back());
-        spare_batches_.pop_back();
-      }
-      shared->emissions.swap(batch);
     }
     Delivery d;
     d.qs = qs;
@@ -1155,15 +1214,15 @@ void Server::DeliverShardEmissions(
     EnqueueLocked(std::move(d));
   }
   touched_.clear();
+  RecycleBatchLocked(&shared);
 }
 
 void Server::RecycleBatchLocked(std::shared_ptr<EmissionBatch>* batch) {
   // Every reference is taken and dropped under results_mu_, so the count
-  // is exact: at 1, no queued set reads the batch any more. Its emissions
-  // stay until the batch is reused: they go back to the engine, which
-  // frees them outside results_mu_.
+  // is exact: at 1, no queued set reads the batch any more.
   if (*batch != nullptr && batch->use_count() == 1 &&
       spare_batches_.size() < kSpareBatches) {
+    (*batch)->rows.clear();
     (*batch)->order.clear();
     spare_batches_.push_back(std::move(*batch));
   }
@@ -1201,28 +1260,37 @@ void Server::DrainDeliveries(bool wait) {
     QueryState* qs = d.qs;
     --qs->queued;
     const Callback* cb = qs->active ? qs->callback.get() : nullptr;
-    const auto take = [qs, &d] {
-      if (d.batch == nullptr) return std::move(d.set);
-      return BuildSet(
-          d.batch->emissions,
-          std::span<const uint32_t>(d.batch->order).subspan(d.begin, d.count),
-          [qs](const Tuple& t) { return ProjectRow(*qs, t); });
-    };
+    const std::span<const uint32_t> run =
+        d.batch == nullptr
+            ? std::span<const uint32_t>()
+            : std::span<const uint32_t>(d.batch->order).subspan(d.begin,
+                                                                 d.count);
     std::exception_ptr thrown;
     if (cb == nullptr) {
       // Canceled (dropped), or disconnected while queued (buffered, in
       // order: the query's later sets are queued behind this one).
-      if (qs->active) BufferLocked(qs, take());
+      if (qs->active) {
+        if (d.batch != nullptr) FillSet(d.batch->rows, run, &d.set);
+        BufferLocked(qs, std::move(d.set));
+      }
     } else {
+      // A callback takes the set by const reference, so a batch's set is
+      // lent from the drain's reused buffer.
+      const ResultSet* set = &d.set;
+      if (d.batch != nullptr) {
+        FillSet(d.batch->rows, run, &callback_set_);
+        set = &callback_set_;
+      }
       qs->in_flight = true;
       in_flight_seq_ = d.seq;
       lock.unlock();
       try {
-        (*cb)(take());
+        (*cb)(*set);
       } catch (...) {
         thrown = std::current_exception();
       }
       lock.lock();
+      callback_set_.rows.clear();
       qs->in_flight = false;
       in_flight_seq_ = 0;
     }

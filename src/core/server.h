@@ -10,6 +10,7 @@
 #include <span>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "cacq/sharded_engine.h"
@@ -304,9 +305,8 @@ class Server {
     StreamState* window_stream = nullptr;  ///< That stream.
     std::string cacq_stream;                 ///< CACQ path.
     QueryId cacq_id = 0;
-    /// CACQ egress projection by cell index, when every select item is
-    /// a bound column reference (empty: evaluate `analyzed.projections`).
-    std::vector<size_t> column_projection;
+    /// Its select list's id in the stream's `select_lists` (CACQ path).
+    uint32_t select_list = 0;
     /// Buffered for Poll, bounded in rows.
     Fifo<ResultSet> results;
     size_t buffered_rows = 0;  ///< Rows in `results`.
@@ -322,11 +322,29 @@ class Server {
     /// sets reach the callback or the Poll buffer in order.
     size_t queued = 0;
     bool in_flight = false;  ///< Its callback is running now.
-    /// Emission indexes of the engine batch being grouped (reused).
+    /// Row indexes of the emission batch being grouped (reused).
     std::vector<uint32_t> gather;
     /// Window sets of one advance or revision pass, in firing order; its
     /// storage is reused (swapped with the window plan's).
     std::vector<ResultSet> fired;
+  };
+
+  /// A standing query's select list, shared by every standing query of
+  /// its stream with the same list: a column list is keyed by its cell
+  /// indexes, an evaluated list by its bound text.
+  struct SelectList {
+    std::string key;  ///< Empty while the id is free.
+    size_t refs = 0;  ///< Live queries with this list.
+    /// Cell indexes, when every item is a bound column reference.
+    std::vector<size_t> columns;
+    /// Otherwise a query whose `projections` are evaluated.
+    std::shared_ptr<const AnalyzedQuery> evaluated;
+    /// The input tuple projected last (a Server::projection_stamp_) and
+    /// its row in the emission batch being grouped.
+    uint64_t stamp = 0;
+    uint32_t row = 0;
+    /// One engine emission as a result row of this list.
+    Tuple Project(const Tuple& t) const;
   };
 
   struct StreamState {
@@ -371,6 +389,12 @@ class Server {
     /// once cancelled. Guarded by results_mu_ (the egress thread resolves
     /// emissions through it); writers hold mu_ too.
     std::vector<QueryState*> cacq_owner;
+    /// Select lists of the standing queries, interned at Submit and
+    /// released at Cancel (ids are reused), so an emission batch projects
+    /// each input tuple once per distinct list. Guarded like cacq_owner.
+    std::vector<SelectList> select_lists;
+    std::unordered_map<std::string, uint32_t> select_list_ids;
+    std::vector<uint32_t> free_select_lists;
     /// Windowed queries reading this stream, in registration order.
     /// Cancel only sets `windowed_cancelled`; the next advance sweeps.
     std::vector<QueryState*> windowed;
@@ -380,15 +404,15 @@ class Server {
     std::unique_ptr<SharedWindowScan> windows;
   };
 
-  /// An engine batch whose sets wait in the delivery FIFO: the
-  /// emissions, and their indexes grouped by query (each Delivery owns
-  /// one run of `order`).
+  /// The result rows of one engine batch, one per input tuple and select
+  /// list, and their indexes grouped by query for the sets that wait in
+  /// the delivery FIFO (each Delivery owns one run of `order`).
   struct EmissionBatch {
-    std::vector<ShardedEngine::Emission> emissions;
+    std::vector<Tuple> rows;
     std::vector<uint32_t> order;
   };
   /// One set waiting in the delivery FIFO: a built set (windows, Poll
-  /// backlog), or a CACQ set still to be projected from `batch`.
+  /// backlog), or a CACQ set whose rows are in `batch`.
   struct Delivery {
     QueryState* qs = nullptr;
     uint64_t seq = 0;  ///< Order of queueing (not always FIFO position).
@@ -412,8 +436,15 @@ class Server {
   };
 
   /// Drops a delivered set's reference to its emission batch, keeping
-  /// the batch as a spare when it was the last (under results_mu_).
+  /// the batch (emptied) as a spare when it was the last (under
+  /// results_mu_).
   void RecycleBatchLocked(std::shared_ptr<EmissionBatch>* batch);
+  /// Interns `aq`'s select list among `ss`'s standing queries and returns
+  /// its id (under results_mu_).
+  static uint32_t InternSelectListLocked(
+      StreamState* ss, const std::shared_ptr<const AnalyzedQuery>& aq);
+  /// Drops one query's reference to select list `id` of `ss`.
+  static void ReleaseSelectListLocked(StreamState* ss, uint32_t id);
   /// Counts one egress set of `rows` rows (per-query and registry).
   void CountSetLocked(QueryState* qs, size_t rows);
   /// Buffers `rs` for Poll and sheds whole oldest sets past the row bound
@@ -428,15 +459,14 @@ class Server {
   /// one results_mu_ acquisition, and empties them and fired_.
   void DeliverFired();
   /// Groups one emission batch of a stream's engine by query, in arrival
-  /// order: one set per query. Sets bound for a callback are queued as
-  /// emission indexes and projected at delivery; the rest are projected
-  /// and buffered here. Runs on the egress thread when sharded (which then
+  /// order: one set per query. Each input tuple is projected once per
+  /// select list into the batch's rows; sets bound for a callback are
+  /// queued as row indexes into them, the rest are buffered here with
+  /// their own copies. Runs on the egress thread when sharded (which then
   /// drains the FIFO), inside PushBatch inline. Takes results_mu_ once per
   /// batch — never mu_ (the producer may hold it).
   void DeliverShardEmissions(StreamState* ss,
                              std::vector<ShardedEngine::Emission>&& batch);
-  /// Projects one engine emission per `qs`'s select list.
-  static Tuple ProjectRow(const QueryState& qs, const Tuple& t);
   /// Runs queued callbacks in FIFO order with no server lock held, until
   /// the FIFO is empty. One thread drains at a time; a call that finds
   /// another thread draining returns at once from a callback of this
@@ -498,6 +528,13 @@ class Server {
   /// storage for the next engine batch (under results_mu_).
   static constexpr size_t kSpareBatches = 4;
   std::vector<std::shared_ptr<EmissionBatch>> spare_batches_;
+  /// Names the input tuple DeliverShardEmissions is projecting: every
+  /// SelectList::stamp below it is stale (under results_mu_).
+  uint64_t projection_stamp_ = 0;
+  /// The set a callback of a batch-projected set receives: rebuilt from
+  /// the batch's rows for each such callback, storage kept (used by the
+  /// draining thread only).
+  ResultSet callback_set_;
   bool draining_ = false;
   std::thread::id drainer_;  ///< The draining thread, while draining_.
   uint64_t enqueued_ = 0;    ///< Sets ever queued: the last `seq`.

@@ -1,5 +1,7 @@
 #include "expr/predicates.h"
 
+#include <cmath>
+
 namespace tcq {
 
 BinaryOp FlipComparison(BinaryOp op) {
@@ -55,6 +57,36 @@ std::optional<EquiJoinPredicate> MatchEquiJoin(const ExprPtr& expr) {
   return std::nullopt;
 }
 
+namespace {
+
+/// `constant` as a GroupedFilter on a `column`-typed column holds it, or
+/// nullopt when the factor must stay residual. An INT64 constant on a
+/// DOUBLE column becomes the double Value::Compare compares it as; any
+/// other type mix, a NULL constant and a NaN (equal to every number, so
+/// not a point in the sorted bounds) stay residual.
+std::optional<Value> GroupedConstant(ValueType column, const Value& constant) {
+  switch (column) {
+    case ValueType::kDouble:
+      if (constant.type() == ValueType::kInt64) {
+        return Value::Double(static_cast<double>(constant.int64_value()));
+      }
+      if (constant.type() != ValueType::kDouble ||
+          std::isnan(constant.double_value())) {
+        return std::nullopt;
+      }
+      return constant;
+    case ValueType::kBool:
+    case ValueType::kInt64:
+    case ValueType::kString:
+      if (constant.type() != column) return std::nullopt;
+      return constant;
+    default:
+      return std::nullopt;
+  }
+}
+
+}  // namespace
+
 Result<FactorPlan> ClassifyFactor(const ExprPtr& factor,
                                   const Schema& schema) {
   FactorPlan plan;
@@ -70,11 +102,14 @@ Result<FactorPlan> ClassifyFactor(const ExprPtr& factor,
   }
   if (auto sp = MatchSimplePredicate(factor)) {
     if (auto idx = schema.IndexOf(sp->column); idx.ok()) {
-      plan.kind = FactorPlan::Kind::kGrouped;
-      plan.column = *idx;
-      plan.op = sp->op;
-      plan.constant = std::move(sp->constant);
-      return plan;
+      if (std::optional<Value> c =
+              GroupedConstant(schema.field(*idx).type, sp->constant)) {
+        plan.kind = FactorPlan::Kind::kGrouped;
+        plan.column = *idx;
+        plan.op = sp->op;
+        plan.constant = std::move(*c);
+        return plan;
+      }
     }
   }
   TCQ_ASSIGN_OR_RETURN(plan.bound, factor->Bind(schema));

@@ -47,14 +47,17 @@ struct FactorPlan {
   size_t column = 0;    ///< kGrouped: the indexed column; kJoin: left side.
   size_t column_b = 0;  ///< kJoin: right side.
   BinaryOp op = BinaryOp::kEq;  ///< kGrouped.
-  Value constant;               ///< kGrouped.
+  Value constant;               ///< kGrouped: of the column's type.
   ExprPtr bound;                ///< kResidual: the factor bound to `schema`.
 };
 
 /// Classifies `factor` against the full-width `schema`. An equality of two
 /// columns is a join only when their qualifiers (sources) differ; a
-/// same-source equality is residual. Fails when a referenced column does
-/// not resolve (or a residual does not bind).
+/// same-source equality is residual. A `column op constant` factor is
+/// grouped when the constant has the column's type, or is an INT64 on a
+/// DOUBLE column (converted to the double it compares as); any other
+/// type mix, and a NaN constant, is residual. Fails when a referenced
+/// column does not resolve (or a residual does not bind).
 Result<FactorPlan> ClassifyFactor(const ExprPtr& factor, const Schema& schema);
 
 /// Mirrors a comparison across `=` (applies when operands are swapped):

@@ -23,7 +23,8 @@ void QueryIndex::Add(size_t slot, std::span<const FactorPlan> factors) {
         columns_.begin(), columns_.end(),
         [&](const Column& c) { return c.column == f.column; });
     if (it == columns_.end()) {
-      columns_.push_back(Column{f.column, GroupedFilter()});
+      // Classification gives a grouped constant its column's type.
+      columns_.push_back(Column{f.column, GroupedFilter(f.constant.type())});
       it = columns_.end() - 1;
     }
     it->filter.AddPredicate(static_cast<QueryId>(slot), f.op, f.constant);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "common/rng.h"
 
@@ -176,34 +177,45 @@ TEST(SmallBitsetTest, AllOnEmptySetIsFalse) {
   EXPECT_FALSE(b.All());
 }
 
-TEST(SmallBitsetTest, SubtractPrefixNarrowerOperand) {
+TEST(SmallBitsetTest, AndWordsTouchesOnlyThePrefix) {
   SmallBitset wide(300);
   for (size_t i = 0; i < 300; i += 3) wide.Set(i);
   SmallBitset narrow(130);  // Overflow word with a partial tail.
   for (size_t i = 0; i < 130; i += 6) narrow.Set(i);
 
   SmallBitset expect = wide;
-  wide.SubtractPrefix(narrow);
+  // Three words: two inline, one from the overflow vector.
+  const std::vector<uint64_t> keep = {0x5555555555555555ULL, ~uint64_t{0},
+                                      0x0F0F0F0F0F0F0F0FULL};
+  wide.AndWords(keep.size(), [&](size_t w) { return keep[w]; });
 
   for (size_t i = 0; i < 300; ++i) {
     const bool want =
-        expect.Test(i) && !(i < narrow.size_bits() && narrow.Test(i));
+        expect.Test(i) && (i >= 192 || ((keep[i / 64] >> (i % 64)) & 1));
     ASSERT_EQ(wide.Test(i), want) << i;
   }
-  // Bits past the narrow operand's width are untouched.
+  // Words past the prefix are untouched.
   EXPECT_TRUE(wide.Test(297));
 }
 
-TEST(SmallBitsetTest, SubtractPrefixEqualWidthMatchesOperatorMinus) {
+TEST(SmallBitsetTest, AndWordsWithComplementMatchesOperatorMinus) {
   Rng rng(11);
   SmallBitset a(150), b(150);
   for (int i = 0; i < 60; ++i) a.Set(rng.NextBounded(150));
   for (int i = 0; i < 60; ++i) b.Set(rng.NextBounded(150));
   SmallBitset via_op = a;
   via_op -= b;
-  SmallBitset via_prefix = a;
-  via_prefix.SubtractPrefix(b);
-  EXPECT_TRUE(via_op == via_prefix);
+  SmallBitset via_words = a;
+  SmallBitset copy = b;
+  via_words.AndWords(3, [&](size_t w) {
+    uint64_t word = 0;
+    for (size_t i = 0; i < 64 && w * 64 + i < 150; ++i) {
+      if (copy.Test(w * 64 + i)) word |= uint64_t{1} << i;
+    }
+    return ~word;
+  });
+  EXPECT_TRUE(via_op == via_words);
+  EXPECT_EQ(via_words.Count(), via_op.Count());  // The tail stayed zero.
 }
 
 // Property test: random operations agree with std::set<size_t> oracle.

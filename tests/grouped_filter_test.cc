@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <unordered_map>
 #include <vector>
 
@@ -19,7 +20,7 @@ SmallBitset AllOf(size_t n) {
 }
 
 TEST(GroupedFilterTest, EqualityPredicates) {
-  GroupedFilter gf;
+  GroupedFilter gf(ValueType::kString);
   gf.AddPredicate(0, BinaryOp::kEq, Value::String("MSFT"));
   gf.AddPredicate(1, BinaryOp::kEq, Value::String("IBM"));
   gf.AddPredicate(2, BinaryOp::kEq, Value::String("MSFT"));
@@ -34,7 +35,7 @@ TEST(GroupedFilterTest, EqualityPredicates) {
 }
 
 TEST(GroupedFilterTest, RangePredicates) {
-  GroupedFilter gf;
+  GroupedFilter gf(ValueType::kDouble);
   gf.AddPredicate(0, BinaryOp::kGt, Value::Double(50.0));
   gf.AddPredicate(1, BinaryOp::kGe, Value::Double(60.0));
   gf.AddPredicate(2, BinaryOp::kLt, Value::Double(55.0));
@@ -54,7 +55,7 @@ TEST(GroupedFilterTest, RangePredicates) {
 }
 
 TEST(GroupedFilterTest, NotEqualDefaultsToPass) {
-  GroupedFilter gf;
+  GroupedFilter gf(ValueType::kInt64);
   gf.AddPredicate(0, BinaryOp::kNe, Value::Int64(7));
   EXPECT_TRUE(gf.Matching(Value::Int64(3)).Test(0));
   EXPECT_FALSE(gf.Matching(Value::Int64(7)).Test(0));
@@ -62,7 +63,7 @@ TEST(GroupedFilterTest, NotEqualDefaultsToPass) {
 
 TEST(GroupedFilterTest, MultiFactorRangeQuery) {
   // Query 0: 10 < x AND x < 20 (both factors on the same attribute).
-  GroupedFilter gf;
+  GroupedFilter gf(ValueType::kInt64);
   gf.AddPredicate(0, BinaryOp::kGt, Value::Int64(10));
   gf.AddPredicate(0, BinaryOp::kLt, Value::Int64(20));
   EXPECT_FALSE(gf.Matching(Value::Int64(10)).Test(0));
@@ -72,7 +73,7 @@ TEST(GroupedFilterTest, MultiFactorRangeQuery) {
 
 TEST(GroupedFilterTest, MixedEqAndNe) {
   // Query 0: x != 5 AND x != 6; query 1: x = 5.
-  GroupedFilter gf;
+  GroupedFilter gf(ValueType::kInt64);
   gf.AddPredicate(0, BinaryOp::kNe, Value::Int64(5));
   gf.AddPredicate(0, BinaryOp::kNe, Value::Int64(6));
   gf.AddPredicate(1, BinaryOp::kEq, Value::Int64(5));
@@ -83,7 +84,7 @@ TEST(GroupedFilterTest, MixedEqAndNe) {
 }
 
 TEST(GroupedFilterTest, ApplyOnlyNarrowsCandidates) {
-  GroupedFilter gf;
+  GroupedFilter gf(ValueType::kInt64);
   gf.AddPredicate(1, BinaryOp::kEq, Value::Int64(1));
   // Query 0 has no predicate here; query 1 fails. Start with only bit 0.
   SmallBitset candidates(2);
@@ -94,7 +95,7 @@ TEST(GroupedFilterTest, ApplyOnlyNarrowsCandidates) {
 }
 
 TEST(GroupedFilterTest, RemoveQuery) {
-  GroupedFilter gf;
+  GroupedFilter gf(ValueType::kInt64);
   gf.AddPredicate(0, BinaryOp::kGt, Value::Int64(5));
   gf.AddPredicate(1, BinaryOp::kGt, Value::Int64(5));
   gf.RemoveQuery(0);
@@ -110,7 +111,7 @@ TEST(GroupedFilterTest, RemoveQuery) {
 }
 
 TEST(GroupedFilterTest, EmptyFilterTouchesNothing) {
-  GroupedFilter gf;
+  GroupedFilter gf(ValueType::kInt64);
   SmallBitset candidates(4);
   candidates.SetAll();
   gf.Apply(Value::Int64(1), &candidates);
@@ -123,7 +124,7 @@ TEST(GroupedFilterTest, EmptyFilterTouchesNothing) {
 // num_queries() must ride through untouched, and the hot path must not
 // resize anything to make that work.
 TEST(GroupedFilterTest, MixedWidthApplyLeavesWideBitsAlone) {
-  GroupedFilter gf;
+  GroupedFilter gf(ValueType::kInt64);
   gf.AddPredicate(0, BinaryOp::kGt, Value::Int64(10));
   gf.AddPredicate(1, BinaryOp::kEq, Value::Int64(3));
   ASSERT_EQ(gf.num_queries(), 2u);
@@ -144,7 +145,7 @@ TEST(GroupedFilterTest, MixedWidthApplyLeavesWideBitsAlone) {
 // (that was the old O(n²) sorted-insert registration) and not once per
 // tuple.
 TEST(GroupedFilterTest, IndexRebuildsOncePerMutationBurst) {
-  GroupedFilter gf;
+  GroupedFilter gf(ValueType::kInt64);
   for (QueryId q = 0; q < 100; ++q) {
     gf.AddPredicate(q, BinaryOp::kGt, Value::Int64(static_cast<int64_t>(q)));
   }
@@ -179,7 +180,7 @@ TEST(GroupedFilterTest, NullValueFailsEveryFactor) {
   // SQL semantics: a comparison with NULL is never true, whatever the
   // operator — even though NULL orders before every constant in
   // Value::Compare. Queries with no factor on the attribute keep their bit.
-  GroupedFilter gf;
+  GroupedFilter gf(ValueType::kInt64);
   gf.AddPredicate(0, BinaryOp::kLt, Value::Int64(5));
   gf.AddPredicate(1, BinaryOp::kGt, Value::Int64(5));
   gf.AddPredicate(2, BinaryOp::kEq, Value::Int64(5));
@@ -195,69 +196,92 @@ TEST(GroupedFilterTest, NullValueFailsEveryFactor) {
   EXPECT_TRUE(wider.Test(7));
 }
 
-// Property: grouped filter == naive per-query evaluation on random
-// predicate sets and probe values.
+// Property: for every column type, the grouped filter == each query's
+// factors evaluated one by one with Expr::Eval (Value::Compare), the
+// evaluation residual factors and per-window filters use. Probes include
+// NULL, and on DOUBLE NaN, ±0.0, ±inf and INT64 cells.
 class GroupedFilterPropertyTest : public ::testing::TestWithParam<uint64_t> {
 };
 
-TEST_P(GroupedFilterPropertyTest, MatchesNaiveEvaluation) {
-  Rng rng(GetParam());
-  const size_t num_queries = 1 + rng.NextBounded(60);
-  GroupedFilter gf;
-
-  struct Pred {
-    QueryId q;
-    BinaryOp op;
-    int64_t c;
+TEST_P(GroupedFilterPropertyTest, MatchesFactorEvaluationForEveryColumnType) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  struct Domain {
+    ValueType type;
+    std::vector<Value> constants;
+    std::vector<Value> probes;  ///< Besides the constants and NULL.
   };
-  std::vector<Pred> preds;
+  std::vector<Domain> domains;
+  {
+    Domain d{ValueType::kInt64, {}, {}};
+    for (int64_t c = -20; c <= 20; ++c) d.constants.push_back(Value::Int64(c));
+    d.constants.push_back(Value::Int64(std::numeric_limits<int64_t>::max()));
+    d.constants.push_back(Value::Int64(std::numeric_limits<int64_t>::min()));
+    for (int64_t c : {-25, -21, 21, 25}) d.probes.push_back(Value::Int64(c));
+    domains.push_back(std::move(d));
+  }
+  {
+    Domain d{ValueType::kDouble, {}, {}};
+    for (double c : {-inf, -2.5, -1.0, -0.0, 0.0, 0.5, 1.0, 2.5, 3.0, 1e300,
+                     inf}) {
+      d.constants.push_back(Value::Double(c));
+    }
+    d.probes = {Value::Double(nan), Value::Double(-nan), Value::Double(0.75),
+                Value::Double(-3.0), Value::Int64(0), Value::Int64(1),
+                Value::Int64(3), Value::Int64(-7)};
+    domains.push_back(std::move(d));
+  }
+  {
+    Domain d{ValueType::kString, {}, {}};
+    for (const char* c : {"", "a", "ab", "b", "K01", "K02", "zz"}) {
+      d.constants.push_back(Value::String(c));
+    }
+    d.probes = {Value::String("c"), Value::String("K0"), Value::String("zzz")};
+    domains.push_back(std::move(d));
+  }
+  domains.push_back(Domain{ValueType::kBool,
+                           {Value::Bool(false), Value::Bool(true)},
+                           {}});
+
   const BinaryOp ops[] = {BinaryOp::kEq, BinaryOp::kNe, BinaryOp::kLt,
                           BinaryOp::kLe, BinaryOp::kGt, BinaryOp::kGe};
-  for (QueryId q = 0; q < num_queries; ++q) {
-    const size_t n = 1 + rng.NextBounded(3);
-    for (size_t i = 0; i < n; ++i) {
-      Pred p{q, ops[rng.NextBounded(6)], rng.NextInt(-20, 20)};
-      preds.push_back(p);
-      gf.AddPredicate(p.q, p.op, Value::Int64(p.c));
-    }
-  }
-
-  auto naive = [&](int64_t v, QueryId q) {
-    for (const Pred& p : preds) {
-      if (p.q != q) continue;
-      bool pass = false;
-      switch (p.op) {
-        case BinaryOp::kEq:
-          pass = v == p.c;
-          break;
-        case BinaryOp::kNe:
-          pass = v != p.c;
-          break;
-        case BinaryOp::kLt:
-          pass = v < p.c;
-          break;
-        case BinaryOp::kLe:
-          pass = v <= p.c;
-          break;
-        case BinaryOp::kGt:
-          pass = v > p.c;
-          break;
-        default:
-          pass = v >= p.c;
-          break;
-      }
-      if (!pass) return false;
-    }
-    return true;
-  };
-
-  for (int trial = 0; trial < 200; ++trial) {
-    const int64_t v = rng.NextInt(-25, 25);
-    SmallBitset m = AllOf(num_queries);
-    gf.Apply(Value::Int64(v), &m);
+  Rng rng(GetParam());
+  for (const Domain& domain : domains) {
+    const SchemaPtr schema = Schema::Make({{"x", domain.type, ""}});
+    const size_t num_queries = 1 + rng.NextBounded(60);
+    GroupedFilter gf(domain.type);
+    std::vector<std::vector<ExprPtr>> factors(num_queries);
     for (QueryId q = 0; q < num_queries; ++q) {
-      ASSERT_EQ(m.Test(q), naive(v, q))
-          << "value " << v << " query " << q << " seed " << GetParam();
+      const size_t n = 1 + rng.NextBounded(3);
+      for (size_t i = 0; i < n; ++i) {
+        const BinaryOp op = ops[rng.NextBounded(6)];
+        const Value& c =
+            domain.constants[rng.NextBounded(domain.constants.size())];
+        gf.AddPredicate(q, op, c);
+        Result<ExprPtr> bound =
+            Expr::Binary(op, Expr::Column("x"), Expr::Literal(c))
+                ->Bind(*schema);
+        ASSERT_TRUE(bound.ok()) << bound.status();
+        factors[q].push_back(std::move(*bound));
+      }
+    }
+    std::vector<Value> probes = domain.constants;
+    probes.insert(probes.end(), domain.probes.begin(), domain.probes.end());
+    probes.push_back(Value());
+    for (const Value& v : probes) {
+      const Tuple t = Tuple::Make({v});
+      SmallBitset m = AllOf(num_queries);
+      gf.Apply(v, &m);
+      for (QueryId q = 0; q < num_queries; ++q) {
+        bool want = true;
+        for (const ExprPtr& e : factors[q]) {
+          const Value keep = e->Eval(t);
+          want = want && !keep.is_null() && keep.bool_value();
+        }
+        ASSERT_EQ(m.Test(q), want)
+            << ValueTypeToString(domain.type) << " value " << v.ToString()
+            << " query " << q << " seed " << GetParam();
+      }
     }
   }
 }
@@ -275,7 +299,7 @@ class GroupedFilterChurnTest : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(GroupedFilterChurnTest, ChurnedIndexMatchesNaiveEvaluation) {
   Rng rng(GetParam());
   constexpr size_t kMaxQueries = 1200;
-  GroupedFilter gf;
+  GroupedFilter gf(ValueType::kInt64);
 
   struct Pred {
     BinaryOp op;
@@ -461,6 +485,87 @@ TEST_P(QueryIndexChurnTest, ChurnedIndexMatchesNaiveEvaluation) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, QueryIndexChurnTest,
                          ::testing::Values(201, 202, 203, 204));
+
+// Numeric constants of the other type: on a DOUBLE column an INT64
+// constant is grouped as the double it compares as, and on an INT64
+// column a DOUBLE constant stays residual. Every Narrow, over cells with
+// NULL and NaN, equals each slot's factors under Expr::Eval.
+TEST(QueryIndexTest, MixedNumericConstantsMatchFactorEvaluation) {
+  const SchemaPtr schema = Schema::Make(
+      {{"i", ValueType::kInt64, ""}, {"d", ValueType::kDouble, ""}});
+  const BinaryOp ops[] = {BinaryOp::kEq, BinaryOp::kNe, BinaryOp::kLt,
+                          BinaryOp::kLe, BinaryOp::kGt, BinaryOp::kGe};
+  Rng rng(31);
+  constexpr size_t kSlots = 120;
+  QueryIndex index;
+  std::vector<std::vector<ExprPtr>> bound(kSlots);
+  size_t grouped_on_d = 0, residual_on_i = 0;
+  for (size_t slot = 0; slot < kSlots; ++slot) {
+    std::vector<FactorPlan> plans;
+    const size_t n = 1 + rng.NextBounded(3);
+    for (size_t k = 0; k < n; ++k) {
+      const bool on_d = rng.NextBool(0.5);
+      const bool int_constant = rng.NextBool(0.5);
+      const int64_t c = rng.NextInt(-6, 6);
+      const Value constant = int_constant ? Value::Int64(c)
+                                          : Value::Double(0.5 * static_cast<double>(c));
+      const ExprPtr factor =
+          rng.NextBool(0.5)
+              ? Expr::Binary(ops[rng.NextBounded(6)],
+                             Expr::Column(on_d ? "d" : "i"),
+                             Expr::Literal(constant))
+              : Expr::Binary(ops[rng.NextBounded(6)], Expr::Literal(constant),
+                             Expr::Column(on_d ? "d" : "i"));
+      Result<FactorPlan> fp = ClassifyFactor(factor, *schema);
+      ASSERT_TRUE(fp.ok()) << fp.status();
+      if (on_d) {
+        ASSERT_EQ(fp->kind, FactorPlan::Kind::kGrouped) << factor->ToString();
+        ASSERT_EQ(fp->constant.type(), ValueType::kDouble);
+        ++grouped_on_d;
+      } else if (!int_constant) {
+        ASSERT_EQ(fp->kind, FactorPlan::Kind::kResidual) << factor->ToString();
+        ++residual_on_i;
+      }
+      plans.push_back(std::move(*fp));
+      Result<ExprPtr> b = factor->Bind(*schema);
+      ASSERT_TRUE(b.ok()) << b.status();
+      bound[slot].push_back(std::move(*b));
+    }
+    index.Add(slot, plans);
+  }
+  EXPECT_GT(grouped_on_d, 0u);
+  EXPECT_GT(residual_on_i, 0u);
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (int trial = 0; trial < 400; ++trial) {
+    const Value i = rng.NextBool(0.1) ? Value() : Value::Int64(rng.NextInt(-7, 7));
+    Value d;
+    switch (rng.NextBounded(8)) {
+      case 0:
+        break;  // NULL.
+      case 1:
+        d = Value::Double(nan);
+        break;
+      case 2:
+        d = Value::Double(-0.0);
+        break;
+      default:
+        d = Value::Double(0.5 * static_cast<double>(rng.NextInt(-14, 14)));
+    }
+    const Tuple t = Tuple::Make({i, d}, trial);
+    SmallBitset got = AllOf(kSlots);
+    index.Narrow(t, &got);
+    for (size_t slot = 0; slot < kSlots; ++slot) {
+      bool want = true;
+      for (const ExprPtr& e : bound[slot]) {
+        const Value keep = e->Eval(t);
+        want = want && !keep.is_null() && keep.bool_value();
+      }
+      ASSERT_EQ(got.Test(slot), want)
+          << "slot " << slot << " tuple " << t.ToString();
+    }
+  }
+}
 
 }  // namespace
 }  // namespace tcq

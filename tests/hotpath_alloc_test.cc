@@ -15,7 +15,7 @@
 //
 //                        per tuple                  per window
 //                        before        after        before       after
-//   32 filters           0.66 / 0.82   0.53 / 0.53
+//   32 filters           0.66 / 0.82   0.53 / 0.12
 //   32 sliding windows   6.06 / 6.21   1.94 / 1.94  3.21 / 3.30  1.00 / 1.00
 //   landmark             0.44 / 0.44   0.19 / 0.19
 //
@@ -23,8 +23,11 @@
 // rows and reused result vectors (the window's one allocation left is
 // its rows vector, which the client receives). "After" also reuses the
 // emission batches of sets bound for callbacks (0.77 with a callback
-// before) and orders the reorder buffer in a Fifo. A ceiling leaves a
-// little room for another standard library.
+// before) and orders the reorder buffer in a Fifo. A standing filter's
+// callback set is lent from one reused rows buffer, so with a callback
+// the filters cost what ingest does (0.53 while each set had its own
+// rows vector, which a polled set still has). A ceiling leaves a little
+// room for another standard library.
 
 #include <gtest/gtest.h>
 
@@ -66,7 +69,8 @@ constexpr size_t kMeasuredBatches = 160;
 constexpr size_t kSymbols = 8;
 
 // Ceilings, in allocations per pushed tuple (and per fired window).
-constexpr double kFiltersPerTupleMax = 0.7;
+constexpr double kFiltersPollPerTupleMax = 0.7;
+constexpr double kFiltersCallbackPerTupleMax = 0.15;
 constexpr double kWindowsPerTupleMax = 2.1;
 constexpr double kWindowsPerWindowMax = 1.0;
 constexpr double kLandmarkPerTupleMax = 0.25;
@@ -168,7 +172,8 @@ TEST(HotpathAllocTest, StandingFilters) {
     const Count c = Measure(sqls, callback);
     Print("32 filters", callback, c);
     EXPECT_GT(c.sets, 0u);
-    EXPECT_LE(c.per_tuple(), kFiltersPerTupleMax);
+    EXPECT_LE(c.per_tuple(), callback ? kFiltersCallbackPerTupleMax
+                                      : kFiltersPollPerTupleMax);
   }
 }
 

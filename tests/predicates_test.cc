@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 namespace tcq {
 namespace {
 
@@ -105,18 +107,19 @@ SchemaPtr TwoSourceSchema() {
 
 TEST(PredicatesTest, ClassifyFactorGroupsColumnConstantComparisons) {
   const SchemaPtr schema = TwoSourceSchema();
-  // 2.5 < a.qty flips to qty > 2.5; the INT column keeps its DOUBLE
-  // constant (the grouped index compares across numeric types).
+  // 5 < a.qty flips to qty > 5.
   auto plan = ClassifyFactor(
-      Expr::Binary(BinaryOp::kLt, Expr::Literal(Value::Double(2.5)),
+      Expr::Binary(BinaryOp::kLt, Expr::Literal(Value::Int64(5)),
                    Expr::Column("a.qty")),
       *schema);
   ASSERT_TRUE(plan.ok()) << plan.status();
   EXPECT_EQ(plan->kind, FactorPlan::Kind::kGrouped);
   EXPECT_EQ(plan->column, 2u);
   EXPECT_EQ(plan->op, BinaryOp::kGt);
-  EXPECT_DOUBLE_EQ(plan->constant.double_value(), 2.5);
+  EXPECT_EQ(plan->constant.int64_value(), 5);
 
+  // An INT64 constant on a DOUBLE column becomes the double it compares
+  // as, so the column's index holds one type.
   auto ne = ClassifyFactor(Expr::Binary(BinaryOp::kNe, Expr::Column("price"),
                                         Expr::Literal(Value::Int64(3))),
                            *schema);
@@ -124,6 +127,39 @@ TEST(PredicatesTest, ClassifyFactorGroupsColumnConstantComparisons) {
   EXPECT_EQ(ne->kind, FactorPlan::Kind::kGrouped);
   EXPECT_EQ(ne->column, 1u);
   EXPECT_EQ(ne->op, BinaryOp::kNe);
+  ASSERT_EQ(ne->constant.type(), ValueType::kDouble);
+  EXPECT_DOUBLE_EQ(ne->constant.double_value(), 3.0);
+}
+
+TEST(PredicatesTest, ClassifyFactorKeepsOtherTypeMixesResidual) {
+  const SchemaPtr schema = TwoSourceSchema();
+  // A DOUBLE constant on an INT64 column compares the cell as a double:
+  // the factor stays residual and evaluates that way.
+  auto plan = ClassifyFactor(
+      Expr::Binary(BinaryOp::kLt, Expr::Literal(Value::Double(2.5)),
+                   Expr::Column("a.qty")),
+      *schema);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  EXPECT_EQ(plan->kind, FactorPlan::Kind::kResidual);
+  ASSERT_NE(plan->bound, nullptr);
+  const Tuple row = Tuple::Make({Value::String("x"), Value::Double(0.0),
+                                 Value::Int64(3), Value::String("y")});
+  EXPECT_TRUE(plan->bound->Eval(row).bool_value());  // 3 > 2.5.
+
+  // A NaN constant is equal to every number: no place in sorted bounds.
+  auto nan = ClassifyFactor(
+      Expr::Binary(BinaryOp::kGe, Expr::Column("price"),
+                   Expr::Literal(Value::Double(std::nan("")))),
+      *schema);
+  ASSERT_TRUE(nan.ok()) << nan.status();
+  EXPECT_EQ(nan->kind, FactorPlan::Kind::kResidual);
+
+  // A STRING constant on a numeric column does not bind.
+  EXPECT_FALSE(ClassifyFactor(Expr::Binary(BinaryOp::kEq,
+                                           Expr::Column("a.qty"),
+                                           Expr::Literal(Value::String("3"))),
+                              *schema)
+                   .ok());
 }
 
 TEST(PredicatesTest, ClassifyFactorResiduals) {

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <bit>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
@@ -731,6 +732,66 @@ TEST(ServerNullTest, NullCellsFailEveryComparisonOnBothPaths) {
           << "standing x " << ops[i].first << " 5, shards " << shards;
       EXPECT_EQ(timestamps(queries[i].second), expected)
           << "windowed x " << ops[i].first << " 5, shards " << shards;
+    }
+  }
+}
+
+TEST(ServerNullTest, NanCellsAnswerAsTheFactorEvaluatesWhateverElseIsRegistered) {
+  // A NaN compares equal to every number (Value::Compare, which a
+  // residual factor and a per-window filter evaluate), so it passes =, <=
+  // and >= and fails <, > and !=. A standing filter's answer must not
+  // depend on the other queries of its stream: `x >= 5.0` over {7.0, NaN}
+  // once delivered one row instead of two beside `x <= 1.0`, whose bound
+  // drew NaN into its point region.
+  const std::vector<std::string> ops = {"<", "<=", ">", ">=", "=", "!="};
+  const std::vector<double> feed = {7.0, std::nan(""), 5.0, -0.0, 1.0};
+  auto passes = [](const std::string& op, double x) {
+    const int c = Value::Double(x).Compare(Value::Double(5.0));
+    if (op == "<") return c < 0;
+    if (op == "<=") return c <= 0;
+    if (op == ">") return c > 0;
+    if (op == ">=") return c >= 0;
+    if (op == "=") return c == 0;
+    return c != 0;
+  };
+  for (const std::string& op : ops) {
+    std::vector<int64_t> expected;
+    for (size_t i = 0; i < feed.size(); ++i) {
+      if (passes(op, feed[i])) expected.push_back(static_cast<int64_t>(i) + 1);
+    }
+    for (const bool companions : {false, true}) {
+      Server server;
+      ASSERT_TRUE(server
+                      .DefineStream(
+                          "Feed",
+                          Schema::Make({{"ts", ValueType::kInt64, ""},
+                                        {"x", ValueType::kDouble, ""}}),
+                          /*timestamp_field=*/0)
+                      .ok());
+      auto q = server.Submit("SELECT ts FROM Feed WHERE x " + op + " 5.0");
+      ASSERT_TRUE(q.ok()) << q.status();
+      if (companions) {
+        for (const char* sql : {"SELECT ts FROM Feed WHERE x <= 1.0",
+                                "SELECT ts FROM Feed WHERE x > 9",
+                                "SELECT ts FROM Feed WHERE x = 0.0",
+                                "SELECT ts FROM Feed WHERE x != 7.0"}) {
+          ASSERT_TRUE(server.Submit(sql).ok()) << sql;
+        }
+      }
+      for (size_t i = 0; i < feed.size(); ++i) {
+        const int64_t ts = static_cast<int64_t>(i) + 1;
+        ASSERT_TRUE(server
+                        .Push("Feed", Tuple::Make({Value::Int64(ts),
+                                                   Value::Double(feed[i])},
+                                                  ts))
+                        .ok());
+      }
+      std::vector<int64_t> got;
+      for (const ResultSet& rs : server.PollAll(*q)) {
+        for (const Tuple& row : rs.rows) got.push_back(row.cell(0).int64_value());
+      }
+      EXPECT_EQ(got, expected)
+          << "x " << op << " 5.0" << (companions ? " with companions" : "");
     }
   }
 }
