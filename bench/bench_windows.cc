@@ -15,6 +15,11 @@
 //  3. hop_size sweep — end-to-end cost of the paper's sliding AVG
 //     (example 3) as the hop grows: larger hops execute fewer windows
 //     over the same stream (and when hop > width, skip data entirely).
+//
+//  4. reverse_over_history, snapshot_over_history — §4.1.1's windows
+//     that browse history backwards, and the snapshot idiom, Submitted
+//     over 40,001 archived days. Neither loop is linear, so each runs on
+//     its own QueryRunner, which reads every window in place.
 
 #include <benchmark/benchmark.h>
 
@@ -144,6 +149,57 @@ BENCHMARK(BM_ServerSlidingAvgHop)
     ->Arg(20)
     ->Arg(100)
     ->Unit(benchmark::kMillisecond);
+
+// A query Submitted over history: 40,001 days pushed in batches of 64,
+// then each iteration Submits `COUNT(*), MAX(closingPrice)` over `loop`
+// (every window fires at Submit), polls its result sets and cancels it.
+void RunOverHistory(benchmark::State& state, const std::string& loop) {
+  constexpr int64_t kHistoryDays = 40001;
+  Server server;
+  if (!server
+           .DefineStream("ClosingStockPrices",
+                         StockTickerSource::MakeSchema(), 0)
+           .ok()) {
+    std::abort();
+  }
+  std::vector<Tuple> batch;
+  for (int64_t d = 1; d <= kHistoryDays; ++d) {
+    batch.push_back(Stock(d, 50.0 + static_cast<double>(d % 100)));
+    if (batch.size() == 64 || d == kHistoryDays) {
+      if (!server.PushBatch("ClosingStockPrices", std::move(batch)).ok()) {
+        std::abort();
+      }
+      batch.clear();
+    }
+  }
+  const double scanned_before = WindowsField(server, "scanned");
+  uint64_t windows = 0;
+  for (auto _ : state) {
+    auto q = server.Submit(
+        "SELECT COUNT(*), MAX(closingPrice) FROM ClosingStockPrices " + loop);
+    if (!q.ok()) std::abort();
+    windows += server.PollAll(*q).size();
+    if (!server.Cancel(*q).ok()) std::abort();
+  }
+  const double iterations = static_cast<double>(state.iterations());
+  state.counters["windows"] = static_cast<double>(windows) / iterations;
+  state.counters["reads"] =
+      (WindowsField(server, "scanned") - scanned_before) / iterations;
+}
+
+void BM_ReverseOverHistory(benchmark::State& state) {
+  RunOverHistory(state,
+                 "for (t = 40000; t > 10; t -= 2) { "
+                 "WindowIs(ClosingStockPrices, t - 9, t); }");
+}
+BENCHMARK(BM_ReverseOverHistory)->Unit(benchmark::kMillisecond);
+
+void BM_SnapshotOverHistory(benchmark::State& state) {
+  RunOverHistory(state,
+                 "for (; t == 0; t = -1) { "
+                 "WindowIs(ClosingStockPrices, 1, 40000); }");
+}
+BENCHMARK(BM_SnapshotOverHistory)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace tcq

@@ -25,8 +25,9 @@
 # grouped filter inside it (bench_grouped_filter), and the E8 windows on
 # all three window-plan kinds: a landmark's running state, sliding panes
 # and units (bench_windows: BM_LandmarkMax, BM_SlidingMax,
-# BM_SlidingSumDouble, BM_ServerSlidingAvgHop). Add binaries via
-# $BENCHES.
+# BM_SlidingSumDouble, BM_ServerSlidingAvgHop), plus the per-window
+# runner's in-place reads (BM_ReverseOverHistory, BM_SnapshotOverHistory).
+# Add binaries via $BENCHES.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -11,7 +11,7 @@ CacqEngine::CacqEngine() : CacqEngine(Options()) {}
 
 CacqEngine::CacqEngine(Options options) : options_(std::move(options)) {
   eddy_ = std::make_unique<Eddy>(
-      &layout_, MakePolicy(options_.policy, options_.seed), options_.eddy);
+      &layout_, std::make_unique<LotteryPolicy>(options_.seed));
   eddy_->SetPartialSink([this](RoutedTuple&& rt) {
     Deliver(rt.tuple, rt.sources, rt.queries);
   });

@@ -76,9 +76,8 @@ struct CacqQueryPlan {
 class CacqEngine {
  public:
   struct Options {
-    std::string policy = "lottery";
+    /// Seed of the eddy's lottery routing.
     uint64_t seed = 7;
-    Eddy::Options eddy;
   };
 
   CacqEngine();

@@ -272,9 +272,7 @@ ShardedEngine::ShardedEngine(Options options)
   for (size_t i = 0; i < options_.num_shards; ++i) {
     auto shard = std::make_unique<Shard>();
     CacqEngine::Options eo;
-    eo.policy = options_.policy;
     eo.seed = options_.seed + i;  // Decorrelated exploration per shard.
-    eo.eddy = options_.eddy;
     shard->engine = std::make_unique<CacqEngine>(eo);
     if (!inline_) {
       shard->output = std::make_unique<FjordQueue<EgressItem>>(
@@ -928,9 +926,7 @@ std::unique_ptr<CacqEngine> ShardedEngine::BuildStandby(size_t shard) const {
   // Same construction as the primary (same seed — routing invariance makes
   // replayed results match the primary's multiset).
   CacqEngine::Options eo;
-  eo.policy = options_.policy;
   eo.seed = options_.seed + shard;
-  eo.eddy = options_.eddy;
   auto engine = std::make_unique<CacqEngine>(eo);
   for (const SourceInfo& src : sources_) {
     const auto added = engine->AddStream(src.name, src.schema);

@@ -64,9 +64,8 @@ class ShardedEngine {
   struct Options {
     /// 1 (with num_replicas == 0) runs the engine inline; see above.
     size_t num_shards = 4;
-    /// Routing policy + base seed for the per-shard eddies (shard i uses
+    /// Base seed of the per-shard eddies' lottery routing (shard i uses
     /// seed + i). Routing invariance makes results independent of this.
-    std::string policy = "lottery";
     uint64_t seed = 7;
     /// Bounded exchange queues, in tasks (one task = one same-stream
     /// scatter group, up to a whole producer batch). Blocking producer
@@ -83,7 +82,6 @@ class ShardedEngine {
     /// either way.
     bool auto_rebalance = false;
     RebalanceController::Options rebalance;
-    Eddy::Options eddy;
     /// Standby replicas per shard (Flux process pairs, §5 / DESIGN.md
     /// §13). 0 = no fault tolerance (a killed shard loses state); 1 keeps
     /// for each shard a changelog of dual-routed records and periodic

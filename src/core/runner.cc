@@ -49,6 +49,16 @@ QueryRunner::QueryRunner(std::shared_ptr<const AnalyzedQuery> analyzed,
                !analyzed_->defs[0].is_table && sequence_.linear() != nullptr;
 }
 
+bool QueryRunner::EndsBefore(const WindowSequence::Step& step,
+                             Timestamp ts) const {
+  for (size_t s = 0; s < analyzed_->layout->num_sources(); ++s) {
+    const int clause = analyzed_->window_clause_of_source[s];
+    if (clause < 0) continue;  // Static table: no end.
+    if (step.bounds[static_cast<size_t>(clause)].right >= ts) return false;
+  }
+  return true;
+}
+
 void QueryRunner::EndOnBudget() {
   pending_step_.reset();
   done_ = true;
@@ -73,17 +83,7 @@ size_t QueryRunner::TakeReady(Timestamp high_watermark,
     // data up to the window's right end. Because several tuples can share
     // one timestamp, that is only certain when a strictly *later*
     // timestamp has been seen (punctuation-by-progress).
-    bool ready = true;
-    for (size_t s = 0; s < analyzed_->layout->num_sources(); ++s) {
-      const int clause = analyzed_->window_clause_of_source[s];
-      if (clause < 0) continue;  // Static table: always ready.
-      if (pending_step_->bounds[static_cast<size_t>(clause)].right >=
-          high_watermark) {
-        ready = false;
-        break;
-      }
-    }
-    if (!ready) break;
+    if (!EndsBefore(*pending_step_, high_watermark)) break;
     if (taken == kMaxStepsPerAdvance) {
       steps->resize(first);
       EndOnBudget();
@@ -146,17 +146,7 @@ size_t QueryRunner::Revise(Timestamp late_ts, std::vector<ResultSet>* out) {
     // carry several late timestamps, so any window reaching at or past the
     // floor may have changed. Re-execution is pure and the diff below is
     // empty for untouched windows, so over-selection only costs work.
-    bool affected = false;
-    for (size_t s = 0; s < analyzed_->layout->num_sources(); ++s) {
-      const int clause = analyzed_->window_clause_of_source[s];
-      if (clause < 0) continue;
-      const WindowBounds& b = fw.step.bounds[static_cast<size_t>(clause)];
-      if (late_ts <= b.right) {
-        affected = true;
-        break;
-      }
-    }
-    if (!affected) continue;
+    if (EndsBefore(fw.step, late_ts)) continue;
     // Re-execute against the current archives (pure) and diff the result
     // multisets.
     ResultSet fresh = ExecuteWindow(fw.step);
@@ -170,10 +160,9 @@ size_t QueryRunner::Revise(Timestamp late_ts, std::vector<ResultSet>* out) {
     diff.t = fw.step.t;
     // Retractions first (stale rows, in delivered order), then the fresh
     // assertions — a client applying in order nets to the revised window.
-    std::map<std::string, int> take = delta;
     for (const Tuple& row : fw.rows) {
-      auto it = take.find(key_of(row));
-      if (it != take.end() && it->second < 0) {
+      auto it = delta.find(key_of(row));
+      if (it != delta.end() && it->second < 0) {
         ++it->second;
         Tuple retract = row;
         retract.set_retraction(true);
@@ -181,8 +170,8 @@ size_t QueryRunner::Revise(Timestamp late_ts, std::vector<ResultSet>* out) {
       }
     }
     for (const Tuple& row : fresh.rows) {
-      auto it = take.find(key_of(row));
-      if (it != take.end() && it->second > 0) {
+      auto it = delta.find(key_of(row));
+      if (it != delta.end() && it->second > 0) {
         --it->second;
         diff.rows.push_back(row);
       }
@@ -197,30 +186,50 @@ size_t QueryRunner::Revise(Timestamp late_ts, std::vector<ResultSet>* out) {
 }
 
 ResultSet QueryRunner::ExecuteWindow(const WindowSequence::Step& step) {
-  ResultSet result;
-  result.t = step.t;
-
-  std::vector<Tuple> wide = RunDataflow(step);
-
-  if (analyzed_->has_aggregates) {
-    const AggregatePlan& plan = analyzed_->aggregate_plan;
-    AggregateState agg(plan);
-    for (const Tuple& t : wide) agg.Add(plan, t);
-    result.rows = agg.Emit(plan, step.t);
-    return result;
+  const AnalyzedQuery& aq = *analyzed_;
+  const AggregatePlan& plan = aq.aggregate_plan;
+  ResultSet result{step.t, {}};
+  AggregateState agg(plan);
+  // Each tuple the window passes is aggregated or projected.
+  const auto take = [&](const Tuple& t) {
+    if (aq.has_aggregates) {
+      agg.Add(plan, t);
+    } else {
+      result.rows.push_back(EvalSelectList(aq, t));
+    }
+  };
+  // One source and no join: nothing to route, so the window is read in
+  // place. A tuple passes when every WHERE factor is true, not NULL
+  // (FilterOp's rule).
+  const auto filter_and_take = [&](const Tuple& t) {
+    for (const AnalyzedQuery::BoundFilter& f : aq.filters) {
+      const Value keep = f.expr->Eval(t);
+      if (keep.is_null() || !keep.bool_value()) return;
+    }
+    take(t);
+  };
+  if (aq.layout->num_sources() > 1) {
+    RunDataflow(step, take);
+  } else if (aq.defs[0].is_table) {
+    for (const Tuple& t : table_rows_[0]) filter_and_take(t);
+  } else {
+    const WindowBounds& b =
+        step.bounds[static_cast<size_t>(aq.window_clause_of_source[0])];
+    archives_[0]->ScanApply(b.left, b.right, [&](const Tuple& t) {
+      ++tuples_scanned_;
+      filter_and_take(t);
+    });
   }
-
-  result.rows.reserve(wide.size());
-  for (const Tuple& t : wide) {
-    result.rows.push_back(EvalSelectList(*analyzed_, t));
-  }
+  if (aq.has_aggregates) result.rows = agg.Emit(plan, step.t);
   return result;
 }
 
-std::vector<Tuple> QueryRunner::RunDataflow(const WindowSequence::Step& step) {
+void QueryRunner::RunDataflow(const WindowSequence::Step& step,
+                              const std::function<void(const Tuple&)>& take) {
   const SourceLayout& layout = *analyzed_->layout;
   const size_t n = layout.num_sources();
-  Eddy eddy(&layout, MakePolicy(options_.policy, options_.seed));
+  TCQ_DCHECK(n > 1);
+  Eddy eddy(&layout, std::make_unique<LotteryPolicy>(options_.seed));
 
   // Filters.
   for (const auto& f : analyzed_->filters) {
@@ -228,54 +237,49 @@ std::vector<Tuple> QueryRunner::RunDataflow(const WindowSequence::Step& step) {
         std::make_shared<FilterOp>(f.expr->ToString(), f.expr, f.required));
   }
 
-  // Join machinery for multi-source queries: one SteM per (source, key)
-  // plus probes along every join edge (grouped per target so alternative
-  // probe paths never duplicate).
-  if (n > 1) {
-    // Choose a key column per source: the first join edge touching it.
-    std::vector<int> key_of(n, -1);
-    for (const auto& j : analyzed_->joins) {
-      if (key_of[j.src_a] == -1) key_of[j.src_a] = j.col_a;
-      if (key_of[j.src_b] == -1) key_of[j.src_b] = j.col_b;
-    }
-    std::vector<SteMPtr> stems(n);
-    for (size_t s = 0; s < n; ++s) {
-      stems[s] = std::make_shared<SteM>("stem[" + layout.alias(s) + "]",
-                                        layout.full_schema(), key_of[s]);
-      eddy.AddOperator(std::make_shared<StemBuildOp>(
-          "build[" + layout.alias(s) + "]", s, stems[s]));
-    }
-    // Probe edges: for each pair (probe source x -> target s), keyed when
-    // a join edge connects them, otherwise a scan probe (cross product —
-    // residual filters weed composites downstream).
-    for (size_t target = 0; target < n; ++target) {
-      for (size_t x = 0; x < n; ++x) {
-        if (x == target) continue;
-        int probe_key = -1;
-        for (const auto& j : analyzed_->joins) {
-          if (j.src_a == x && j.src_b == target &&
-              j.col_b == key_of[target]) {
-            probe_key = j.col_a;
-          } else if (j.src_b == x && j.src_a == target &&
-                     j.col_a == key_of[target]) {
-            probe_key = j.col_b;
-          }
+  // Join machinery: one SteM per (source, key) plus probes along every
+  // join edge (grouped per target so alternative probe paths never
+  // duplicate). Choose a key column per source: the first join edge
+  // touching it.
+  std::vector<int> key_of(n, -1);
+  for (const auto& j : analyzed_->joins) {
+    if (key_of[j.src_a] == -1) key_of[j.src_a] = j.col_a;
+    if (key_of[j.src_b] == -1) key_of[j.src_b] = j.col_b;
+  }
+  std::vector<SteMPtr> stems(n);
+  for (size_t s = 0; s < n; ++s) {
+    stems[s] = std::make_shared<SteM>("stem[" + layout.alias(s) + "]",
+                                      layout.full_schema(), key_of[s]);
+    eddy.AddOperator(std::make_shared<StemBuildOp>(
+        "build[" + layout.alias(s) + "]", s, stems[s]));
+  }
+  // Probe edges: for each pair (probe source x -> target s), keyed when a
+  // join edge connects them, otherwise a scan probe (cross product —
+  // residual filters weed composites downstream).
+  for (size_t target = 0; target < n; ++target) {
+    for (size_t x = 0; x < n; ++x) {
+      if (x == target) continue;
+      int probe_key = -1;
+      for (const auto& j : analyzed_->joins) {
+        if (j.src_a == x && j.src_b == target && j.col_b == key_of[target]) {
+          probe_key = j.col_a;
+        } else if (j.src_b == x && j.src_a == target &&
+                   j.col_a == key_of[target]) {
+          probe_key = j.col_b;
         }
-        SmallBitset probe_sources(n);
-        probe_sources.Set(x);
-        eddy.AddOperator(
-            std::make_shared<StemProbeOp>(
-                "probe[" + layout.alias(target) + "<-" + layout.alias(x) +
-                    "]",
-                &layout, target, stems[target], std::move(probe_sources),
-                probe_key),
-            /*group=*/static_cast<int>(target));
       }
+      SmallBitset probe_sources(n);
+      probe_sources.Set(x);
+      eddy.AddOperator(
+          std::make_shared<StemProbeOp>(
+              "probe[" + layout.alias(target) + "<-" + layout.alias(x) + "]",
+              &layout, target, stems[target], std::move(probe_sources),
+              probe_key),
+          /*group=*/static_cast<int>(target));
     }
   }
 
-  std::vector<Tuple> out;
-  eddy.SetSink([&](RoutedTuple&& rt) { out.push_back(std::move(rt.tuple)); });
+  eddy.SetSink([&](RoutedTuple&& rt) { take(rt.tuple); });
 
   // Inject every source's window contents (tables inject fully).
   for (size_t s = 0; s < n; ++s) {
@@ -293,7 +297,6 @@ std::vector<Tuple> QueryRunner::RunDataflow(const WindowSequence::Step& step) {
   }
   eddy.Drain();
   total_visits_ += eddy.visits();
-  return out;
 }
 
 class SharedWindowScan::Query {

@@ -40,9 +40,11 @@ enum class Consistency : uint8_t {
 /// Executes one analyzed query as a continuous, windowed dataflow. The
 /// runner consumes stream data through per-source archives, fires each
 /// window of the for-loop as soon as the data it needs has arrived, and
-/// evaluates the window through a fresh adaptive (Eddy) plan —
-/// SteM builds/probes for every join edge, filter operators for every
-/// predicate — followed by projection or windowed aggregation.
+/// evaluates the window: a query over one source (stream or table) reads
+/// it in place, filtering each tuple with the WHERE factors; a join runs
+/// it through a fresh adaptive (Eddy) plan — SteM builds/probes for every
+/// join edge, filter operators for every predicate. Either way each
+/// passing tuple goes to the projection or the windowed aggregation.
 ///
 /// Every window is evaluated whole, which is always correct: this is the
 /// reference the server's standing window plan (SharedWindowScan) must
@@ -51,7 +53,7 @@ enum class Consistency : uint8_t {
 class QueryRunner {
  public:
   struct Options {
-    std::string policy = "lottery";
+    /// Seed of a join's per-window Eddy (lottery routing).
     uint64_t seed = 7;
     /// Start time (ST) for the query's for-loop.
     Timestamp start_time = 1;
@@ -60,9 +62,10 @@ class QueryRunner {
     bool speculative = false;
   };
 
-  /// `archives[s]` serves source s's history; table sources read their
-  /// rows from the catalog snapshot in `analyzed.defs`. Archives are
-  /// shared with the server, which appends arriving data.
+  /// `archives[s]` serves stream source s's history; a table source's
+  /// slot is null, since its rows come from `table_rows[s]` (the catalog
+  /// snapshot). Archives are shared with the server, which appends
+  /// arriving data.
   QueryRunner(AnalyzedQuery analyzed, std::vector<const Archive*> archives,
               std::vector<TupleVector> table_rows, Options options);
   /// The same over an analysis shared with the caller (the server keeps
@@ -138,7 +141,8 @@ class QueryRunner {
   const AnalyzedQuery& analyzed() const { return *analyzed_; }
 
   /// Cumulative number of eddy routing visits across fired windows (a
-  /// work measure for benches).
+  /// work measure for benches). Only joins run an Eddy: 0 for a query
+  /// over one source.
   uint64_t total_visits() const { return total_visits_; }
 
   /// Cumulative archive tuples read by this runner's own window
@@ -151,8 +155,13 @@ class QueryRunner {
   /// Evaluates one window step and produces its result set.
   ResultSet ExecuteWindow(const WindowSequence::Step& step);
 
-  /// Runs window contents through a fresh Eddy plan; returns wide tuples.
-  std::vector<Tuple> RunDataflow(const WindowSequence::Step& step);
+  /// Runs a join's window contents through a fresh Eddy plan, handing
+  /// each wide result tuple to `take`.
+  void RunDataflow(const WindowSequence::Step& step,
+                   const std::function<void(const Tuple&)>& take);
+
+  /// True when every stream clause of `step` ends before `ts`.
+  bool EndsBefore(const WindowSequence::Step& step, Timestamp ts) const;
 
   /// Ends the query on the per-advance step budget.
   void EndOnBudget();
@@ -183,8 +192,8 @@ class QueryRunner {
 
 /// The standing window plan of one stream (DESIGN.md §17): fires the
 /// ready windows of every shareable QueryRunner over the stream from ONE
-/// archive scan per advance, instead of one scan and one Eddy per (query,
-/// window). Kept up to date by Add and Remove, never rebuilt per advance:
+/// archive scan per advance, instead of one scan per (query, window).
+/// Kept up to date by Add and Remove, never rebuilt per advance:
 ///
 ///  * a QueryIndex over the queries' WHERE factors (its grouped filters
 ///    compile lazily on the first scan after a change);

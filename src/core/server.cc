@@ -289,7 +289,6 @@ Result<QueryId> Server::Submit(const std::string& sql,
     if (ss.engine == nullptr) {
       ShardedEngine::Options sopts;
       sopts.num_shards = std::max<size_t>(1, options_.cacq_shards);
-      sopts.policy = options_.policy;
       sopts.seed = options_.seed;
       sopts.num_buckets = options_.cacq_buckets;
       sopts.auto_rebalance = options_.auto_rebalance;
@@ -371,13 +370,7 @@ Result<QueryId> Server::Submit(const std::string& sql,
         TCQ_METRIC(ServerMetrics::Get().start_clamped->Add(1));
       }
     }
-    // Degenerate: table-only runners need a non-null archive slot.
-    static const Archive* const kEmptyArchive = new Archive();
-    for (auto& a : archives) {
-      if (a == nullptr) a = kEmptyArchive;
-    }
     QueryRunner::Options ropts;
-    ropts.policy = options_.policy;
     ropts.seed = options_.seed;
     ropts.start_time = start_time;
     ropts.speculative = speculative;

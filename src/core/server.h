@@ -53,7 +53,7 @@ namespace tcq {
 class Server {
  public:
   struct Options {
-    std::string policy = "lottery";
+    /// Seed of the eddies' lottery routing (standing filters and joins).
     uint64_t seed = 7;
     /// Archive retention span per stream (how much history windows and
     /// late-registered queries can reach back into).

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "ingress/sources.h"
 
 namespace tcq {
@@ -90,7 +92,100 @@ TEST_F(RunnerTest, SlidingAggregateRunsPerWindow) {
   EXPECT_DOUBLE_EQ(out[0].rows[0].cell(0).double_value(), 48.0);
   EXPECT_DOUBLE_EQ(out[1].rows[0].cell(0).double_value(), 53.0);
   EXPECT_DOUBLE_EQ(out[2].rows[0].cell(0).double_value(), 58.0);
-  EXPECT_GT(runner.total_visits(), 0u);  // General (eddy) path ran ops.
+  // One source: each window is read in place, 5 tuples each, no Eddy.
+  EXPECT_EQ(runner.tuples_scanned(), 15u);
+  EXPECT_EQ(runner.total_visits(), 0u);
+}
+
+TEST_F(RunnerTest, JoinWindowsRunThroughAnEddy) {
+  auto analyzed = AnalyzeSql(
+      "SELECT a.timestamp, b.closingPrice "
+      "FROM ClosingStockPrices AS a, ClosingStockPrices AS b "
+      "WHERE a.timestamp = b.timestamp "
+      "for (t = 10; t <= 12; t++) { "
+      "WindowIs(a, t - 1, t); WindowIs(b, t, t); }",
+      catalog_);
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status();
+  QueryRunner runner(*analyzed, {&archive_, &archive_},
+                     {TupleVector{}, TupleVector{}}, QueryRunner::Options{});
+  std::vector<ResultSet> out;
+  EXPECT_EQ(runner.Advance(100, &out), 3u);
+  for (size_t i = 0; i < out.size(); ++i) {
+    const int64_t t = 10 + static_cast<int64_t>(i);
+    ASSERT_EQ(out[i].rows.size(), 1u) << t;  // Only day t is on both sides.
+    EXPECT_EQ(out[i].rows[0].cell(0).int64_value(), t);
+    EXPECT_DOUBLE_EQ(out[i].rows[0].cell(1).double_value(), 40.0 + t);
+  }
+  EXPECT_EQ(runner.tuples_scanned(), 9u);  // 2 + 1 per window.
+  EXPECT_GT(runner.total_visits(), 0u);    // The per-window Eddy routed.
+}
+
+TEST_F(RunnerTest, FiltersOverNullAndNanCellsFollowExprEval) {
+  // A WHERE factor keeps a tuple only when it evaluates to true, not
+  // NULL: a NULL cell fails every comparison, a bare BOOL column that is
+  // NULL evaluates to NULL, and a NaN compares equal to every number
+  // (Value::Compare), so it passes =, <= and >= and fails <, > and !=.
+  // The same rule as the window plan's grouped filters and CACQ's
+  // (DESIGN.md §17, step 4), on loops that run on the runner.
+  StreamDef def;
+  def.name = "Readings";
+  def.schema = Schema::Make({{"ts", ValueType::kInt64, ""},
+                             {"x", ValueType::kDouble, ""},
+                             {"k", ValueType::kInt64, ""},
+                             {"b", ValueType::kBool, ""}});
+  def.timestamp_field = 0;
+  ASSERT_TRUE(catalog_.RegisterStream(def).ok());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // x, k and b at ts 1..6.
+  const std::vector<std::vector<Value>> cells = {
+      {Value::Double(5.0), Value::Null(), Value::Bool(true)},
+      {Value::Double(nan), Value::Int64(4), Value::Null()},
+      {Value::Null(), Value::Null(), Value::Bool(false)},
+      {Value::Double(7.0), Value::Int64(2), Value::Null()},
+      {Value::Double(3.0), Value::Int64(9), Value::Bool(true)},
+      {Value::Double(5.0), Value::Null(), Value::Bool(true)}};
+  Archive readings;
+  for (size_t i = 0; i < cells.size(); ++i) {
+    const int64_t ts = static_cast<int64_t>(i) + 1;
+    readings.Append(Tuple::Make(
+        {Value::Int64(ts), cells[i][0], cells[i][1], cells[i][2]}, ts));
+  }
+  struct Case {
+    std::string where;
+    std::vector<int64_t> reverse;   // Windows [4, 6] then [1, 3].
+    std::vector<int64_t> snapshot;  // [1, 6].
+  };
+  const std::vector<Case> cases = {
+      {"x >= 5.0", {4, 6, 1, 2}, {1, 2, 4, 6}},
+      {"x = 5.0", {6, 1, 2}, {1, 2, 6}},
+      {"x != 5.0", {4, 5}, {4, 5}},
+      {"k > 3", {5, 2}, {2, 5}},
+      {"b", {5, 6, 1}, {1, 5, 6}},
+  };
+  const std::string reverse =
+      " for (t = 6; t > 0; t -= 3) { WindowIs(Readings, t - 2, t); }";
+  const std::string snapshot =
+      " for (; t == 0; t = -1) { WindowIs(Readings, 1, 6); }";
+  auto run = [&](const std::string& sql) {
+    auto analyzed = AnalyzeSql(sql, catalog_);
+    EXPECT_TRUE(analyzed.ok()) << analyzed.status();
+    QueryRunner runner(*analyzed, {&readings}, {TupleVector{}},
+                       QueryRunner::Options{});
+    EXPECT_FALSE(runner.shareable()) << sql;  // Not linear: its own runner.
+    std::vector<ResultSet> out;
+    runner.Advance(100, &out);
+    EXPECT_TRUE(runner.done()) << sql;
+    std::vector<int64_t> ts;
+    for (const ResultSet& rs : out) {
+      for (const Tuple& row : rs.rows) ts.push_back(row.cell(0).int64_value());
+    }
+    return ts;
+  };
+  for (const Case& c : cases) {
+    const std::string select = "SELECT ts FROM Readings WHERE " + c.where;
+    EXPECT_EQ(run(select + reverse), c.reverse) << c.where;
+    EXPECT_EQ(run(select + snapshot), c.snapshot) << c.where;
+  }
 }
 
 TEST_F(RunnerTest, TableOnlySnapshotRunsOnce) {
@@ -109,8 +204,8 @@ TEST_F(RunnerTest, TableOnlySnapshotRunsOnce) {
       AnalyzeSql("SELECT symbol FROM Companies WHERE sector = 'tech'",
                  catalog_);
   ASSERT_TRUE(analyzed.ok());
-  static Archive empty;
-  QueryRunner runner(*analyzed, {&empty}, {rows}, QueryRunner::Options{});
+  // A table source has no archive: its slot is null.
+  QueryRunner runner(*analyzed, {nullptr}, {rows}, QueryRunner::Options{});
   std::vector<ResultSet> out;
   EXPECT_EQ(runner.Advance(0, &out), 1u);
   EXPECT_TRUE(runner.done());
